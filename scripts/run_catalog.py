@@ -42,6 +42,13 @@ SHORT = {
 MARK = {"holds": "yes", "fails": "NO", "unknown": "-"}
 
 
+def json_name(g) -> str:
+    """File name of an entry's report under --json-dir."""
+    stem = g.label.replace("(", "_").replace(")", "").replace(
+        ";", "_").replace(",", "_")
+    return f"{stem}.json"
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--json-dir", metavar="DIR",
@@ -70,9 +77,7 @@ def main() -> int:
               + " ".join(f"{verdicts.get(k, '?'):>13}" for k in SHORT)
               + f"   ({time.perf_counter() - t0:.2f}s)")
         if out_dir:
-            stem = g.label.replace("(", "_").replace(")", "").replace(
-                ";", "_").replace(",", "_")
-            (out_dir / f"{stem}.json").write_text(report.to_json() + "\n")
+            (out_dir / json_name(g)).write_text(report.to_json() + "\n")
     print(f"\ntotal {time.perf_counter() - total:.2f}s")
     return 0
 

@@ -22,10 +22,10 @@ from .invariants import (MODE_ALL, MODE_INVARIANTS, GeneratorSet,
                          gorenstein_invariant, graded_semi_invariants,
                          minimal_generators, poisson_bracket, trdeg_check,
                          verify_semi_invariant)
-from .kernel import (CriterionVerdict, Geometry, KernelBasis, KernelGenerator,
-                     ReductionStep, compute_geometry, evaluate_criteria,
-                     find_syzygy, freeness_verdict, kernel_of_rho,
-                     reduce_one_step)
+from .kernel import (CriterionVerdict, Geometry, InternalCheckError,
+                     KernelBasis, KernelGenerator, ReductionStep,
+                     compute_geometry, evaluate_criteria, find_syzygy,
+                     freeness_verdict, kernel_of_rho, reduce_one_step)
 from .lie import (JacobiViolationError, LieAlgebra, LieAlgebraError,
                   SkewPolyMatrix, Subspace, is_derivation, jordan_chevalley)
 from .pfaffian import (FundamentalSemiInvariant, RankCertificate,

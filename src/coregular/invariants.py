@@ -24,7 +24,7 @@ from .grobner import (BudgetExceededError, GroebnerBasis, Ideal, buchberger,
 from .lie import LieAlgebra
 from .linalg import SparseEchelon, kernel_of_columns
 from .poly import (DEGREVLEX, GRLEX, MonomialOrder, Polynomial, _q,
-                   exact_div, monomials_of_degree)
+                   apply_derivation, exact_div, monomials_of_degree)
 
 MODE_INVARIANTS = "invariants-only"
 MODE_ALL = "all-semi-invariants"
@@ -157,7 +157,8 @@ def _kernel_intersection(g: LieAlgebra, space: list[Polynomial],
     for v in vectors:
         if not space:
             break
-        images = [g.apply_ad(v, f) for f in space]
+        ad_v = g.bracket_images(v)
+        images = [apply_derivation(f, ad_v) for f in space]
         if all(img.is_zero for img in images):
             continue
         coeff_basis = kernel_of_columns([img.terms for img in images])
@@ -188,7 +189,9 @@ def _restricted_matrix(g: LieAlgebra, v: Sequence, space: list[Polynomial],
     """Matrix of ad(v) restricted to an invariant subspace (columns are
     images in the echelon coordinates of ``space``)."""
     pivots = [f.leading_monomial(order) for f in space]
-    cols = [_coordinates(space, pivots, g.apply_ad(v, f)) for f in space]
+    ad_v = g.bracket_images(v)
+    cols = [_coordinates(space, pivots, apply_derivation(f, ad_v))
+            for f in space]
     k = len(space)
     return [[cols[j][i] for j in range(k)] for i in range(k)]
 

@@ -35,6 +35,11 @@ UP_TO_DEGREE = "up-to-degree"
 BUDGET_EXCEEDED = "budget-exceeded"
 
 
+class InternalCheckError(RuntimeError):
+    """An internal consistency check failed: a bug, not a property of the
+    input.  Raised explicitly, so the check also runs under ``python -O``."""
+
+
 @dataclass(frozen=True)
 class CriterionVerdict:
     criterion: str
@@ -89,7 +94,11 @@ def kernel_of_rho(g: LieAlgebra, degree_bound: int,
 
     Degree d unknowns are tuples (A_1..A_n) of degree-d forms; new
     generators are a canonical complement of the multiples of the
-    lower-degree generators.
+    lower-degree generators.  Under a grading diagonal in the basis,
+    unknown (i, m) and equation (j, M) lie in blocks deg(m) + deg_i and
+    deg(M) - deg_j, which match, so each block is solved on its own.
+    The reduced echelon basis of a block-diagonal system is the union of
+    the blocks' bases, so the result does not depend on the split.
     """
     if degree_bound < 1:
         raise ValueError("degree bound must be >= 1")
@@ -97,12 +106,20 @@ def kernel_of_rho(g: LieAlgebra, degree_bound: int,
     b = g.structure_matrix()
     cert = certified_rank(b, seed if seed is not None else DEFAULT_PROBE_SEED)
     rank = n - cert.rank
+    grading = g.diagonal_grading()
+
+    def block_of(i: int, m) -> tuple[int, ...]:
+        return tuple(vec[i] + sum(e * x for e, x in zip(m, vec))
+                     for vec in grading)
 
     generators: list[KernelGenerator] = []
     for d in range(0, degree_bound + 1):
         monos = monomials_of_degree(n, d, order)
         mono_rank = {m: t for t, m in enumerate(monos)}
-        unknowns = [(i, m) for i in range(n) for m in monos]
+        blocks: dict[tuple[int, ...], list] = {}
+        for i in range(n):
+            for m in monos:
+                blocks.setdefault(block_of(i, m), []).append((i, m))
 
         def column_image(i: int, m) -> dict:
             img: dict = {}
@@ -117,46 +134,52 @@ def kernel_of_rho(g: LieAlgebra, degree_bound: int,
                         img[key] = s
             return img
 
-        images = [column_image(i, m) for (i, m) in unknowns]
-        solutions = linalg.kernel_of_columns(images)
-        if not solutions:
+        solved = {}
+        for key, unknowns in blocks.items():
+            solutions = linalg.kernel_of_columns(
+                [column_image(i, m) for (i, m) in unknowns])
+            if solutions:
+                solved[key] = (unknowns, solutions)
+        if not solved:
             continue
 
-        # span of degree-d multiples of lower-degree generators
-        lower = linalg.SparseEchelon(
-            lambda keys: min(keys, key=lambda k: (k[0], mono_rank[k[1]])))
+        def rank_key(k):
+            return k[0], mono_rank[k[1]]
+
+        def pivot(keys):
+            return min(keys, key=rank_key)
+
+        # span of degree-d multiples of lower-degree generators, per block;
+        # generators are homogeneous, so any entry gives the block
+        lower = {key: linalg.SparseEchelon(pivot) for key in solved}
         for gen in generators:
-            shift = d - gen.degree
-            for m in monomials_of_degree(n, shift, order):
+            for m in monomials_of_degree(n, d - gen.degree, order):
                 vec: dict = {}
                 for i, comp in enumerate(gen.components):
                     for mm, c in comp.terms.items():
                         vec[(i, tuple(x + y for x, y in zip(m, mm)))] = c
-                lower.add(vec)
+                lower[block_of(*next(iter(vec)))].add(vec)
 
+        # within a block, free columns ascend as in the unsplit system
         new_rows = []
-        for sol in solutions:
-            vec: dict = {}
-            for c, (i, m) in zip(sol, unknowns):
-                if c:
-                    vec[(i, m)] = c
-            reduced = lower.reduce(vec)
-            if reduced:
-                lower.add(reduced)
-                new_rows.append(dict(reduced))
+        for key, (unknowns, solutions) in solved.items():
+            for sol in solutions:
+                vec = {u: c for c, u in zip(sol, unknowns) if c}
+                reduced = lower[key].reduce(vec)
+                if reduced:
+                    lower[key].add(reduced)
+                    new_rows.append(dict(reduced))
         # canonical order and normalization (unit pivot came from the echelon)
-        def pivot_key(row: dict):
-            return min((i, mono_rank[m]) for (i, m) in row)
-        new_rows.sort(key=pivot_key)
+        new_rows.sort(key=lambda row: rank_key(pivot(row)))
         for row in new_rows:
-            pk = min(row, key=lambda k: (k[0], mono_rank[k[1]]))
-            lead = row[pk]
+            lead = row[pivot(row)]
             comps = [dict() for _ in range(n)]
             for (i, m), c in row.items():
                 comps[i][m] = c / lead
             components = tuple(Polynomial._new(n, comp) for comp in comps)
-            assert _annihilates(b, components), \
-                "kernel generator fails to annihilate the structure matrix"
+            if not _annihilates(b, components):
+                raise InternalCheckError(
+                    "kernel generator fails to annihilate the structure matrix")
             generators.append(KernelGenerator(components, d))
 
     return KernelBasis(g, degree_bound, tuple(generators), rank)
@@ -349,7 +372,8 @@ def evaluate_criteria(g: LieAlgebra, geometry: Geometry,
     # degree-sum equality for a discovered polynomial presentation
     inv_sum = inv_gens.degree_sum()
     target2 = n + idx - d
-    assert target2 % 2 == 0
+    if target2 % 2:
+        raise InternalCheckError("dim + index - d must be even")
     target = target2 // 2
     independent, rank = (True, 0) if not inv_gens.generators else \
         algebraically_independent([s.poly for s in inv_gens.generators], n)
@@ -499,7 +523,8 @@ def reduce_one_step(g: LieAlgebra, s: SemiInvariant,
     for v in h_vectors:
         img = g.bracket(c_vec, v)
         coords = linalg.solve(cols, img)
-        assert coords is not None, "h is not ad(c)-stable"
+        if coords is None:
+            raise InternalCheckError("h is not ad(c)-stable")
         adc.append(coords)
     adc_mat = [[adc[j][i] for j in range(n - 1)] for i in range(n - 1)]
     d_s, d_p = jordan_chevalley(adc_mat)
@@ -519,8 +544,9 @@ def reduce_one_step(g: LieAlgebra, s: SemiInvariant,
     rank_g = certified_rank(g.structure_matrix(), probe_seed).rank
     rank_h = certified_rank(h.structure_matrix(), probe_seed).rank
     rank_k = certified_rank(k.structure_matrix(), probe_seed).rank
-    assert rank_h == rank_g - 2, \
-        "kernel of a semi-invariant weight must drop the rank by two"
+    if rank_h != rank_g - 2:
+        raise InternalCheckError(
+            "kernel of a semi-invariant weight must drop the rank by two")
 
     dims = {
         "g": _semicenter_dims(g, compare_degree, order),
@@ -553,8 +579,8 @@ def reduce_one_step(g: LieAlgebra, s: SemiInvariant,
         c_after = (h.dim + (h.dim - rank_h)) // 2
     elif chosen == K_BRANCH:
         c_after = (k.dim + (k.dim - rank_k)) // 2
-    if c_after is not None:
-        assert c_after == c_before, "reduction step must preserve the c-value"
+    if c_after is not None and c_after != c_before:
+        raise InternalCheckError("reduction step must preserve the c-value")
 
     return ReductionStep(
         algebra=g, semi_invariant=s.poly, weight=chi, h=h,

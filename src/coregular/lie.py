@@ -8,6 +8,7 @@ built.  All linear data lives over exact rationals.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,10 +51,6 @@ class Subspace:
         reduced, _ = rref(rows)
         return cls(ambient_dim, tuple(tuple(r) for r in reduced))
 
-    @classmethod
-    def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, ())
-
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -61,9 +58,6 @@ class Subspace:
     def contains(self, vector: Sequence) -> bool:
         rows = [list(b) for b in self.basis] + [[_q(x) for x in vector]]
         return len(rref(rows)[1]) == self.dim
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.basis)
 
 
 class LieAlgebra:
@@ -104,7 +98,6 @@ class LieAlgebra:
         self.dim = n
         self.brackets = table
         self.label = label or "lie-algebra"
-        self._ad_cache: list[Mat] | None = None
         if validate:
             self._check_jacobi()
 
@@ -222,6 +215,31 @@ class LieAlgebra:
 
     def unimodular(self) -> bool:
         return all(linalg.trace(self.ad_matrix(i)) == 0 for i in range(self.dim))
+
+    def diagonal_grading(self) -> tuple[tuple[int, ...], ...]:
+        """Primitive integer basis of the gradings diagonal in this basis.
+
+        A grading gives each v_k a degree with deg_i + deg_j = deg_k
+        whenever [v_i, v_j] has a nonzero v_k coefficient; the solutions
+        form a nullspace over Q.  Each basis vector lists the degrees of
+        v_1..v_n; an algebra with only the trivial grading gets ().
+        """
+        n = self.dim
+        rows = []
+        for (i, j), coeffs in self.brackets.items():
+            for k in coeffs:
+                row = [0] * n
+                row[i] += 1
+                row[j] += 1
+                row[k] -= 1
+                rows.append(row)
+        basis = []
+        for v in linalg.nullspace(rows, n):
+            scale = math.lcm(*(x.denominator for x in v))
+            ints = [int(x * scale) for x in v]
+            content = math.gcd(*ints)
+            basis.append(tuple(x // content for x in ints))
+        return tuple(basis)
 
     # -- graded action ----------------------------------------------------------
 

@@ -50,25 +50,12 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     return out
 
 
-def mat_add(a: Mat, b: Mat) -> Mat:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_sub(a: Mat, b: Mat) -> Mat:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_scale(a: Mat, c) -> Mat:
-    c = _q(c)
-    return [[x * c for x in row] for row in a]
-
-
 def mat_vec(a: Mat, v: Sequence) -> Vec:
     return [sum((x * _q(y) for x, y in zip(row, v)), Fraction(0)) for row in a]
-
-
-def transpose(a: Mat) -> Mat:
-    return [list(col) for col in zip(*a)] if a else []
 
 
 def trace(a: Mat) -> Fraction:
@@ -372,19 +359,6 @@ class SparseEchelon:
                 self._axpy(other, c, row)
         self.rows[p] = row
         return row
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def pivots(self) -> list[Hashable]:
-        return list(self.rows.keys())
-
-    def basis(self, sort_key: Callable[[Hashable], object] | None = None) -> list[dict]:
-        keys = list(self.rows.keys())
-        if sort_key is not None:
-            keys.sort(key=sort_key)
-        return [dict(self.rows[k]) for k in keys]
 
 
 def kernel_of_columns(images: Sequence[dict]) -> list[Vec]:

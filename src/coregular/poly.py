@@ -72,9 +72,6 @@ class MonomialOrder:
             return (sum(m), m)
         return (sum(m), tuple(-e for e in reversed(m)))
 
-    def greater(self, a: Monomial, b: Monomial) -> bool:
-        return self.key(a) > self.key(b)
-
     def __eq__(self, other):
         return isinstance(other, MonomialOrder) and other.name == self.name
 
@@ -191,11 +188,6 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(sum(m) == 0 for m in self.terms)
 
-    def constant_value(self) -> Fraction:
-        if not self.is_constant:
-            raise ValueError("not a constant polynomial")
-        return self.terms.get((0,) * self.nvars, Fraction(0))
-
     def total_degree(self):
         if not self.terms:
             return MINUS_INFINITY
@@ -205,10 +197,6 @@ class Polynomial:
         if not self.terms:
             return -1
         return max(m[var] for m in self.terms)
-
-    def is_homogeneous(self) -> bool:
-        degs = {sum(m) for m in self.terms}
-        return len(degs) <= 1
 
     def variables(self) -> set[int]:
         used: set[int] = set()
@@ -373,10 +361,6 @@ class Polynomial:
             total = total + term
         return total
 
-    def homogeneous_component(self, d: int) -> "Polynomial":
-        return self._new(self.nvars,
-                         {m: c for m, c in self.terms.items() if sum(m) == d})
-
 
 def apply_derivation(f: Polynomial, images: Sequence[Polynomial]) -> Polynomial:
     """Apply the derivation D with D(x_i) = images[i] to f.
@@ -455,16 +439,6 @@ def _coefficients_in(f: Polynomial, var: int) -> dict[int, Polynomial]:
         rest = m[:var] + (0,) + m[var + 1:]
         coeffs.setdefault(e, {})[rest] = c
     return {e: Polynomial._new(f.nvars, t) for e, t in coeffs.items()}
-
-
-def _from_coefficients(coeffs: dict[int, Polynomial], var: int,
-                       nvars: int) -> Polynomial:
-    terms: dict[Monomial, Fraction] = {}
-    for e, p in coeffs.items():
-        for m, c in p.terms.items():
-            me = m[:var] + (m[var] + e,) + m[var + 1:]
-            terms[me] = c
-    return Polynomial._new(nvars, terms)
 
 
 def _content(f: Polynomial, var: int) -> Polynomial:

@@ -47,3 +47,11 @@ def catalog_algebras():
         abelian(3), panyushev(), example32(), two_dim_nonabelian(),
         sl2(), heisenberg([[0, 1], [0, 0]]), heisenberg([[1, 0], [0, 1]]),
     ]
+
+
+@pytest.fixture(scope="session")
+def rotated_sl2():
+    """sl2 in the basis e + f, e - f, h: no diagonal grading survives."""
+    from coregular.catalog import sl2
+    return sl2().induced_algebra([[1, 1, 0], [1, -1, 0], [0, 0, 1]],
+                                 ["a", "b", "c"], label="sl2-rotated")

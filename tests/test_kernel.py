@@ -2,13 +2,16 @@ from fractions import Fraction
 
 import pytest
 
+from coregular import kernel as kernel_module
+from coregular import linalg
 from coregular.catalog import (abelian, example32, filiform, panyushev,
                                sl2, two_dim_nonabelian)
 from coregular.invariants import (MODE_ALL, SemiInvariant, WeightVector,
                                   minimal_generators)
 from coregular.kernel import (FAILS, H_BRANCH, HOLDS, K_BRANCH, UNKNOWN,
-                              compute_geometry, evaluate_criteria,
-                              find_syzygy, freeness_verdict, kernel_of_rho,
+                              InternalCheckError, compute_geometry,
+                              evaluate_criteria, find_syzygy,
+                              freeness_verdict, kernel_of_rho,
                               reduce_one_step)
 from coregular.poly import DEGREVLEX, Polynomial, format_polynomial
 
@@ -59,6 +62,50 @@ class TestKernelOfRho:
         from coregular.pfaffian import index
         for g in catalog_algebras:
             assert kernel_of_rho(g, 2).rank == index(g)
+
+
+class TestBlockSplit:
+    """The anchor system is solved per block of the diagonal grading; the
+    generators below are those of the unsplit single-system solver."""
+
+    def block_sizes(self, monkeypatch, g, bound):
+        sizes = []
+        solve = linalg.kernel_of_columns
+
+        def recording(images):
+            sizes.append(len(images))
+            return solve(images)
+        monkeypatch.setattr(linalg, "kernel_of_columns", recording)
+        return kernel_of_rho(g, bound), sizes
+
+    def test_trivial_grading_is_one_block(self, monkeypatch, rotated_sl2):
+        g = rotated_sl2
+        kernel, sizes = self.block_sizes(monkeypatch, g, 3)
+        # one system per degree 0..3 with all 3 * C(d + 2, 2) unknowns
+        assert sizes == [3, 9, 18, 30]
+        assert kernel.rank == 1
+        assert [component_texts(w, g) for w in kernel.generators] == \
+            [("a", "-b", "c")]
+
+    def test_panyushev_blocks_hold_one_column_per_component(self, monkeypatch):
+        g = panyushev()
+        kernel, sizes = self.block_sizes(monkeypatch, g, 3)
+        # a block degree fixes the monomial of each component A_i
+        assert max(sizes) <= g.dim and sum(sizes) == 4 * (1 + 4 + 10 + 20)
+        assert kernel.rank == 2
+        assert [component_texts(w, g) for w in kernel.generators] == [
+            ("0", "v3", "-v2", "0"),
+            ("0", "v4", "0", "v2"),
+            ("0", "0", "v4", "v3"),
+        ]
+
+
+class TestInternalChecks:
+    def test_failed_annihilation_raises_an_explicit_error(self, monkeypatch):
+        monkeypatch.setattr(kernel_module, "_annihilates",
+                            lambda b, components: False)
+        with pytest.raises(InternalCheckError, match="annihilate"):
+            kernel_of_rho(filiform(4), 1)
 
 
 class TestFreeness:
