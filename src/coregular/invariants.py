@@ -16,13 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Sequence
 
 from . import linalg
 from .grobner import (BudgetExceededError, GroebnerBasis, Ideal, buchberger,
                       ideal_membership)
-from .lie import LieAlgebra
-from .linalg import SparseEchelon, kernel_of_columns
+from .lie import LieAlgebra, Subspace
+from .linalg import InternalCheckError, SparseEchelon, kernel_of_columns
 from .poly import (DEGREVLEX, GRLEX, MonomialOrder, Polynomial, _q,
                    apply_derivation, exact_div, monomials_of_degree)
 
@@ -112,6 +113,16 @@ class GeneratorSet:
     def invariant_generators(self) -> tuple[SemiInvariant, ...]:
         return tuple(s for s in self.generators if s.weight.is_zero)
 
+    @cached_property
+    def jacobian_rank(self) -> int:
+        """Rank of the generators' Jacobian over the fraction field,
+        computed once per set; the generators are independent iff it
+        equals their count."""
+        if not self.generators:
+            return 0
+        return algebraically_independent(
+            [s.poly for s in self.generators], self.algebra.dim)[1]
+
 
 @dataclass(frozen=True)
 class Relation:
@@ -149,6 +160,16 @@ def _echelonize(polys: Sequence[Polynomial], nvars: int,
     return [Polynomial._new(nvars, dict(r)) for _, r in rows]
 
 
+def _combine(pairs: Iterable[tuple[int, Fraction]],
+             polys: Sequence[Polynomial], nvars: int) -> Polynomial:
+    """sum c * polys[j] over the (j, c) pairs."""
+    acc = Polynomial.zero(nvars)
+    for j, c in pairs:
+        if c:
+            acc = acc + polys[j] * c
+    return acc
+
+
 def _kernel_intersection(g: LieAlgebra, space: list[Polynomial],
                          vectors: Sequence[Sequence], order: MonomialOrder
                          ) -> list[Polynomial]:
@@ -161,14 +182,8 @@ def _kernel_intersection(g: LieAlgebra, space: list[Polynomial],
         images = [apply_derivation(f, ad_v) for f in space]
         if all(img.is_zero for img in images):
             continue
-        coeff_basis = kernel_of_columns([img.terms for img in images])
-        combined = []
-        for coeffs in coeff_basis:
-            acc = Polynomial.zero(n)
-            for c, f in zip(coeffs, space):
-                if c:
-                    acc = acc + f * c
-            combined.append(acc)
+        combined = [_combine(coeffs.items(), space, n) for coeffs in
+                    kernel_of_columns([img.terms for img in images])]
         space = _echelonize(combined, n, order)
     return space
 
@@ -176,11 +191,8 @@ def _kernel_intersection(g: LieAlgebra, space: list[Polynomial],
 def _coordinates(space: list[Polynomial], pivots: list, vec: Polynomial
                  ) -> list[Fraction]:
     coords = [vec.terms.get(p, Fraction(0)) for p in pivots]
-    residual = vec
-    for c, f in zip(coords, space):
-        if c:
-            residual = residual - f * c
-    assert residual.is_zero, "vector left the subspace"
+    if vec != _combine(enumerate(coords), space, vec.nvars):
+        raise InternalCheckError("vector left the subspace")
     return coords
 
 
@@ -196,12 +208,10 @@ def _restricted_matrix(g: LieAlgebra, v: Sequence, space: list[Polynomial],
     return [[cols[j][i] for j in range(k)] for i in range(k)]
 
 
-def _weight_from_eigenvalues(g: LieAlgebra, complement: list[int],
+def _weight_from_eigenvalues(n: int, derived: Subspace, complement: list[int],
                              eigenvalues: Sequence[Fraction]) -> WeightVector:
     """The functional vanishing on [g,g] with given values on the
     complement coordinates."""
-    n = g.dim
-    derived = g.derived_subalgebra()
     rows = [list(b) for b in derived.basis]
     rhs = [Fraction(0)] * len(rows)
     for idx, lam in zip(complement, eigenvalues):
@@ -210,7 +220,8 @@ def _weight_from_eigenvalues(g: LieAlgebra, complement: list[int],
         rows.append(row)
         rhs.append(_q(lam))
     sol = linalg.solve(rows, rhs)
-    assert sol is not None
+    if sol is None:
+        raise InternalCheckError("no weight takes the joint eigenvalues")
     return WeightVector.of(sol)
 
 
@@ -225,13 +236,13 @@ def graded_semi_invariants(g: LieAlgebra, degree: int,
              for m in monomials_of_degree(n, degree, order)]
 
     basis_vectors = [[1 if t == i else 0 for t in range(n)] for i in range(n)]
+    derived = g.derived_subalgebra()
     structural = g.is_nilpotent() or g.is_perfect()
     if mode == MODE_INVARIANTS or structural:
         invariant = _kernel_intersection(g, space, basis_vectors, order)
         blocks = (((WeightVector.zero(n)), tuple(invariant)),) if invariant else ()
         result = GradedSemiInvariants(degree, blocks, False)
     elif mode == MODE_ALL:
-        derived = g.derived_subalgebra()
         candidate = _kernel_intersection(g, space, list(derived.basis), order)
         derived_pivots = set()
         for b in derived.basis:
@@ -259,19 +270,14 @@ def graded_semi_invariants(g: LieAlgebra, degree: int,
                     eig_coords = linalg.nullspace(shifted, len(sub))
                     if not eig_coords:
                         continue
-                    vecs = []
-                    for coords in eig_coords:
-                        acc = Polynomial.zero(n)
-                        for c, f in zip(coords, sub):
-                            if c:
-                                acc = acc + f * c
-                        vecs.append(acc)
+                    vecs = [_combine(enumerate(coords), sub, n)
+                            for coords in eig_coords]
                     new_blocks.append((eigs + (lam,),
                                        _echelonize(vecs, n, order)))
             blocks_raw = new_blocks
         blocks = []
         for eigs, sub in blocks_raw:
-            w = _weight_from_eigenvalues(g, complement, eigs)
+            w = _weight_from_eigenvalues(n, derived, complement, eigs)
             blocks.append((w, tuple(sub)))
         blocks.sort(key=lambda bw: tuple(bw[0].values))
         blocks.sort(key=lambda bw: not bw[0].is_zero)
@@ -281,12 +287,13 @@ def graded_semi_invariants(g: LieAlgebra, degree: int,
 
     for w, basis in result.blocks:
         for f in basis:
-            assert verify_semi_invariant(g, f, w), \
-                "graded search produced a non-semi-invariant"
-        derived = g.derived_subalgebra()
+            if not verify_semi_invariant(g, f, w):
+                raise InternalCheckError(
+                    "graded search produced a non-semi-invariant")
         for b in derived.basis:
-            assert sum((c * x for c, x in zip(w.values, b)), Fraction(0)) == 0, \
-                "weight does not vanish on the derived subalgebra"
+            if sum((c * x for c, x in zip(w.values, b)), Fraction(0)) != 0:
+                raise InternalCheckError(
+                    "weight does not vanish on the derived subalgebra")
     return result
 
 
@@ -311,6 +318,23 @@ def _exponent_vectors(degrees: Sequence[int], target: int) -> list[tuple[int, ..
     return out
 
 
+def _power_products(gens: Sequence[SemiInvariant], nvars: int
+                    ) -> Callable[[Sequence[int]], Polynomial]:
+    """The map from an exponent tuple e to prod_i gens[i].poly ** e_i,
+    caching the powers; ``gens`` may grow between calls."""
+    cache: dict[tuple[int, int], Polynomial] = {}
+
+    def product(exps: Sequence[int]) -> Polynomial:
+        prod = Polynomial.one(nvars)
+        for i, e in enumerate(exps):
+            if e:
+                if (i, e) not in cache:
+                    cache[(i, e)] = gens[i].poly ** e
+                prod = prod * cache[(i, e)]
+        return prod
+    return product
+
+
 def minimal_generators(g: LieAlgebra, max_degree: int | None = None,
                        mode: str = MODE_ALL,
                        order: MonomialOrder = DEGREVLEX) -> GeneratorSet:
@@ -327,14 +351,7 @@ def minimal_generators(g: LieAlgebra, max_degree: int | None = None,
     n = g.dim
     gens: list[SemiInvariant] = []
     irrational: list[int] = []
-    power_cache: dict[tuple[int, int], Polynomial] = {}
-
-    def power(idx: int, e: int) -> Polynomial:
-        key = (idx, e)
-        if key not in power_cache:
-            power_cache[key] = gens[idx].poly ** e
-        return power_cache[key]
-
+    product = _power_products(gens, n)
     for d in range(1, bound + 1):
         graded = graded_semi_invariants(g, d, order, mode)
         if graded.irrational_flag:
@@ -343,21 +360,19 @@ def minimal_generators(g: LieAlgebra, max_degree: int | None = None,
         lead = lambda keys: max(keys, key=order.key)
         for exps in _exponent_vectors([s.degree for s in gens], d):
             w = WeightVector.zero(n)
-            prod = Polynomial.one(n)
             for i, e in enumerate(exps):
                 if e:
                     w = w + gens[i].weight.scale(e)
-                    prod = prod * power(i, e)
-            products.setdefault(w.values, SparseEchelon(lead)).add(prod.terms)
+            products.setdefault(w.values, SparseEchelon(lead)).add(
+                product(exps).terms)
         for w, basis in graded.blocks:
             ech = products.setdefault(w.values, SparseEchelon(lead))
             for f in basis:
-                reduced = ech.reduce(f.terms)
-                if not reduced:
-                    continue
-                ech.add(reduced)
-                poly = Polynomial._new(n, dict(reduced)).monic(order)
-                gens.append(SemiInvariant(poly, w, d))
+                # the pivot is the leading monomial, so the row is monic
+                row = ech.add(f.terms)
+                if row is not None:
+                    gens.append(SemiInvariant(Polynomial._new(n, dict(row)),
+                                              w, d))
     return GeneratorSet(algebra=g, mode=mode, degree_bound=bound, order=order,
                         generators=tuple(gens),
                         irrational_degrees=tuple(irrational))
@@ -416,15 +431,7 @@ def find_relations(gens: GeneratorSet, max_weighted_degree: int,
     if k == 0:
         return []
     degrees = [s.degree for s in gens.generators]
-    n = gens.algebra.dim
-    power_cache: dict[tuple[int, int], Polynomial] = {}
-
-    def power(idx: int, e: int) -> Polynomial:
-        key = (idx, e)
-        if key not in power_cache:
-            power_cache[key] = gens.generators[idx].poly ** e
-        return power_cache[key]
-
+    product = _power_products(gens.generators, gens.algebra.dim)
     relations: list[Relation] = []
     gb: GroebnerBasis | None = None
     for delta in range(1, max_weighted_degree + 1):
@@ -435,15 +442,8 @@ def find_relations(gens: GeneratorSet, max_weighted_degree: int,
                 f"exceed the cap {max_monomials}")
         if len(exps) < 2:
             continue
-        expansions = []
-        for e in exps:
-            prod = Polynomial.one(n)
-            for i, ei in enumerate(e):
-                if ei:
-                    prod = prod * power(i, ei)
-            expansions.append(prod)
-        for coeffs in kernel_of_columns([p.terms for p in expansions]):
-            formal = Polynomial(k, {e: c for e, c in zip(exps, coeffs)})
+        for coeffs in kernel_of_columns([product(e).terms for e in exps]):
+            formal = Polynomial(k, {exps[t]: c for t, c in coeffs.items()})
             if formal.is_zero:
                 continue
             if gb is not None and ideal_membership(formal, gb):
@@ -523,12 +523,11 @@ def trdeg_check(g: LieAlgebra, gens: GeneratorSet,
     if gens.has_proper():
         return TrdegCheck(TRDEG_NOT_APPLICABLE, None, expected,
                           gens.degree_bound)
-    invariants = [s.poly for s in gens.invariant_generators()]
-    if not invariants:
-        status = TRDEG_CONSISTENT if expected == 0 else TRDEG_DEFICIENT
-        return TrdegCheck(status, 0, expected, gens.degree_bound)
-    _, rank = algebraically_independent(invariants, g.dim)
-    assert rank <= expected, "invariant rank exceeded the structural bound"
+    # with no proper semi-invariants every generator is an invariant
+    rank = gens.jacobian_rank
+    if rank > expected:
+        raise InternalCheckError(
+            "invariant rank exceeded the structural bound")
     status = TRDEG_CONSISTENT if rank == expected else TRDEG_DEFICIENT
     return TrdegCheck(status, rank, expected, gens.degree_bound)
 
@@ -552,7 +551,7 @@ def gorenstein_invariant(gens: GeneratorSet,
     polys = [s.poly for s in gens.generators]
     if not polys:
         return GorensteinResult(None, "empty", "no generators found")
-    _, rank = algebraically_independent(polys, gens.algebra.dim)
+    rank = gens.jacobian_rank
     k, s = len(polys), len(relations)
     if s != k - rank:
         return GorensteinResult(

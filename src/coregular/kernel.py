@@ -17,9 +17,10 @@ from typing import Sequence
 from . import linalg
 from .grobner import BudgetExceededError
 from .invariants import (MODE_ALL, GeneratorSet, Relation, SemiInvariant,
-                         WeightVector, algebraically_independent,
-                         graded_semi_invariants, poly_matrix_rank)
+                         WeightVector, graded_semi_invariants,
+                         poly_matrix_rank)
 from .lie import LieAlgebra, SkewPolyMatrix, is_derivation, jordan_chevalley
+from .linalg import InternalCheckError
 from .pfaffian import (DEFAULT_PROBE_SEED, FundamentalSemiInvariant,
                        RankCertificate, certified_rank,
                        fundamental_semi_invariant, singular_locus_codim)
@@ -33,11 +34,6 @@ UNKNOWN = "unknown"
 CERTIFIED = "certified"
 UP_TO_DEGREE = "up-to-degree"
 BUDGET_EXCEEDED = "budget-exceeded"
-
-
-class InternalCheckError(RuntimeError):
-    """An internal consistency check failed: a bug, not a property of the
-    input.  Raised explicitly, so the check also runs under ``python -O``."""
 
 
 @dataclass(frozen=True)
@@ -87,6 +83,19 @@ def _annihilates(b: SkewPolyMatrix, components: Sequence[Polynomial]) -> bool:
     return True
 
 
+def _shift(components: Sequence[Polynomial], m, monomials: dict) -> dict:
+    """The tuple (m A_1, ..., m A_n) as a sparse vector keyed (i, monomial).
+
+    Equal monomials share one tuple through ``monomials``, which keeps
+    the degree's system small in memory."""
+    vec: dict = {}
+    for i, comp in enumerate(components):
+        for mm, c in comp.terms.items():
+            mono = tuple(x + y for x, y in zip(m, mm))
+            vec[(i, monomials.setdefault(mono, mono))] = c
+    return vec
+
+
 def kernel_of_rho(g: LieAlgebra, degree_bound: int,
                   order: MonomialOrder = DEGREVLEX,
                   seed: int | None = None) -> KernelBasis:
@@ -94,11 +103,9 @@ def kernel_of_rho(g: LieAlgebra, degree_bound: int,
 
     Degree d unknowns are tuples (A_1..A_n) of degree-d forms; new
     generators are a canonical complement of the multiples of the
-    lower-degree generators.  Under a grading diagonal in the basis,
-    unknown (i, m) and equation (j, M) lie in blocks deg(m) + deg_i and
-    deg(M) - deg_j, which match, so each block is solved on its own.
-    The reduced echelon basis of a block-diagonal system is the union of
-    the blocks' bases, so the result does not depend on the split.
+    lower-degree generators.  Each degree is one linear system; the
+    blocks it splits into (for instance under a grading of the algebra)
+    are found by the sparse eliminator.
     """
     if degree_bound < 1:
         raise ValueError("degree bound must be >= 1")
@@ -106,41 +113,17 @@ def kernel_of_rho(g: LieAlgebra, degree_bound: int,
     b = g.structure_matrix()
     cert = certified_rank(b, seed if seed is not None else DEFAULT_PROBE_SEED)
     rank = n - cert.rank
-    grading = g.diagonal_grading()
-
-    def block_of(i: int, m) -> tuple[int, ...]:
-        return tuple(vec[i] + sum(e * x for e, x in zip(m, vec))
-                     for vec in grading)
 
     generators: list[KernelGenerator] = []
     for d in range(0, degree_bound + 1):
         monos = monomials_of_degree(n, d, order)
         mono_rank = {m: t for t, m in enumerate(monos)}
-        blocks: dict[tuple[int, ...], list] = {}
-        for i in range(n):
-            for m in monos:
-                blocks.setdefault(block_of(i, m), []).append((i, m))
-
-        def column_image(i: int, m) -> dict:
-            img: dict = {}
-            for j in range(n):
-                entry = b[i, j]
-                for mm, c in entry.terms.items():
-                    key = (j, tuple(x + y for x, y in zip(m, mm)))
-                    s = img.get(key, 0) + c
-                    if s == 0:
-                        img.pop(key, None)
-                    else:
-                        img[key] = s
-            return img
-
-        solved = {}
-        for key, unknowns in blocks.items():
-            solutions = linalg.kernel_of_columns(
-                [column_image(i, m) for (i, m) in unknowns])
-            if solutions:
-                solved[key] = (unknowns, solutions)
-        if not solved:
+        unknowns = [(i, m) for i in range(n) for m in monos]
+        shared = dict(zip(monos, monos))
+        # the column of unknown (i, m) is m times row i of B
+        solutions = linalg.kernel_of_columns(
+            [_shift(b.entries[i], m, shared) for i, m in unknowns])
+        if not solutions:
             continue
 
         def rank_key(k):
@@ -149,33 +132,23 @@ def kernel_of_rho(g: LieAlgebra, degree_bound: int,
         def pivot(keys):
             return min(keys, key=rank_key)
 
-        # span of degree-d multiples of lower-degree generators, per block;
-        # generators are homogeneous, so any entry gives the block
-        lower = {key: linalg.SparseEchelon(pivot) for key in solved}
+        # span of degree-d multiples of lower-degree generators
+        lower = linalg.SparseEchelon(pivot)
         for gen in generators:
             for m in monomials_of_degree(n, d - gen.degree, order):
-                vec: dict = {}
-                for i, comp in enumerate(gen.components):
-                    for mm, c in comp.terms.items():
-                        vec[(i, tuple(x + y for x, y in zip(m, mm)))] = c
-                lower[block_of(*next(iter(vec)))].add(vec)
+                lower.add(_shift(gen.components, m, shared))
 
-        # within a block, free columns ascend as in the unsplit system
         new_rows = []
-        for key, (unknowns, solutions) in solved.items():
-            for sol in solutions:
-                vec = {u: c for c, u in zip(sol, unknowns) if c}
-                reduced = lower[key].reduce(vec)
-                if reduced:
-                    lower[key].add(reduced)
-                    new_rows.append(dict(reduced))
-        # canonical order and normalization (unit pivot came from the echelon)
+        for sol in solutions:
+            row = lower.add({unknowns[t]: c for t, c in sol.items()})
+            if row is not None:
+                new_rows.append(dict(row))
+        # canonical order; the echelon gave each row a unit pivot
         new_rows.sort(key=lambda row: rank_key(pivot(row)))
         for row in new_rows:
-            lead = row[pivot(row)]
             comps = [dict() for _ in range(n)]
             for (i, m), c in row.items():
-                comps[i][m] = c / lead
+                comps[i][m] = c
             components = tuple(Polynomial._new(n, comp) for comp in comps)
             if not _annihilates(b, components):
                 raise InternalCheckError(
@@ -199,29 +172,19 @@ def find_syzygy(kernel: KernelBasis, max_extra_degree: int = 3
     dmin = min(w.degree for w in gens)
     dmax = max(w.degree for w in gens)
     for e in range(dmin, dmax + max_extra_degree + 1):
-        unknowns = []
-        images = []
-        for a, w in enumerate(gens):
-            shift = e - w.degree
-            if shift < 0:
-                continue
-            for m in monomials_of_degree(n, shift, order):
-                unknowns.append((a, m))
-                img: dict = {}
-                for i, comp in enumerate(w.components):
-                    for mm, c in comp.terms.items():
-                        img[(i, tuple(x + y for x, y in zip(m, mm)))] = c
-                images.append(img)
+        unknowns = [(a, m) for a, w in enumerate(gens) if e >= w.degree
+                    for m in monomials_of_degree(n, e - w.degree, order)]
         if not unknowns:
             continue
-        solutions = linalg.kernel_of_columns(images)
+        shared: dict = {}
+        solutions = linalg.kernel_of_columns(
+            [_shift(gens[a].components, m, shared) for a, m in unknowns])
         if not solutions:
             continue
-        sol = solutions[0]
         coeffs = [Polynomial.zero(n) for _ in gens]
-        for c, (a, m) in zip(sol, unknowns):
-            if c:
-                coeffs[a] = coeffs[a] + Polynomial._new(n, {m: c})
+        for t, c in solutions[0].items():
+            a, m = unknowns[t]
+            coeffs[a] = coeffs[a] + Polynomial._new(n, {m: c})
         return e, tuple(coeffs)
     return None
 
@@ -375,8 +338,7 @@ def evaluate_criteria(g: LieAlgebra, geometry: Geometry,
     if target2 % 2:
         raise InternalCheckError("dim + index - d must be even")
     target = target2 // 2
-    independent, rank = (True, 0) if not inv_gens.generators else \
-        algebraically_independent([s.poly for s in inv_gens.generators], n)
+    independent = inv_gens.jacobian_rank == len(inv_gens.generators)
     polynomial_presentation = (relations is not None and not relations
                                and independent and relations_known)
     eq_gate = no_proper_found and polynomial_presentation
@@ -529,7 +491,7 @@ def reduce_one_step(g: LieAlgebra, s: SemiInvariant,
     adc_mat = [[adc[j][i] for j in range(n - 1)] for i in range(n - 1)]
     d_s, d_p = jordan_chevalley(adc_mat)
     if not is_derivation(h, d_p):
-        raise AssertionError("nilpotent part is not a derivation of h")
+        raise InternalCheckError("nilpotent part is not a derivation of h")
 
     k_brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
     for (i, j), coeffs in h.brackets.items():

@@ -8,14 +8,14 @@ built.  All linear data lives over exact rationals.
 from __future__ import annotations
 
 import json
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
-from .linalg import Mat, Vec, mat_eq_zero, mat_mul, mat_sub, rref
+from .linalg import (InternalCheckError, Mat, Vec, mat_eq_zero, mat_mul,
+                     mat_sub, rref)
 from .poly import (DEGREVLEX, MonomialOrder, Polynomial, _q,
                    apply_derivation, monomials_of_degree)
 
@@ -216,31 +216,6 @@ class LieAlgebra:
     def unimodular(self) -> bool:
         return all(linalg.trace(self.ad_matrix(i)) == 0 for i in range(self.dim))
 
-    def diagonal_grading(self) -> tuple[tuple[int, ...], ...]:
-        """Primitive integer basis of the gradings diagonal in this basis.
-
-        A grading gives each v_k a degree with deg_i + deg_j = deg_k
-        whenever [v_i, v_j] has a nonzero v_k coefficient; the solutions
-        form a nullspace over Q.  Each basis vector lists the degrees of
-        v_1..v_n; an algebra with only the trivial grading gets ().
-        """
-        n = self.dim
-        rows = []
-        for (i, j), coeffs in self.brackets.items():
-            for k in coeffs:
-                row = [0] * n
-                row[i] += 1
-                row[j] += 1
-                row[k] -= 1
-                rows.append(row)
-        basis = []
-        for v in linalg.nullspace(rows, n):
-            scale = math.lcm(*(x.denominator for x in v))
-            ints = [int(x * scale) for x in v]
-            content = math.gcd(*ints)
-            basis.append(tuple(x // content for x in ints))
-        return tuple(basis)
-
     # -- graded action ----------------------------------------------------------
 
     def apply_ad(self, x: Sequence, f: Polynomial) -> Polynomial:
@@ -308,10 +283,14 @@ class LieAlgebra:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "LieAlgebra":
         try:
-            names = list(data["basis"])
+            names = data["basis"]
             raw = data.get("brackets", [])
         except (KeyError, TypeError) as exc:
             raise LieAlgebraError(f"malformed algebra description: {exc}")
+        if not isinstance(names, list):
+            raise LieAlgebraError("basis must be a list of names")
+        if not isinstance(raw, list):
+            raise LieAlgebraError("brackets must be a list")
         table: dict[tuple[int, int], dict[int, Fraction]] = {}
         for entry in raw:
             try:
@@ -319,6 +298,9 @@ class LieAlgebra:
                 coeffs = entry["coeffs"]
             except (KeyError, TypeError, ValueError) as exc:
                 raise LieAlgebraError(f"malformed bracket entry: {exc}")
+            if not isinstance(coeffs, Mapping):
+                raise LieAlgebraError(
+                    f"coeffs of bracket ({i}, {j}) must be an object")
             if not 1 <= i < j <= len(names):
                 raise LieAlgebraError(
                     f"bracket indices ({i}, {j}) must satisfy 1 <= i < j <= dim")
@@ -326,7 +308,11 @@ class LieAlgebra:
                 raise LieAlgebraError(f"duplicate bracket entry ({i}, {j})")
             row = {}
             for k, c in coeffs.items():
-                row[int(k) - 1] = Fraction(str(c))
+                try:
+                    row[int(k) - 1] = Fraction(str(c))
+                except (ValueError, ZeroDivisionError) as exc:
+                    raise LieAlgebraError(
+                        f"bracket ({i}, {j}): bad entry {k!r}: {c!r} ({exc})")
             table[(i - 1, j - 1)] = row
         return cls(names, table, label=data.get("name"))
 
@@ -404,16 +390,19 @@ def jordan_chevalley(d: Mat) -> tuple[Mat, Mat]:
     ds = x
     dp = mat_sub(d, ds)
     # defining checks: commuting, nilpotent, semisimple
-    assert mat_eq_zero(mat_sub(mat_mul(ds, dp), mat_mul(dp, ds)))
+    if not mat_eq_zero(mat_sub(mat_mul(ds, dp), mat_mul(dp, ds))):
+        raise InternalCheckError("semisimple and nilpotent parts do not commute")
     power = dp
     for _ in range(n):
         if mat_eq_zero(power):
             break
         power = mat_mul(power, dp)
-    assert mat_eq_zero(power), "nilpotent part is not nilpotent"
+    if not mat_eq_zero(power):
+        raise InternalCheckError("nilpotent part is not nilpotent")
     ms = linalg.minimal_polynomial(ds)
-    assert linalg.squarefree_part(ms) == ms.monic(), \
-        "semisimple part has a non-squarefree minimal polynomial"
+    if linalg.squarefree_part(ms) != ms.monic():
+        raise InternalCheckError(
+            "semisimple part has a non-squarefree minimal polynomial")
     return ds, dp
 
 

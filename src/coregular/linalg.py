@@ -3,7 +3,10 @@
 Dense routines work on lists of lists of ``Fraction``.  The sparse
 eliminator operates on vectors stored as dicts keyed by arbitrary
 sortable labels (monomials, column indices) and is the workhorse behind
-the graded kernel computations.
+the graded kernel computations.  It indexes each key to the rows that
+hold it, so a system that splits into independent blocks (for instance
+under a grading of the algebra) is solved block by block without the
+caller naming the blocks.
 """
 
 from __future__ import annotations
@@ -15,6 +18,11 @@ from .poly import Polynomial, _q, exact_div, poly_gcd
 
 Vec = list[Fraction]
 Mat = list[list[Fraction]]
+
+
+class InternalCheckError(RuntimeError):
+    """An internal consistency check failed: a bug, not a property of the
+    input.  Raised explicitly, so the check also runs under ``python -O``."""
 
 
 # ---------------------------------------------------------------------------
@@ -314,22 +322,15 @@ class SparseEchelon:
     key of a nonzero vector (e.g. ``min`` for column indices, or
     largest-under-monomial-order for polynomials).  Pivot rows are kept
     fully reduced against each other, so the final row set is canonical
-    for the span, independent of insertion order.
+    for the span, independent of insertion order.  ``holders`` maps each
+    non-pivot key to the pivots of the rows that hold it, so a new pivot
+    re-reduces only those rows.
     """
 
     def __init__(self, choose_pivot: Callable[[Iterable[Hashable]], Hashable]):
         self.choose_pivot = choose_pivot
         self.rows: dict[Hashable, dict] = {}
-
-    @staticmethod
-    def _axpy(target: dict, coeff: Fraction, source: dict) -> dict:
-        for k, v in source.items():
-            s = target.get(k, 0) - coeff * v
-            if s == 0:
-                target.pop(k, None)
-            else:
-                target[k] = s
-        return target
+        self.holders: dict[Hashable, set] = {}
 
     def reduce(self, vec: dict) -> dict:
         """Fully reduce ``vec`` against the current pivot rows."""
@@ -339,53 +340,69 @@ class SparseEchelon:
             for k in hits:
                 c = work.get(k)
                 if c:
-                    self._axpy(work, c, self.rows[k])
+                    for kk, v in self.rows[k].items():
+                        s = work.get(kk, 0) - c * v
+                        if s == 0:
+                            work.pop(kk, None)
+                        else:
+                            work[kk] = s
             hits = [k for k in work if k in self.rows]
         return work
 
     def add(self, vec: dict) -> dict | None:
-        """Insert a vector; returns the new normalized pivot row, or None
-        if the vector was already in the span."""
+        """Insert a vector; returns the new pivot row, reduced and with
+        unit pivot coefficient, or None if the vector was already in the
+        span.  The returned row stays owned (and kept reduced) by the
+        echelon."""
         work = self.reduce(vec)
         if not work:
             return None
         p = self.choose_pivot(work.keys())
         lead = work[p]
         row = {k: v / lead for k, v in work.items()}
-        # keep existing rows reduced against the new pivot
-        for q, other in self.rows.items():
-            c = other.get(p)
-            if c:
-                self._axpy(other, c, row)
+        holders = self.holders
+        # keep the rows that hold p reduced against the new pivot
+        for q in holders.pop(p, ()):
+            other = self.rows[q]
+            c = other[p]
+            for k, v in row.items():
+                s = other.get(k, 0) - c * v
+                if s:
+                    if k not in other:
+                        holders.setdefault(k, set()).add(q)
+                    other[k] = s
+                else:
+                    del other[k]
+                    if k != p:
+                        holders[k].discard(q)
+        for k in row:
+            if k != p:
+                holders.setdefault(k, set()).add(p)
         self.rows[p] = row
         return row
 
 
-def kernel_of_columns(images: Sequence[dict]) -> list[Vec]:
+def kernel_of_columns(images: Sequence[dict]) -> list[dict[int, Fraction]]:
     """Basis of {c : sum_j c_j * images[j] = 0} for sparse columns.
 
-    The basis is canonical: one vector per free column, free columns in
-    ascending index order, unit coefficient at the free column.
+    Each basis vector is a sparse dict {column: coefficient} with its
+    columns ascending.  The basis is canonical: one vector per free
+    column, free columns in ascending index order, unit coefficient at
+    the free column.
     """
-    ncols = len(images)
     equations: dict[Hashable, dict[int, Fraction]] = {}
     for j, img in enumerate(images):
         for key, c in img.items():
             if c != 0:
                 equations.setdefault(key, {})[j] = _q(c)
     ech = SparseEchelon(min)
-    for key in sorted(equations.keys()):
-        ech.add(equations[key])
-    pivot_cols = set(ech.rows.keys())
-    basis: list[Vec] = []
-    for fc in range(ncols):
-        if fc in pivot_cols:
+    for key in sorted(equations):
+        ech.add(equations.pop(key))
+    basis: list[dict[int, Fraction]] = []
+    for fc in range(len(images)):
+        if fc in ech.rows:
             continue
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for pc, row in ech.rows.items():
-            c = row.get(fc)
-            if c:
-                v[pc] = -c
-        basis.append(v)
+        vec = {pc: -ech.rows[pc][fc] for pc in ech.holders.get(fc, ())}
+        vec[fc] = Fraction(1)
+        basis.append(dict(sorted(vec.items())))
     return basis

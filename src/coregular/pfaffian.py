@@ -19,6 +19,7 @@ from . import linalg
 from .grobner import (DEFAULT_BUDGET, GrobnerBudget, Ideal, buchberger,
                       krull_dimension)
 from .lie import LieAlgebra, SkewPolyMatrix
+from .linalg import InternalCheckError
 from .poly import DEGREVLEX, MonomialOrder, Polynomial, poly_gcd, try_exact_div
 
 DEFAULT_PROBE_SEED = 20_240_601
@@ -99,7 +100,8 @@ def certified_rank(b: SkewPolyMatrix, seed: int = DEFAULT_PROBE_SEED) -> RankCer
     cert = RankCertificate(rank=len(current), witness_rows=current,
                            witness_pfaffian=witness, bordered_all_zero=True,
                            probe_seed=seed, probe_ranks=tuple(probe_ranks))
-    assert max(probe_ranks, default=0) <= cert.rank
+    if max(probe_ranks, default=0) > cert.rank:
+        raise InternalCheckError("a probe rank exceeds the certified rank")
     return cert
 
 
@@ -111,7 +113,8 @@ def index(g: LieAlgebra, seed: int = DEFAULT_PROBE_SEED) -> int:
 def c_value(g: LieAlgebra, seed: int = DEFAULT_PROBE_SEED) -> int:
     """(dim + index)/2; an integer because the rank is even."""
     two_c = g.dim + index(g, seed)
-    assert two_c % 2 == 0, "skew rank must be even"
+    if two_c % 2:
+        raise InternalCheckError("skew rank must be even")
     return two_c // 2
 
 
@@ -143,7 +146,8 @@ def fundamental_semi_invariant(g: LieAlgebra,
         gcd = pf if gcd is None else poly_gcd(gcd, pf, order)
         if gcd.is_constant:
             break
-    assert gcd is not None
+    if gcd is None:
+        raise InternalCheckError("every principal rank-size Pfaffian vanishes")
     gcd = gcd.monic(order)
     value = gcd * gcd
     deg = 0 if value.is_constant else value.total_degree()

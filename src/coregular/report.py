@@ -254,13 +254,10 @@ def analyze(g: LieAlgebra, options: AnalysisOptions | None = None
     geometry = compute_geometry(g, opts.seed, opts.order)
 
     semi_gens = minimal_generators(g, bound, MODE_ALL, opts.order)
-    if semi_gens.has_proper():
-        inv_gens = minimal_generators(g, bound, MODE_INVARIANTS, opts.order)
-    else:
-        inv_gens = GeneratorSet(
-            algebra=g, mode=MODE_INVARIANTS, degree_bound=bound,
-            order=opts.order, generators=semi_gens.generators,
-            irrational_degrees=semi_gens.irrational_degrees)
+    # without proper semi-invariants the two searches agree; sharing the
+    # set also shares its Jacobian rank
+    inv_gens = (minimal_generators(g, bound, MODE_INVARIANTS, opts.order)
+                if semi_gens.has_proper() else semi_gens)
 
     relations: tuple[Relation, ...] | None
     relations_known = True

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from coregular.catalog import heisenberg
 from coregular.cli import main
 from coregular.lie import LieAlgebra
@@ -168,3 +170,24 @@ def test_heisenberg_inline_parameter(capsys):
     code, _, err = run_cli(["analyze", "--catalog", "heisenberg:1,2;3"],
                            capsys)
     assert code == 2 and "square" in err
+
+
+@pytest.mark.parametrize("description", [
+    {"basis": ["v1", "v2", "v3"],
+     "brackets": [{"i": 1, "j": 2, "coeffs": {"3": "x"}}]},
+    {"basis": ["v1", "v2", "v3"],
+     "brackets": [{"i": 1, "j": 2, "coeffs": {"3": "1/0"}}]},
+    {"basis": ["v1", "v2", "v3"],
+     "brackets": [{"i": 1, "j": 2, "coeffs": {"q": "1"}}]},
+    {"basis": ["v1", "v2", "v3"],
+     "brackets": [{"i": 1, "j": 2, "coeffs": ["1"]}]},
+    {"basis": "abc", "brackets": []},
+], ids=["coefficient-x", "coefficient-1/0", "key-q", "coeffs-list",
+        "basis-string"])
+def test_malformed_file_exits_two_with_a_message(capsys, tmp_path,
+                                                 description):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(description))
+    code, out, err = run_cli(["analyze", "--file", str(path)], capsys)
+    assert code == 2
+    assert err.strip() and "Traceback" not in err + out

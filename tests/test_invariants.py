@@ -274,6 +274,24 @@ class TestPoissonBracket:
 
 
 class TestTrdegAndGorenstein:
+    @pytest.mark.parametrize("g, bound", [(filiform(4), 4),
+                                          (panyushev(), 2)])
+    def test_one_jacobian_rank_per_analyze(self, monkeypatch, g, bound):
+        # without proper semi-invariants (filiform) the invariant set is
+        # the semi-invariant set; with them (panyushev) it is its own
+        from coregular import invariants
+        from coregular.report import AnalysisOptions, analyze
+        calls = []
+        rank = invariants.algebraically_independent
+
+        def counting(polys, nvars):
+            calls.append(len(polys))
+            return rank(polys, nvars)
+        monkeypatch.setattr(invariants, "algebraically_independent",
+                            counting)
+        report = analyze(g, AnalysisOptions(max_degree=bound))
+        assert calls == [len(report.invariant_generators.generators)]
+
     def test_heisenberg_consistent(self):
         g = heisenberg([[0, 1], [0, 0]])
         gens = minimal_generators(g, 2, MODE_ALL)

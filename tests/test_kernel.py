@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import coregular
 from coregular import kernel as kernel_module
 from coregular import linalg
 from coregular.catalog import (abelian, example32, filiform, panyushev,
@@ -65,8 +70,9 @@ class TestKernelOfRho:
 
 
 class TestBlockSplit:
-    """The anchor system is solved per block of the diagonal grading; the
-    generators below are those of the unsplit single-system solver."""
+    """Each degree of the anchor system is one ``kernel_of_columns`` call,
+    whose eliminator finds the blocks; the generators below are those of
+    the single-system solver."""
 
     def block_sizes(self, monkeypatch, g, bound):
         sizes = []
@@ -90,8 +96,8 @@ class TestBlockSplit:
     def test_panyushev_blocks_hold_one_column_per_component(self, monkeypatch):
         g = panyushev()
         kernel, sizes = self.block_sizes(monkeypatch, g, 3)
-        # a block degree fixes the monomial of each component A_i
-        assert max(sizes) <= g.dim and sum(sizes) == 4 * (1 + 4 + 10 + 20)
+        # one system per degree 0..3 with all 4 * C(d + 3, 3) unknowns
+        assert sizes == [4 * 1, 4 * 4, 4 * 10, 4 * 20]
         assert kernel.rank == 2
         assert [component_texts(w, g) for w in kernel.generators] == [
             ("0", "v3", "-v2", "0"),
@@ -106,6 +112,25 @@ class TestInternalChecks:
                             lambda b, components: False)
         with pytest.raises(InternalCheckError, match="annihilate"):
             kernel_of_rho(filiform(4), 1)
+
+    def test_checks_survive_python_O(self):
+        script = (
+            "import coregular.invariants as inv\n"
+            "from coregular import InternalCheckError, filiform\n"
+            "print('debug', __debug__)\n"
+            "inv.verify_semi_invariant = lambda g, f, w: False\n"
+            "try:\n"
+            "    inv.graded_semi_invariants(filiform(4), 1)\n"
+            "except InternalCheckError as exc:\n"
+            "    print('raised', exc)\n")
+        src = Path(coregular.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines() == [
+            "debug False",
+            "raised graded search produced a non-semi-invariant"]
 
 
 class TestFreeness:

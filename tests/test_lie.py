@@ -1,5 +1,4 @@
 import json
-import math
 from fractions import Fraction
 
 import pytest
@@ -174,41 +173,6 @@ class TestUnimodular:
 
     def test_abelian_is(self):
         assert abelian(2).unimodular()
-
-
-class TestDiagonalGrading:
-    def assert_grading(self, g, expected_span):
-        grading = g.diagonal_grading()
-        for vec in grading:
-            assert all(isinstance(x, int) for x in vec)
-            assert math.gcd(*vec) == 1
-            for (i, j), coeffs in g.brackets.items():
-                for k in coeffs:
-                    assert vec[i] + vec[j] == vec[k]
-        assert Subspace.from_spanning(grading, g.dim) == \
-            Subspace.from_spanning(expected_span, g.dim)
-        assert len(grading) == len(expected_span)
-
-    def test_filiform_rank_two(self):
-        # v1 -> (1, 0), v_i -> (i - 2, 1)
-        self.assert_grading(filiform(5), [[1, 0, 1, 2, 3], [0, 1, 1, 1, 1]])
-
-    def test_sl2_h_weights(self):
-        self.assert_grading(sl2(), [[1, -1, 0]])
-
-    def test_panyushev_one_degree_per_weight_vector(self):
-        self.assert_grading(panyushev(), [[0, 1, 0, 0], [0, 0, 1, 0],
-                                          [0, 0, 0, 1]])
-
-    def test_example32_non_semisimple(self):
-        self.assert_grading(example32(), [[0, 1, 1]])
-
-    def test_abelian_grades_every_coordinate(self):
-        assert abelian(3).diagonal_grading() == \
-            ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-
-    def test_sl2_in_a_non_weight_basis_is_trivial(self, rotated_sl2):
-        assert rotated_sl2.diagonal_grading() == ()
 
 
 class TestJordanChevalley:

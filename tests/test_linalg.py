@@ -108,10 +108,53 @@ class TestSparse:
         images = [{k: v for k, v in img.items() if v != 0} for img in images]
         for coeffs in kernel_of_columns(images):
             acc: dict = {}
-            for c, img in zip(coeffs, images):
-                for k, v in img.items():
+            for j, c in coeffs.items():
+                for k, v in images[j].items():
                     acc[k] = acc.get(k, 0) + c * v
             assert all(x == 0 for x in acc.values())
+
+    @given(st.data())
+    @settings(max_examples=60)
+    def test_kernel_of_disjoint_systems_is_the_union(self, data):
+        column = st.dictionaries(
+            st.integers(0, 3),
+            st.fractions(min_value=-3, max_value=3, max_denominator=2)
+            .filter(bool), max_size=3)
+        a = data.draw(st.lists(column, max_size=5))
+        b = data.draw(st.lists(column, max_size=5))
+        take_a = data.draw(st.permutations(
+            [True] * len(a) + [False] * len(b)))
+        # interleave the columns, keeping each system's own order
+        images, where = [], {True: [], False: []}
+        pending = {True: iter(a), False: iter(b)}
+        for side in take_a:
+            where[side].append(len(images))
+            tag = "a" if side else "b"
+            images.append({(tag, k): v for k, v in next(pending[side]).items()})
+        expected = [{where[side][j]: c for j, c in vec.items()}
+                    for side, system in ((True, a), (False, b))
+                    for vec in kernel_of_columns(system)]
+        expected.sort(key=lambda vec: max(vec))
+        assert kernel_of_columns(images) == expected
+
+    @given(st.lists(st.dictionaries(st.integers(0, 6),
+                                    st.fractions(min_value=-3, max_value=3,
+                                                 max_denominator=2),
+                                    max_size=4),
+                    max_size=8))
+    @settings(max_examples=80)
+    def test_echelon_index_matches_rows(self, vectors):
+        ech = SparseEchelon(min)
+        for vec in vectors:
+            ech.add(vec)
+            for p, row in ech.rows.items():
+                assert row[p] == 1
+                assert not any(k in ech.rows for k in row if k != p)
+            keys = {k for row in ech.rows.values() for k in row}
+            for k in keys - ech.rows.keys():
+                assert ech.holders[k] == {p for p, row in ech.rows.items()
+                                          if k in row}
+            assert all(not ech.holders[k] for k in ech.holders.keys() - keys)
 
     def test_kernel_rank_nullity(self):
         images = [{"a": Fraction(1)}, {"a": Fraction(1), "b": Fraction(1)},
