@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations_with_replacement
 from typing import Callable, Iterable, Sequence
 
 from . import linalg
@@ -225,6 +226,21 @@ def _weight_from_eigenvalues(n: int, derived: Subspace, complement: list[int],
     return WeightVector.of(sol)
 
 
+def _eigenvalue_candidates(g: LieAlgebra, idx: int, degree: int
+                           ) -> set[Fraction] | None:
+    """Every eigenvalue ad(v_idx) can have on the degree-``degree``
+    polynomials, or None if its spectrum on g is not rational.
+
+    The derivation's eigenvalues on S^d(g) are the sums of d eigenvalues
+    on g, so a rational degree-one spectrum gives a complete finite set.
+    """
+    roots, residual = linalg.rational_roots(linalg.charpoly(g.ad_matrix(idx)))
+    if residual:
+        return None
+    return {sum(combo, Fraction(0)) for combo in
+            combinations_with_replacement([r for r, _ in roots], degree)}
+
+
 def graded_semi_invariants(g: LieAlgebra, degree: int,
                            order: MonomialOrder = DEGREVLEX,
                            mode: str = MODE_ALL) -> GradedSemiInvariants:
@@ -256,11 +272,12 @@ def graded_semi_invariants(g: LieAlgebra, degree: int,
         flag = False
         for idx in complement:
             v = basis_vectors[idx]
+            candidates = _eigenvalue_candidates(g, idx, degree)
             new_blocks = []
             for eigs, sub in blocks_raw:
                 m = _restricted_matrix(g, v, sub, order)
                 chi = linalg.charpoly(m)
-                roots, residual = linalg.rational_roots(chi)
+                roots, residual = linalg.rational_roots(chi, candidates)
                 if residual > 0:
                     flag = True
                 for lam, _mult in roots:

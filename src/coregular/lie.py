@@ -161,11 +161,27 @@ class LieAlgebra:
         return [[cols[j][k] for j in range(n)] for k in range(n)]
 
     def bracket_images(self, x: Sequence) -> list[Polynomial]:
-        """[x, v_j] as degree-one polynomials, one per basis vector."""
+        """[x, v_j] as degree-one polynomials, one per basis vector,
+        read straight from the bracket table."""
         n = self.dim
-        return [Polynomial.from_vector(
-            self.bracket(x, [1 if t == j else 0 for t in range(n)]))
-            for j in range(n)]
+        support = [(i, _q(a)) for i, a in enumerate(x) if a != 0]
+        images = []
+        for j in range(n):
+            acc: dict[int, Fraction] = {}
+            for i, a in support:
+                if i < j:
+                    row = self.brackets.get((i, j), {})
+                elif i > j:
+                    row, a = self.brackets.get((j, i), {}), -a
+                else:
+                    continue
+                for k, v in row.items():
+                    term = v if a == 1 else a * v
+                    acc[k] = acc[k] + term if k in acc else term
+            images.append(Polynomial._new(n, {
+                tuple(1 if t == k else 0 for t in range(n)): c
+                for k, c in sorted(acc.items()) if c != 0}))
+        return images
 
     # -- derived objects -------------------------------------------------------
 
@@ -294,10 +310,13 @@ class LieAlgebra:
         table: dict[tuple[int, int], dict[int, Fraction]] = {}
         for entry in raw:
             try:
-                i, j = int(entry["i"]), int(entry["j"])
-                coeffs = entry["coeffs"]
-            except (KeyError, TypeError, ValueError) as exc:
+                i, j, coeffs = entry["i"], entry["j"], entry["coeffs"]
+            except (KeyError, TypeError) as exc:
                 raise LieAlgebraError(f"malformed bracket entry: {exc}")
+            if not all(isinstance(x, int) and not isinstance(x, bool)
+                       for x in (i, j)):
+                raise LieAlgebraError(
+                    f"bracket indices ({i!r}, {j!r}) must be integers")
             if not isinstance(coeffs, Mapping):
                 raise LieAlgebraError(
                     f"coeffs of bracket ({i}, {j}) must be an object")

@@ -217,12 +217,19 @@ def squarefree_part(p: Polynomial) -> Polynomial:
     return exact_div(p, g).monic()
 
 
-def rational_roots(p: Polynomial) -> tuple[list[tuple[Fraction, int]], int]:
+def rational_roots(p: Polynomial, candidates: Iterable[Fraction] | None = None
+                   ) -> tuple[list[tuple[Fraction, int]], int]:
     """Rational roots with multiplicities of a univariate polynomial.
 
     Returns (roots, residual_degree) where residual_degree is the degree
     left over after all rational roots are divided out; a positive value
-    means irrational or complex roots exist.
+    means irrational or complex roots exist.  Roots come in ascending
+    order.
+
+    ``candidates``, when given, must contain every root of ``p``: the
+    polynomial is deflated only by them, in ascending order, and no
+    divisor search runs.  A degree left over then means the set was not
+    complete, which raises ``InternalCheckError``.
     """
     if p.nvars != 1 or p.is_zero:
         raise ValueError("need a nonzero univariate polynomial")
@@ -232,24 +239,17 @@ def rational_roots(p: Polynomial) -> tuple[list[tuple[Fraction, int]], int]:
         coeffs[m[0]] = c
 
     roots: list[tuple[Fraction, int]] = []
+    if candidates is not None:
+        for cand in sorted(set(candidates)):
+            coeffs, mult = _deflate(coeffs, cand)
+            if mult:
+                roots.append((cand, mult))
+        if len(coeffs) > 1:
+            raise InternalCheckError(
+                "a root lies outside the complete candidate set")
+        return roots, 0
 
-    def deflate(cs: list[Fraction], r: Fraction) -> list[Fraction] | None:
-        # synthetic division by (t - r); None if r is not a root
-        deg = len(cs) - 1
-        quot = [Fraction(0)] * deg
-        acc = cs[deg]
-        for i in range(deg - 1, -1, -1):
-            quot[i] = acc
-            acc = cs[i] + r * acc
-        if acc != 0:
-            return None
-        return quot
-
-    # root at zero
-    zero_mult = 0
-    while len(coeffs) > 1 and coeffs[0] == 0:
-        coeffs = coeffs[1:]
-        zero_mult += 1
+    coeffs, zero_mult = _deflate(coeffs, Fraction(0))
     if zero_mult:
         roots.append((Fraction(0), zero_mult))
 
@@ -257,38 +257,40 @@ def rational_roots(p: Polynomial) -> tuple[list[tuple[Fraction, int]], int]:
         denom_lcm = 1
         for c in coeffs:
             denom_lcm = denom_lcm * c.denominator // _gcd_int(denom_lcm, c.denominator)
-        ints = [int(c * denom_lcm) for c in coeffs]
-        a0, an = ints[0], ints[-1]
+        a0, an = int(coeffs[0] * denom_lcm), int(coeffs[-1] * denom_lcm)
         if a0 == 0:  # pragma: no cover
-            raise AssertionError
-        found = None
-        for pnum in sorted(_divisors(abs(a0))):
-            for qden in sorted(_divisors(abs(an))):
-                for sign in (1, -1):
-                    cand = Fraction(sign * pnum, qden)
-                    nxt = deflate(coeffs, cand)
-                    if nxt is not None:
-                        found = (cand, nxt)
-                        break
-                if found:
-                    break
-            if found:
+            raise InternalCheckError("zero constant term after deflation")
+        qdens = sorted(_divisors(abs(an)))
+        for cand in (Fraction(sign * pnum, qden)
+                     for pnum in sorted(_divisors(abs(a0)))
+                     for qden in qdens for sign in (1, -1)):
+            quot, mult = _deflate(coeffs, cand)
+            if mult:
                 break
-        if not found:
+        else:
             break
-        cand, coeffs = found
-        mult = 1
-        while len(coeffs) > 1:
-            nxt = deflate(coeffs, cand)
-            if nxt is None:
-                break
-            coeffs = nxt
-            mult += 1
+        coeffs = quot
         roots.append((cand, mult))
 
     residual_degree = len(coeffs) - 1
     roots.sort(key=lambda rm: rm[0])
     return roots, residual_degree
+
+
+def _deflate(cs: list[Fraction], r: Fraction) -> tuple[list[Fraction], int]:
+    """Divide sum cs[i] t^i by (t - r) as often as it divides, by
+    synthetic division; returns (quotient, multiplicity)."""
+    mult = 0
+    while len(cs) > 1:
+        quot = [Fraction(0)] * (len(cs) - 1)
+        acc = cs[-1]
+        for i in range(len(cs) - 2, -1, -1):
+            quot[i] = acc
+            acc = cs[i] + r * acc
+        if acc != 0:
+            break
+        cs, mult = quot, mult + 1
+    return cs, mult
 
 
 def _gcd_int(a: int, b: int) -> int:

@@ -1,8 +1,14 @@
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coregular.catalog import heisenberg
 from coregular.cli import main
@@ -182,8 +188,14 @@ def test_heisenberg_inline_parameter(capsys):
     {"basis": ["v1", "v2", "v3"],
      "brackets": [{"i": 1, "j": 2, "coeffs": ["1"]}]},
     {"basis": "abc", "brackets": []},
+    {"basis": ["v1", "v2", "v3"],
+     "brackets": [{"i": 1.5, "j": 2, "coeffs": {"3": "1"}}]},
+    {"basis": ["v1", "v2", "v3"],
+     "brackets": [{"i": True, "j": 2, "coeffs": {"3": "1"}}]},
+    {"basis": ["v1", "v2", "v3"],
+     "brackets": [{"i": 1, "j": "2", "coeffs": {"3": "1"}}]},
 ], ids=["coefficient-x", "coefficient-1/0", "key-q", "coeffs-list",
-        "basis-string"])
+        "basis-string", "index-fraction", "index-bool", "index-string"])
 def test_malformed_file_exits_two_with_a_message(capsys, tmp_path,
                                                  description):
     path = tmp_path / "bad.json"
@@ -191,3 +203,44 @@ def test_malformed_file_exits_two_with_a_message(capsys, tmp_path,
     code, out, err = run_cli(["analyze", "--file", str(path)], capsys)
     assert code == 2
     assert err.strip() and "Traceback" not in err + out
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 6) | st.floats()
+    | st.sampled_from([1.5, "1", "1/2", "-3", "x", "v1"]) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+
+
+def _slots(node):
+    """Every (container, key) position inside a JSON document."""
+    keys = (list(node) if isinstance(node, dict)
+            else range(len(node)) if isinstance(node, list) else ())
+    for key in keys:
+        yield node, key
+        yield from _slots(node[key])
+
+
+@given(st.sampled_from(["L:4", "panyushev", "example32", "heisenberg:1,0;0,1"]),
+       st.data())
+@settings(max_examples=150, deadline=None)
+def test_mutated_file_exits_zero_or_two_without_a_traceback(entry, data):
+    from coregular.catalog import build_catalog_algebra
+    # wrapped, so that a mutation may also replace the whole document
+    doc = {"root": build_catalog_algebra(entry).to_json_dict()}
+    for _ in range(data.draw(st.integers(1, 3))):
+        container, key = data.draw(st.sampled_from(list(_slots(doc))))
+        if container is not doc and data.draw(st.booleans()):
+            del container[key]
+        else:
+            container[key] = data.draw(json_values)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mutated.json"
+        path.write_text(json.dumps(doc["root"]))
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["invariants", "--file", str(path),
+                         "--max-degree", "2"])
+    assert code in (0, 2)
+    assert "Traceback" not in out.getvalue() + err.getvalue()

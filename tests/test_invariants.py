@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import poly_pairs
+from coregular import linalg
 from coregular.catalog import (abelian, example32, filiform, heisenberg,
                                panyushev, sl2)
 from coregular.grobner import BudgetExceededError
@@ -14,6 +15,7 @@ from coregular.invariants import (MODE_ALL, MODE_INVARIANTS, GeneratorSet,
                                   minimal_generators, poisson_bracket,
                                   substitute_generators, trdeg_check,
                                   verify_semi_invariant, weight_derivation)
+from coregular.lie import LieAlgebra
 from coregular.poly import (DEGREVLEX, Polynomial, format_polynomial,
                             parse_polynomial)
 
@@ -90,6 +92,33 @@ class TestGradedSearch:
             for w, basis in graded.blocks:
                 for f in basis:
                     assert verify_semi_invariant(g, f, w)
+
+    def test_large_weights_take_roots_from_the_degree_one_spectrum(
+            self, monkeypatch):
+        # [v1, v_i] = w_i v_i: trial division of the degree-3 constant
+        # terms never finished; the candidates are sums of three weights
+        weights = (101, 103, -107)
+        g = LieAlgebra(["v1", "v2", "v3", "v4"],
+                       {(0, i + 1): {i + 1: w} for i, w in enumerate(weights)})
+        divisors = linalg._divisors
+
+        def bounded_divisors(n):
+            # fail at once instead of running the trial division
+            assert n <= 101 * 103 * 107, f"trial division of {n}"
+            return divisors(n)
+        monkeypatch.setattr(linalg, "_divisors", bounded_divisors)
+        graded = graded_semi_invariants(g, 3)
+        assert graded.total_dim() == 10
+        assert not graded.irrational_flag
+        monomials = set()
+        for w, basis in graded.blocks:
+            for f in basis:
+                (m, _), = f.terms.items()
+                assert m[0] == 0 and sum(m) == 3
+                assert w.values == (sum(e * wi for e, wi in
+                                        zip(m[1:], weights)), 0, 0, 0)
+                monomials.add(m)
+        assert len(monomials) == 10
 
 
 class TestMinimalGenerators:

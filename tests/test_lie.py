@@ -146,6 +146,15 @@ class TestGradedAction:
         rhs = mat_sub(mat_mul(ax, ay), mat_mul(ay, ax))
         assert lhs == rhs
 
+    @given(x=rational_vec(4))
+    @settings(max_examples=30, deadline=None)
+    def test_bracket_images_match_the_dense_bracket(self, x):
+        for g in (panyushev(), filiform(4), abelian(4)):
+            ad = g.ad_of_vector(x)
+            assert g.bracket_images(x) == [
+                Polynomial.from_vector([row[j] for row in ad])
+                for j in range(g.dim)]
+
     def test_leibniz_through_monomial_pairs(self):
         g = filiform(4)
         x = [1, 2, 0, Fraction(1, 2)]

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coregular.linalg import (SparseEchelon, charpoly, identity, inverse,
+from coregular.linalg import (InternalCheckError, SparseEchelon, charpoly,
+                              identity, inverse,
                               kernel_of_columns, mat, mat_mul, mat_vec,
                               minimal_polynomial, nullspace, poly_of_matrix,
                               rank, rational_roots, rref, solve,
@@ -76,6 +77,37 @@ def test_rational_roots_flags_irrational_factor():
     assert roots == [] and residual == 2
     roots, residual = rational_roots((t - 1) * (t ** 2 + 1))
     assert dict(roots) == {Fraction(1): 1} and residual == 2
+
+
+small_roots = st.lists(st.fractions(min_value=-6, max_value=6,
+                                    max_denominator=4),
+                       min_size=1, max_size=5)
+
+
+def product_of_linear_factors(roots, lead):
+    t = Polynomial.variable(1, 0)
+    p = Polynomial.constant(1, lead)
+    for r in roots:
+        p = p * (t - r)
+    return p
+
+
+@given(small_roots, small_roots, st.integers(1, 4))
+@settings(max_examples=60)
+def test_rational_roots_from_a_complete_candidate_set(roots, extra, lead):
+    p = product_of_linear_factors(roots, lead)
+    found = rational_roots(p, roots + extra)
+    assert found == rational_roots(p)
+    assert found[1] == 0
+
+
+@given(small_roots, st.data())
+@settings(max_examples=60)
+def test_rational_roots_rejects_an_incomplete_candidate_set(roots, data):
+    p = product_of_linear_factors(roots, 1)
+    missing = data.draw(st.sampled_from(roots))
+    with pytest.raises(InternalCheckError):
+        rational_roots(p, [r for r in roots if r != missing])
 
 
 class TestSparse:
