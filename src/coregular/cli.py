@@ -41,8 +41,11 @@ def _add_input_flags(p: argparse.ArgumentParser):
 def _load_algebra(args) -> LieAlgebra:
     if bool(args.catalog) == bool(args.file):
         raise LieAlgebraError("choose exactly one of --catalog or --file")
-    if getattr(args, "max_degree", None) is not None and args.max_degree < 1:
-        raise LieAlgebraError("--max-degree must be at least 1")
+    for flag in ("max_degree", "compare_degree"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 1:
+            raise LieAlgebraError(
+                f"--{flag.replace('_', '-')} must be at least 1")
     if args.catalog:
         return build_catalog_algebra(args.catalog)
     path = Path(args.file)
@@ -51,14 +54,14 @@ def _load_algebra(args) -> LieAlgebra:
     return LieAlgebra.from_json(path.read_text())
 
 
-def _options(args, g: LieAlgebra) -> AnalysisOptions:
+def _options(args) -> AnalysisOptions:
     return AnalysisOptions(max_degree=args.max_degree, seed=args.seed,
                            order=ORDERS[args.order])
 
 
 def cmd_analyze(args) -> int:
     g = _load_algebra(args)
-    report = analyze(g, _options(args, g))
+    report = analyze(g, _options(args))
     print(report.to_text())
     if args.json:
         Path(args.json).write_text(report.to_json() + "\n")

@@ -23,8 +23,9 @@ from typing import Callable, Iterable, Sequence
 from . import linalg
 from .grobner import (BudgetExceededError, GroebnerBasis, Ideal, buchberger,
                       ideal_membership)
-from .lie import LieAlgebra, Subspace
+from .lie import LieAlgebra
 from .linalg import InternalCheckError, SparseEchelon, kernel_of_columns
+from .pfaffian import rank_certificate
 from .poly import (DEGREVLEX, GRLEX, MonomialOrder, Polynomial, _q,
                    apply_derivation, exact_div, monomials_of_degree)
 
@@ -209,14 +210,14 @@ def _restricted_matrix(g: LieAlgebra, v: Sequence, space: list[Polynomial],
     return [[cols[j][i] for j in range(k)] for i in range(k)]
 
 
-def _weight_from_eigenvalues(n: int, derived: Subspace, complement: list[int],
+def _weight_from_eigenvalues(g: LieAlgebra, complement: list[int],
                              eigenvalues: Sequence[Fraction]) -> WeightVector:
     """The functional vanishing on [g,g] with given values on the
     complement coordinates."""
-    rows = [list(b) for b in derived.basis]
+    rows = [list(b) for b in g.derived_subalgebra().basis]
     rhs = [Fraction(0)] * len(rows)
     for idx, lam in zip(complement, eigenvalues):
-        row = [Fraction(0)] * n
+        row = [Fraction(0)] * g.dim
         row[idx] = Fraction(1)
         rows.append(row)
         rhs.append(_q(lam))
@@ -233,12 +234,26 @@ def _eigenvalue_candidates(g: LieAlgebra, idx: int, degree: int
 
     The derivation's eigenvalues on S^d(g) are the sums of d eigenvalues
     on g, so a rational degree-one spectrum gives a complete finite set.
+    The spectrum on g is computed once per algebra and vector.
     """
-    roots, residual = linalg.rational_roots(linalg.charpoly(g.ad_matrix(idx)))
+    roots, residual = g.cached(
+        ("spectrum", idx),
+        lambda: linalg.rational_roots(linalg.charpoly(g.ad_matrix(idx))))
     if residual:
         return None
     return {sum(combo, Fraction(0)) for combo in
             combinations_with_replacement([r for r, _ in roots], degree)}
+
+
+def structural_no_proper_reason(g: LieAlgebra) -> str | None:
+    """A structure-level certificate that no proper semi-invariant exists:
+    nilpotency forces all weights to vanish, and a perfect algebra leaves
+    no room for a nonzero weight."""
+    if g.is_nilpotent():
+        return "nilpotent"
+    if g.is_perfect():
+        return "perfect"
+    return None
 
 
 def graded_semi_invariants(g: LieAlgebra, degree: int,
@@ -253,8 +268,7 @@ def graded_semi_invariants(g: LieAlgebra, degree: int,
 
     basis_vectors = [[1 if t == i else 0 for t in range(n)] for i in range(n)]
     derived = g.derived_subalgebra()
-    structural = g.is_nilpotent() or g.is_perfect()
-    if mode == MODE_INVARIANTS or structural:
+    if mode == MODE_INVARIANTS or structural_no_proper_reason(g):
         invariant = _kernel_intersection(g, space, basis_vectors, order)
         blocks = (((WeightVector.zero(n)), tuple(invariant)),) if invariant else ()
         result = GradedSemiInvariants(degree, blocks, False)
@@ -294,7 +308,7 @@ def graded_semi_invariants(g: LieAlgebra, degree: int,
             blocks_raw = new_blocks
         blocks = []
         for eigs, sub in blocks_raw:
-            w = _weight_from_eigenvalues(n, derived, complement, eigs)
+            w = _weight_from_eigenvalues(g, complement, eigs)
             blocks.append((w, tuple(sub)))
         blocks.sort(key=lambda bw: tuple(bw[0].values))
         blocks.sort(key=lambda bw: not bw[0].is_zero)
@@ -534,8 +548,7 @@ def trdeg_check(g: LieAlgebra, gens: GeneratorSet,
     if gens.mode != MODE_ALL:
         raise ValueError("gate needs a search over all semi-invariants")
     if structure_rank is None:
-        from .pfaffian import certified_rank
-        structure_rank = certified_rank(g.structure_matrix()).rank
+        structure_rank = rank_certificate(g).rank
     expected = g.dim - structure_rank
     if gens.has_proper():
         return TrdegCheck(TRDEG_NOT_APPLICABLE, None, expected,

@@ -18,12 +18,12 @@ from . import linalg
 from .grobner import BudgetExceededError
 from .invariants import (MODE_ALL, GeneratorSet, Relation, SemiInvariant,
                          WeightVector, graded_semi_invariants,
-                         poly_matrix_rank)
+                         poly_matrix_rank, structural_no_proper_reason)
 from .lie import LieAlgebra, SkewPolyMatrix, is_derivation, jordan_chevalley
 from .linalg import InternalCheckError
 from .pfaffian import (DEFAULT_PROBE_SEED, FundamentalSemiInvariant,
-                       RankCertificate, certified_rank,
-                       fundamental_semi_invariant, singular_locus_codim)
+                       RankCertificate, c_value, fundamental_semi_invariant,
+                       index, rank_certificate, singular_locus_codim)
 from .poly import (DEGREVLEX, MonomialOrder, Polynomial, format_polynomial,
                    monomials_of_degree)
 
@@ -111,8 +111,7 @@ def kernel_of_rho(g: LieAlgebra, degree_bound: int,
         raise ValueError("degree bound must be >= 1")
     n = g.dim
     b = g.structure_matrix()
-    cert = certified_rank(b, seed if seed is not None else DEFAULT_PROBE_SEED)
-    rank = n - cert.rank
+    rank = index(g, seed if seed is not None else DEFAULT_PROBE_SEED)
 
     generators: list[KernelGenerator] = []
     for d in range(0, degree_bound + 1):
@@ -254,9 +253,7 @@ class Geometry:
 def compute_geometry(g: LieAlgebra, seed: int | None = None,
                      order: MonomialOrder = DEGREVLEX) -> Geometry:
     probe_seed = seed if seed is not None else DEFAULT_PROBE_SEED
-    cert = certified_rank(g.structure_matrix(), probe_seed)
-    idx = g.dim - cert.rank
-    c = (g.dim + idx) // 2
+    cert = rank_certificate(g, probe_seed)
     fsi = fundamental_semi_invariant(g, probe_seed, order)
     try:
         codim = singular_locus_codim(g, probe_seed, order)
@@ -264,18 +261,8 @@ def compute_geometry(g: LieAlgebra, seed: int | None = None,
     except BudgetExceededError:
         codim = None
         known = False
-    return Geometry(cert, idx, c, fsi, codim, known)
-
-
-def structural_no_proper_reason(g: LieAlgebra) -> str | None:
-    """A structure-level certificate that no proper semi-invariant exists:
-    nilpotency forces all weights to vanish, and a perfect algebra leaves
-    no room for a nonzero weight."""
-    if g.is_nilpotent():
-        return "nilpotent"
-    if g.is_perfect():
-        return "perfect"
-    return None
+    return Geometry(cert, index(g, probe_seed), c_value(g, probe_seed), fsi,
+                    codim, known)
 
 
 def evaluate_criteria(g: LieAlgebra, geometry: Geometry,
@@ -503,9 +490,9 @@ def reduce_one_step(g: LieAlgebra, s: SemiInvariant,
     k = LieAlgebra(["p"] + h_names, k_brackets,
                    label=f"{g.label}|nilpotent-extension")
 
-    rank_g = certified_rank(g.structure_matrix(), probe_seed).rank
-    rank_h = certified_rank(h.structure_matrix(), probe_seed).rank
-    rank_k = certified_rank(k.structure_matrix(), probe_seed).rank
+    rank_g = rank_certificate(g, probe_seed).rank
+    rank_h = rank_certificate(h, probe_seed).rank
+    rank_k = rank_certificate(k, probe_seed).rank
     if rank_h != rank_g - 2:
         raise InternalCheckError(
             "kernel of a semi-invariant weight must drop the rank by two")
@@ -535,12 +522,12 @@ def reduce_one_step(g: LieAlgebra, s: SemiInvariant,
         notes.append("no branch matches the graded semi-center dimensions; "
                      "raise the comparison degree")
 
-    c_before = (g.dim + (g.dim - rank_g)) // 2
+    c_before = c_value(g, probe_seed)
     c_after = None
     if chosen == H_BRANCH:
-        c_after = (h.dim + (h.dim - rank_h)) // 2
+        c_after = c_value(h, probe_seed)
     elif chosen == K_BRANCH:
-        c_after = (k.dim + (k.dim - rank_k)) // 2
+        c_after = c_value(k, probe_seed)
     if c_after is not None and c_after != c_before:
         raise InternalCheckError("reduction step must preserve the c-value")
 

@@ -11,7 +11,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import linalg
 from .linalg import (InternalCheckError, Mat, Vec, mat_eq_zero, mat_mul,
@@ -64,7 +64,9 @@ class LieAlgebra:
     """A finite dimensional Lie algebra with a named basis.
 
     ``brackets`` maps (i, j) with 0 <= i < j < dim to a coefficient
-    dict {k: Fraction} describing [v_i, v_j] = sum_k c_k v_k.
+    dict {k: Fraction} describing [v_i, v_j] = sum_k c_k v_k.  An
+    algebra is never changed after construction, so the data derived
+    from it is computed once, on first use, and kept (see ``cached``).
     """
 
     def __init__(self, names: Sequence[str],
@@ -98,8 +100,16 @@ class LieAlgebra:
         self.dim = n
         self.brackets = table
         self.label = label or "lie-algebra"
+        self._cache: dict = {}
         if validate:
             self._check_jacobi()
+
+    def cached(self, key, compute: Callable[[], object]):
+        """``compute()``, run on the first request for ``key`` and kept
+        for the life of this algebra; the one memo of derived data."""
+        if key not in self._cache:
+            self._cache[key] = compute()
+        return self._cache[key]
 
     # -- basic structure -----------------------------------------------------
 
@@ -203,16 +213,21 @@ class LieAlgebra:
         return Subspace.from_spanning(linalg.nullspace(rows, n), n)
 
     def derived_subalgebra(self) -> Subspace:
-        vectors = [self.bracket_basis(i, j)
-                   for i in range(self.dim) for j in range(i + 1, self.dim)]
-        return Subspace.from_spanning(vectors, self.dim)
+        """[g, g], computed once per algebra."""
+        return self.cached("derived", lambda: Subspace.from_spanning(
+            [self.bracket_basis(i, j)
+             for i in range(self.dim) for j in range(i + 1, self.dim)],
+            self.dim))
 
     @property
     def is_abelian(self) -> bool:
         return not self.brackets
 
     def is_nilpotent(self) -> bool:
-        """Lower central series reaches zero."""
+        """Lower central series reaches zero; computed once per algebra."""
+        return self.cached("nilpotent", self._lower_central_series_ends)
+
+    def _lower_central_series_ends(self) -> bool:
         current = self.derived_subalgebra()
         while current.dim:
             vectors = []
@@ -301,10 +316,14 @@ class LieAlgebra:
         try:
             names = data["basis"]
             raw = data.get("brackets", [])
+            label = data.get("name")
         except (KeyError, TypeError) as exc:
             raise LieAlgebraError(f"malformed algebra description: {exc}")
-        if not isinstance(names, list):
-            raise LieAlgebraError("basis must be a list of names")
+        if not (isinstance(names, list)
+                and all(isinstance(x, str) for x in names)):
+            raise LieAlgebraError("basis must be a list of names (strings)")
+        if label is not None and not isinstance(label, str):
+            raise LieAlgebraError(f"name must be a string, not {label!r}")
         if not isinstance(raw, list):
             raise LieAlgebraError("brackets must be a list")
         table: dict[tuple[int, int], dict[int, Fraction]] = {}
@@ -327,13 +346,18 @@ class LieAlgebra:
                 raise LieAlgebraError(f"duplicate bracket entry ({i}, {j})")
             row = {}
             for k, c in coeffs.items():
+                # keys are plain decimals, as to_json_dict writes them;
+                # int() alone would also take " 2" and "+2"
+                if not (isinstance(k, str) and re.fullmatch(r"[0-9]+", k)):
+                    raise LieAlgebraError(
+                        f"bracket ({i}, {j}): key {k!r} is not a basis number")
                 try:
                     row[int(k) - 1] = Fraction(str(c))
                 except (ValueError, ZeroDivisionError) as exc:
                     raise LieAlgebraError(
                         f"bracket ({i}, {j}): bad entry {k!r}: {c!r} ({exc})")
             table[(i - 1, j - 1)] = row
-        return cls(names, table, label=data.get("name"))
+        return cls(names, table, label=label)
 
     @classmethod
     def from_json(cls, text: str) -> "LieAlgebra":
@@ -404,8 +428,9 @@ def jordan_chevalley(d: Mat) -> tuple[Mat, Mat]:
             break
         inv = linalg.inverse(linalg.poly_of_matrix(sprime, x))
         x = mat_sub(x, mat_mul(inv, sx))
-    else:  # pragma: no cover
-        raise AssertionError("Jordan-Chevalley iteration failed to converge")
+    else:
+        raise InternalCheckError(
+            "Jordan-Chevalley iteration failed to converge")
     ds = x
     dp = mat_sub(d, ds)
     # defining checks: commuting, nilpotent, semisimple

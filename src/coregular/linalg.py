@@ -188,7 +188,8 @@ def minimal_polynomial(a: Mat) -> Polynomial:
                 scaled = [c / v[cols - 1] for c in v]
                 terms = {(i,): c for i, c in enumerate(scaled) if c != 0}
                 return Polynomial(1, terms)
-    raise AssertionError("minimal polynomial not found")  # pragma: no cover
+    raise InternalCheckError(  # pragma: no cover
+        "minimal polynomial not found")
 
 
 def poly_of_matrix(p: Polynomial, a: Mat) -> Mat:

@@ -105,9 +105,17 @@ def certified_rank(b: SkewPolyMatrix, seed: int = DEFAULT_PROBE_SEED) -> RankCer
     return cert
 
 
+def rank_certificate(g: LieAlgebra, seed: int = DEFAULT_PROBE_SEED
+                     ) -> RankCertificate:
+    """The certified rank of g's structure matrix, computed once per
+    algebra and probe seed."""
+    return g.cached(("rank", seed),
+                    lambda: certified_rank(g.structure_matrix(), seed))
+
+
 def index(g: LieAlgebra, seed: int = DEFAULT_PROBE_SEED) -> int:
     """dim g minus the generic rank of the structure matrix."""
-    return g.dim - certified_rank(g.structure_matrix(), seed).rank
+    return g.dim - rank_certificate(g, seed).rank
 
 
 def c_value(g: LieAlgebra, seed: int = DEFAULT_PROBE_SEED) -> int:
@@ -133,7 +141,7 @@ def fundamental_semi_invariant(g: LieAlgebra,
                                order: MonomialOrder = DEGREVLEX
                                ) -> FundamentalSemiInvariant:
     b = g.structure_matrix()
-    cert = certified_rank(b, seed)
+    cert = rank_certificate(g, seed)
     one = Polynomial.one(g.dim)
     if cert.rank == 0:
         return FundamentalSemiInvariant(one, one, 0)
@@ -158,7 +166,7 @@ def pfaffian_ideal(g: LieAlgebra, seed: int = DEFAULT_PROBE_SEED) -> Ideal:
     """Ideal of all principal rank-size Pfaffians; its zero set is the
     non-regular locus."""
     b = g.structure_matrix()
-    cert = certified_rank(b, seed)
+    cert = rank_certificate(g, seed)
     memo: dict = {}
     gens = [pfaffian(b, rows, memo)
             for rows in combinations(range(g.dim), cert.rank)]
@@ -188,8 +196,7 @@ def verify_divides_minors(g: LieAlgebra, fsi: FundamentalSemiInvariant,
     """Spot-check that the fundamental semi-invariant divides rank-size
     minors of the structure matrix (general minors, not just principal)."""
     b = g.structure_matrix()
-    cert = certified_rank(b, seed)
-    r = cert.rank
+    r = rank_certificate(g, seed).rank
     if r == 0:
         return True
     rng = random.Random(seed + 1)

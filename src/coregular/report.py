@@ -9,10 +9,10 @@ from .grobner import BudgetExceededError
 from .invariants import (MODE_ALL, MODE_INVARIANTS, GeneratorSet, Relation,
                          SemiInvariant, TrdegCheck, find_relations,
                          gorenstein_invariant, minimal_generators,
-                         trdeg_check, GorensteinResult)
+                         structural_no_proper_reason, trdeg_check,
+                         GorensteinResult)
 from .kernel import (CriterionVerdict, Geometry, KernelBasis, compute_geometry,
-                     evaluate_criteria, freeness_verdict, kernel_of_rho,
-                     structural_no_proper_reason)
+                     evaluate_criteria, freeness_verdict, kernel_of_rho)
 from .lie import LieAlgebra
 from .pfaffian import DEFAULT_PROBE_SEED
 from .poly import DEGREVLEX, MonomialOrder, format_polynomial
@@ -25,8 +25,6 @@ class AnalysisOptions:
     max_degree: int | None = None
     seed: int = DEFAULT_PROBE_SEED
     order: MonomialOrder = DEGREVLEX
-    kernel_degree: int | None = None  # defaults to max_degree
-    compare_degree: int = 3
 
 
 @dataclass(frozen=True)
@@ -271,9 +269,7 @@ def analyze(g: LieAlgebra, options: AnalysisOptions | None = None
     trdeg = trdeg_check(g, semi_gens,
                         structure_rank=geometry.certificate.rank)
 
-    kernel_bound = opts.kernel_degree if opts.kernel_degree is not None \
-        else bound
-    kernel = kernel_of_rho(g, kernel_bound, opts.order, opts.seed)
+    kernel = kernel_of_rho(g, bound, opts.order, opts.seed)
 
     criteria = evaluate_criteria(g, geometry, semi_gens, inv_gens,
                                  relations, relations_known)

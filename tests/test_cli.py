@@ -132,6 +132,15 @@ def test_reduce_weight_selector(capsys):
     assert "c-value: 3 -> 3" in out
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_reduce_rejects_a_compare_degree_below_one(capsys, value):
+    code, out, err = run_cli(["reduce", "--catalog", "example32",
+                              "--compare-degree", value], capsys)
+    assert code == 2
+    assert "--compare-degree must be at least 1" in err
+    assert out == ""
+
+
 def test_math_failure_is_exit_zero_but_bad_input_is_not(capsys, tmp_path):
     code, _, _ = run_cli(["analyze", "--catalog", "L:5"], capsys)
     assert code == 0  # criteria fail mathematically, still a result
@@ -194,8 +203,18 @@ def test_heisenberg_inline_parameter(capsys):
      "brackets": [{"i": True, "j": 2, "coeffs": {"3": "1"}}]},
     {"basis": ["v1", "v2", "v3"],
      "brackets": [{"i": 1, "j": "2", "coeffs": {"3": "1"}}]},
+    {"basis": [True, False], "brackets": []},
+    {"basis": [None], "brackets": []},
+    {"name": 5, "basis": ["v1", "v2"], "brackets": []},
+    {"name": ["x"], "basis": ["v1", "v2"], "brackets": []},
+    {"basis": ["v1", "v2", "v3"],
+     "brackets": [{"i": 1, "j": 3, "coeffs": {" 2": "1"}}]},
+    {"basis": ["v1", "v2", "v3"],
+     "brackets": [{"i": 1, "j": 3, "coeffs": {"+2": "1"}}]},
 ], ids=["coefficient-x", "coefficient-1/0", "key-q", "coeffs-list",
-        "basis-string", "index-fraction", "index-bool", "index-string"])
+        "basis-string", "index-fraction", "index-bool", "index-string",
+        "basis-bools", "basis-null", "name-number", "name-list",
+        "key-space", "key-plus"])
 def test_malformed_file_exits_two_with_a_message(capsys, tmp_path,
                                                  description):
     path = tmp_path / "bad.json"

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coregular import lie as lie_module
 from coregular.catalog import (abelian, example32, filiform, heisenberg,
                                panyushev, sl2)
 from coregular.lie import (JacobiViolationError, LieAlgebra, LieAlgebraError,
                            Subspace, is_derivation, jordan_chevalley)
-from coregular.linalg import identity, mat_eq_zero, mat_mul, mat_sub
+from coregular.linalg import (InternalCheckError, identity, mat_eq_zero,
+                              mat_mul, mat_sub)
 from coregular.poly import Polynomial, format_polynomial, parse_polynomial
 
 rational_vec = lambda n: st.lists(
@@ -214,6 +216,14 @@ class TestJordanChevalley:
         for _ in range(3):
             power = mat_mul(power, dp)
         assert mat_eq_zero(power)
+
+    def test_non_convergence_raises_an_internal_check_error(
+            self, monkeypatch):
+        # the Newton iteration never sees s(x) = 0
+        monkeypatch.setattr(lie_module, "mat_eq_zero", lambda m: False)
+        with pytest.raises(InternalCheckError, match="converge"):
+            jordan_chevalley([[Fraction(1), Fraction(1)],
+                              [Fraction(0), Fraction(2)]])
 
 
 class TestInducedAndJson:
