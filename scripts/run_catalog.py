@@ -21,6 +21,7 @@ ENTRIES = [
     (filiform(4), 4),
     (filiform(5), 5),
     (filiform(6), 6),
+    (filiform(7), 7),
     (abelian(4), 4),
     (panyushev(), 2),
     (example32(), 3),
