@@ -51,7 +51,11 @@ def _load_algebra(args) -> LieAlgebra:
     path = Path(args.file)
     if not path.exists():
         raise LieAlgebraError(f"no such file: {path}")
-    return LieAlgebra.from_json(path.read_text())
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise LieAlgebraError(f"cannot read {path}: {exc}") from None
+    return LieAlgebra.from_json(text)
 
 
 def _options(args) -> AnalysisOptions:
@@ -59,12 +63,28 @@ def _options(args) -> AnalysisOptions:
                            order=ORDERS[args.order])
 
 
+def _json_target(args) -> Path | None:
+    """The --json path, checked before any computing starts."""
+    if not args.json:
+        return None
+    target = Path(args.json)
+    if not target.parent.is_dir():
+        raise LieAlgebraError(f"--json: no such directory: {target.parent}")
+    if target.is_dir():
+        raise LieAlgebraError(f"--json: {target} is a directory")
+    return target
+
+
 def cmd_analyze(args) -> int:
+    target = _json_target(args)
     g = _load_algebra(args)
     report = analyze(g, _options(args))
     print(report.to_text())
-    if args.json:
-        Path(args.json).write_text(report.to_json() + "\n")
+    if target:
+        try:
+            target.write_text(report.to_json() + "\n")
+        except OSError as exc:
+            raise LieAlgebraError(f"cannot write {target}: {exc}") from None
         print(f"\nJSON report written to {args.json}")
     return EXIT_OK
 

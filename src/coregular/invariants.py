@@ -14,7 +14,8 @@ machinery entirely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import random
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement
@@ -25,12 +26,17 @@ from .grobner import (BudgetExceededError, GroebnerBasis, Ideal, buchberger,
                       ideal_membership)
 from .lie import LieAlgebra
 from .linalg import InternalCheckError, SparseEchelon, kernel_of_columns
-from .pfaffian import rank_certificate
+from .pfaffian import DEFAULT_PROBE_SEED, rank_certificate
 from .poly import (DEGREVLEX, GRLEX, MonomialOrder, Polynomial, _q,
                    apply_derivation, exact_div, monomials_of_degree)
 
 MODE_INVARIANTS = "invariants-only"
 MODE_ALL = "all-semi-invariants"
+
+# seeded points at which the Jacobian rank is tried before Bareiss, and
+# the range of their integer coordinates
+JACOBIAN_POINTS = 3
+JACOBIAN_RANGE = 1000
 
 
 @dataclass(frozen=True)
@@ -101,6 +107,9 @@ class GeneratorSet:
     order: MonomialOrder
     generators: tuple[SemiInvariant, ...]
     irrational_degrees: tuple[int, ...]
+    # index g, from a rank certificate the caller holds: it bounds the
+    # Jacobian rank of a set of invariants
+    index: int | None = field(default=None, compare=False)
 
     @property
     def degrees(self) -> tuple[int, ...]:
@@ -122,8 +131,9 @@ class GeneratorSet:
         equals their count."""
         if not self.generators:
             return 0
+        bound = None if self.has_proper() else self.index
         return algebraically_independent(
-            [s.poly for s in self.generators], self.algebra.dim)[1]
+            [s.poly for s in self.generators], self.algebra.dim, bound)[1]
 
 
 @dataclass(frozen=True)
@@ -157,9 +167,8 @@ def _echelonize(polys: Sequence[Polynomial], nvars: int,
     for p in polys:
         if not p.is_zero:
             ech.add(p.terms)
-    rows = sorted(ech.rows.items(), key=lambda kv: order.key(kv[0]),
-                  reverse=True)
-    return [Polynomial._new(nvars, dict(r)) for _, r in rows]
+    return [Polynomial._new(nvars, ech.row(p))
+            for p in sorted(ech.rows, key=order.key, reverse=True)]
 
 
 def _combine(pairs: Iterable[tuple[int, Fraction]],
@@ -368,13 +377,16 @@ def _power_products(gens: Sequence[SemiInvariant], nvars: int
 
 def minimal_generators(g: LieAlgebra, max_degree: int | None = None,
                        mode: str = MODE_ALL,
-                       order: MonomialOrder = DEGREVLEX) -> GeneratorSet:
+                       order: MonomialOrder = DEGREVLEX,
+                       index: int | None = None) -> GeneratorSet:
     """Minimal homogeneous generators of the (semi-)invariant algebra,
     complete up to ``max_degree`` (default dim g).
 
     In each degree the new generators are a canonical complement, inside
     the weight-graded semi-invariant space, of the span of products of
     the generators already found; weights multiply additively.
+    ``index``, when the caller holds it, is kept on the set to certify
+    its Jacobian rank.
     """
     bound = max_degree if max_degree is not None else g.dim
     if bound < 1:
@@ -402,11 +414,10 @@ def minimal_generators(g: LieAlgebra, max_degree: int | None = None,
                 # the pivot is the leading monomial, so the row is monic
                 row = ech.add(f.terms)
                 if row is not None:
-                    gens.append(SemiInvariant(Polynomial._new(n, dict(row)),
-                                              w, d))
+                    gens.append(SemiInvariant(Polynomial._new(n, row), w, d))
     return GeneratorSet(algebra=g, mode=mode, degree_bound=bound, order=order,
                         generators=tuple(gens),
-                        irrational_degrees=tuple(irrational))
+                        irrational_degrees=tuple(irrational), index=index)
 
 
 # ---------------------------------------------------------------------------
@@ -444,12 +455,38 @@ def poly_matrix_rank(rows: list[list[Polynomial]]) -> int:
     return r
 
 
-def algebraically_independent(polys: Sequence[Polynomial], nvars: int
+def algebraically_independent(polys: Sequence[Polynomial], nvars: int,
+                              rank_bound: int | None = None
                               ) -> tuple[bool, int]:
-    """Jacobian-rank test: independent iff rank equals the count."""
+    """Jacobian-rank test: independent iff rank equals the count.
+
+    The rank over the fraction field is first tried at a few seeded
+    integer points.  A point rank is a lower bound of it, so it is
+    certified once it reaches a proven upper bound: the count, the
+    number of variables, or ``rank_bound`` (index g when every
+    polynomial is an invariant of g).  Only when every point falls short
+    does the fraction-free elimination over Q[x] run.  A rank above the
+    bound means a broken invariant and raises ``InternalCheckError``.
+    """
     if not polys:
         raise ValueError("need at least one polynomial")
-    rank = poly_matrix_rank(jacobian_matrix(polys, nvars))
+    bound = min(len(polys), nvars)
+    if rank_bound is not None:
+        bound = min(bound, rank_bound)
+    jacobian = jacobian_matrix(polys, nvars)
+    rng = random.Random(DEFAULT_PROBE_SEED)
+    best = 0
+    for _ in range(JACOBIAN_POINTS):
+        point = [rng.randint(-JACOBIAN_RANGE, JACOBIAN_RANGE)
+                 for _ in range(nvars)]
+        best = max(best, linalg.rank([[d.evaluate(point) for d in row]
+                                      for row in jacobian]))
+        if best >= bound:
+            break
+    rank = best if best >= bound else poly_matrix_rank(jacobian)
+    if not best <= rank <= bound:
+        raise InternalCheckError(
+            "the Jacobian rank disagrees with its point ranks or bound")
     return rank == len(polys), rank
 
 

@@ -141,7 +141,7 @@ def kernel_of_rho(g: LieAlgebra, degree_bound: int,
         for sol in solutions:
             row = lower.add({unknowns[t]: c for t, c in sol.items()})
             if row is not None:
-                new_rows.append(dict(row))
+                new_rows.append(row)
         # canonical order; the echelon gave each row a unit pivot
         new_rows.sort(key=lambda row: rank_key(pivot(row)))
         for row in new_rows:

@@ -7,6 +7,14 @@ the graded kernel computations.  It indexes each key to the rows that
 hold it, so a system that splits into independent blocks (for instance
 under a grading of the algebra) is solved block by block without the
 caller naming the blocks.
+
+Inside the eliminator a value is a Python ``int`` when it is integral
+and a ``Fraction`` only while a denominator remains; most entries of the
+graded systems are small integers, and ``int`` arithmetic is far cheaper.
+Division by a pivot stays exact, and a quotient whose denominator is 1
+becomes an ``int`` again.  Values leave the eliminator as ``Fraction``:
+``SparseEchelon.row`` and ``add`` return them so, and so does
+``kernel_of_columns``.
 """
 
 from __future__ import annotations
@@ -318,16 +326,33 @@ def _divisors(n: int) -> list[int]:
 # sparse elimination over keyed vectors
 # ---------------------------------------------------------------------------
 
+def _compact(x):
+    """``x`` as an ``int`` when it is integral, else as a ``Fraction``."""
+    if x.__class__ is int:
+        return x
+    x = _q(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _quotient(a, b):
+    """a / b exactly, compacted."""
+    if a.__class__ is int and b.__class__ is int and not a % b:
+        return a // b
+    return _compact(Fraction(a, b))
+
+
 class SparseEchelon:
     """Incremental reduced echelon form of sparse vectors.
 
-    Vectors are dicts {key: Fraction}.  ``choose_pivot`` picks the pivot
-    key of a nonzero vector (e.g. ``min`` for column indices, or
-    largest-under-monomial-order for polynomials).  Pivot rows are kept
-    fully reduced against each other, so the final row set is canonical
-    for the span, independent of insertion order.  ``holders`` maps each
-    non-pivot key to the pivots of the rows that hold it, so a new pivot
-    re-reduces only those rows.
+    Vectors are dicts {key: value} with rational values.  ``choose_pivot``
+    picks the pivot key of a nonzero vector (e.g. ``min`` for column
+    indices, or largest-under-monomial-order for polynomials).  Pivot
+    rows are kept fully reduced against each other, so the final row set
+    is canonical for the span, independent of insertion order.
+    ``holders`` maps each non-pivot key to the pivots of the rows that
+    hold it, so a new pivot re-reduces only those rows.  The stored
+    values are compact (``int`` when integral, see the module notes);
+    ``row`` reads one out as ``Fraction`` values.
     """
 
     def __init__(self, choose_pivot: Callable[[Iterable[Hashable]], Hashable]):
@@ -335,34 +360,38 @@ class SparseEchelon:
         self.rows: dict[Hashable, dict] = {}
         self.holders: dict[Hashable, set] = {}
 
+    def row(self, pivot: Hashable) -> dict[Hashable, Fraction]:
+        """A ``Fraction``-valued copy of the row with this pivot."""
+        return {k: _q(v) for k, v in self.rows[pivot].items()}
+
     def reduce(self, vec: dict) -> dict:
-        """Fully reduce ``vec`` against the current pivot rows."""
-        work = {k: _q(v) for k, v in vec.items() if v != 0}
-        hits = [k for k in work if k in self.rows]
-        while hits:
-            for k in hits:
-                c = work.get(k)
-                if c:
-                    for kk, v in self.rows[k].items():
-                        s = work.get(kk, 0) - c * v
-                        if s == 0:
-                            work.pop(kk, None)
-                        else:
-                            work[kk] = s
-            hits = [k for k in work if k in self.rows]
+        """Fully reduce ``vec`` against the current pivot rows; the
+        result holds compact values."""
+        work = {k: _compact(v) for k, v in vec.items() if v != 0}
+        rows = self.rows
+        # rows hold no pivot but their own, so one pass clears them all
+        for k in [k for k in work if k in rows]:
+            c = work[k]
+            for kk, v in rows[k].items():
+                s = work.get(kk, 0) - c * v
+                if not s:
+                    del work[kk]
+                else:
+                    work[kk] = s if s.__class__ is int else _compact(s)
         return work
 
     def add(self, vec: dict) -> dict | None:
-        """Insert a vector; returns the new pivot row, reduced and with
-        unit pivot coefficient, or None if the vector was already in the
-        span.  The returned row stays owned (and kept reduced) by the
-        echelon."""
+        """Insert a vector; returns the new pivot row, reduced, with unit
+        pivot coefficient and ``Fraction`` values, or None if the vector
+        was already in the span.  The returned row is a copy: the echelon
+        keeps its own reduced against later pivots."""
         work = self.reduce(vec)
         if not work:
             return None
         p = self.choose_pivot(work.keys())
         lead = work[p]
-        row = {k: v / lead for k, v in work.items()}
+        row = work if lead == 1 else {k: _quotient(v, lead)
+                                      for k, v in work.items()}
         holders = self.holders
         # keep the rows that hold p reduced against the new pivot
         for q in holders.pop(p, ()):
@@ -373,7 +402,7 @@ class SparseEchelon:
                 if s:
                     if k not in other:
                         holders.setdefault(k, set()).add(q)
-                    other[k] = s
+                    other[k] = s if s.__class__ is int else _compact(s)
                 else:
                     del other[k]
                     if k != p:
@@ -382,7 +411,7 @@ class SparseEchelon:
             if k != p:
                 holders.setdefault(k, set()).add(p)
         self.rows[p] = row
-        return row
+        return self.row(p)
 
 
 def kernel_of_columns(images: Sequence[dict]) -> list[dict[int, Fraction]]:
@@ -393,11 +422,11 @@ def kernel_of_columns(images: Sequence[dict]) -> list[dict[int, Fraction]]:
     column, free columns in ascending index order, unit coefficient at
     the free column.
     """
-    equations: dict[Hashable, dict[int, Fraction]] = {}
+    equations: dict[Hashable, dict[int, int | Fraction]] = {}
     for j, img in enumerate(images):
         for key, c in img.items():
             if c != 0:
-                equations.setdefault(key, {})[j] = _q(c)
+                equations.setdefault(key, {})[j] = _compact(c)
     ech = SparseEchelon(min)
     for key in sorted(equations):
         ech.add(equations.pop(key))
@@ -405,7 +434,7 @@ def kernel_of_columns(images: Sequence[dict]) -> list[dict[int, Fraction]]:
     for fc in range(len(images)):
         if fc in ech.rows:
             continue
-        vec = {pc: -ech.rows[pc][fc] for pc in ech.holders.get(fc, ())}
+        vec = {pc: _q(-ech.rows[pc][fc]) for pc in ech.holders.get(fc, ())}
         vec[fc] = Fraction(1)
         basis.append(dict(sorted(vec.items())))
     return basis

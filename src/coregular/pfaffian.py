@@ -126,6 +126,19 @@ def c_value(g: LieAlgebra, seed: int = DEFAULT_PROBE_SEED) -> int:
     return two_c // 2
 
 
+def principal_pfaffians(g: LieAlgebra, seed: int = DEFAULT_PROBE_SEED
+                        ) -> tuple[Polynomial, ...]:
+    """Every principal Pfaffian of the certified rank size, in the order
+    of their row sets; expanded once per algebra and seed, for the
+    fundamental semi-invariant and the Pfaffian ideal."""
+    def expand() -> tuple[Polynomial, ...]:
+        b = g.structure_matrix()
+        memo: dict = {}
+        return tuple(pfaffian(b, rows, memo) for rows in combinations(
+            range(g.dim), rank_certificate(g, seed).rank))
+    return g.cached(("pfaffians", seed), expand)
+
+
 @dataclass(frozen=True)
 class FundamentalSemiInvariant:
     """Monic gcd g of the principal rank-size Pfaffians, its square f,
@@ -140,15 +153,11 @@ def fundamental_semi_invariant(g: LieAlgebra,
                                seed: int = DEFAULT_PROBE_SEED,
                                order: MonomialOrder = DEGREVLEX
                                ) -> FundamentalSemiInvariant:
-    b = g.structure_matrix()
-    cert = rank_certificate(g, seed)
     one = Polynomial.one(g.dim)
-    if cert.rank == 0:
+    if rank_certificate(g, seed).rank == 0:
         return FundamentalSemiInvariant(one, one, 0)
-    memo: dict = {}
     gcd: Polynomial | None = None
-    for rows in combinations(range(g.dim), cert.rank):
-        pf = pfaffian(b, rows, memo)
+    for pf in principal_pfaffians(g, seed):
         if pf.is_zero:
             continue
         gcd = pf if gcd is None else poly_gcd(gcd, pf, order)
@@ -165,12 +174,7 @@ def fundamental_semi_invariant(g: LieAlgebra,
 def pfaffian_ideal(g: LieAlgebra, seed: int = DEFAULT_PROBE_SEED) -> Ideal:
     """Ideal of all principal rank-size Pfaffians; its zero set is the
     non-regular locus."""
-    b = g.structure_matrix()
-    cert = rank_certificate(g, seed)
-    memo: dict = {}
-    gens = [pfaffian(b, rows, memo)
-            for rows in combinations(range(g.dim), cert.rank)]
-    return Ideal.of(g.dim, gens)
+    return Ideal.of(g.dim, principal_pfaffians(g, seed))
 
 
 def singular_locus_codim(g: LieAlgebra, seed: int = DEFAULT_PROBE_SEED,

@@ -8,6 +8,7 @@ operations return new objects.
 from __future__ import annotations
 
 import re
+from bisect import insort
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -386,28 +387,45 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial],
     """Multivariate division: f = sum q_i * divisors[i] + r.
 
     No term of r is divisible by any leading monomial of the divisors.
+    The terms still to divide are kept sorted by ``order``: every term a
+    reduction step brings in is below the term it removes, so each
+    monomial's order key is computed once, when it enters.
     """
     nvars = f.nvars
-    quotients = [Polynomial.zero(nvars) for _ in divisors]
+    key = order.key
+    quotients: list[dict[Monomial, Fraction]] = [{} for _ in divisors]
     remainder: dict[Monomial, Fraction] = {}
     lead = [(i, g.leading_monomial(order), g.leading_coefficient(order), g)
             for i, g in enumerate(divisors) if not g.is_zero]
-    work = f
-    while not work.is_zero:
-        lm = work.leading_monomial(order)
-        lc = work.terms[lm]
+    work = dict(f.terms)
+    # ascending, so the leading term is last; an entry whose monomial has
+    # left ``work`` is stale and skipped
+    pending = sorted((key(m), m) for m in work)
+    while pending:
+        lm = pending.pop()[1]
+        lc = work.pop(lm, None)
+        if lc is None:
+            continue
         for idx, gm, gc, g in lead:
             if monomial_divides(gm, lm):
-                factor = Polynomial._new(
-                    nvars, {monomial_div(lm, gm): lc / gc})
-                quotients[idx] = quotients[idx] + factor
-                work = work - factor * g
+                qm, qc = monomial_div(lm, gm), lc / gc
+                quotients[idx][qm] = qc
+                for m, c in g.terms.items():
+                    if m == gm:
+                        continue
+                    mm = monomial_mul(qm, m)
+                    s = work.get(mm, 0) - qc * c
+                    if not s:
+                        del work[mm]
+                        continue
+                    if mm not in work:
+                        insort(pending, (key(mm), mm))
+                    work[mm] = s
                 break
         else:
             remainder[lm] = lc
-            work = Polynomial._new(nvars, {m: c for m, c in work.terms.items()
-                                           if m != lm})
-    return quotients, Polynomial._new(nvars, remainder)
+    return ([Polynomial._new(nvars, q) for q in quotients],
+            Polynomial._new(nvars, remainder))
 
 
 def try_exact_div(f: Polynomial, g: Polynomial,

@@ -251,10 +251,12 @@ def analyze(g: LieAlgebra, options: AnalysisOptions | None = None
     bound = opts.max_degree if opts.max_degree is not None else g.dim
     geometry = compute_geometry(g, opts.seed, opts.order)
 
-    semi_gens = minimal_generators(g, bound, MODE_ALL, opts.order)
+    semi_gens = minimal_generators(g, bound, MODE_ALL, opts.order,
+                                   geometry.index)
     # without proper semi-invariants the two searches agree; sharing the
     # set also shares its Jacobian rank
-    inv_gens = (minimal_generators(g, bound, MODE_INVARIANTS, opts.order)
+    inv_gens = (minimal_generators(g, bound, MODE_INVARIANTS, opts.order,
+                                   geometry.index)
                 if semi_gens.has_proper() else semi_gens)
 
     relations: tuple[Relation, ...] | None

@@ -224,6 +224,27 @@ def test_malformed_file_exits_two_with_a_message(capsys, tmp_path,
     assert err.strip() and "Traceback" not in err + out
 
 
+@pytest.mark.parametrize("case", ["file-is-directory", "file-not-utf8",
+                                  "json-directory-missing"])
+def test_unreadable_file_or_unwritable_json_exits_two_with_a_message(
+        capsys, tmp_path, case):
+    if case == "file-is-directory":
+        args = ["analyze", "--file", str(tmp_path)]
+    elif case == "file-not-utf8":
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"name": "\xe9"}'.encode("latin-1"))
+        args = ["analyze", "--file", str(path)]
+    else:
+        args = ["analyze", "--catalog", "L:4",
+                "--json", str(tmp_path / "missing" / "report.json")]
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err + out
+    # the output directory is checked before the analysis runs
+    assert out == ""
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 6) | st.floats()
     | st.sampled_from([1.5, "1", "1/2", "-3", "x", "v1"]) | st.text(max_size=4),

@@ -1,9 +1,10 @@
 """Data derived from an algebra is computed once per algebra instance.
 
-``LieAlgebra.cached`` holds the rank certificate (per probe seed),
-[g,g], the lower central series verdict and the degree-one spectrum of
-each ad(v_i).  These tests count the computations behind the memo, not
-the calls of the public methods in front of it.
+``LieAlgebra.cached`` holds the rank certificate and the principal
+rank-size Pfaffians (per probe seed), [g,g], the lower central series
+verdict and the degree-one spectrum of each ad(v_i).  These tests count
+the computations behind the memo, not the calls of the public methods
+in front of it.
 """
 
 import importlib
@@ -77,6 +78,8 @@ def test_analyze_filiform6_computes_each_datum_once(counts):
     assert computed(counts, g, "rank") == 1
     assert computed(counts, g, "derived") == 1
     assert computed(counts, g, "nilpotent") == 1
+    # shared by the fundamental semi-invariant and the Pfaffian ideal
+    assert computed(counts, g, "pfaffians") == 1
     assert all(n == 1 for n in counts.misses.values())
     # the computations themselves; L(6) is nilpotent, so no spectrum
     assert counts.calls["certificate"] == 1

@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import poly_pairs
-from coregular import linalg
+from conftest import poly_pairs, poly_strategy
+from coregular import invariants, linalg
 from coregular.catalog import (abelian, example32, filiform, heisenberg,
                                panyushev, sl2)
 from coregular.grobner import BudgetExceededError
@@ -12,10 +13,13 @@ from coregular.invariants import (MODE_ALL, MODE_INVARIANTS, GeneratorSet,
                                   SemiInvariant, WeightVector,
                                   algebraically_independent, find_relations,
                                   gorenstein_invariant, graded_semi_invariants,
+                                  jacobian_matrix,
                                   minimal_generators, poisson_bracket,
+                                  poly_matrix_rank,
                                   substitute_generators, trdeg_check,
                                   verify_semi_invariant, weight_derivation)
 from coregular.lie import LieAlgebra
+from coregular.linalg import InternalCheckError
 from coregular.poly import (DEGREVLEX, Polynomial, format_polynomial,
                             parse_polynomial)
 
@@ -211,6 +215,63 @@ class TestIndependenceAndRelations:
             [s.poly for s in gens.generators], 6)
         assert rank == 4 and not ok
 
+    @given(st.integers(1, 3).flatmap(
+        lambda n: st.lists(poly_strategy(n), min_size=1, max_size=4)
+        .map(lambda polys: (n, polys))))
+    @settings(max_examples=60, deadline=None)
+    def test_point_rank_equals_the_bareiss_rank(self, problem):
+        n, polys = problem
+        expected = poly_matrix_rank(jacobian_matrix(polys, n))
+        assert algebraically_independent(polys, n) == \
+            (expected == len(polys), expected)
+        point = [3, -7, 11][:n]
+        assert linalg.rank([[d.evaluate(point) for d in row] for row in
+                            jacobian_matrix(polys, n)]) <= expected
+
+    def test_point_rank_above_the_bound_raises(self, monkeypatch):
+        x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+        monkeypatch.setattr(linalg, "rank", lambda rows: 3)
+        with pytest.raises(InternalCheckError):
+            algebraically_independent([x, y], 2)
+
+    def test_a_bound_below_the_rank_raises(self):
+        x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+        with pytest.raises(InternalCheckError):
+            algebraically_independent([x, y], 2, rank_bound=1)
+
+    def test_invariants_certify_at_a_point_with_the_index(self,
+                                                          monkeypatch):
+        # five invariants of L(6) of rank 4 = index: no Bareiss
+        gens = minimal_generators(filiform(6), 6, MODE_INVARIANTS, index=4)
+        assert len(gens.generators) == 5
+
+        def no_bareiss(rows):
+            raise AssertionError("Bareiss ran")
+        monkeypatch.setattr(invariants, "poly_matrix_rank", no_bareiss)
+        assert gens.jacobian_rank == 4
+
+    def test_dependent_proper_semi_invariants_reach_bareiss(self,
+                                                            monkeypatch):
+        # [v1, v2] = v2: v2 has weight (1, 0), and v2, 2 v2 are dependent
+        g = LieAlgebra(["v1", "v2"], {(0, 1): {1: 1}})
+        v2 = Polynomial.variable(2, 1)
+        w = WeightVector.of([1, 0])
+        gens = GeneratorSet(
+            algebra=g, mode=MODE_ALL, degree_bound=1, order=DEGREVLEX,
+            generators=(SemiInvariant(v2, w, 1), SemiInvariant(2 * v2, w, 1)),
+            irrational_degrees=(), index=0)
+        calls = []
+        bareiss = invariants.poly_matrix_rank
+
+        def counting(rows):
+            calls.append(len(rows))
+            return bareiss(rows)
+        monkeypatch.setattr(invariants, "poly_matrix_rank", counting)
+        # the index bound would close the rank at 0, but it holds only
+        # for invariants
+        assert gens.jacobian_rank == 1
+        assert calls == [2]
+
     def test_trivial_power_relation_found(self):
         g = abelian(3)
         v3 = Polynomial.variable(3, 2)
@@ -313,9 +374,9 @@ class TestTrdegAndGorenstein:
         calls = []
         rank = invariants.algebraically_independent
 
-        def counting(polys, nvars):
+        def counting(polys, nvars, rank_bound=None):
             calls.append(len(polys))
-            return rank(polys, nvars)
+            return rank(polys, nvars, rank_bound)
         monkeypatch.setattr(invariants, "algebraically_independent",
                             counting)
         report = analyze(g, AnalysisOptions(max_degree=bound))

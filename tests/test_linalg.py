@@ -12,6 +12,13 @@ from coregular.linalg import (InternalCheckError, SparseEchelon, charpoly,
                               squarefree_part)
 from coregular.poly import Polynomial
 
+# sparse vectors with integer and non-integer values
+mixed_vectors = st.lists(st.dictionaries(
+    st.integers(0, 5),
+    st.integers(-4, 4) | st.fractions(min_value=-3, max_value=3,
+                                      max_denominator=4),
+    max_size=5), max_size=8)
+
 small_mat = st.lists(
     st.lists(st.integers(-5, 5), min_size=3, max_size=3),
     min_size=3, max_size=3).map(mat)
@@ -187,6 +194,33 @@ class TestSparse:
                 assert ech.holders[k] == {p for p, row in ech.rows.items()
                                           if k in row}
             assert all(not ech.holders[k] for k in ech.holders.keys() - keys)
+
+    @given(mixed_vectors)
+    @settings(max_examples=100)
+    def test_kernel_of_columns_matches_the_dense_nullspace(self, images):
+        keys = sorted({k for img in images for k in img})
+        dense = [[img.get(k, 0) for img in images] for k in keys]
+        expected = [{j: c for j, c in enumerate(vec) if c}
+                    for vec in nullspace(dense, len(images))]
+        basis = kernel_of_columns(images)
+        assert basis == expected
+        assert all(type(c) is Fraction for vec in basis for c in vec.values())
+
+    @given(mixed_vectors)
+    @settings(max_examples=100)
+    def test_echelon_stores_integers_as_int_and_reads_out_fractions(
+            self, vectors):
+        ech = SparseEchelon(min)
+        for vec in vectors:
+            row = ech.add(vec)
+            if row is not None:
+                pivot = min(row)
+                assert type(row[pivot]) is Fraction and row[pivot] == 1
+                assert all(type(c) is Fraction for c in row.values())
+            for stored in ech.rows.values():
+                assert all(type(v) is int
+                           or (type(v) is Fraction and v.denominator != 1)
+                           for v in stored.values())
 
     def test_kernel_rank_nullity(self):
         images = [{"a": Fraction(1)}, {"a": Fraction(1), "b": Fraction(1)},

@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import nonzero_poly_pairs, poly_pairs, poly_strategy, poly_triples
 from coregular.poly import (DEGREVLEX, GRLEX, LEX, MINUS_INFINITY, Polynomial,
-                            apply_derivation, exact_div, format_polynomial,
+                            apply_derivation, divide, exact_div,
+                            format_polynomial, monomial_div, monomial_divides,
                             monomials_of_degree, parse_polynomial, poly_gcd,
                             try_exact_div)
 
@@ -209,3 +211,52 @@ class TestExactDivision:
         v1, v2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
         with pytest.raises(ValueError):
             exact_div(v1 ** 2 + v2, v1)
+
+
+def divide_by_rescanning(f, divisors, order):
+    """Oracle: multivariate division that finds the leading monomial of
+    what is left by a full scan on every step."""
+    nvars = f.nvars
+    quotients = [Polynomial.zero(nvars) for _ in divisors]
+    remainder = {}
+    lead = [(i, g.leading_monomial(order), g.leading_coefficient(order), g)
+            for i, g in enumerate(divisors) if not g.is_zero]
+    work = f
+    while not work.is_zero:
+        lm = work.leading_monomial(order)
+        lc = work.terms[lm]
+        for idx, gm, gc, g in lead:
+            if monomial_divides(gm, lm):
+                factor = Polynomial(nvars, {monomial_div(lm, gm): lc / gc})
+                quotients[idx] = quotients[idx] + factor
+                work = work - factor * g
+                break
+        else:
+            remainder[lm] = lc
+            work = Polynomial(nvars, {m: c for m, c in work.terms.items()
+                                      if m != lm})
+    return quotients, Polynomial(nvars, remainder)
+
+
+@st.composite
+def division_problems(draw):
+    n = draw(st.integers(1, 3))
+    f = draw(poly_strategy(n, max_degree=5, max_terms=8))
+    divisors = draw(st.lists(poly_strategy(n, max_degree=3, max_terms=3),
+                             min_size=1, max_size=3))
+    if draw(st.booleans()):
+        # an exact multiple, as in the gcd and Bareiss callers
+        f = f * divisors[0]
+    return f, divisors, draw(st.sampled_from([DEGREVLEX, GRLEX, LEX]))
+
+
+@given(division_problems())
+@settings(max_examples=100, deadline=None)
+def test_divide_matches_the_rescanning_division(problem):
+    f, divisors, order = problem
+    quotients, remainder = divide(f, divisors, order)
+    assert (quotients, remainder) == divide_by_rescanning(f, divisors, order)
+    total = remainder
+    for q, g in zip(quotients, divisors):
+        total = total + q * g
+    assert total == f
