@@ -15,9 +15,8 @@ from .catalog import (CATALOG, abelian, build_catalog_algebra, example32,
 from .grobner import (BudgetExceededError, GrobnerBudget, GroebnerBasis,
                       Ideal, buchberger, ideal_membership, krull_dimension,
                       normal_form)
-from .invariants import (MODE_ALL, MODE_INVARIANTS, GeneratorSet,
-                         GorensteinResult, GradedSemiInvariants, Relation,
-                         SemiInvariant, TrdegCheck, WeightVector,
+from .invariants import (GeneratorSet, GorensteinResult, GradedSemiInvariants,
+                         Relation, SemiInvariant, TrdegCheck, WeightVector,
                          algebraically_independent, find_relations,
                          gorenstein_invariant, graded_semi_invariants,
                          minimal_generators, poisson_bracket, trdeg_check,

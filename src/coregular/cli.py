@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .catalog import CATALOG, build_catalog_algebra
 from .grobner import BudgetExceededError
-from .invariants import MODE_ALL, minimal_generators
+from .invariants import minimal_generators
 from .kernel import freeness_verdict, kernel_of_rho, reduce_one_step
 from .lie import LieAlgebra, LieAlgebraError
 from .pfaffian import DEFAULT_PROBE_SEED
@@ -100,7 +100,7 @@ def cmd_catalog(args) -> int:
 def cmd_invariants(args) -> int:
     g = _load_algebra(args)
     bound = args.max_degree if args.max_degree is not None else g.dim
-    gens = minimal_generators(g, bound, MODE_ALL, ORDERS[args.order])
+    gens, _ = minimal_generators(g, bound, ORDERS[args.order])
     print(f"semi-invariant generators of {g.label} up to degree {bound}:")
     if not gens.generators:
         print("  none")
@@ -138,7 +138,7 @@ def cmd_reduce(args) -> int:
     g = _load_algebra(args)
     bound = args.max_degree if args.max_degree is not None else g.dim
     order = ORDERS[args.order]
-    gens = minimal_generators(g, bound, MODE_ALL, order)
+    gens, _ = minimal_generators(g, bound, order)
     proper = [s for s in gens.generators if not s.weight.is_zero]
     if not proper:
         print(f"nothing to reduce: no proper semi-invariant of {g.label} "

@@ -4,7 +4,9 @@ Degree by degree: the candidate space is the common kernel of the
 derived-subalgebra action on the graded component; the operators coming
 from a complement of [g,g] commute there and are split into joint
 eigenspaces with rational eigenvalues.  Each rational joint eigenvalue
-tuple determines a weight; weight zero gives the invariants.
+tuple determines a weight; weight zero gives the invariants.  There is
+one search: the generators of the semi-invariant algebra and of the
+invariant algebra are both read from it (``minimal_generators``).
 
 Nilpotent algebras admit no proper semi-invariants (all weights vanish)
 and perfect ones none either (weights kill [g,g] = g), so for those the
@@ -29,9 +31,6 @@ from .linalg import InternalCheckError, SparseEchelon, kernel_of_columns
 from .pfaffian import DEFAULT_PROBE_SEED, rank_certificate
 from .poly import (DEGREVLEX, GRLEX, MonomialOrder, Polynomial, _q,
                    apply_derivation, exact_div, monomials_of_degree)
-
-MODE_INVARIANTS = "invariants-only"
-MODE_ALL = "all-semi-invariants"
 
 # seeded points at which the Jacobian rank is tried before Bareiss, and
 # the range of their integer coordinates
@@ -102,7 +101,6 @@ class GradedSemiInvariants:
 @dataclass(frozen=True)
 class GeneratorSet:
     algebra: LieAlgebra
-    mode: str
     degree_bound: int
     order: MonomialOrder
     generators: tuple[SemiInvariant, ...]
@@ -120,9 +118,6 @@ class GeneratorSet:
 
     def has_proper(self) -> bool:
         return any(not s.weight.is_zero for s in self.generators)
-
-    def invariant_generators(self) -> tuple[SemiInvariant, ...]:
-        return tuple(s for s in self.generators if s.weight.is_zero)
 
     @cached_property
     def jacobian_rank(self) -> int:
@@ -266,9 +261,12 @@ def structural_no_proper_reason(g: LieAlgebra) -> str | None:
 
 
 def graded_semi_invariants(g: LieAlgebra, degree: int,
-                           order: MonomialOrder = DEGREVLEX,
-                           mode: str = MODE_ALL) -> GradedSemiInvariants:
-    """Weight decomposition of the degree-``degree`` semi-invariants."""
+                           order: MonomialOrder = DEGREVLEX
+                           ) -> GradedSemiInvariants:
+    """Weight decomposition of the degree-``degree`` semi-invariants.
+
+    The blocks are sorted with weight zero (the invariants) first; each
+    block's basis is the canonical echelon basis of its space."""
     if degree < 1:
         raise ValueError("degree must be >= 1")
     n = g.dim
@@ -277,11 +275,11 @@ def graded_semi_invariants(g: LieAlgebra, degree: int,
 
     basis_vectors = [[1 if t == i else 0 for t in range(n)] for i in range(n)]
     derived = g.derived_subalgebra()
-    if mode == MODE_INVARIANTS or structural_no_proper_reason(g):
+    if structural_no_proper_reason(g):
         invariant = _kernel_intersection(g, space, basis_vectors, order)
         blocks = (((WeightVector.zero(n)), tuple(invariant)),) if invariant else ()
         result = GradedSemiInvariants(degree, blocks, False)
-    elif mode == MODE_ALL:
+    else:
         candidate = _kernel_intersection(g, space, list(derived.basis), order)
         derived_pivots = set()
         for b in derived.basis:
@@ -322,8 +320,6 @@ def graded_semi_invariants(g: LieAlgebra, degree: int,
         blocks.sort(key=lambda bw: tuple(bw[0].values))
         blocks.sort(key=lambda bw: not bw[0].is_zero)
         result = GradedSemiInvariants(degree, tuple(blocks), flag)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
 
     for w, basis in result.blocks:
         for f in basis:
@@ -375,49 +371,83 @@ def _power_products(gens: Sequence[SemiInvariant], nvars: int
     return product
 
 
-def minimal_generators(g: LieAlgebra, max_degree: int | None = None,
-                       mode: str = MODE_ALL,
-                       order: MonomialOrder = DEGREVLEX,
-                       index: int | None = None) -> GeneratorSet:
-    """Minimal homogeneous generators of the (semi-)invariant algebra,
-    complete up to ``max_degree`` (default dim g).
+def _new_generators(gens: Sequence[SemiInvariant],
+                    product: Callable[[Sequence[int]], Polynomial],
+                    blocks: Iterable[tuple[WeightVector, Sequence[Polynomial]]],
+                    degree: int, nvars: int, order: MonomialOrder
+                    ) -> list[SemiInvariant]:
+    """The canonical complement, inside each weight block of one degree,
+    of the span of the degree-``degree`` products of ``gens`` of the same
+    weight; weights multiply additively."""
+    lead = lambda keys: max(keys, key=order.key)
+    products: dict[tuple[Fraction, ...], SparseEchelon] = {}
+    for exps in _exponent_vectors([s.degree for s in gens], degree):
+        w = WeightVector.zero(nvars)
+        for i, e in enumerate(exps):
+            if e:
+                w = w + gens[i].weight.scale(e)
+        products.setdefault(w.values, SparseEchelon(lead)).add(
+            product(exps).terms)
+    new: list[SemiInvariant] = []
+    for w, basis in blocks:
+        ech = products.setdefault(w.values, SparseEchelon(lead))
+        for f in basis:
+            p = ech.add(f.terms)
+            if p is not None:
+                # the pivot is the leading monomial, so the row is monic
+                new.append(SemiInvariant(Polynomial._new(nvars, ech.row(p)),
+                                         w, degree))
+    return new
 
-    In each degree the new generators are a canonical complement, inside
-    the weight-graded semi-invariant space, of the span of products of
-    the generators already found; weights multiply additively.
-    ``index``, when the caller holds it, is kept on the set to certify
-    its Jacobian rank.
+
+def minimal_generators(g: LieAlgebra, max_degree: int | None = None,
+                       order: MonomialOrder = DEGREVLEX,
+                       index: int | None = None
+                       ) -> tuple[GeneratorSet, GeneratorSet]:
+    """Minimal homogeneous generators of the semi-invariant algebra and of
+    the invariant algebra, ``(semi, inv)``, both complete up to
+    ``max_degree`` (default dim g), from one graded search per degree.
+
+    In each degree the new semi-invariant generators are a canonical
+    complement, inside each weight block of the search, of the span of
+    products of the generators already found.  The invariant generators
+    are the same complement inside the weight-zero block, taken against
+    products of invariant generators only.  Until a proper
+    semi-invariant turns up the two complements agree, and without one
+    ``inv is semi``.  ``index``, when the caller holds it, is kept on the
+    sets to certify their Jacobian rank.
     """
     bound = max_degree if max_degree is not None else g.dim
     if bound < 1:
         raise ValueError("degree bound must be >= 1")
     n = g.dim
-    gens: list[SemiInvariant] = []
+    semi: list[SemiInvariant] = []
+    inv = semi
     irrational: list[int] = []
-    product = _power_products(gens, n)
+    semi_product = inv_product = _power_products(semi, n)
     for d in range(1, bound + 1):
-        graded = graded_semi_invariants(g, d, order, mode)
+        graded = graded_semi_invariants(g, d, order)
         if graded.irrational_flag:
             irrational.append(d)
-        products: dict[tuple[Fraction, ...], SparseEchelon] = {}
-        lead = lambda keys: max(keys, key=order.key)
-        for exps in _exponent_vectors([s.degree for s in gens], d):
-            w = WeightVector.zero(n)
-            for i, e in enumerate(exps):
-                if e:
-                    w = w + gens[i].weight.scale(e)
-            products.setdefault(w.values, SparseEchelon(lead)).add(
-                product(exps).terms)
-        for w, basis in graded.blocks:
-            ech = products.setdefault(w.values, SparseEchelon(lead))
-            for f in basis:
-                # the pivot is the leading monomial, so the row is monic
-                row = ech.add(f.terms)
-                if row is not None:
-                    gens.append(SemiInvariant(Polynomial._new(n, row), w, d))
-    return GeneratorSet(algebra=g, mode=mode, degree_bound=bound, order=order,
-                        generators=tuple(gens),
-                        irrational_degrees=tuple(irrational), index=index)
+        new = _new_generators(semi, semi_product, graded.blocks, d, n, order)
+        if inv is not semi:
+            inv += _new_generators(
+                inv, inv_product,
+                [(w, basis) for w, basis in graded.blocks if w.is_zero],
+                d, n, order)
+        semi += new
+        if inv is semi and any(not s.weight.is_zero for s in new):
+            inv = [s for s in semi if s.weight.is_zero]
+            inv_product = _power_products(inv, n)
+    semi_set = GeneratorSet(algebra=g, degree_bound=bound, order=order,
+                            generators=tuple(semi),
+                            irrational_degrees=tuple(irrational), index=index)
+    if inv is semi:
+        return semi_set, semi_set
+    # an irrational weight is never zero, so no invariant is missed
+    return semi_set, GeneratorSet(algebra=g, degree_bound=bound, order=order,
+                                  generators=tuple(inv),
+                                  irrational_degrees=(), index=index)
 
 
 # ---------------------------------------------------------------------------
@@ -522,10 +552,6 @@ def find_relations(gens: GeneratorSet, max_weighted_degree: int,
     return relations
 
 
-def substitute_generators(rel: Relation, gens: GeneratorSet) -> Polynomial:
-    return rel.poly.compose([s.poly for s in gens.generators])
-
-
 # ---------------------------------------------------------------------------
 # Poisson bracket
 # ---------------------------------------------------------------------------
@@ -551,15 +577,6 @@ def poisson_bracket(a: Polynomial, b: Polynomial, g: LieAlgebra) -> Polynomial:
     return out
 
 
-def weight_derivation(f: Polynomial, w: WeightVector) -> Polynomial:
-    """The constant-coefficient derivation sum_i w_i d/dv_i applied to f."""
-    out = Polynomial.zero(f.nvars)
-    for i, c in enumerate(w.values):
-        if c:
-            out = out + f.partial_derivative(i) * c
-    return out
-
-
 # ---------------------------------------------------------------------------
 # transcendence-degree consistency and the Gorenstein invariant
 # ---------------------------------------------------------------------------
@@ -582,8 +599,6 @@ def trdeg_check(g: LieAlgebra, gens: GeneratorSet,
     """Compare the Jacobian rank of the discovered invariants with
     dim g - rank(structure matrix), the transcendence degree of the
     invariant field when no proper semi-invariants exist."""
-    if gens.mode != MODE_ALL:
-        raise ValueError("gate needs a search over all semi-invariants")
     if structure_rank is None:
         structure_rank = rank_certificate(g).rank
     expected = g.dim - structure_rank

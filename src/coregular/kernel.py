@@ -16,7 +16,7 @@ from typing import Sequence
 
 from . import linalg
 from .grobner import BudgetExceededError
-from .invariants import (MODE_ALL, GeneratorSet, Relation, SemiInvariant,
+from .invariants import (GeneratorSet, Relation, SemiInvariant,
                          WeightVector, graded_semi_invariants,
                          poly_matrix_rank, structural_no_proper_reason)
 from .lie import LieAlgebra, SkewPolyMatrix, is_derivation, jordan_chevalley
@@ -139,9 +139,9 @@ def kernel_of_rho(g: LieAlgebra, degree_bound: int,
 
         new_rows = []
         for sol in solutions:
-            row = lower.add({unknowns[t]: c for t, c in sol.items()})
-            if row is not None:
-                new_rows.append(row)
+            p = lower.add({unknowns[t]: c for t, c in sol.items()})
+            if p is not None:
+                new_rows.append(lower.row(p))
         # canonical order; the echelon gave each row a unit pivot
         new_rows.sort(key=lambda row: rank_key(pivot(row)))
         for row in new_rows:
@@ -431,7 +431,7 @@ class ReductionStep:
 
 def _semicenter_dims(g: LieAlgebra, bound: int,
                      order: MonomialOrder) -> tuple[int, ...]:
-    return tuple(graded_semi_invariants(g, d, order, MODE_ALL).total_dim()
+    return tuple(graded_semi_invariants(g, d, order).total_dim()
                  for d in range(1, bound + 1))
 
 

@@ -16,8 +16,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from . import linalg
 from .linalg import (InternalCheckError, Mat, Vec, mat_eq_zero, mat_mul,
                      mat_sub, rref)
-from .poly import (DEGREVLEX, MonomialOrder, Polynomial, _q,
-                   apply_derivation, monomials_of_degree)
+from .poly import Polynomial, _q, apply_derivation
 
 
 class LieAlgebraError(ValueError):
@@ -47,8 +46,7 @@ class Subspace:
 
     @classmethod
     def from_spanning(cls, vectors: Iterable[Sequence], ambient_dim: int) -> "Subspace":
-        rows = [[_q(x) for x in v] for v in vectors]
-        reduced, _ = rref(rows)
+        reduced, _ = rref(vectors)
         return cls(ambient_dim, tuple(tuple(r) for r in reduced))
 
     @property
@@ -56,8 +54,7 @@ class Subspace:
         return len(self.basis)
 
     def contains(self, vector: Sequence) -> bool:
-        rows = [list(b) for b in self.basis] + [[_q(x) for x in vector]]
-        return len(rref(rows)[1]) == self.dim
+        return linalg.rank(list(self.basis) + [vector]) == self.dim
 
 
 class LieAlgebra:
@@ -164,12 +161,6 @@ class LieAlgebra:
         cols = [self.bracket_basis(i, j) for j in range(self.dim)]
         return [[cols[j][k] for j in range(self.dim)] for k in range(self.dim)]
 
-    def ad_of_vector(self, x: Sequence) -> Mat:
-        n = self.dim
-        cols = [self.bracket(x, [1 if t == j else 0 for t in range(n)])
-                for j in range(n)]
-        return [[cols[j][k] for j in range(n)] for k in range(n)]
-
     def bracket_images(self, x: Sequence) -> list[Polynomial]:
         """[x, v_j] as degree-one polynomials, one per basis vector,
         read straight from the bracket table."""
@@ -252,26 +243,6 @@ class LieAlgebra:
     def apply_ad(self, x: Sequence, f: Polynomial) -> Polynomial:
         """ad(x) extended as a derivation of the symmetric algebra."""
         return apply_derivation(f, self.bracket_images(x))
-
-    def ad_on_graded(self, x: Sequence, degree: int,
-                     order: MonomialOrder = DEGREVLEX) -> tuple[list, Mat]:
-        """Matrix of ad(x) on the degree-``degree`` component.
-
-        Returns (basis monomials descending under ``order``, matrix);
-        column j holds the coordinates of ad(x) applied to monomial j.
-        """
-        if degree < 1:
-            raise ValueError("degree must be >= 1")
-        basis = monomials_of_degree(self.dim, degree, order)
-        index = {m: t for t, m in enumerate(basis)}
-        images = self.bracket_images(x)
-        matrix = [[Fraction(0)] * len(basis) for _ in range(len(basis))]
-        for j, m in enumerate(basis):
-            img = apply_derivation(Polynomial._new(self.dim, {m: Fraction(1)}),
-                                   images)
-            for mm, c in img.terms.items():
-                matrix[index[mm]][j] = c
-        return basis, matrix
 
     # -- subalgebras -------------------------------------------------------------
 

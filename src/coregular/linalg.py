@@ -1,19 +1,22 @@
 """Exact linear algebra over the rationals.
 
-Dense routines work on lists of lists of ``Fraction``.  The sparse
-eliminator operates on vectors stored as dicts keyed by arbitrary
-sortable labels (monomials, column indices) and is the workhorse behind
-the graded kernel computations.  It indexes each key to the rows that
-hold it, so a system that splits into independent blocks (for instance
-under a grading of the algebra) is solved block by block without the
-caller naming the blocks.
+One eliminator, ``SparseEchelon``, does every elimination.  It works on
+vectors stored as dicts keyed by arbitrary sortable labels (monomials,
+column indices) and is the workhorse behind the graded kernel
+computations.  It indexes each key to the rows that hold it, so a
+system that splits into independent blocks (for instance under a
+grading of the algebra) is solved block by block without the caller
+naming the blocks.  The dense routines (``rref``, ``rank``,
+``nullspace``, ``solve``, ``inverse``) take lists of rows, run them
+through the same eliminator keyed by column index and read the result
+back out; ``nullspace`` and ``kernel_of_columns`` share that readout.
 
 Inside the eliminator a value is a Python ``int`` when it is integral
 and a ``Fraction`` only while a denominator remains; most entries of the
 graded systems are small integers, and ``int`` arithmetic is far cheaper.
 Division by a pivot stays exact, and a quotient whose denominator is 1
 becomes an ``int`` again.  Values leave the eliminator as ``Fraction``:
-``SparseEchelon.row`` and ``add`` return them so, and so does
+``SparseEchelon.row`` returns them so, and so do the dense routines and
 ``kernel_of_columns``.
 """
 
@@ -83,52 +86,26 @@ def mat_eq_zero(a: Mat) -> bool:
 
 
 def rref(rows: Iterable[Iterable]) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    m = [[_q(x) for x in row] for row in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(m)):
-            if m[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+    """Reduced row echelon form; returns (nonzero rows, pivot columns),
+    pivots ascending.  The rows are read out of ``SparseEchelon``."""
+    rows = [list(row) for row in rows]
+    ncols = len(rows[0]) if rows else 0
+    ech = _column_echelon(rows)
+    pivots = sorted(ech.rows)
+    zero = Fraction(0)
+    return [[row.get(j, zero) for j in range(ncols)]
+            for row in map(ech.row, pivots)], pivots
 
 
 def rank(rows: Iterable[Iterable]) -> int:
-    return len(rref(rows)[1])
+    return len(_column_echelon(rows).rows)
 
 
 def nullspace(rows: Iterable[Iterable], ncols: int) -> list[Vec]:
     """Canonical basis of {x : A x = 0}; one vector per free column."""
-    reduced, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis: list[Vec] = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for row, pc in zip(reduced, pivots):
-            v[pc] = -row[fc]
-        basis.append(v)
-    return basis
+    zero = Fraction(0)
+    return [[vec.get(j, zero) for j in range(ncols)]
+            for vec in _free_columns(_column_echelon(rows), ncols)]
 
 
 def solve(a: Mat, b: Sequence) -> Vec | None:
@@ -136,20 +113,19 @@ def solve(a: Mat, b: Sequence) -> Vec | None:
     if not a:
         return [] if all(_q(x) == 0 for x in b) else None
     ncols = len(a[0])
-    aug = [list(row) + [_q(bv)] for row, bv in zip(a, b)]
-    reduced, pivots = rref(aug)
+    ech = _column_echelon(list(row) + [bv] for row, bv in zip(a, b))
+    if ncols in ech.rows:
+        return None
     x = [Fraction(0)] * ncols
-    for row, pc in zip(reduced, pivots):
-        if pc == ncols:
-            return None
-        x[pc] = row[ncols]
+    for pc, row in ech.rows.items():
+        x[pc] = _q(row.get(ncols, 0))
     return x
 
 
 def inverse(a: Mat) -> Mat:
     n = len(a)
-    aug = [list(row) + list(identity(n)[i]) for i, row in enumerate(a)]
-    reduced, pivots = rref(aug)
+    reduced, pivots = rref(list(row) + [int(i == j) for j in range(n)]
+                           for i, row in enumerate(a))
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in reduced[:n]]
@@ -367,7 +343,7 @@ class SparseEchelon:
     def reduce(self, vec: dict) -> dict:
         """Fully reduce ``vec`` against the current pivot rows; the
         result holds compact values."""
-        work = {k: _compact(v) for k, v in vec.items() if v != 0}
+        work = {k: c for k, v in vec.items() if (c := _compact(v))}
         rows = self.rows
         # rows hold no pivot but their own, so one pass clears them all
         for k in [k for k in work if k in rows]:
@@ -380,11 +356,11 @@ class SparseEchelon:
                     work[kk] = s if s.__class__ is int else _compact(s)
         return work
 
-    def add(self, vec: dict) -> dict | None:
-        """Insert a vector; returns the new pivot row, reduced, with unit
-        pivot coefficient and ``Fraction`` values, or None if the vector
-        was already in the span.  The returned row is a copy: the echelon
-        keeps its own reduced against later pivots."""
+    def add(self, vec: dict) -> Hashable | None:
+        """Insert a vector; returns the pivot key of its new row, or None
+        if the vector was already in the span.  The row is kept reduced
+        against later pivots, so a caller that keeps the row as inserted
+        reads it with ``row`` right away."""
         work = self.reduce(vec)
         if not work:
             return None
@@ -411,7 +387,28 @@ class SparseEchelon:
             if k != p:
                 holders.setdefault(k, set()).add(p)
         self.rows[p] = row
-        return self.row(p)
+        return p
+
+
+def _column_echelon(rows: Iterable[Iterable]) -> SparseEchelon:
+    """The echelon of a dense matrix's rows, keyed by column index."""
+    ech = SparseEchelon(min)
+    for row in rows:
+        ech.add({j: x for j, x in enumerate(row) if x})
+    return ech
+
+
+def _free_columns(ech: SparseEchelon, ncols: int) -> list[dict[int, Fraction]]:
+    """The canonical kernel basis of an echelon over the columns
+    ``0..ncols-1``, as ``kernel_of_columns`` describes it."""
+    basis: list[dict[int, Fraction]] = []
+    for fc in range(ncols):
+        if fc in ech.rows:
+            continue
+        vec = {pc: _q(-ech.rows[pc][fc]) for pc in ech.holders.get(fc, ())}
+        vec[fc] = Fraction(1)
+        basis.append(dict(sorted(vec.items())))
+    return basis
 
 
 def kernel_of_columns(images: Sequence[dict]) -> list[dict[int, Fraction]]:
@@ -430,11 +427,4 @@ def kernel_of_columns(images: Sequence[dict]) -> list[dict[int, Fraction]]:
     ech = SparseEchelon(min)
     for key in sorted(equations):
         ech.add(equations.pop(key))
-    basis: list[dict[int, Fraction]] = []
-    for fc in range(len(images)):
-        if fc in ech.rows:
-            continue
-        vec = {pc: _q(-ech.rows[pc][fc]) for pc in ech.holders.get(fc, ())}
-        vec[fc] = Fraction(1)
-        basis.append(dict(sorted(vec.items())))
-    return basis
+    return _free_columns(ech, len(images))

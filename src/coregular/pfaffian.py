@@ -20,7 +20,7 @@ from .grobner import (DEFAULT_BUDGET, GrobnerBudget, Ideal, buchberger,
                       krull_dimension)
 from .lie import LieAlgebra, SkewPolyMatrix
 from .linalg import InternalCheckError
-from .poly import DEGREVLEX, MonomialOrder, Polynomial, poly_gcd, try_exact_div
+from .poly import DEGREVLEX, MonomialOrder, Polynomial, poly_gcd
 
 DEFAULT_PROBE_SEED = 20_240_601
 PROBE_COUNT = 5
@@ -193,51 +193,3 @@ def singular_locus_codim(g: LieAlgebra, seed: int = DEFAULT_PROBE_SEED,
     if dim is None:
         return None
     return g.dim - dim
-
-
-def verify_divides_minors(g: LieAlgebra, fsi: FundamentalSemiInvariant,
-                          samples: int = 5, seed: int = DEFAULT_PROBE_SEED) -> bool:
-    """Spot-check that the fundamental semi-invariant divides rank-size
-    minors of the structure matrix (general minors, not just principal)."""
-    b = g.structure_matrix()
-    r = rank_certificate(g, seed).rank
-    if r == 0:
-        return True
-    rng = random.Random(seed + 1)
-    all_rows = list(combinations(range(g.dim), r))
-    for _ in range(samples):
-        rows = rng.choice(all_rows)
-        cols = rng.choice(all_rows)
-        minor = _poly_det([[b[i, j] for j in cols] for i in rows])
-        if minor.is_zero:
-            continue
-        if try_exact_div(minor, fsi.value) is None:
-            return False
-    return True
-
-
-def _poly_det(m: list[list[Polynomial]]) -> Polynomial:
-    n = len(m)
-    nvars = m[0][0].nvars
-    if n == 0:
-        return Polynomial.one(nvars)
-    memo: dict = {}
-
-    def rec(cols: tuple[int, ...]) -> Polynomial:
-        row = n - len(cols)
-        if not cols:
-            return Polynomial.one(nvars)
-        cached = memo.get(cols)
-        if cached is not None:
-            return cached
-        total = Polynomial.zero(nvars)
-        for t, c in enumerate(cols):
-            entry = m[row][c]
-            if entry.is_zero:
-                continue
-            sign = 1 if t % 2 == 0 else -1
-            total = total + sign * (entry * rec(cols[:t] + cols[t + 1:]))
-        memo[cols] = total
-        return total
-
-    return rec(tuple(range(n)))

@@ -6,11 +6,10 @@ import json
 from dataclasses import dataclass
 
 from .grobner import BudgetExceededError
-from .invariants import (MODE_ALL, MODE_INVARIANTS, GeneratorSet, Relation,
-                         SemiInvariant, TrdegCheck, find_relations,
-                         gorenstein_invariant, minimal_generators,
-                         structural_no_proper_reason, trdeg_check,
-                         GorensteinResult)
+from .invariants import (GeneratorSet, Relation, SemiInvariant, TrdegCheck,
+                         find_relations, gorenstein_invariant,
+                         minimal_generators, structural_no_proper_reason,
+                         trdeg_check, GorensteinResult)
 from .kernel import (CriterionVerdict, Geometry, KernelBasis, compute_geometry,
                      evaluate_criteria, freeness_verdict, kernel_of_rho)
 from .lie import LieAlgebra
@@ -251,13 +250,10 @@ def analyze(g: LieAlgebra, options: AnalysisOptions | None = None
     bound = opts.max_degree if opts.max_degree is not None else g.dim
     geometry = compute_geometry(g, opts.seed, opts.order)
 
-    semi_gens = minimal_generators(g, bound, MODE_ALL, opts.order,
-                                   geometry.index)
-    # without proper semi-invariants the two searches agree; sharing the
-    # set also shares its Jacobian rank
-    inv_gens = (minimal_generators(g, bound, MODE_INVARIANTS, opts.order,
-                                   geometry.index)
-                if semi_gens.has_proper() else semi_gens)
+    # without proper semi-invariants inv_gens is semi_gens, so the two
+    # share one Jacobian rank
+    semi_gens, inv_gens = minimal_generators(g, bound, opts.order,
+                                             geometry.index)
 
     relations: tuple[Relation, ...] | None
     relations_known = True

@@ -9,19 +9,21 @@ from coregular import invariants, linalg
 from coregular.catalog import (abelian, example32, filiform, heisenberg,
                                panyushev, sl2)
 from coregular.grobner import BudgetExceededError
-from coregular.invariants import (MODE_ALL, MODE_INVARIANTS, GeneratorSet,
-                                  SemiInvariant, WeightVector,
-                                  algebraically_independent, find_relations,
-                                  gorenstein_invariant, graded_semi_invariants,
-                                  jacobian_matrix,
+from coregular.invariants import (GeneratorSet, SemiInvariant, WeightVector,
+                                  _exponent_vectors, algebraically_independent,
+                                  find_relations, gorenstein_invariant,
+                                  graded_semi_invariants, jacobian_matrix,
                                   minimal_generators, poisson_bracket,
-                                  poly_matrix_rank,
-                                  substitute_generators, trdeg_check,
-                                  verify_semi_invariant, weight_derivation)
+                                  poly_matrix_rank, trdeg_check,
+                                  verify_semi_invariant)
 from coregular.lie import LieAlgebra
 from coregular.linalg import InternalCheckError
 from coregular.poly import (DEGREVLEX, Polynomial, format_polynomial,
                             parse_polynomial)
+import oracles
+from oracles import substitute_generators, weight_derivation
+
+WEIGHTS = [(1, 1, -1), (2, -1, 3), (5, -7, 11)]
 
 
 def fmt(p, g):
@@ -32,12 +34,32 @@ def weights_of(block_list):
     return sorted(tuple(w.values) for w, _ in block_list)
 
 
+def weights_algebra(weights):
+    """A line acting on Q^3 with the given weights: [v1, v_i] = w_i v_i."""
+    return LieAlgebra(["v1", "v2", "v3", "v4"],
+                      {(0, i + 1): {i + 1: w} for i, w in enumerate(weights)})
+
+
+def dense_invariants(g, d):
+    """Canonical basis of the degree-d invariants from the dense oracle:
+    the common kernel of ad(v_1..v_n) on S^d, in reduced echelon form.
+    The monomials descend, so each row's pivot is its leading monomial."""
+    n = g.dim
+    rows = []
+    for i in range(n):
+        monomials, m = oracles.ad_on_graded(g, [int(t == i) for t in range(n)],
+                                            d)
+        rows += m
+    reduced, _ = oracles.rref(oracles.nullspace(rows, len(monomials)))
+    return [Polynomial(n, dict(zip(monomials, row))) for row in reduced]
+
+
 def make_generator_set(g, polys, degree_bound=None):
     zero = WeightVector.zero(g.dim)
     gens = tuple(SemiInvariant(p, zero, p.total_degree()) for p in polys)
-    return GeneratorSet(algebra=g, mode=MODE_INVARIANTS,
-                        degree_bound=degree_bound or g.dim, order=DEGREVLEX,
-                        generators=gens, irrational_degrees=())
+    return GeneratorSet(algebra=g, degree_bound=degree_bound or g.dim,
+                        order=DEGREVLEX, generators=gens,
+                        irrational_degrees=())
 
 
 class TestGradedSearch:
@@ -97,6 +119,13 @@ class TestGradedSearch:
                 for f in basis:
                     assert verify_semi_invariant(g, f, w)
 
+    def test_weight_zero_block_is_the_dense_common_kernel(
+            self, catalog_algebras):
+        for g in catalog_algebras + [weights_algebra(w) for w in WEIGHTS]:
+            for d in (1, 2, 3):
+                assert list(graded_semi_invariants(g, d).weight_zero()) == \
+                    dense_invariants(g, d), (g.label, d)
+
     def test_large_weights_take_roots_from_the_degree_one_spectrum(
             self, monkeypatch):
         # [v1, v_i] = w_i v_i: trial division of the degree-3 constant
@@ -128,7 +157,7 @@ class TestGradedSearch:
 class TestMinimalGenerators:
     def test_filiform4_invariants(self):
         g = filiform(4)
-        gens = minimal_generators(g, 3, MODE_INVARIANTS)
+        gens = minimal_generators(g, 3)[1]
         assert gens.degrees == (1, 2)
         assert fmt(gens.generators[0].poly, g) == "v4"
         # the degree-two generator spans with v2*v4 - 1/2 v3^2 up to scale
@@ -138,27 +167,62 @@ class TestMinimalGenerators:
         assert f == target * scale
 
     def test_filiform6_degree_multiset(self):
-        gens = minimal_generators(filiform(6), 6, MODE_INVARIANTS)
+        gens = minimal_generators(filiform(6), 6)[1]
         assert sorted(gens.degrees) == [1, 2, 2, 3, 3]
         assert fmt(gens.generators[0].poly, filiform(6)) == "v6"
 
     def test_abelian_degree_one_only(self):
         g = abelian(2)
-        gens = minimal_generators(g, 2, MODE_ALL)
+        gens = minimal_generators(g, 2)[0]
         assert gens.degrees == (1, 1)
         assert [fmt(s.poly, g) for s in gens.generators] == ["v1", "v2"]
 
     def test_panyushev_modes_differ(self):
         g = panyushev()
-        semi = minimal_generators(g, 2, MODE_ALL)
-        inv = minimal_generators(g, 2, MODE_INVARIANTS)
+        semi, inv = minimal_generators(g, 2)
         assert semi.degrees == (1, 1, 1) and semi.degree_sum() == 3
         assert inv.degrees == (2, 2) and inv.degree_sum() == 4
         assert semi.has_proper() and not inv.has_proper()
 
+    def test_inv_is_semi_only_without_proper_semi_invariants(self):
+        semi, inv = minimal_generators(filiform(5), 5)
+        assert inv is semi and not semi.has_proper()
+        semi, inv = minimal_generators(panyushev(), 2)
+        assert inv is not semi and inv.generators != semi.generators
+        assert [fmt(s.poly, panyushev()) for s in inv.generators] == \
+            ["v2*v4", "v3*v4"]
+        assert inv.irrational_degrees == () and not inv.has_proper()
+
+    @pytest.mark.parametrize("weights", WEIGHTS)
+    def test_invariant_generators_complete_their_products(self, weights):
+        # per degree: the products of lower invariant generators and the
+        # new ones are independent and span the dense common kernel
+        g = weights_algebra(weights)
+        bound = 4
+        _, inv = minimal_generators(g, bound)
+        for d in range(1, bound + 1):
+            lower = [s for s in inv.generators if s.degree < d]
+            products = []
+            for exps in _exponent_vectors([s.degree for s in lower], d):
+                f = Polynomial.one(g.dim)
+                for s, e in zip(lower, exps):
+                    f = f * s.poly ** e
+                products.append(f)
+            new = [s.poly for s in inv.generators if s.degree == d]
+            kernel = dense_invariants(g, d)
+            monomials = sorted({m for f in products + new + kernel
+                                for m in f.terms})
+
+            def rank(polys):
+                return oracles.rank([[f.terms.get(m, 0) for m in monomials]
+                                     for f in polys])
+            assert rank(products + new) == rank(products) + len(new)
+            assert rank(products + new) == len(kernel) == \
+                rank(products + new + kernel)
+
     def test_sl2_casimir(self):
         g = sl2()
-        gens = minimal_generators(g, 3, MODE_ALL)
+        gens = minimal_generators(g, 3)[0]
         assert gens.degrees == (2,)
         casimir = gens.generators[0].poly
         # h^2 + 4 e f up to the pivot normalization
@@ -168,7 +232,7 @@ class TestMinimalGenerators:
 
     def test_heisenberg_generators(self):
         g = heisenberg([[0, 1], [0, 0]])
-        gens = minimal_generators(g, 2, MODE_ALL)
+        gens = minimal_generators(g, 2)[0]
         assert gens.degrees == (1, 2)
         assert fmt(gens.generators[0].poly, g) == "c"
         z = parse_polynomial("c*t - w2*u1", g.names)
@@ -181,7 +245,7 @@ class TestMinimalGenerators:
         assert diffs[0].is_zero or try_exact_div(diffs[0], c2) is not None
 
     def test_minimality_no_generator_in_lower_products(self):
-        gens = minimal_generators(filiform(6), 4, MODE_INVARIANTS)
+        gens = minimal_generators(filiform(6), 4)[1]
         from coregular.linalg import SparseEchelon
         for k, s in enumerate(gens.generators):
             ech = SparseEchelon(lambda keys: max(keys, key=DEGREVLEX.key))
@@ -199,7 +263,7 @@ class TestMinimalGenerators:
 class TestIndependenceAndRelations:
     def test_filiform4_generators_independent(self):
         g = filiform(4)
-        gens = minimal_generators(g, 2, MODE_INVARIANTS)
+        gens = minimal_generators(g, 2)[1]
         ok, rank = algebraically_independent(
             [s.poly for s in gens.generators], 4)
         assert ok and rank == 2
@@ -210,7 +274,7 @@ class TestIndependenceAndRelations:
         assert not ok and rank == 1
 
     def test_filiform6_rank_four(self):
-        gens = minimal_generators(filiform(6), 3, MODE_INVARIANTS)
+        gens = minimal_generators(filiform(6), 3)[1]
         ok, rank = algebraically_independent(
             [s.poly for s in gens.generators], 6)
         assert rank == 4 and not ok
@@ -242,7 +306,7 @@ class TestIndependenceAndRelations:
     def test_invariants_certify_at_a_point_with_the_index(self,
                                                           monkeypatch):
         # five invariants of L(6) of rank 4 = index: no Bareiss
-        gens = minimal_generators(filiform(6), 6, MODE_INVARIANTS, index=4)
+        gens = minimal_generators(filiform(6), 6, index=4)[1]
         assert len(gens.generators) == 5
 
         def no_bareiss(rows):
@@ -257,7 +321,7 @@ class TestIndependenceAndRelations:
         v2 = Polynomial.variable(2, 1)
         w = WeightVector.of([1, 0])
         gens = GeneratorSet(
-            algebra=g, mode=MODE_ALL, degree_bound=1, order=DEGREVLEX,
+            algebra=g, degree_bound=1, order=DEGREVLEX,
             generators=(SemiInvariant(v2, w, 1), SemiInvariant(2 * v2, w, 1)),
             irrational_degrees=(), index=0)
         calls = []
@@ -285,12 +349,12 @@ class TestIndependenceAndRelations:
         assert r.poly == expected or r.poly == -expected
 
     def test_filiform4_relation_free(self):
-        gens = minimal_generators(filiform(4), 4, MODE_INVARIANTS)
+        gens = minimal_generators(filiform(4), 4)[1]
         assert find_relations(gens, 6) == []
 
     def test_filiform6_single_relation_matches_presentation(self):
         g = filiform(6)
-        gens = minimal_generators(g, 6, MODE_INVARIANTS)
+        gens = minimal_generators(g, 6)[1]
         rels = find_relations(gens, 6)
         assert len(rels) == 1
         assert rels[0].weighted_degree == 6
@@ -298,12 +362,12 @@ class TestIndependenceAndRelations:
 
     def test_budget_cap(self):
         g = abelian(2)
-        gens = minimal_generators(g, 2, MODE_ALL)
+        gens = minimal_generators(g, 2)[0]
         with pytest.raises(BudgetExceededError):
             find_relations(gens, 40, max_monomials=5)
 
     def test_substitution_zero_on_all_found_relations(self):
-        gens = minimal_generators(filiform(5), 4, MODE_INVARIANTS)
+        gens = minimal_generators(filiform(5), 4)[1]
         for rel in find_relations(gens, 8):
             assert substitute_generators(rel, gens).is_zero
 
@@ -356,7 +420,7 @@ class TestPoissonBracket:
 
     def test_found_semi_invariants_pairwise_commute(self, catalog_algebras):
         for g in catalog_algebras:
-            gens = minimal_generators(g, 2, MODE_ALL)
+            gens = minimal_generators(g, 2)[0]
             polys = [s.poly for s in gens.generators]
             for i in range(len(polys)):
                 for j in range(i, len(polys)):
@@ -384,42 +448,42 @@ class TestTrdegAndGorenstein:
 
     def test_heisenberg_consistent(self):
         g = heisenberg([[0, 1], [0, 0]])
-        gens = minimal_generators(g, 2, MODE_ALL)
+        gens = minimal_generators(g, 2)[0]
         check = trdeg_check(g, gens)
         assert check.status == "consistent"
         assert check.rank == 2 and check.expected == 2
 
     def test_filiform5_consistent_at_degree_three(self):
         g = filiform(5)
-        gens = minimal_generators(g, 3, MODE_ALL)
+        gens = minimal_generators(g, 3)[0]
         check = trdeg_check(g, gens)
         assert check.status == "consistent" and check.rank == 3
 
     def test_panyushev_not_applicable(self):
         g = panyushev()
-        gens = minimal_generators(g, 2, MODE_ALL)
+        gens = minimal_generators(g, 2)[0]
         assert trdeg_check(g, gens).status == "not-applicable"
 
     def test_deficient_when_bound_too_small(self):
         g = filiform(5)
-        gens = minimal_generators(g, 1, MODE_ALL)
+        gens = minimal_generators(g, 1)[0]
         assert trdeg_check(g, gens).status == "deficient"
 
     def test_gorenstein_polynomial_ring_case(self):
-        gens = minimal_generators(filiform(4), 4, MODE_INVARIANTS)
+        gens = minimal_generators(filiform(4), 4)[1]
         result = gorenstein_invariant(gens, [])
         assert result.value == 3 and result.case == "polynomial-ring"
-        gens3 = minimal_generators(filiform(3), 3, MODE_INVARIANTS)
+        gens3 = minimal_generators(filiform(3), 3)[1]
         assert gorenstein_invariant(gens3, []).value == 1
 
     def test_gorenstein_complete_intersection_case(self):
-        gens = minimal_generators(filiform(6), 6, MODE_INVARIANTS)
+        gens = minimal_generators(filiform(6), 6)[1]
         rels = find_relations(gens, 6)
         result = gorenstein_invariant(gens, rels)
         assert result.value == 5 and result.case == "complete-intersection"
 
     def test_gorenstein_undefined_case(self):
-        gens = minimal_generators(filiform(5), 5, MODE_INVARIANTS)
+        gens = minimal_generators(filiform(5), 5)[1]
         result = gorenstein_invariant(gens, [])
         assert not result.defined and result.reason
 
@@ -431,9 +495,9 @@ class TestJacobianRankCrossChecks:
         from coregular.linalg import rank as numeric_rank
         rng = random.Random(3)
         cases = [
-            (minimal_generators(filiform(5), 3, MODE_INVARIANTS), 5),
-            (minimal_generators(filiform(6), 3, MODE_INVARIANTS), 6),
-            (minimal_generators(panyushev(), 2, MODE_INVARIANTS), 4),
+            (minimal_generators(filiform(5), 3)[1], 5),
+            (minimal_generators(filiform(6), 3)[1], 6),
+            (minimal_generators(panyushev(), 2)[1], 4),
         ]
         for gens, n in cases:
             jac = jacobian_matrix([s.poly for s in gens.generators], n)

@@ -11,7 +11,7 @@ from coregular import kernel as kernel_module
 from coregular import linalg
 from coregular.catalog import (abelian, example32, filiform, panyushev,
                                sl2, two_dim_nonabelian)
-from coregular.invariants import (MODE_ALL, SemiInvariant, WeightVector,
+from coregular.invariants import (SemiInvariant, WeightVector,
                                   minimal_generators)
 from coregular.kernel import (FAILS, H_BRANCH, HOLDS, K_BRANCH, UNKNOWN,
                               InternalCheckError, compute_geometry,
@@ -170,12 +170,7 @@ class TestFreeness:
 class TestCriteria:
     def run(self, g, bound):
         geometry = compute_geometry(g)
-        semi = minimal_generators(g, bound, MODE_ALL)
-        if semi.has_proper():
-            from coregular.invariants import MODE_INVARIANTS
-            inv = minimal_generators(g, bound, MODE_INVARIANTS)
-        else:
-            inv = semi
+        semi, inv = minimal_generators(g, bound)
         from coregular.invariants import find_relations
         rels = find_relations(inv, bound)
         return {v.criterion: v
@@ -227,7 +222,7 @@ class TestCriteria:
 
 class TestReduceOneStep:
     def proper_generator(self, g, bound=3, text=None):
-        gens = minimal_generators(g, bound, MODE_ALL)
+        gens = minimal_generators(g, bound)[0]
         proper = [s for s in gens.generators if not s.weight.is_zero]
         if text is not None:
             proper = [s for s in proper
@@ -276,7 +271,7 @@ class TestReduceOneStep:
 
     def test_c_preserved_on_every_catalog_step(self, catalog_algebras):
         for g in catalog_algebras:
-            gens = minimal_generators(g, 2, MODE_ALL)
+            gens = minimal_generators(g, 2)[0]
             proper = [s for s in gens.generators if not s.weight.is_zero]
             for s in proper[:2]:
                 step = reduce_one_step(g, s, compare_degree=2)
@@ -290,7 +285,7 @@ class TestKernelOracle:
     def dense_kernel_dimension(self, g, d):
         # brute force: coefficient matrix of sum_i A_i B[i][j] over a dense
         # monomial basis, solved with the dense nullspace routine
-        from coregular.linalg import nullspace
+        from oracles import nullspace
         from coregular.poly import monomials_of_degree
         n = g.dim
         b = g.structure_matrix()

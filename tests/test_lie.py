@@ -13,6 +13,7 @@ from coregular.lie import (JacobiViolationError, LieAlgebra, LieAlgebraError,
 from coregular.linalg import (InternalCheckError, identity, mat_eq_zero,
                               mat_mul, mat_sub)
 from coregular.poly import Polynomial, format_polynomial, parse_polynomial
+from oracles import ad_of_vector, ad_on_graded
 
 rational_vec = lambda n: st.lists(
     st.fractions(min_value=-3, max_value=3, max_denominator=2),
@@ -112,7 +113,7 @@ class TestSubspaces:
 class TestGradedAction:
     def test_filiform3_degree_one_action(self):
         g = filiform(3)
-        basis, m = g.ad_on_graded([1, 0, 0], 1)
+        basis, m = ad_on_graded(g, [1, 0, 0], 1)
         # v2 -> v3, everything else -> 0
         idx = {mm: i for i, mm in enumerate(basis)}
         col_v2 = [m[i][idx[(0, 1, 0)]] for i in range(3)]
@@ -124,7 +125,7 @@ class TestGradedAction:
 
     def test_zero_vector_acts_as_zero(self):
         g = filiform(4)
-        _, m = g.ad_on_graded([0, 0, 0, 0], 2)
+        _, m = ad_on_graded(g, [0, 0, 0, 0], 2)
         assert all(x == 0 for row in m for x in row)
 
     def test_filiform4_invariant_is_killed_in_degree_two(self):
@@ -143,8 +144,8 @@ class TestGradedAction:
     def test_ad_is_a_representation(self, x, y):
         # ad([x,y]) = ad(x) ad(y) - ad(y) ad(x) on degree one
         g = panyushev()
-        lhs = g.ad_of_vector(g.bracket(x, y))
-        ax, ay = g.ad_of_vector(x), g.ad_of_vector(y)
+        lhs = ad_of_vector(g, g.bracket(x, y))
+        ax, ay = ad_of_vector(g, x), ad_of_vector(g, y)
         rhs = mat_sub(mat_mul(ax, ay), mat_mul(ay, ax))
         assert lhs == rhs
 
@@ -152,7 +153,7 @@ class TestGradedAction:
     @settings(max_examples=30, deadline=None)
     def test_bracket_images_match_the_dense_bracket(self, x):
         for g in (panyushev(), filiform(4), abelian(4)):
-            ad = g.ad_of_vector(x)
+            ad = ad_of_vector(g, x)
             assert g.bracket_images(x) == [
                 Polynomial.from_vector([row[j] for row in ad])
                 for j in range(g.dim)]

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coregular.linalg import (InternalCheckError, SparseEchelon, charpoly,
@@ -11,6 +11,7 @@ from coregular.linalg import (InternalCheckError, SparseEchelon, charpoly,
                               rank, rational_roots, rref, solve,
                               squarefree_part)
 from coregular.poly import Polynomial
+import oracles
 
 # sparse vectors with integer and non-integer values
 mixed_vectors = st.lists(st.dictionaries(
@@ -201,7 +202,7 @@ class TestSparse:
         keys = sorted({k for img in images for k in img})
         dense = [[img.get(k, 0) for img in images] for k in keys]
         expected = [{j: c for j, c in enumerate(vec) if c}
-                    for vec in nullspace(dense, len(images))]
+                    for vec in oracles.nullspace(dense, len(images))]
         basis = kernel_of_columns(images)
         assert basis == expected
         assert all(type(c) is Fraction for vec in basis for c in vec.values())
@@ -212,9 +213,10 @@ class TestSparse:
             self, vectors):
         ech = SparseEchelon(min)
         for vec in vectors:
-            row = ech.add(vec)
-            if row is not None:
-                pivot = min(row)
+            pivot = ech.add(vec)
+            if pivot is not None:
+                row = ech.row(pivot)
+                assert pivot == min(row)
                 assert type(row[pivot]) is Fraction and row[pivot] == 1
                 assert all(type(c) is Fraction for c in row.values())
             for stored in ech.rows.values():
@@ -228,6 +230,42 @@ class TestSparse:
         ker = kernel_of_columns(images)
         # rank 2, four columns -> nullity 2
         assert len(ker) == 2
+
+
+rationals = (st.integers(-4, 4)
+             | st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@st.composite
+def dense_systems(draw):
+    """(rows, ncols, b): no rows, zero rows, wide and tall shapes, and a
+    right-hand side that is either arbitrary or in the column span."""
+    ncols = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(rationals, min_size=ncols, max_size=ncols),
+                         max_size=6))
+    for at in draw(st.lists(st.integers(0, len(rows)), max_size=2)):
+        rows.insert(at, [0] * ncols)
+    if draw(st.booleans()):
+        x = draw(st.lists(rationals, min_size=ncols, max_size=ncols))
+        b = mat_vec(rows, x)
+    else:
+        b = draw(st.lists(rationals, min_size=len(rows), max_size=len(rows)))
+    return rows, ncols, b
+
+
+@given(dense_systems())
+@settings(max_examples=120)
+@example(([], 3, []))
+@example(([[1, 2, 0, 3, 1], [0, 0, 0, 0, 0]], 5, [1, 0]))
+@example(([[1, 2], [2, 4], [0, 1], [3, 0], [0, 0]], 2, [1, 2, 0, 3, 0]))
+def test_dense_routines_match_the_gauss_jordan_oracle(system):
+    rows, ncols, b = system
+    reduced, pivots = rref(rows)
+    assert (reduced, pivots) == oracles.rref(rows)
+    assert all(type(x) is Fraction for row in reduced for x in row)
+    assert rank(rows) == oracles.rank(rows)
+    assert nullspace(rows, ncols) == oracles.nullspace(rows, ncols)
+    assert solve(rows, b) == oracles.solve(rows, b)
 
 
 @given(small_mat)
