@@ -245,6 +245,12 @@ def rational_roots(p: Polynomial, candidates: Iterable[Fraction] | None = None
         a0, an = int(coeffs[0] * denom_lcm), int(coeffs[-1] * denom_lcm)
         if a0 == 0:  # pragma: no cover
             raise InternalCheckError("zero constant term after deflation")
+        if max(abs(a0), abs(an)) > _TRIAL_DIVISION_LIMIT:
+            for cand in _lifted_root_candidates(coeffs):
+                coeffs, mult = _deflate(coeffs, cand)
+                if mult:
+                    roots.append((cand, mult))
+            break
         qdens = sorted(_divisors(abs(an)))
         for cand in (Fraction(sign * pnum, qden)
                      for pnum in sorted(_divisors(abs(a0)))
@@ -282,6 +288,61 @@ def _gcd_int(a: int, b: int) -> int:
     while b:
         a, b = b, a % b
     return abs(a) if a else 1
+
+
+# Trial division runs to the square root of a coefficient, so beyond this
+# the candidates come from _lifted_root_candidates instead.
+_TRIAL_DIVISION_LIMIT = 10 ** 10
+
+
+def _lifted_root_candidates(coeffs: list[Fraction]) -> list[Fraction]:
+    """A list holding every rational root of sum coeffs[i] t^i, and
+    perhaps some non-roots, found without factoring a coefficient.
+
+    Let c be the leading coefficient of the square-free part, cleared
+    to integers.  A rational root r then has c*r integral and
+    |c*r| <= bound.  The roots of that part modulo a prime l that leaves
+    them simple lift by Newton's iteration to roots modulo l^k > 2*bound,
+    and c*r is the symmetric residue of c times one of them.
+    """
+    part = squarefree_part(Polynomial._new(
+        1, {(i,): c for i, c in enumerate(coeffs) if c}))
+    rat = [Fraction(0)] * (part.degree_in(0) + 1)
+    for m, c in part.terms.items():
+        rat[m[0]] = c
+    den = 1
+    for c in rat:
+        den = den * c.denominator // _gcd_int(den, c.denominator)
+    ints = [int(c * den) for c in rat]
+    deriv = [i * c for i, c in enumerate(ints)][1:]
+    lead = ints[-1]
+    bound = abs(lead) + max(abs(c) for c in ints)
+    ell = 1
+    while True:
+        ell += 1
+        if any(ell % q == 0 for q in range(2, ell)) or lead % ell == 0:
+            continue
+        residues = [x for x in range(ell) if _horner(ints, x, ell) == 0]
+        if all(_horner(deriv, x, ell) for x in residues):
+            break
+    out = []
+    for x in residues:
+        mod = ell
+        while mod <= 2 * bound:
+            mod *= mod
+            x = (x - _horner(ints, x, mod)
+                 * pow(_horner(deriv, x, mod), -1, mod)) % mod
+        s = lead * x % mod
+        out.append(Fraction(s - mod if 2 * s > mod else s, lead))
+    return sorted(out)
+
+
+def _horner(cs: list[int], x: int, mod: int) -> int:
+    """sum cs[i] x^i modulo mod."""
+    acc = 0
+    for c in reversed(cs):
+        acc = (acc * x + c) % mod
+    return acc
 
 
 def _divisors(n: int) -> list[int]:

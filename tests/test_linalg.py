@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from coregular import linalg
 from coregular.linalg import (InternalCheckError, SparseEchelon, charpoly,
                               identity, inverse,
                               kernel_of_columns, mat, mat_mul, mat_vec,
@@ -116,6 +117,46 @@ def test_rational_roots_rejects_an_incomplete_candidate_set(roots, data):
     missing = data.draw(st.sampled_from(roots))
     with pytest.raises(InternalCheckError):
         rational_roots(p, [r for r in roots if r != missing])
+
+
+@given(small_roots, st.integers(1, 4), st.sampled_from([0, 2, 3]),
+       st.booleans())
+@settings(max_examples=60)
+def test_lifted_roots_equal_the_trial_division_roots(roots, lead, c, cube):
+    # an extra factor t^2 + c or t^3 - 2 leaves a residual degree
+    t = Polynomial.variable(1, 0)
+    p = product_of_linear_factors(roots, lead) * (t ** 2 + c)
+    if cube:
+        p = p * (t ** 3 - 2)
+    by_division = rational_roots(p)
+    limit = linalg._TRIAL_DIVISION_LIMIT
+    try:
+        linalg._TRIAL_DIVISION_LIMIT = 0
+        assert rational_roots(p) == by_division
+    finally:
+        linalg._TRIAL_DIVISION_LIMIT = limit
+
+
+def test_rational_roots_of_large_coefficients_skip_trial_division(
+        monkeypatch):
+    # the constant term is about 10^21: trial division to its square
+    # root never finished
+    divisors = linalg._divisors
+
+    def bounded_divisors(n):
+        # fail at once instead of running the trial division
+        assert n <= linalg._TRIAL_DIVISION_LIMIT, f"trial division of {n}"
+        return divisors(n)
+    monkeypatch.setattr(linalg, "_divisors", bounded_divisors)
+    t = Polynomial.variable(1, 0)
+    weights = [1009, -1013, 1019, 1021, -1031, 1033, Fraction(1039, 7)]
+    p = t ** 2 * (t ** 2 + 10 ** 30 + 1)
+    for w in weights:
+        p = p * (t - w)
+    roots, residual = rational_roots(p)
+    assert [r for r, _ in roots] == sorted([Fraction(0)] + weights)
+    assert dict(roots) == {Fraction(0): 2, **{Fraction(w): 1 for w in weights}}
+    assert residual == 2
 
 
 class TestSparse:
