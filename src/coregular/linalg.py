@@ -18,6 +18,10 @@ Division by a pivot stays exact, and a quotient whose denominator is 1
 becomes an ``int`` again.  Values leave the eliminator as ``Fraction``:
 ``SparseEchelon.row`` returns them so, and so do the dense routines and
 ``kernel_of_columns``.
+
+``rational_roots`` has one search as well: the roots of the square-free
+part modulo a small prime, lifted p-adically and checked by exact
+deflation, so no coefficient is ever factored.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Sequence
 
-from .poly import Polynomial, _q, exact_div, poly_gcd
+from .poly import Polynomial, _q
 
 Vec = list[Fraction]
 Mat = list[list[Fraction]]
@@ -195,11 +199,39 @@ def poly_of_matrix(p: Polynomial, a: Mat) -> Mat:
 
 def squarefree_part(p: Polynomial) -> Polynomial:
     """p / gcd(p, p'), monic, for univariate p."""
-    d = p.partial_derivative(0)
-    if d.is_zero:
-        return p.monic()
-    g = poly_gcd(p, d)
-    return exact_div(p, g).monic()
+    if p.is_zero:
+        return p
+    cs = [Fraction(0)] * (p.degree_in(0) + 1)
+    for m, c in p.terms.items():
+        cs[m[0]] = c
+    return Polynomial._new(1, {(i,): c for i, c in
+                               enumerate(_squarefree_coeffs(cs)) if c})
+
+
+def _squarefree_coeffs(cs: list[Fraction]) -> list[Fraction]:
+    """The monic square-free part of sum cs[i] t^i (cs[-1] != 0) by
+    Euclid's algorithm on dense coefficient lists."""
+    a, b = cs, [i * c for i, c in enumerate(cs)][1:]
+    while b:
+        a, b = b, _divmod_dense(a, b)[1]
+    part = _divmod_dense(cs, a)[0]
+    return [c / part[-1] for c in part]
+
+
+def _divmod_dense(a: list[Fraction], b: list[Fraction]
+                  ) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of dense polynomials, b[-1] != 0; the
+    remainder has no trailing zeros."""
+    rem = list(a)
+    quot = [Fraction(0)] * (len(a) - len(b) + 1)
+    for k in range(len(quot) - 1, -1, -1):
+        q = quot[k] = rem[k + len(b) - 1] / b[-1]
+        for i, c in enumerate(b):
+            rem[k + i] -= q * c
+    del rem[len(b) - 1:]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return quot, rem
 
 
 def rational_roots(p: Polynomial, candidates: Iterable[Fraction] | None = None
@@ -213,7 +245,7 @@ def rational_roots(p: Polynomial, candidates: Iterable[Fraction] | None = None
 
     ``candidates``, when given, must contain every root of ``p``: the
     polynomial is deflated only by them, in ascending order, and no
-    divisor search runs.  A degree left over then means the set was not
+    root search runs.  A degree left over then means the set was not
     complete, which raises ``InternalCheckError``.
     """
     if p.nvars != 1 or p.is_zero:
@@ -238,30 +270,11 @@ def rational_roots(p: Polynomial, candidates: Iterable[Fraction] | None = None
     if zero_mult:
         roots.append((Fraction(0), zero_mult))
 
-    while len(coeffs) > 1:
-        denom_lcm = 1
-        for c in coeffs:
-            denom_lcm = denom_lcm * c.denominator // _gcd_int(denom_lcm, c.denominator)
-        a0, an = int(coeffs[0] * denom_lcm), int(coeffs[-1] * denom_lcm)
-        if a0 == 0:  # pragma: no cover
-            raise InternalCheckError("zero constant term after deflation")
-        if max(abs(a0), abs(an)) > _TRIAL_DIVISION_LIMIT:
-            for cand in _lifted_root_candidates(coeffs):
-                coeffs, mult = _deflate(coeffs, cand)
-                if mult:
-                    roots.append((cand, mult))
-            break
-        qdens = sorted(_divisors(abs(an)))
-        for cand in (Fraction(sign * pnum, qden)
-                     for pnum in sorted(_divisors(abs(a0)))
-                     for qden in qdens for sign in (1, -1)):
-            quot, mult = _deflate(coeffs, cand)
+    if len(coeffs) > 1:
+        for cand in _lifted_root_candidates(coeffs):
+            coeffs, mult = _deflate(coeffs, cand)
             if mult:
-                break
-        else:
-            break
-        coeffs = quot
-        roots.append((cand, mult))
+                roots.append((cand, mult))
 
     residual_degree = len(coeffs) - 1
     roots.sort(key=lambda rm: rm[0])
@@ -290,11 +303,6 @@ def _gcd_int(a: int, b: int) -> int:
     return abs(a) if a else 1
 
 
-# Trial division runs to the square root of a coefficient, so beyond this
-# the candidates come from _lifted_root_candidates instead.
-_TRIAL_DIVISION_LIMIT = 10 ** 10
-
-
 def _lifted_root_candidates(coeffs: list[Fraction]) -> list[Fraction]:
     """A list holding every rational root of sum coeffs[i] t^i, and
     perhaps some non-roots, found without factoring a coefficient.
@@ -305,11 +313,7 @@ def _lifted_root_candidates(coeffs: list[Fraction]) -> list[Fraction]:
     them simple lift by Newton's iteration to roots modulo l^k > 2*bound,
     and c*r is the symmetric residue of c times one of them.
     """
-    part = squarefree_part(Polynomial._new(
-        1, {(i,): c for i, c in enumerate(coeffs) if c}))
-    rat = [Fraction(0)] * (part.degree_in(0) + 1)
-    for m, c in part.terms.items():
-        rat[m[0]] = c
+    rat = _squarefree_coeffs(coeffs)
     den = 1
     for c in rat:
         den = den * c.denominator // _gcd_int(den, c.denominator)
@@ -343,20 +347,6 @@ def _horner(cs: list[int], x: int, mod: int) -> int:
     for c in reversed(cs):
         acc = (acc * x + c) % mod
     return acc
-
-
-def _divisors(n: int) -> list[int]:
-    if n == 0:
-        return [1]
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return out
 
 
 # ---------------------------------------------------------------------------

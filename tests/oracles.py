@@ -1,7 +1,8 @@
 """Reference implementations that the library itself never calls.
 
 The tests check the library against them: a dense Gauss-Jordan
-eliminator beside the sparse one, the matrix of ad(x) on a graded
+eliminator beside the sparse one, rational roots by trial division
+beside the p-adic lifting, the matrix of ad(x) on a graded
 component, the derivation of a weight, the substitution of generators
 into a relation, and a spot check that the fundamental semi-invariant
 divides the rank-size minors of the structure matrix.
@@ -12,6 +13,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, isqrt
 from typing import Iterable, Sequence
 
 from coregular.pfaffian import DEFAULT_PROBE_SEED, rank_certificate
@@ -79,6 +81,66 @@ def solve(a: Sequence[Sequence], b: Sequence) -> list[Fraction] | None:
             return None
         x[pc] = row[ncols]
     return x
+
+
+# ---------------------------------------------------------------------------
+# rational roots by trial division
+# ---------------------------------------------------------------------------
+
+
+def trial_division_roots(p: Polynomial
+                         ) -> tuple[list[tuple[Fraction, int]], int]:
+    """(roots with multiplicities, residual degree) of a univariate p,
+    trying every +-a/b with a dividing the constant term and b the
+    leading coefficient; roots ascend."""
+    coeffs = [Fraction(0)] * (p.degree_in(0) + 1)
+    for m, c in p.terms.items():
+        coeffs[m[0]] = c
+    roots = []
+    mult = 0
+    while len(coeffs) > 1 and coeffs[0] == 0:
+        coeffs, mult = coeffs[1:], mult + 1
+    if mult:
+        roots.append((Fraction(0), mult))
+    found = True
+    while found and len(coeffs) > 1:
+        den = 1
+        for c in coeffs:
+            den = den * c.denominator // gcd(den, c.denominator)
+        a0, an = int(coeffs[0] * den), int(coeffs[-1] * den)
+        found = False
+        for cand in (Fraction(sign * a, b) for a in _divisors(abs(a0))
+                     for b in _divisors(abs(an)) for sign in (1, -1)):
+            mult = 0
+            while len(coeffs) > 1 and _value(coeffs, cand) == 0:
+                coeffs, mult = _divide_linear(coeffs, cand), mult + 1
+            if mult:
+                roots.append((cand, mult))
+                found = True
+                break
+    return sorted(roots), len(coeffs) - 1
+
+
+def _divisors(n: int) -> list[int]:
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
+
+
+def _value(cs: list[Fraction], r: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(cs):
+        acc = acc * r + c
+    return acc
+
+
+def _divide_linear(cs: list[Fraction], r: Fraction) -> list[Fraction]:
+    """The quotient of sum cs[i] t^i by (t - r)."""
+    quot = [Fraction(0)] * (len(cs) - 1)
+    acc = cs[-1]
+    for i in range(len(cs) - 2, -1, -1):
+        quot[i] = acc
+        acc = cs[i] + r * acc
+    return quot
 
 
 # ---------------------------------------------------------------------------

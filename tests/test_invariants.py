@@ -128,18 +128,20 @@ class TestGradedSearch:
 
     def test_large_weights_take_roots_from_the_degree_one_spectrum(
             self, monkeypatch):
-        # [v1, v_i] = w_i v_i: trial division of the degree-3 constant
-        # terms never finished; the candidates are sums of three weights
+        # [v1, v_i] = w_i v_i: the degree-3 characteristic polynomials
+        # have huge coefficients; the candidates are sums of three
+        # weights, so no root search runs on them
         weights = (101, 103, -107)
         g = LieAlgebra(["v1", "v2", "v3", "v4"],
                        {(0, i + 1): {i + 1: w} for i, w in enumerate(weights)})
-        divisors = linalg._divisors
+        search = linalg._lifted_root_candidates
 
-        def bounded_divisors(n):
-            # fail at once instead of running the trial division
-            assert n <= 101 * 103 * 107, f"trial division of {n}"
-            return divisors(n)
-        monkeypatch.setattr(linalg, "_divisors", bounded_divisors)
+        def bounded_search(coeffs):
+            # fail at once on a polynomial beyond the degree-1 spectrum
+            big = max(abs(c) for c in coeffs)
+            assert big <= 101 * 103 * 107, f"root search with {big}"
+            return search(coeffs)
+        monkeypatch.setattr(linalg, "_lifted_root_candidates", bounded_search)
         graded = graded_semi_invariants(g, 3)
         assert graded.total_dim() == 10
         assert not graded.irrational_flag

@@ -128,26 +128,12 @@ def test_lifted_roots_equal_the_trial_division_roots(roots, lead, c, cube):
     p = product_of_linear_factors(roots, lead) * (t ** 2 + c)
     if cube:
         p = p * (t ** 3 - 2)
-    by_division = rational_roots(p)
-    limit = linalg._TRIAL_DIVISION_LIMIT
-    try:
-        linalg._TRIAL_DIVISION_LIMIT = 0
-        assert rational_roots(p) == by_division
-    finally:
-        linalg._TRIAL_DIVISION_LIMIT = limit
+    assert rational_roots(p) == oracles.trial_division_roots(p)
 
 
-def test_rational_roots_of_large_coefficients_skip_trial_division(
-        monkeypatch):
+def test_rational_roots_of_large_coefficients():
     # the constant term is about 10^21: trial division to its square
-    # root never finished
-    divisors = linalg._divisors
-
-    def bounded_divisors(n):
-        # fail at once instead of running the trial division
-        assert n <= linalg._TRIAL_DIVISION_LIMIT, f"trial division of {n}"
-        return divisors(n)
-    monkeypatch.setattr(linalg, "_divisors", bounded_divisors)
+    # root would never finish
     t = Polynomial.variable(1, 0)
     weights = [1009, -1013, 1019, 1021, -1031, 1033, Fraction(1039, 7)]
     p = t ** 2 * (t ** 2 + 10 ** 30 + 1)
