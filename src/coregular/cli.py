@@ -2,13 +2,17 @@
 
 Subcommands: analyze, catalog, reduce, invariants, kernel.  Mathematical
 failures (a criterion that does not hold) are results and exit 0;
-malformed input exits nonzero.
+malformed input exits nonzero.  When the reader of standard output
+goes away early (``coregular analyze ... | head``), the command stops
+quietly with exit code 141, as a process ended by SIGPIPE reports in a
+shell.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -23,6 +27,7 @@ from .report import AnalysisOptions, analyze
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
+EXIT_BROKEN_PIPE = 141
 
 
 def _add_input_flags(p: argparse.ArgumentParser):
@@ -228,13 +233,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
     except (LieAlgebraError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except BudgetExceededError as exc:
         print(f"error: computation budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except BrokenPipeError:
+        # the reader has gone: the rest, and the flush at exit, go nowhere
+        sys.stdout = open(os.devnull, "w")
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import linalg
 from .grobner import BudgetExceededError
@@ -25,7 +25,7 @@ from .pfaffian import (DEFAULT_PROBE_SEED, FundamentalSemiInvariant,
                        RankCertificate, c_value, fundamental_semi_invariant,
                        index, rank_certificate, singular_locus_codim)
 from .poly import (DEGREVLEX, MonomialOrder, Polynomial, format_polynomial,
-                   monomials_of_degree)
+                   monomial_mul, monomials_of_degree)
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -83,17 +83,39 @@ def _annihilates(b: SkewPolyMatrix, components: Sequence[Polynomial]) -> bool:
     return True
 
 
-def _shift(components: Sequence[Polynomial], m, monomials: dict) -> dict:
-    """The tuple (m A_1, ..., m A_n) as a sparse vector keyed (i, monomial).
-
-    Equal monomials share one tuple through ``monomials``, which keeps
-    the degree's system small in memory."""
+def _shift(components: Sequence[Polynomial], m, rank: dict) -> dict:
+    """The tuple (m A_1, ..., m A_n) as a sparse vector: the coefficient of
+    the monomial u in m A_i sits at index ``i * len(rank) + rank[u]``,
+    where ``rank`` numbers the monomials of the degree of m A_i."""
+    size = len(rank)
     vec: dict = {}
     for i, comp in enumerate(components):
         for mm, c in comp.terms.items():
-            mono = tuple(x + y for x, y in zip(m, mm))
-            vec[(i, monomials.setdefault(mono, mono))] = c
+            vec[i * size + rank[monomial_mul(m, mm)]] = c
     return vec
+
+
+def _anchor_equations(b: SkewPolyMatrix, monos: Sequence) -> Iterator[dict]:
+    """The degree's system sum_i A_i B[i][j] = 0 as sparse rows, in the
+    order of their keys (j, monomial); unknown ``i * len(monos) + t`` is
+    the coefficient of ``monos[t]`` in A_i.
+
+    The rows are built one column j of B at a time.  The entries of B
+    are linear forms, so a term c v_k of B[i][j] adds c to the row of
+    m v_k for each unknown (i, m): only the exponent of v_k changes."""
+    nm = len(monos)
+    raised = [[m[:k] + (m[k] + 1,) + m[k + 1:] for m in monos]
+              for k in range(b.size)]
+    for j in range(b.size):
+        rows: dict = {}
+        for i, row in enumerate(b.entries):
+            for mm, c in row[j].terms.items():
+                if c.denominator == 1:
+                    c = c.numerator
+                for t, mono in enumerate(raised[mm.index(1)], i * nm):
+                    rows.setdefault(mono, {})[t] = c
+        for mono in sorted(rows):
+            yield rows.pop(mono)
 
 
 def kernel_of_rho(g: LieAlgebra, degree_bound: int,
@@ -109,52 +131,58 @@ def kernel_of_rho(g: LieAlgebra, degree_bound: int,
     """
     if degree_bound < 1:
         raise ValueError("degree bound must be >= 1")
-    n = g.dim
     b = g.structure_matrix()
     rank = index(g, seed if seed is not None else DEFAULT_PROBE_SEED)
 
     generators: list[KernelGenerator] = []
     for d in range(0, degree_bound + 1):
-        monos = monomials_of_degree(n, d, order)
-        mono_rank = {m: t for t, m in enumerate(monos)}
-        unknowns = [(i, m) for i in range(n) for m in monos]
-        shared = dict(zip(monos, monos))
-        # the column of unknown (i, m) is m times row i of B
-        solutions = linalg.kernel_of_columns(
-            [_shift(b.entries[i], m, shared) for i, m in unknowns])
-        if not solutions:
-            continue
-
-        def rank_key(k):
-            return k[0], mono_rank[k[1]]
-
-        def pivot(keys):
-            return min(keys, key=rank_key)
-
-        # span of degree-d multiples of lower-degree generators
-        lower = linalg.SparseEchelon(pivot)
-        for gen in generators:
-            for m in monomials_of_degree(n, d - gen.degree, order):
-                lower.add(_shift(gen.components, m, shared))
-
-        new_rows = []
-        for sol in solutions:
-            p = lower.add({unknowns[t]: c for t, c in sol.items()})
-            if p is not None:
-                new_rows.append(lower.row(p))
-        # canonical order; the echelon gave each row a unit pivot
-        new_rows.sort(key=lambda row: rank_key(pivot(row)))
-        for row in new_rows:
-            comps = [dict() for _ in range(n)]
-            for (i, m), c in row.items():
-                comps[i][m] = c
-            components = tuple(Polynomial._new(n, comp) for comp in comps)
-            if not _annihilates(b, components):
-                raise InternalCheckError(
-                    "kernel generator fails to annihilate the structure matrix")
-            generators.append(KernelGenerator(components, d))
-
+        generators += _generators_of_degree(b, generators, d, order)
     return KernelBasis(g, degree_bound, tuple(generators), rank)
+
+
+def _generators_of_degree(b: SkewPolyMatrix,
+                          generators: Sequence[KernelGenerator],
+                          d: int, order: MonomialOrder
+                          ) -> list[KernelGenerator]:
+    """The generators of degree d: the canonical complement, in the
+    degree-d kernel, of the multiples of the lower-degree ``generators``.
+
+    Unknown ``i * len(monos) + t`` is the coefficient of ``monos[t]`` in
+    A_i, with ``monos`` descending, so the pivot of a vector is its
+    smallest unknown."""
+    n = b.size
+    monos = monomials_of_degree(n, d, order)
+    nm = len(monos)
+    solutions = linalg.kernel_of_equations(_anchor_equations(b, monos),
+                                           n * nm)
+    if not solutions:
+        return []
+    rank = {m: t for t, m in enumerate(monos)}
+    # span of degree-d multiples of lower-degree generators
+    lower = linalg.SparseEchelon(min)
+    for gen in generators:
+        for m in monomials_of_degree(n, d - gen.degree, order):
+            lower.add(_shift(gen.components, m, rank))
+
+    new_rows = []
+    for sol in solutions:
+        p = lower.add(sol)
+        if p is not None:
+            new_rows.append(lower.row(p))
+    # canonical order; each row was read out with a unit pivot
+    new_rows.sort(key=min)
+    new = []
+    for row in new_rows:
+        comps = [dict() for _ in range(n)]
+        for t, c in row.items():
+            i, r = divmod(t, nm)
+            comps[i][monos[r]] = c
+        components = tuple(Polynomial._new(n, comp) for comp in comps)
+        if not _annihilates(b, components):
+            raise InternalCheckError(
+                "kernel generator fails to annihilate the structure matrix")
+        new.append(KernelGenerator(components, d))
+    return new
 
 
 def find_syzygy(kernel: KernelBasis, max_extra_degree: int = 3
@@ -175,9 +203,10 @@ def find_syzygy(kernel: KernelBasis, max_extra_degree: int = 3
                     for m in monomials_of_degree(n, e - w.degree, order)]
         if not unknowns:
             continue
-        shared: dict = {}
+        rank = {m: t for t, m in
+                enumerate(monomials_of_degree(n, e, order))}
         solutions = linalg.kernel_of_columns(
-            [_shift(gens[a].components, m, shared) for a, m in unknowns])
+            [_shift(gens[a].components, m, rank) for a, m in unknowns])
         if not solutions:
             continue
         coeffs = [Polynomial.zero(n) for _ in gens]

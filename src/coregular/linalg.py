@@ -9,15 +9,19 @@ grading of the algebra) is solved block by block without the caller
 naming the blocks.  The dense routines (``rref``, ``rank``,
 ``nullspace``, ``solve``, ``inverse``) take lists of rows, run them
 through the same eliminator keyed by column index and read the result
-back out; ``nullspace`` and ``kernel_of_columns`` share that readout.
+back out; ``nullspace`` and ``kernel_of_equations`` (behind
+``kernel_of_columns``) share that readout.
 
-Inside the eliminator a value is a Python ``int`` when it is integral
-and a ``Fraction`` only while a denominator remains; most entries of the
-graded systems are small integers, and ``int`` arithmetic is far cheaper.
-Division by a pivot stays exact, and a quotient whose denominator is 1
-becomes an ``int`` again.  Values leave the eliminator as ``Fraction``:
-``SparseEchelon.row`` returns them so, and so do the dense routines and
-``kernel_of_columns``.
+The eliminator is fraction-free, in the spirit of Bareiss (1968).
+Every stored row is a primitive integer vector whose pivot entry is
+positive and serves as the row's scale.  A vector is first multiplied by
+the lcm of its denominators; a reduction step by a row with pivot entry
+``a`` then replaces the vector ``v`` by ``(a/g) v - (c/g) row``, where
+``c`` is the entry of ``v`` at the pivot and ``g = gcd(a, c)``.  Each row
+a new pivot changes has its content divided out, so the row set stays
+canonical.  Rationals appear only on readout: ``SparseEchelon.row``, the
+dense routines and ``kernel_of_columns`` divide by the pivot entry and
+return ``Fraction`` values.
 
 ``rational_roots`` has one search as well: the roots of the square-free
 part modulo a small prime, lifted p-adically and checked by exact
@@ -27,6 +31,7 @@ deflation, so no coefficient is ever factored.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .poly import Polynomial, _q
@@ -122,7 +127,7 @@ def solve(a: Mat, b: Sequence) -> Vec | None:
         return None
     x = [Fraction(0)] * ncols
     for pc, row in ech.rows.items():
-        x[pc] = _q(row.get(ncols, 0))
+        x[pc] = Fraction(row.get(ncols, 0), row[pc])
     return x
 
 
@@ -297,12 +302,6 @@ def _deflate(cs: list[Fraction], r: Fraction) -> tuple[list[Fraction], int]:
     return cs, mult
 
 
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a) if a else 1
-
-
 def _lifted_root_candidates(coeffs: list[Fraction]) -> list[Fraction]:
     """A list holding every rational root of sum coeffs[i] t^i, and
     perhaps some non-roots, found without factoring a coefficient.
@@ -316,7 +315,7 @@ def _lifted_root_candidates(coeffs: list[Fraction]) -> list[Fraction]:
     rat = _squarefree_coeffs(coeffs)
     den = 1
     for c in rat:
-        den = den * c.denominator // _gcd_int(den, c.denominator)
+        den = lcm(den, c.denominator)
     ints = [int(c * den) for c in rat]
     deriv = [i * c for i, c in enumerate(ints)][1:]
     lead = ints[-1]
@@ -353,19 +352,25 @@ def _horner(cs: list[int], x: int, mod: int) -> int:
 # sparse elimination over keyed vectors
 # ---------------------------------------------------------------------------
 
-def _compact(x):
-    """``x`` as an ``int`` when it is integral, else as a ``Fraction``."""
-    if x.__class__ is int:
-        return x
-    x = _q(x)
-    return x.numerator if x.denominator == 1 else x
-
-
-def _quotient(a, b):
-    """a / b exactly, compacted."""
-    if a.__class__ is int and b.__class__ is int and not a % b:
-        return a // b
-    return _compact(Fraction(a, b))
+def _integral(vec: dict) -> dict[Hashable, int]:
+    """The nonzero entries of ``vec`` times the lcm of their denominators,
+    as ``int`` values."""
+    work: dict[Hashable, int | Fraction] = {}
+    den = 1
+    for k, v in vec.items():
+        if v.__class__ is not int:
+            v = _q(v)
+            if v.denominator == 1:
+                v = v.numerator
+            else:
+                den = lcm(den, v.denominator)
+        if v:
+            work[k] = v
+    if den == 1:
+        return work
+    return {k: v * den if v.__class__ is int
+            else v.numerator * (den // v.denominator)
+            for k, v in work.items()}
 
 
 class SparseEchelon:
@@ -377,34 +382,47 @@ class SparseEchelon:
     rows are kept fully reduced against each other, so the final row set
     is canonical for the span, independent of insertion order.
     ``holders`` maps each non-pivot key to the pivots of the rows that
-    hold it, so a new pivot re-reduces only those rows.  The stored
-    values are compact (``int`` when integral, see the module notes);
-    ``row`` reads one out as ``Fraction`` values.
+    hold it, so a new pivot re-reduces only those rows.
+
+    A stored row is fraction-free: a primitive integer vector (the gcd
+    of its entries is 1) whose pivot entry is positive, the unique such
+    multiple of the reduced row with a unit pivot.  ``row`` reads that
+    reduced row out as ``Fraction`` values.
     """
 
     def __init__(self, choose_pivot: Callable[[Iterable[Hashable]], Hashable]):
         self.choose_pivot = choose_pivot
-        self.rows: dict[Hashable, dict] = {}
+        self.rows: dict[Hashable, dict[Hashable, int]] = {}
         self.holders: dict[Hashable, set] = {}
 
     def row(self, pivot: Hashable) -> dict[Hashable, Fraction]:
-        """A ``Fraction``-valued copy of the row with this pivot."""
-        return {k: _q(v) for k, v in self.rows[pivot].items()}
+        """The row with this pivot, divided by its pivot entry."""
+        row = self.rows[pivot]
+        lead = row[pivot]
+        return {k: Fraction(v, lead) for k, v in row.items()}
 
-    def reduce(self, vec: dict) -> dict:
+    def reduce(self, vec: dict) -> dict[Hashable, int]:
         """Fully reduce ``vec`` against the current pivot rows; the
-        result holds compact values."""
-        work = {k: c for k, v in vec.items() if (c := _compact(v))}
+        result is a nonzero integer multiple of the reduced vector, or
+        empty when ``vec`` lies in the span."""
+        work = _integral(vec)
         rows = self.rows
         # rows hold no pivot but their own, so one pass clears them all
         for k in [k for k in work if k in rows]:
-            c = work[k]
-            for kk, v in rows[k].items():
+            row = rows[k]
+            a, c = row[k], work[k]
+            g = gcd(a, c)
+            a, c = a // g, c // g
+            # work <- a * work - c * row, which cancels the entry at k
+            if a != 1:
+                for kk in work:
+                    work[kk] *= a
+            for kk, v in row.items():
                 s = work.get(kk, 0) - c * v
-                if not s:
-                    del work[kk]
+                if s:
+                    work[kk] = s
                 else:
-                    work[kk] = s if s.__class__ is int else _compact(s)
+                    del work[kk]
         return work
 
     def add(self, vec: dict) -> Hashable | None:
@@ -416,24 +434,37 @@ class SparseEchelon:
         if not work:
             return None
         p = self.choose_pivot(work.keys())
-        lead = work[p]
-        row = work if lead == 1 else {k: _quotient(v, lead)
-                                      for k, v in work.items()}
+        content = gcd(*work.values())
+        if work[p] < 0:
+            content = -content
+        row = work if content == 1 else {k: v // content
+                                         for k, v in work.items()}
+        lead = row[p]
         holders = self.holders
         # keep the rows that hold p reduced against the new pivot
         for q in holders.pop(p, ()):
             other = self.rows[q]
-            c = other[p]
+            g = gcd(lead, other[p])
+            a, c = lead // g, other[p] // g
+            # other <- a * other - c * row, then divided by its content;
+            # a > 0, so the pivot entry of other stays positive
+            if a != 1:
+                for k in other:
+                    other[k] *= a
             for k, v in row.items():
                 s = other.get(k, 0) - c * v
                 if s:
                     if k not in other:
                         holders.setdefault(k, set()).add(q)
-                    other[k] = s if s.__class__ is int else _compact(s)
+                    other[k] = s
                 else:
                     del other[k]
                     if k != p:
                         holders[k].discard(q)
+            content = gcd(*other.values())
+            if content != 1:
+                for k in other:
+                    other[k] //= content
         for k in row:
             if k != p:
                 holders.setdefault(k, set()).add(p)
@@ -445,7 +476,7 @@ def _column_echelon(rows: Iterable[Iterable]) -> SparseEchelon:
     """The echelon of a dense matrix's rows, keyed by column index."""
     ech = SparseEchelon(min)
     for row in rows:
-        ech.add({j: x for j, x in enumerate(row) if x})
+        ech.add(dict(enumerate(row)))
     return ech
 
 
@@ -453,13 +484,30 @@ def _free_columns(ech: SparseEchelon, ncols: int) -> list[dict[int, Fraction]]:
     """The canonical kernel basis of an echelon over the columns
     ``0..ncols-1``, as ``kernel_of_columns`` describes it."""
     basis: list[dict[int, Fraction]] = []
+    rows = ech.rows
     for fc in range(ncols):
-        if fc in ech.rows:
+        if fc in rows:
             continue
-        vec = {pc: _q(-ech.rows[pc][fc]) for pc in ech.holders.get(fc, ())}
+        vec = {pc: Fraction(-rows[pc][fc], rows[pc][pc])
+               for pc in ech.holders.get(fc, ())}
         vec[fc] = Fraction(1)
         basis.append(dict(sorted(vec.items())))
     return basis
+
+
+def kernel_of_equations(equations: Iterable[dict[int, int | Fraction]],
+                        ncols: int) -> list[dict[int, Fraction]]:
+    """Basis of the common solutions c of the equations
+    ``sum_j equation[j] * c_j = 0`` in the unknowns ``0..ncols-1``.
+
+    Each equation is a sparse row {unknown: value}; they are eliminated
+    in the order given, so a generator that builds them on demand never
+    holds the whole system.  The basis is that of ``kernel_of_columns``.
+    """
+    ech = SparseEchelon(min)
+    for equation in equations:
+        ech.add(equation)
+    return _free_columns(ech, ncols)
 
 
 def kernel_of_columns(images: Sequence[dict]) -> list[dict[int, Fraction]]:
@@ -473,9 +521,7 @@ def kernel_of_columns(images: Sequence[dict]) -> list[dict[int, Fraction]]:
     equations: dict[Hashable, dict[int, int | Fraction]] = {}
     for j, img in enumerate(images):
         for key, c in img.items():
-            if c != 0:
-                equations.setdefault(key, {})[j] = _compact(c)
-    ech = SparseEchelon(min)
-    for key in sorted(equations):
-        ech.add(equations.pop(key))
-    return _free_columns(ech, len(images))
+            equations.setdefault(key, {})[j] = c
+    # in key order, each equation freed once it is eliminated
+    return kernel_of_equations((equations.pop(key) for key in sorted(equations)),
+                               len(images))

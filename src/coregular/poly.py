@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from bisect import insort
 from fractions import Fraction
+from operator import add, sub
 from typing import Mapping, Sequence
 
 #: degree of the zero polynomial
@@ -29,7 +30,7 @@ def _q(x) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def monomial_divides(a: Monomial, b: Monomial) -> bool:
@@ -39,7 +40,7 @@ def monomial_divides(a: Monomial, b: Monomial) -> bool:
 
 def monomial_div(a: Monomial, b: Monomial) -> Monomial:
     """a / b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
@@ -338,44 +339,31 @@ class Polynomial:
             total += val
         return total
 
-    def compose(self, values: Sequence["Polynomial"]) -> "Polynomial":
-        """Substitute values[i] for variable i; values share one ring."""
-        if len(values) != self.nvars:
-            raise ValueError("need one substitution value per variable")
-        if not values:
-            raise ValueError("composition needs at least one variable")
-        target_n = values[0].nvars
-        power_cache: list[dict[int, Polynomial]] = [dict() for _ in values]
-
-        def power(i: int, e: int) -> Polynomial:
-            cache = power_cache[i]
-            if e not in cache:
-                cache[e] = values[i] ** e
-            return cache[e]
-
-        total = Polynomial.zero(target_n)
-        for m, c in self.terms.items():
-            term = Polynomial.constant(target_n, c)
-            for i, e in enumerate(m):
-                if e:
-                    term = term * power(i, e)
-            total = total + term
-        return total
-
 
 def apply_derivation(f: Polynomial, images: Sequence[Polynomial]) -> Polynomial:
     """Apply the derivation D with D(x_i) = images[i] to f.
 
-    On polynomials any derivation equals sum_i images[i] * d/dx_i.
+    On polynomials any derivation equals sum_i images[i] * d/dx_i; every
+    term of every product is added into one dict.
     """
-    out = Polynomial.zero(f.nvars)
-    for i, img in enumerate(images):
-        if img is None or img.is_zero:
-            continue
-        d = f.partial_derivative(i)
-        if not d.is_zero:
-            out = out + img * d
-    return out
+    active = [(i, img.terms) for i, img in enumerate(images)
+              if img is not None and img.terms]
+    out: dict[Monomial, Fraction] = {}
+    for m, c in f.terms.items():
+        for i, img in active:
+            e = m[i]
+            if not e:
+                continue
+            ce = c * e
+            dm = m[:i] + (e - 1,) + m[i + 1:]
+            for mm, cc in img.items():
+                mono = monomial_mul(dm, mm)
+                s = out.get(mono, 0) + ce * cc
+                if s:
+                    out[mono] = s
+                else:
+                    del out[mono]
+    return Polynomial._new(f.nvars, out)
 
 
 # ---------------------------------------------------------------------------

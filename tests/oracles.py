@@ -2,10 +2,12 @@
 
 The tests check the library against them: a dense Gauss-Jordan
 eliminator beside the sparse one, rational roots by trial division
-beside the p-adic lifting, the matrix of ad(x) on a graded
-component, the derivation of a weight, the substitution of generators
-into a relation, and a spot check that the fundamental semi-invariant
-divides the rank-size minors of the structure matrix.
+beside the p-adic lifting, the matrix of ad(x) on a graded component,
+a derivation as a sum of partial derivatives, the derivation of a
+weight, the substitution of polynomials for variables, the anchor-map
+kernel generators from the dense nullspace, and a spot check that the
+fundamental semi-invariant divides the rank-size minors of the
+structure matrix.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from itertools import combinations
 from math import gcd, isqrt
 from typing import Iterable, Sequence
 
+from coregular.kernel import _shift
 from coregular.pfaffian import DEFAULT_PROBE_SEED, rank_certificate
 from coregular.poly import (DEGREVLEX, MonomialOrder, Polynomial, _q,
                             apply_derivation, monomials_of_degree,
@@ -192,9 +195,38 @@ def weight_derivation(f: Polynomial, w) -> Polynomial:
     return out
 
 
+def derivation_by_partials(f: Polynomial, images) -> Polynomial:
+    """sum_i images[i] * df/dx_i, one partial derivative and one product
+    at a time; ``poly.apply_derivation`` computes the same sum."""
+    out = Polynomial.zero(f.nvars)
+    for i, img in enumerate(images):
+        if img is None or img.is_zero:
+            continue
+        d = f.partial_derivative(i)
+        if not d.is_zero:
+            out = out + img * d
+    return out
+
+
+def compose(p: Polynomial, values: Sequence[Polynomial]) -> Polynomial:
+    """Substitute values[i] for variable i of p; values share one ring."""
+    if len(values) != p.nvars:
+        raise ValueError("need one substitution value per variable")
+    if not values:
+        raise ValueError("composition needs at least one variable")
+    total = Polynomial.zero(values[0].nvars)
+    for m, c in p.terms.items():
+        term = Polynomial.constant(values[0].nvars, c)
+        for v, e in zip(values, m):
+            if e:
+                term = term * v ** e
+        total = total + term
+    return total
+
+
 def substitute_generators(rel, gens) -> Polynomial:
     """A relation with the generators substituted for its symbols."""
-    return rel.poly.compose([s.poly for s in gens.generators])
+    return compose(rel.poly, [s.poly for s in gens.generators])
 
 
 def poly_det(m: list[list[Polynomial]]) -> Polynomial:
@@ -238,3 +270,69 @@ def verify_divides_minors(g, fsi, samples: int = 5,
         if not minor.is_zero and try_exact_div(minor, fsi.value) is None:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# the anchor-map kernel from the dense nullspace
+# ---------------------------------------------------------------------------
+
+
+def anchor_kernel_generators(g, degree_bound: int,
+                             order: MonomialOrder = DEGREVLEX
+                             ) -> list[tuple[int, tuple[Polynomial, ...]]]:
+    """(degree, components) of the minimal generators of ker rho, as
+    ``kernel.kernel_of_rho`` defines them.
+
+    Degree by degree: the dense nullspace of the ``kernel._shift``
+    columns, then each kernel vector in turn reduced against the reduced
+    echelon form of the lower-degree multiples and the vectors kept
+    before it.  The unknowns (i, m) run through i, then m descending, so
+    a vector's pivot is its first nonzero entry; a nonzero remainder,
+    scaled to pivot 1, is a new generator, and the new generators of a
+    degree come in pivot order.
+    """
+    n = g.dim
+    b = g.structure_matrix()
+    found: list[tuple[int, tuple[Polynomial, ...]]] = []
+    for d in range(degree_bound + 1):
+        monos = monomials_of_degree(n, d, order)
+        rank = {m: t for t, m in enumerate(monos)}
+        images = {m: t for t, m in
+                  enumerate(monomials_of_degree(n, d + 1, order))}
+        size = n * len(monos)
+
+        def dense(vec: dict) -> list[Fraction]:
+            out = [Fraction(0)] * size
+            for t, c in vec.items():
+                out[t] = c
+            return out
+
+        # the column of unknown (i, m) is m times row i of B
+        columns = [_shift(b.entries[i], m, images)
+                   for i in range(n) for m in monos]
+        keys = sorted({k for col in columns for k in col})
+        solutions = nullspace([[col.get(k, 0) for col in columns]
+                               for k in keys], size)
+        span = [dense(_shift(comps, m, rank))
+                for deg, comps in found
+                for m in monomials_of_degree(n, d - deg, order)]
+        new = []
+        for sol in solutions:
+            reduced, pivots = rref(span)
+            rest = list(sol)
+            for row, pc in zip(reduced, pivots):
+                if rest[pc]:
+                    c = rest[pc]
+                    rest = [x - c * y for x, y in zip(rest, row)]
+            lead = next((x for x in rest if x), None)
+            if lead is not None:
+                new.append([x / lead for x in rest])
+                span.append(sol)
+        new.sort(key=lambda vec: next(t for t, x in enumerate(vec) if x))
+        for vec in new:
+            comps = [{} for _ in range(n)]
+            for t, c in enumerate(vec):
+                if c:
+                    comps[t // len(monos)][monos[t % len(monos)]] = c
+            found.append((d, tuple(Polynomial(n, c) for c in comps)))
+    return found

@@ -23,7 +23,7 @@ from coregular.pfaffian import (fundamental_semi_invariant, index, pfaffian,
                                 singular_locus_codim, certified_rank)
 from coregular.poly import Polynomial, format_polynomial, parse_polynomial
 from coregular.report import AnalysisOptions, analyze
-from oracles import poly_det
+from oracles import compose, poly_det
 
 
 @contextmanager
@@ -175,7 +175,7 @@ def test_criterion_6_filiform6_presentation():
             combo = next(v for v in combos if v.get(0))
             translations.append(Polynomial(5, {
                 exps[t - 1]: -c / combo[0] for t, c in combo.items() if t}))
-        in_classical = relation.poly.compose(translations)
+        in_classical = compose(relation.poly, translations)
         p_classical = parse_polynomial(
             "f4*f5^3 - 3*f1*f3*f5^2 + f1^3 - f2^2",
             [f"f{i}" for i in range(1, 6)])

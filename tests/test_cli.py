@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coregular.catalog import heisenberg
-from coregular.cli import main
+from coregular.cli import EXIT_BROKEN_PIPE, main
 from coregular.lie import LieAlgebra
 
 
@@ -28,6 +28,25 @@ def test_catalog_lists_builtins(capsys):
                 "abelian:n"):
         assert key in out
     assert "standard filiform" in out
+
+
+class ClosedPipe(io.StringIO):
+    """Standard output whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("args", [["catalog"],
+                                  ["analyze", "--catalog", "L:4"]])
+def test_closed_pipe_exits_141_without_a_traceback(monkeypatch, capsys,
+                                                   args):
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(args) == EXIT_BROKEN_PIPE == 141
+    # the rest of the output, and the flush at exit, go nowhere
+    print("more output")
+    sys.stdout.close()
+    assert capsys.readouterr().err == ""
 
 
 def test_analyze_filiform5(capsys, tmp_path):

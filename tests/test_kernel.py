@@ -18,7 +18,9 @@ from coregular.kernel import (FAILS, H_BRANCH, HOLDS, K_BRANCH, UNKNOWN,
                               evaluate_criteria, find_syzygy,
                               freeness_verdict, kernel_of_rho,
                               reduce_one_step)
+from coregular.lie import LieAlgebra
 from coregular.poly import DEGREVLEX, Polynomial, format_polynomial
+import oracles
 
 
 def component_texts(gen, g):
@@ -63,6 +65,18 @@ class TestKernelOfRho:
                         acc = acc + w.components[i] * b[i, j]
                     assert acc.is_zero
 
+    # panyushev is the line acting with weights (1, 1, -1)
+    @pytest.mark.parametrize("g, bound", [
+        (filiform(5), 2),
+        (panyushev(), 3),
+        (LieAlgebra(["v1", "v2", "v3", "v4"],
+                    {(0, 1): {1: 2}, (0, 2): {2: -1}, (0, 3): {3: 3}}), 3),
+    ], ids=["L5", "weights(1,1,-1)", "weights(2,-1,3)"])
+    def test_generators_match_the_dense_oracle(self, g, bound):
+        kernel = kernel_of_rho(g, bound)
+        assert [(w.degree, w.components) for w in kernel.generators] == \
+            oracles.anchor_kernel_generators(g, bound)
+
     def test_rank_equals_index(self, catalog_algebras):
         from coregular.pfaffian import index
         for g in catalog_algebras:
@@ -70,18 +84,18 @@ class TestKernelOfRho:
 
 
 class TestBlockSplit:
-    """Each degree of the anchor system is one ``kernel_of_columns`` call,
-    whose eliminator finds the blocks; the generators below are those of
-    the single-system solver."""
+    """Each degree of the anchor system is one ``kernel_of_equations``
+    call, whose eliminator finds the blocks; the generators below are
+    those of the single-system solver."""
 
     def block_sizes(self, monkeypatch, g, bound):
         sizes = []
-        solve = linalg.kernel_of_columns
+        solve = linalg.kernel_of_equations
 
-        def recording(images):
-            sizes.append(len(images))
-            return solve(images)
-        monkeypatch.setattr(linalg, "kernel_of_columns", recording)
+        def recording(equations, ncols):
+            sizes.append(ncols)
+            return solve(equations, ncols)
+        monkeypatch.setattr(linalg, "kernel_of_equations", recording)
         return kernel_of_rho(g, bound), sizes
 
     def test_trivial_grading_is_one_block(self, monkeypatch, rotated_sl2):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -215,7 +216,9 @@ class TestSparse:
         for vec in vectors:
             ech.add(vec)
             for p, row in ech.rows.items():
-                assert row[p] == 1
+                assert all(type(v) is int for v in row.values())
+                assert row[p] > 0 and gcd(*row.values()) == 1
+                assert ech.row(p)[p] == 1
                 assert not any(k in ech.rows for k in row if k != p)
             keys = {k for row in ech.rows.values() for k in row}
             for k in keys - ech.rows.keys():
@@ -247,9 +250,21 @@ class TestSparse:
                 assert type(row[pivot]) is Fraction and row[pivot] == 1
                 assert all(type(c) is Fraction for c in row.values())
             for stored in ech.rows.values():
-                assert all(type(v) is int
-                           or (type(v) is Fraction and v.denominator != 1)
-                           for v in stored.values())
+                assert all(type(v) is int for v in stored.values())
+
+    @given(st.data())
+    @settings(max_examples=100)
+    def test_echelon_readouts_match_the_dense_rref_in_any_order(self, data):
+        vectors = data.draw(mixed_vectors)
+        order = data.draw(st.permutations(range(len(vectors))))
+        ech = SparseEchelon(min)
+        for i in order:
+            ech.add(vectors[i])
+        dense = [[vec.get(j, 0) for j in range(6)] for vec in vectors]
+        reduced, pivots = oracles.rref(dense)
+        assert sorted(ech.rows) == pivots
+        assert [[ech.row(p).get(j, 0) for j in range(6)]
+                for p in pivots] == reduced
 
     def test_kernel_rank_nullity(self):
         images = [{"a": Fraction(1)}, {"a": Fraction(1), "b": Fraction(1)},

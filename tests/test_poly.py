@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import nonzero_poly_pairs, poly_pairs, poly_strategy, poly_triples
 from coregular.poly import (DEGREVLEX, GRLEX, LEX, MINUS_INFINITY, Polynomial,
                             apply_derivation, divide, exact_div,
@@ -128,6 +129,18 @@ class TestCalculus:
         lhs = apply_derivation(a * b, images)
         rhs = apply_derivation(a, images) * b + a * apply_derivation(b, images)
         assert lhs == rhs
+
+    @given(st.data())
+    @settings(max_examples=80)
+    def test_derivation_matches_the_sum_of_partial_products(self, data):
+        n = data.draw(st.integers(1, 3))
+        f = data.draw(poly_strategy(n))
+        images = data.draw(st.lists(
+            st.none() | poly_strategy(n, max_degree=2), min_size=n,
+            max_size=n))
+        out = apply_derivation(f, images)
+        assert out == oracles.derivation_by_partials(f, images)
+        assert all(c != 0 for c in out.terms.values())
 
 
 class TestEvaluate:
