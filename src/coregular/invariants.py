@@ -1,17 +1,18 @@
 """Graded computation of invariants and proper semi-invariants.
 
 Degree by degree: the candidate space is the common kernel of the
-derived-subalgebra action on the graded component; the operators coming
-from a complement of [g,g] commute there and are split into joint
-eigenspaces with rational eigenvalues.  Each rational joint eigenvalue
+derived-subalgebra action on the graded component, one sparse system
+assembled directly from the brackets; the operators coming from a
+complement of [g,g] commute there and are split into joint eigenspaces
+with rational eigenvalues.  Each rational joint eigenvalue
 tuple determines a weight; weight zero gives the invariants.  There is
 one search: the generators of the semi-invariant algebra and of the
 invariant algebra are both read from it (``minimal_generators``).
 
 Nilpotent algebras admit no proper semi-invariants (all weights vanish)
 and perfect ones none either (weights kill [g,g] = g), so for those the
-search reduces to plain kernel intersections and skips the eigenvalue
-machinery entirely.
+search reduces to the common kernel of the whole algebra's action and
+skips the eigenvalue machinery entirely.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import linalg
 from .grobner import (BudgetExceededError, GroebnerBasis, Ideal, buchberger,
@@ -176,22 +177,50 @@ def _combine(pairs: Iterable[tuple[int, Fraction]],
     return acc
 
 
-def _kernel_intersection(g: LieAlgebra, space: list[Polynomial],
-                         vectors: Sequence[Sequence], order: MonomialOrder
-                         ) -> list[Polynomial]:
-    """Intersect ``space`` with the kernels of ad(v) for v in ``vectors``."""
-    n = g.dim
+def _ad_equations(g: LieAlgebra, monos: Sequence,
+                  vectors: Sequence[Sequence]) -> Iterator[dict]:
+    """The system ad(v)(f) = 0, v in ``vectors``, on the span of
+    ``monos`` as sparse rows, in the order of their keys
+    (v, image monomial); unknown t is the coefficient of ``monos[t]``.
+
+    ad(v) is the derivation with x_j -> [v, v_j], so a term c x_k of
+    [v, v_j] adds e c to the row of m x_k / x_j for each unknown m,
+    where e is the exponent of x_j in m."""
     for v in vectors:
-        if not space:
-            break
-        ad_v = g.bracket_images(v)
-        images = [apply_derivation(f, ad_v) for f in space]
-        if all(img.is_zero for img in images):
-            continue
-        combined = [_combine(coeffs.items(), space, n) for coeffs in
-                    kernel_of_columns([img.terms for img in images])]
-        space = _echelonize(combined, n, order)
-    return space
+        rows: dict = {}
+        for j, image in enumerate(g.bracket_images(v)):
+            terms = [(mm.index(1), c.numerator if c.denominator == 1 else c)
+                     for mm, c in image.terms.items()]
+            if not terms:
+                continue
+            for t, m in enumerate(monos):
+                e = m[j]
+                if not e:
+                    continue
+                lowered = m[:j] + (e - 1,) + m[j + 1:]
+                for k, c in terms:
+                    row = rows.setdefault(
+                        lowered[:k] + (lowered[k] + 1,) + lowered[k + 1:], {})
+                    row[t] = row.get(t, 0) + e * c
+        for mono in sorted(rows):
+            yield rows.pop(mono)
+
+
+def _common_kernel(g: LieAlgebra, degree: int, vectors: Sequence[Sequence],
+                   order: MonomialOrder) -> list[Polynomial]:
+    """Canonical echelon basis of the degree-``degree`` polynomials that
+    ad(v) kills for every v in ``vectors``, from one system.
+
+    The unknowns are the monomials ascending under ``order``, so the
+    free column of each basis vector is its leading monomial and its
+    coefficient there is 1: reversed, the free-column basis is the
+    reduced echelon basis with the leading monomials descending."""
+    n = g.dim
+    monos = monomials_of_degree(n, degree, order)[::-1]
+    basis = linalg.SolutionSpace(_ad_equations(g, monos, vectors),
+                                 len(monos)).basis()
+    return [Polynomial._new(n, {monos[t]: c for t, c in vec.items()})
+            for vec in reversed(basis)]
 
 
 def _coordinates(space: list[Polynomial], pivots: list, vec: Polynomial
@@ -266,21 +295,21 @@ def graded_semi_invariants(g: LieAlgebra, degree: int,
     """Weight decomposition of the degree-``degree`` semi-invariants.
 
     The blocks are sorted with weight zero (the invariants) first; each
-    block's basis is the canonical echelon basis of its space."""
+    block's basis is the canonical echelon basis of its space.  The
+    common kernel of the acting vectors (all of g without proper
+    weights, [g,g] otherwise) is one system per degree, whose
+    free-column basis is read out as that echelon basis."""
     if degree < 1:
         raise ValueError("degree must be >= 1")
     n = g.dim
-    space = [Polynomial._new(n, {m: Fraction(1)})
-             for m in monomials_of_degree(n, degree, order)]
-
     basis_vectors = [[1 if t == i else 0 for t in range(n)] for i in range(n)]
     derived = g.derived_subalgebra()
     if structural_no_proper_reason(g):
-        invariant = _kernel_intersection(g, space, basis_vectors, order)
+        invariant = _common_kernel(g, degree, basis_vectors, order)
         blocks = (((WeightVector.zero(n)), tuple(invariant)),) if invariant else ()
         result = GradedSemiInvariants(degree, blocks, False)
     else:
-        candidate = _kernel_intersection(g, space, list(derived.basis), order)
+        candidate = _common_kernel(g, degree, derived.basis, order)
         derived_pivots = set()
         for b in derived.basis:
             for i, x in enumerate(b):

@@ -5,13 +5,17 @@ The anchor map is represented by the structure matrix B, so its kernel
 consists of the tuples (A_1..A_n) of polynomials with
 sum_i A_i B[i][j] = 0 for every column j.  It is computed degree by
 degree with minimal new generators extracted against multiples of the
-lower-degree ones.
+lower-degree ones.  The multiples lie in the kernel, since rho is
+S(g)-linear, so a degree whose multiples span as much as its kernel's
+dimension has no new generator; only in the other degrees is a kernel
+basis read out of the eliminated system.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Iterator, Sequence
 
 from . import linalg
@@ -127,7 +131,8 @@ def kernel_of_rho(g: LieAlgebra, degree_bound: int,
     generators are a canonical complement of the multiples of the
     lower-degree generators.  Each degree is one linear system; the
     blocks it splits into (for instance under a grading of the algebra)
-    are found by the sparse eliminator.
+    are found by the sparse eliminator, and its dimension decides
+    whether a kernel basis is needed at all.
     """
     if degree_bound < 1:
         raise ValueError("degree bound must be >= 1")
@@ -149,23 +154,29 @@ def _generators_of_degree(b: SkewPolyMatrix,
 
     Unknown ``i * len(monos) + t`` is the coefficient of ``monos[t]`` in
     A_i, with ``monos`` descending, so the pivot of a vector is its
-    smallest unknown."""
+    smallest unknown.  rho is S(g)-linear, so the multiples lie in the
+    kernel; as soon as they span a space of the kernel's dimension they
+    span the kernel, and neither the other multiples nor a kernel basis
+    are needed."""
     n = b.size
     monos = monomials_of_degree(n, d, order)
     nm = len(monos)
-    solutions = linalg.kernel_of_equations(_anchor_equations(b, monos),
-                                           n * nm)
-    if not solutions:
+    space = linalg.SolutionSpace(_anchor_equations(b, monos), n * nm)
+    if not space.dim:
         return []
     rank = {m: t for t, m in enumerate(monos)}
     # span of degree-d multiples of lower-degree generators
     lower = linalg.SparseEchelon(min)
-    for gen in generators:
-        for m in monomials_of_degree(n, d - gen.degree, order):
-            lower.add(_shift(gen.components, m, rank))
+    for e, same_degree in groupby(generators, key=lambda gen: gen.degree):
+        multipliers = monomials_of_degree(n, d - e, order)
+        for gen in same_degree:
+            for m in multipliers:
+                lower.add(_shift(gen.components, m, rank))
+                if len(lower.rows) == space.dim:
+                    return []
 
     new_rows = []
-    for sol in solutions:
+    for sol in space.basis():
         p = lower.add(sol)
         if p is not None:
             new_rows.append(lower.row(p))

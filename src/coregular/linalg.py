@@ -9,8 +9,10 @@ grading of the algebra) is solved block by block without the caller
 naming the blocks.  The dense routines (``rref``, ``rank``,
 ``nullspace``, ``solve``, ``inverse``) take lists of rows, run them
 through the same eliminator keyed by column index and read the result
-back out; ``nullspace`` and ``kernel_of_equations`` (behind
-``kernel_of_columns``) share that readout.
+back out; ``nullspace`` and ``SolutionSpace`` (behind
+``kernel_of_columns``) share that readout.  A ``SolutionSpace`` knows
+its dimension from the rank alone, so a caller that needs only the
+dimension never reads out a basis.
 
 The eliminator is fraction-free, in the spirit of Bareiss (1968).
 Every stored row is a primitive integer vector whose pivot entry is
@@ -495,19 +497,30 @@ def _free_columns(ech: SparseEchelon, ncols: int) -> list[dict[int, Fraction]]:
     return basis
 
 
-def kernel_of_equations(equations: Iterable[dict[int, int | Fraction]],
-                        ncols: int) -> list[dict[int, Fraction]]:
-    """Basis of the common solutions c of the equations
-    ``sum_j equation[j] * c_j = 0`` in the unknowns ``0..ncols-1``.
+class SolutionSpace:
+    """The solutions c of the equations ``sum_j equation[j] * c_j = 0``
+    in the unknowns ``0..ncols-1``, eliminated once.
 
     Each equation is a sparse row {unknown: value}; they are eliminated
     in the order given, so a generator that builds them on demand never
-    holds the whole system.  The basis is that of ``kernel_of_columns``.
+    holds the whole system.  ``dim`` is the number of unknowns less the
+    rank, so a caller that only needs the dimension never reads out a
+    basis; ``basis`` reads out that of ``kernel_of_columns``.
     """
-    ech = SparseEchelon(min)
-    for equation in equations:
-        ech.add(equation)
-    return _free_columns(ech, ncols)
+
+    def __init__(self, equations: Iterable[dict[int, int | Fraction]],
+                 ncols: int):
+        self.ncols = ncols
+        self.echelon = SparseEchelon(min)
+        for equation in equations:
+            self.echelon.add(equation)
+
+    @property
+    def dim(self) -> int:
+        return self.ncols - len(self.echelon.rows)
+
+    def basis(self) -> list[dict[int, Fraction]]:
+        return _free_columns(self.echelon, self.ncols)
 
 
 def kernel_of_columns(images: Sequence[dict]) -> list[dict[int, Fraction]]:
@@ -523,5 +536,5 @@ def kernel_of_columns(images: Sequence[dict]) -> list[dict[int, Fraction]]:
         for key, c in img.items():
             equations.setdefault(key, {})[j] = c
     # in key order, each equation freed once it is eliminated
-    return kernel_of_equations((equations.pop(key) for key in sorted(equations)),
-                               len(images))
+    return SolutionSpace((equations.pop(key) for key in sorted(equations)),
+                         len(images)).basis()

@@ -3,12 +3,12 @@
 The tests check the library against them: a dense Gauss-Jordan
 eliminator beside the sparse one, rational roots by trial division
 beside the p-adic lifting, the matrix of ad(x) on a graded component,
-a derivation as a sum of partial derivatives, the derivation of a
-weight, the substitution of polynomials for variables, the anchor-map
-kernel generators from the dense nullspace, and a spot check that the
+the common kernel of ad(v) by successive intersection, a derivation as
+a sum of partial derivatives, the derivation of a weight, the
+substitution of polynomials for variables, the anchor-map kernel
+generators from the dense nullspace, and a spot check that the
 fundamental semi-invariant divides the rank-size minors of the
-structure matrix.
-"""
+structure matrix."""
 
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ from math import gcd, isqrt
 from typing import Iterable, Sequence
 
 from coregular.kernel import _shift
+from coregular.linalg import SparseEchelon, kernel_of_columns
 from coregular.pfaffian import DEFAULT_PROBE_SEED, rank_certificate
 from coregular.poly import (DEGREVLEX, MonomialOrder, Polynomial, _q,
                             apply_derivation, monomials_of_degree,
@@ -31,7 +32,8 @@ from coregular.poly import (DEGREVLEX, MonomialOrder, Polynomial, _q,
 
 def rref(rows: Iterable[Iterable]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    m = [[_q(x) for x in row] for row in rows]
+    zero = Fraction(0)
+    m = [[_q(x) if x else zero for x in row] for row in rows]
     if not m:
         return [], []
     ncols = len(m[0])
@@ -43,11 +45,15 @@ def rref(rows: Iterable[Iterable]) -> tuple[list[list[Fraction]], list[int]]:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
         pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
+        m[r] = [x / pv if x else x for x in m[r]]
+        # the entries a row operation changes: the pivot row's nonzeros
+        support = [(j, y) for j, y in enumerate(m[r]) if y]
         for i in range(len(m)):
             if i != r and m[i][c] != 0:
                 f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+                row = m[i]
+                for j, y in support:
+                    row[j] -= f * y
         pivots.append(c)
         r += 1
         if r == len(m):
@@ -179,6 +185,44 @@ def ad_on_graded(g, x: Sequence, degree: int,
         for mm, c in img.terms.items():
             matrix[index[mm]][j] = c
     return basis, matrix
+
+
+def _echelonize(polys: Sequence[Polynomial], nvars: int,
+                order: MonomialOrder) -> list[Polynomial]:
+    """Canonical reduced basis of the span, pivots = leading monomials."""
+    ech = SparseEchelon(lambda keys: max(keys, key=order.key))
+    for p in polys:
+        if not p.is_zero:
+            ech.add(p.terms)
+    return [Polynomial._new(nvars, ech.row(p))
+            for p in sorted(ech.rows, key=order.key, reverse=True)]
+
+
+def kernel_intersection(g, degree: int, vectors: Sequence[Sequence],
+                        order: MonomialOrder = DEGREVLEX) -> list[Polynomial]:
+    """The degree-``degree`` polynomials killed by ad(v) for every v in
+    ``vectors``, as ``invariants._common_kernel`` returns them, by
+    successive intersection: one kernel of ad(v) on the space left by
+    the vectors before it, each time brought back to its canonical
+    echelon basis."""
+    n = g.dim
+    space = [Polynomial._new(n, {m: Fraction(1)})
+             for m in monomials_of_degree(n, degree, order)]
+    for v in vectors:
+        if not space:
+            break
+        ad_v = g.bracket_images(v)
+        images = [apply_derivation(f, ad_v) for f in space]
+        if all(img.is_zero for img in images):
+            continue
+        combined = []
+        for coeffs in kernel_of_columns([img.terms for img in images]):
+            acc = Polynomial.zero(n)
+            for j, c in coeffs.items():
+                acc = acc + space[j] * c
+            combined.append(acc)
+        space = _echelonize(combined, n, order)
+    return space
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +361,8 @@ def anchor_kernel_generators(g, degree_bound: int,
                 for deg, comps in found
                 for m in monomials_of_degree(n, d - deg, order)]
         new = []
+        reduced, pivots = rref(span)
         for sol in solutions:
-            reduced, pivots = rref(span)
             rest = list(sol)
             for row, pc in zip(reduced, pivots):
                 if rest[pc]:
@@ -328,6 +372,7 @@ def anchor_kernel_generators(g, degree_bound: int,
             if lead is not None:
                 new.append([x / lead for x in rest])
                 span.append(sol)
+                reduced, pivots = rref(span)
         new.sort(key=lambda vec: next(t for t, x in enumerate(vec) if x))
         for vec in new:
             comps = [{} for _ in range(n)]

@@ -126,6 +126,27 @@ class TestGradedSearch:
                 assert list(graded_semi_invariants(g, d).weight_zero()) == \
                     dense_invariants(g, d), (g.label, d)
 
+    def test_one_system_matches_successive_intersection(
+            self, catalog_algebras):
+        cases = [(g, d) for g in catalog_algebras +
+                 [weights_algebra(w) for w in WEIGHTS] for d in (1, 2, 3)]
+        cases += [(filiform(6), d) for d in (4, 5)]
+        for g, d in cases:
+            basis = [[int(t == i) for t in range(g.dim)]
+                     for i in range(g.dim)]
+            assert invariants._common_kernel(g, d, basis, DEGREVLEX) == \
+                oracles.kernel_intersection(g, d, basis), (g.label, d)
+
+    @pytest.mark.parametrize("g", [panyushev(), example32(),
+                                   weights_algebra((2, -1, 3))],
+                             ids=["panyushev", "example32", "weights(2,-1,3)"])
+    def test_derived_candidate_space_matches_successive_intersection(self, g):
+        vectors = g.derived_subalgebra().basis
+        assert vectors
+        for d in (1, 2, 3):
+            assert invariants._common_kernel(g, d, vectors, DEGREVLEX) == \
+                oracles.kernel_intersection(g, d, vectors)
+
     def test_large_weights_take_roots_from_the_degree_one_spectrum(
             self, monkeypatch):
         # [v1, v_i] = w_i v_i: the degree-3 characteristic polynomials

@@ -23,6 +23,51 @@ from coregular.poly import DEGREVLEX, Polynomial, format_polynomial
 import oracles
 
 
+def _sl3() -> LieAlgebra:
+    """sl3 in the basis e12, e13, e23, e21, e31, e32, h1, h2 with
+    h1 = e11 - e22 and h2 = e22 - e33."""
+    names = ["e12", "e13", "e23", "e21", "e31", "e32", "h1", "h2"]
+
+    def matrix(name):
+        m = [[0] * 3 for _ in range(3)]
+        if name == "h1":
+            m[0][0], m[1][1] = 1, -1
+        elif name == "h2":
+            m[1][1], m[2][2] = 1, -1
+        else:
+            m[int(name[1]) - 1][int(name[2]) - 1] = 1
+        return m
+
+    mats = [matrix(name) for name in names]
+    # every bracket is a multiple of one elementary matrix or a
+    # combination of h1, h2, read off its entries
+    def coords(m):
+        out = {}
+        for t, name in enumerate(names[:6]):
+            c = m[int(name[1]) - 1][int(name[2]) - 1]
+            if c:
+                out[t] = c
+        if m[0][0]:
+            out[6] = m[0][0]
+        if m[2][2]:
+            out[7] = -m[2][2]
+        return out
+
+    brackets = {}
+    for i in range(8):
+        for j in range(i + 1, 8):
+            a, b = mats[i], mats[j]
+            ab = [[sum(a[r][k] * b[k][c] - b[r][k] * a[k][c]
+                       for k in range(3)) for c in range(3)]
+                  for r in range(3)]
+            if any(any(row) for row in ab):
+                brackets[(i, j)] = coords(ab)
+    return LieAlgebra(names, brackets, label="sl3")
+
+
+SL3 = _sl3()
+
+
 def component_texts(gen, g):
     return tuple(format_polynomial(c, g.names) for c in gen.components)
 
@@ -65,17 +110,39 @@ class TestKernelOfRho:
                         acc = acc + w.components[i] * b[i, j]
                     assert acc.is_zero
 
-    # panyushev is the line acting with weights (1, 1, -1)
+    # panyushev is the line acting with weights (1, 1, -1); sl3 has
+    # generators in degrees 1 and 2, so a generator turns up where lower
+    # multiples exist
     @pytest.mark.parametrize("g, bound", [
         (filiform(5), 2),
         (panyushev(), 3),
         (LieAlgebra(["v1", "v2", "v3", "v4"],
                     {(0, 1): {1: 2}, (0, 2): {2: -1}, (0, 3): {3: 3}}), 3),
-    ], ids=["L5", "weights(1,1,-1)", "weights(2,-1,3)"])
+        (SL3, 3),
+    ], ids=["L5", "weights(1,1,-1)", "weights(2,-1,3)", "sl3"])
     def test_generators_match_the_dense_oracle(self, g, bound):
         kernel = kernel_of_rho(g, bound)
         assert [(w.degree, w.components) for w in kernel.generators] == \
             oracles.anchor_kernel_generators(g, bound)
+
+    def test_sl3_has_generators_in_degrees_one_and_two(self):
+        assert kernel_of_rho(SL3, 3).degrees == (1, 2)
+
+    def test_basis_read_out_only_where_multiples_fall_short(
+            self, monkeypatch):
+        # L(5): generators in degrees 0 and 1; from degree 2 on the
+        # multiples span the kernel, so its basis is never read out
+        read = []
+        basis = linalg.SolutionSpace.basis
+
+        def recording(space):
+            read.append(space.ncols)
+            return basis(space)
+        monkeypatch.setattr(linalg.SolutionSpace, "basis", recording)
+        kernel = kernel_of_rho(filiform(5), 5)
+        assert kernel.degrees == (0, 1, 1, 1)
+        # 5 * C(d + 4, 4) unknowns at degree d
+        assert read == [5 * 1, 5 * 5]
 
     def test_rank_equals_index(self, catalog_algebras):
         from coregular.pfaffian import index
@@ -84,18 +151,18 @@ class TestKernelOfRho:
 
 
 class TestBlockSplit:
-    """Each degree of the anchor system is one ``kernel_of_equations``
-    call, whose eliminator finds the blocks; the generators below are
-    those of the single-system solver."""
+    """Each degree of the anchor system is one ``SolutionSpace``, whose
+    eliminator finds the blocks; the generators below are those of the
+    single-system solver."""
 
     def block_sizes(self, monkeypatch, g, bound):
         sizes = []
-        solve = linalg.kernel_of_equations
+        space = linalg.SolutionSpace
 
         def recording(equations, ncols):
             sizes.append(ncols)
-            return solve(equations, ncols)
-        monkeypatch.setattr(linalg, "kernel_of_equations", recording)
+            return space(equations, ncols)
+        monkeypatch.setattr(linalg, "SolutionSpace", recording)
         return kernel_of_rho(g, bound), sizes
 
     def test_trivial_grading_is_one_block(self, monkeypatch, rotated_sl2):
