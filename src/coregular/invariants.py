@@ -1,18 +1,23 @@
 """Graded computation of invariants and proper semi-invariants.
 
 Degree by degree: the candidate space is the common kernel of the
-derived-subalgebra action on the graded component, one sparse system
+acting vectors ([g,g]) on the graded component, one sparse system
 assembled directly from the brackets; the operators coming from a
 complement of [g,g] commute there and are split into joint eigenspaces
-with rational eigenvalues.  Each rational joint eigenvalue
-tuple determines a weight; weight zero gives the invariants.  There is
-one search: the generators of the semi-invariant algebra and of the
-invariant algebra are both read from it (``minimal_generators``).
+with rational eigenvalues.  Every space is read out of a free-column
+basis that already is its canonical echelon basis.  A joint eigenvalue
+tuple lam is the weight on the complement coordinates c; at the pivot p
+of each row b of the reduced basis of [g,g] the weight is
+-sum_c b[c] lam_c.  Weight zero gives the invariants.  The generators of
+the semi-invariant and of the invariant algebra are both read from this
+one search (``minimal_generators``).
 
 Nilpotent algebras admit no proper semi-invariants (all weights vanish)
 and perfect ones none either (weights kill [g,g] = g), so for those the
-search reduces to the common kernel of the whole algebra's action and
-skips the eigenvalue machinery entirely.
+acting vectors are all of g and the complement is empty.
+
+``generic_rank`` is the one rank over Q(x): seeded point ranks, and
+Bareiss elimination only when they fall short of a proven bound.
 """
 
 from __future__ import annotations
@@ -33,10 +38,12 @@ from .pfaffian import DEFAULT_PROBE_SEED, rank_certificate
 from .poly import (DEGREVLEX, GRLEX, MonomialOrder, Polynomial, _q,
                    apply_derivation, exact_div, monomials_of_degree)
 
-# seeded points at which the Jacobian rank is tried before Bareiss, and
+# seeded points at which a generic rank is tried before Bareiss, and
 # the range of their integer coordinates
-JACOBIAN_POINTS = 3
-JACOBIAN_RANGE = 1000
+GENERIC_POINTS = 3
+GENERIC_RANGE = 1000
+# cap on the formal monomials of one weighted degree of the relation search
+RELATION_MONOMIALS = 4000
 
 
 @dataclass(frozen=True)
@@ -156,17 +163,6 @@ def verify_semi_invariant(g: LieAlgebra, f: Polynomial, w: WeightVector) -> bool
 # graded search
 # ---------------------------------------------------------------------------
 
-def _echelonize(polys: Sequence[Polynomial], nvars: int,
-                order: MonomialOrder) -> list[Polynomial]:
-    """Canonical reduced basis of the span, pivots = leading monomials."""
-    ech = SparseEchelon(lambda keys: max(keys, key=order.key))
-    for p in polys:
-        if not p.is_zero:
-            ech.add(p.terms)
-    return [Polynomial._new(nvars, ech.row(p))
-            for p in sorted(ech.rows, key=order.key, reverse=True)]
-
-
 def _combine(pairs: Iterable[tuple[int, Fraction]],
              polys: Sequence[Polynomial], nvars: int) -> Polynomial:
     """sum c * polys[j] over the (j, c) pairs."""
@@ -243,21 +239,18 @@ def _restricted_matrix(g: LieAlgebra, v: Sequence, space: list[Polynomial],
     return [[cols[j][i] for j in range(k)] for i in range(k)]
 
 
-def _weight_from_eigenvalues(g: LieAlgebra, complement: list[int],
-                             eigenvalues: Sequence[Fraction]) -> WeightVector:
-    """The functional vanishing on [g,g] with given values on the
-    complement coordinates."""
-    rows = [list(b) for b in g.derived_subalgebra().basis]
-    rhs = [Fraction(0)] * len(rows)
-    for idx, lam in zip(complement, eigenvalues):
-        row = [Fraction(0)] * g.dim
-        row[idx] = Fraction(1)
-        rows.append(row)
-        rhs.append(_q(lam))
-    sol = linalg.solve(rows, rhs)
-    if sol is None:
-        raise InternalCheckError("no weight takes the joint eigenvalues")
-    return WeightVector.of(sol)
+def _weight(g: LieAlgebra, complement: Sequence[int],
+            eigenvalues: Sequence[Fraction]) -> WeightVector:
+    """The functional vanishing on [g,g] with the given values on the
+    complement coordinates, read off the reduced basis of [g,g]."""
+    values = [Fraction(0)] * g.dim
+    for c, lam in zip(complement, eigenvalues):
+        values[c] = lam
+    for b in g.derived_subalgebra().basis:
+        p = next(i for i, x in enumerate(b) if x)
+        values[p] = -sum((b[c] * values[c] for c in complement),
+                         Fraction(0))
+    return WeightVector(tuple(values))
 
 
 def _eigenvalue_candidates(g: LieAlgebra, idx: int, degree: int
@@ -295,60 +288,49 @@ def graded_semi_invariants(g: LieAlgebra, degree: int,
     """Weight decomposition of the degree-``degree`` semi-invariants.
 
     The blocks are sorted with weight zero (the invariants) first; each
-    block's basis is the canonical echelon basis of its space.  The
-    common kernel of the acting vectors (all of g without proper
-    weights, [g,g] otherwise) is one system per degree, whose
-    free-column basis is read out as that echelon basis."""
+    block's basis is the canonical echelon basis of its space.  Each
+    eigenspace is the reversed free-column basis of ``nullspace(m -
+    lam)``, with ``m`` acting on the block's basis with its leading
+    monomials ascending: as in ``_common_kernel``, each free column is
+    then the leading monomial of its vector, with coefficient 1."""
     if degree < 1:
         raise ValueError("degree must be >= 1")
     n = g.dim
-    basis_vectors = [[1 if t == i else 0 for t in range(n)] for i in range(n)]
     derived = g.derived_subalgebra()
     if structural_no_proper_reason(g):
-        invariant = _common_kernel(g, degree, basis_vectors, order)
-        blocks = (((WeightVector.zero(n)), tuple(invariant)),) if invariant else ()
-        result = GradedSemiInvariants(degree, blocks, False)
+        vectors = [[int(t == i) for t in range(n)] for i in range(n)]
+        complement: list[int] = []
     else:
-        candidate = _common_kernel(g, degree, derived.basis, order)
-        derived_pivots = set()
-        for b in derived.basis:
-            for i, x in enumerate(b):
-                if x != 0:
-                    derived_pivots.add(i)
-                    break
-        complement = [i for i in range(n) if i not in derived_pivots]
-        blocks_raw: list[tuple[tuple[Fraction, ...], list[Polynomial]]] = \
-            [((), candidate)] if candidate else []
-        flag = False
-        for idx in complement:
-            v = basis_vectors[idx]
-            candidates = _eigenvalue_candidates(g, idx, degree)
-            new_blocks = []
-            for eigs, sub in blocks_raw:
-                m = _restricted_matrix(g, v, sub, order)
-                chi = linalg.charpoly(m)
-                roots, residual = linalg.rational_roots(chi, candidates)
-                if residual > 0:
-                    flag = True
-                for lam, _mult in roots:
-                    shifted = [row[:] for row in m]
-                    for t in range(len(shifted)):
-                        shifted[t][t] -= lam
-                    eig_coords = linalg.nullspace(shifted, len(sub))
-                    if not eig_coords:
-                        continue
-                    vecs = [_combine(enumerate(coords), sub, n)
-                            for coords in eig_coords]
-                    new_blocks.append((eigs + (lam,),
-                                       _echelonize(vecs, n, order)))
-            blocks_raw = new_blocks
-        blocks = []
+        vectors = derived.basis
+        pivots = {next(i for i, x in enumerate(b) if x) for b in derived.basis}
+        complement = [i for i in range(n) if i not in pivots]
+    candidate = _common_kernel(g, degree, vectors, order)
+    blocks_raw = [((), candidate)] if candidate else []
+    flag = False
+    for idx in complement:
+        v = [int(t == idx) for t in range(n)]
+        candidates = _eigenvalue_candidates(g, idx, degree)
+        new_blocks = []
         for eigs, sub in blocks_raw:
-            w = _weight_from_eigenvalues(g, complement, eigs)
-            blocks.append((w, tuple(sub)))
-        blocks.sort(key=lambda bw: tuple(bw[0].values))
-        blocks.sort(key=lambda bw: not bw[0].is_zero)
-        result = GradedSemiInvariants(degree, tuple(blocks), flag)
+            ascending = sub[::-1]
+            m = _restricted_matrix(g, v, ascending, order)
+            roots, residual = linalg.rational_roots(linalg.charpoly(m),
+                                                    candidates)
+            flag = flag or residual > 0
+            for lam, _mult in roots:
+                shifted = [row[:] for row in m]
+                for t in range(len(shifted)):
+                    shifted[t][t] -= lam
+                eig_coords = linalg.nullspace(shifted, len(sub))
+                if eig_coords:
+                    new_blocks.append((eigs + (lam,), [
+                        _combine(enumerate(coords), ascending, n)
+                        for coords in reversed(eig_coords)]))
+        blocks_raw = new_blocks
+    blocks = [(_weight(g, complement, eigs), tuple(sub))
+              for eigs, sub in blocks_raw]
+    blocks.sort(key=lambda bw: (not bw[0].is_zero, bw[0].values))
+    result = GradedSemiInvariants(degree, tuple(blocks), flag)
 
     for w, basis in result.blocks:
         for f in basis:
@@ -514,43 +496,54 @@ def poly_matrix_rank(rows: list[list[Polynomial]]) -> int:
     return r
 
 
+def generic_rank(rows: list[list[Polynomial]],
+                 rank_bound: int | None = None) -> int:
+    """Rank of a polynomial matrix over the fraction field.
+
+    The rank is first tried at a few seeded integer points.  A point
+    rank is a lower bound of it, so it is certified once it reaches a
+    proven upper bound: the number of rows or of columns, or
+    ``rank_bound``.  Only when every point falls short does the
+    fraction-free elimination over Q[x] run.  A rank above the bound
+    raises ``InternalCheckError``.
+    """
+    if not rows:
+        return 0
+    bound = min(len(rows), len(rows[0]))
+    if rank_bound is not None:
+        bound = min(bound, rank_bound)
+    rng = random.Random(DEFAULT_PROBE_SEED)
+    best = 0
+    for _ in range(GENERIC_POINTS):
+        point = [rng.randint(-GENERIC_RANGE, GENERIC_RANGE)
+                 for _ in range(rows[0][0].nvars)]
+        best = max(best, linalg.rank([[d.evaluate(point) for d in row]
+                                      for row in rows]))
+        if best >= bound:
+            break
+    rank = best if best >= bound else poly_matrix_rank(rows)
+    if not best <= rank <= bound:
+        raise InternalCheckError(
+            "the generic rank disagrees with its point ranks or bound")
+    return rank
+
+
 def algebraically_independent(polys: Sequence[Polynomial], nvars: int,
                               rank_bound: int | None = None
                               ) -> tuple[bool, int]:
     """Jacobian-rank test: independent iff rank equals the count.
 
-    The rank over the fraction field is first tried at a few seeded
-    integer points.  A point rank is a lower bound of it, so it is
-    certified once it reaches a proven upper bound: the count, the
-    number of variables, or ``rank_bound`` (index g when every
-    polynomial is an invariant of g).  Only when every point falls short
-    does the fraction-free elimination over Q[x] run.  A rank above the
-    bound means a broken invariant and raises ``InternalCheckError``.
+    The rank is the ``generic_rank`` of the Jacobian; ``rank_bound``
+    (index g when every polynomial is an invariant of g) also bounds it.
     """
     if not polys:
         raise ValueError("need at least one polynomial")
-    bound = min(len(polys), nvars)
-    if rank_bound is not None:
-        bound = min(bound, rank_bound)
-    jacobian = jacobian_matrix(polys, nvars)
-    rng = random.Random(DEFAULT_PROBE_SEED)
-    best = 0
-    for _ in range(JACOBIAN_POINTS):
-        point = [rng.randint(-JACOBIAN_RANGE, JACOBIAN_RANGE)
-                 for _ in range(nvars)]
-        best = max(best, linalg.rank([[d.evaluate(point) for d in row]
-                                      for row in jacobian]))
-        if best >= bound:
-            break
-    rank = best if best >= bound else poly_matrix_rank(jacobian)
-    if not best <= rank <= bound:
-        raise InternalCheckError(
-            "the Jacobian rank disagrees with its point ranks or bound")
+    rank = generic_rank(jacobian_matrix(polys, nvars), rank_bound)
     return rank == len(polys), rank
 
 
-def find_relations(gens: GeneratorSet, max_weighted_degree: int,
-                   max_monomials: int = 4000) -> list[Relation]:
+def find_relations(gens: GeneratorSet, max_weighted_degree: int
+                   ) -> list[Relation]:
     """Weighted-homogeneous relations among the generators, up to the
     given weighted degree, each new relation outside the ideal of the
     previous ones."""
@@ -563,10 +556,10 @@ def find_relations(gens: GeneratorSet, max_weighted_degree: int,
     gb: GroebnerBasis | None = None
     for delta in range(1, max_weighted_degree + 1):
         exps = _exponent_vectors(degrees, delta)
-        if len(exps) > max_monomials:
+        if len(exps) > RELATION_MONOMIALS:
             raise BudgetExceededError(
                 f"{len(exps)} formal monomials at weighted degree {delta} "
-                f"exceed the cap {max_monomials}")
+                f"exceed the cap {RELATION_MONOMIALS}")
         if len(exps) < 2:
             continue
         for coeffs in kernel_of_columns([product(e).terms for e in exps]):

@@ -21,8 +21,8 @@ from typing import Iterator, Sequence
 from . import linalg
 from .grobner import BudgetExceededError
 from .invariants import (GeneratorSet, Relation, SemiInvariant,
-                         WeightVector, graded_semi_invariants,
-                         poly_matrix_rank, structural_no_proper_reason)
+                         WeightVector, generic_rank, graded_semi_invariants,
+                         structural_no_proper_reason)
 from .lie import LieAlgebra, SkewPolyMatrix, is_derivation, jordan_chevalley
 from .linalg import InternalCheckError
 from .pfaffian import (DEFAULT_PROBE_SEED, FundamentalSemiInvariant,
@@ -34,6 +34,9 @@ from .poly import (DEGREVLEX, MonomialOrder, Polynomial, format_polynomial,
 HOLDS = "holds"
 FAILS = "fails"
 UNKNOWN = "unknown"
+
+# degrees beyond the highest kernel generator that the syzygy search tries
+SYZYGY_EXTRA_DEGREES = 3
 
 CERTIFIED = "certified"
 UP_TO_DEGREE = "up-to-degree"
@@ -124,7 +127,7 @@ def _anchor_equations(b: SkewPolyMatrix, monos: Sequence) -> Iterator[dict]:
 
 def kernel_of_rho(g: LieAlgebra, degree_bound: int,
                   order: MonomialOrder = DEGREVLEX,
-                  seed: int | None = None) -> KernelBasis:
+                  seed: int = DEFAULT_PROBE_SEED) -> KernelBasis:
     """Minimal homogeneous generators of ker rho up to the degree bound.
 
     Degree d unknowns are tuples (A_1..A_n) of degree-d forms; new
@@ -137,7 +140,7 @@ def kernel_of_rho(g: LieAlgebra, degree_bound: int,
     if degree_bound < 1:
         raise ValueError("degree bound must be >= 1")
     b = g.structure_matrix()
-    rank = index(g, seed if seed is not None else DEFAULT_PROBE_SEED)
+    rank = index(g, seed)
 
     generators: list[KernelGenerator] = []
     for d in range(0, degree_bound + 1):
@@ -196,7 +199,7 @@ def _generators_of_degree(b: SkewPolyMatrix,
     return new
 
 
-def find_syzygy(kernel: KernelBasis, max_extra_degree: int = 3
+def find_syzygy(kernel: KernelBasis
                 ) -> tuple[int, tuple[Polynomial, ...]] | None:
     """Smallest-degree polynomial relation among the kernel generators.
 
@@ -209,7 +212,7 @@ def find_syzygy(kernel: KernelBasis, max_extra_degree: int = 3
     order = DEGREVLEX
     dmin = min(w.degree for w in gens)
     dmax = max(w.degree for w in gens)
-    for e in range(dmin, dmax + max_extra_degree + 1):
+    for e in range(dmin, dmax + SYZYGY_EXTRA_DEGREES + 1):
         unknowns = [(a, m) for a, w in enumerate(gens) if e >= w.degree
                     for m in monomials_of_degree(n, e - w.degree, order)]
         if not unknowns:
@@ -255,7 +258,7 @@ def freeness_verdict(kernel: KernelBasis) -> CriterionVerdict:
     if count == rank:
         matrix = [[w.components[i] for i in range(g.dim)]
                   for w in kernel.generators]
-        if count == 0 or poly_matrix_rank(matrix) == rank:
+        if generic_rank(matrix) == rank:
             return CriterionVerdict(
                 criterion="kernel-freeness", status=HOLDS,
                 lhs=f"{count} minimal generators", rhs=f"rank {rank}",
@@ -290,25 +293,24 @@ class Geometry:
     codim_known: bool          # False when the Groebner budget was exceeded
 
 
-def compute_geometry(g: LieAlgebra, seed: int | None = None,
+def compute_geometry(g: LieAlgebra, seed: int = DEFAULT_PROBE_SEED,
                      order: MonomialOrder = DEGREVLEX) -> Geometry:
-    probe_seed = seed if seed is not None else DEFAULT_PROBE_SEED
-    cert = rank_certificate(g, probe_seed)
-    fsi = fundamental_semi_invariant(g, probe_seed, order)
+    cert = rank_certificate(g, seed)
+    fsi = fundamental_semi_invariant(g, seed, order)
     try:
-        codim = singular_locus_codim(g, probe_seed, order)
+        codim = singular_locus_codim(g, seed, order)
         known = True
     except BudgetExceededError:
         codim = None
         known = False
-    return Geometry(cert, index(g, probe_seed), c_value(g, probe_seed), fsi,
+    return Geometry(cert, index(g, seed), c_value(g, seed), fsi,
                     codim, known)
 
 
 def evaluate_criteria(g: LieAlgebra, geometry: Geometry,
                       semi_gens: GeneratorSet, inv_gens: GeneratorSet,
-                      relations: Sequence[Relation] | None,
-                      relations_known: bool = True) -> list[CriterionVerdict]:
+                      relations: Sequence[Relation] | None
+                      ) -> list[CriterionVerdict]:
     """All numerical coregularity criteria for one algebra.
 
     ``relations`` may be None when the relation search blew its budget.
@@ -367,10 +369,10 @@ def evaluate_criteria(g: LieAlgebra, geometry: Geometry,
     target = target2 // 2
     independent = inv_gens.jacobian_rank == len(inv_gens.generators)
     polynomial_presentation = (relations is not None and not relations
-                               and independent and relations_known)
+                               and independent)
     eq_gate = no_proper_found and polynomial_presentation
     eq_notes = [gate_note]
-    if relations is None or not relations_known:
+    if relations is None:
         eq_notes.append("relation search exceeded its budget")
     elif relations:
         eq_notes.append(f"{len(relations)} relation(s) found: "
@@ -478,7 +480,7 @@ def _semicenter_dims(g: LieAlgebra, bound: int,
 def reduce_one_step(g: LieAlgebra, s: SemiInvariant,
                     compare_degree: int = 3,
                     order: MonomialOrder = DEGREVLEX,
-                    seed: int | None = None) -> ReductionStep:
+                    seed: int = DEFAULT_PROBE_SEED) -> ReductionStep:
     """One reduction step along a proper semi-invariant.
 
     Builds h = ker(weight) and k = h extended by the nilpotent part of
@@ -495,8 +497,6 @@ def reduce_one_step(g: LieAlgebra, s: SemiInvariant,
     for b in derived.basis:
         if sum((c * x for c, x in zip(chi.values, b)), Fraction(0)) != 0:
             raise ValueError("weight does not vanish on the derived subalgebra")
-
-    probe_seed = seed if seed is not None else DEFAULT_PROBE_SEED
 
     h_vectors = linalg.nullspace([list(chi.values)], n)
     h_names = [f"h{i + 1}" for i in range(n - 1)]
@@ -530,9 +530,9 @@ def reduce_one_step(g: LieAlgebra, s: SemiInvariant,
     k = LieAlgebra(["p"] + h_names, k_brackets,
                    label=f"{g.label}|nilpotent-extension")
 
-    rank_g = rank_certificate(g, probe_seed).rank
-    rank_h = rank_certificate(h, probe_seed).rank
-    rank_k = rank_certificate(k, probe_seed).rank
+    rank_g = rank_certificate(g, seed).rank
+    rank_h = rank_certificate(h, seed).rank
+    rank_k = rank_certificate(k, seed).rank
     if rank_h != rank_g - 2:
         raise InternalCheckError(
             "kernel of a semi-invariant weight must drop the rank by two")
@@ -562,12 +562,12 @@ def reduce_one_step(g: LieAlgebra, s: SemiInvariant,
         notes.append("no branch matches the graded semi-center dimensions; "
                      "raise the comparison degree")
 
-    c_before = c_value(g, probe_seed)
+    c_before = c_value(g, seed)
     c_after = None
     if chosen == H_BRANCH:
-        c_after = c_value(h, probe_seed)
+        c_after = c_value(h, seed)
     elif chosen == K_BRANCH:
-        c_after = c_value(k, probe_seed)
+        c_after = c_value(k, seed)
     if c_after is not None and c_after != c_before:
         raise InternalCheckError("reduction step must preserve the c-value")
 

@@ -35,7 +35,6 @@ class AnalysisReport:
     semi_generators: GeneratorSet
     invariant_generators: GeneratorSet
     relations: tuple[Relation, ...] | None
-    relations_known: bool
     gorenstein: GorensteinResult
     trdeg: TrdegCheck
     kernel: KernelBasis
@@ -147,7 +146,7 @@ class AnalysisReport:
                     structural_no_proper_reason(g),
                 "irrational_weight_degrees":
                     list(self.semi_generators.irrational_degrees),
-                "relations_known": self.relations_known,
+                "relations_known": self.relations is not None,
                 "codim_known": self.geometry.codim_known,
             },
             "notes": list(self.notes),
@@ -256,12 +255,10 @@ def analyze(g: LieAlgebra, options: AnalysisOptions | None = None
                                              geometry.index)
 
     relations: tuple[Relation, ...] | None
-    relations_known = True
     try:
         relations = tuple(find_relations(inv_gens, bound))
     except BudgetExceededError:
         relations = None
-        relations_known = False
 
     gorenstein = gorenstein_invariant(inv_gens, relations or ())
     trdeg = trdeg_check(g, semi_gens,
@@ -270,7 +267,7 @@ def analyze(g: LieAlgebra, options: AnalysisOptions | None = None
     kernel = kernel_of_rho(g, bound, opts.order, opts.seed)
 
     criteria = evaluate_criteria(g, geometry, semi_gens, inv_gens,
-                                 relations, relations_known)
+                                 relations)
     criteria.append(freeness_verdict(kernel))
 
     notes: list[str] = []
@@ -288,6 +285,6 @@ def analyze(g: LieAlgebra, options: AnalysisOptions | None = None
     return AnalysisReport(
         algebra=g, options=opts, degree_bound=bound, geometry=geometry,
         semi_generators=semi_gens, invariant_generators=inv_gens,
-        relations=relations, relations_known=relations_known,
+        relations=relations,
         gorenstein=gorenstein, trdeg=trdeg, kernel=kernel,
         criteria=tuple(criteria), notes=tuple(notes))

@@ -3,10 +3,11 @@
 The tests check the library against them: a dense Gauss-Jordan
 eliminator beside the sparse one, rational roots by trial division
 beside the p-adic lifting, the matrix of ad(x) on a graded component,
-the common kernel of ad(v) by successive intersection, a derivation as
-a sum of partial derivatives, the derivation of a weight, the
-substitution of polynomials for variables, the anchor-map kernel
-generators from the dense nullspace, and a spot check that the
+the common kernel of ad(v) by successive intersection, the canonical
+echelon basis of a span, the weight of joint eigenvalues by a dense
+solve, a derivation as a sum of partial derivatives, the derivation of
+a weight, the substitution of polynomials for variables, the anchor-map
+kernel generators from the dense nullspace, and a spot check that the
 fundamental semi-invariant divides the rank-size minors of the
 structure matrix."""
 
@@ -18,6 +19,8 @@ from itertools import combinations
 from math import gcd, isqrt
 from typing import Iterable, Sequence
 
+from coregular import linalg
+from coregular.invariants import WeightVector
 from coregular.kernel import _shift
 from coregular.linalg import SparseEchelon, kernel_of_columns
 from coregular.pfaffian import DEFAULT_PROBE_SEED, rank_certificate
@@ -228,6 +231,20 @@ def kernel_intersection(g, degree: int, vectors: Sequence[Sequence],
 # ---------------------------------------------------------------------------
 # semi-invariants, relations and the fundamental semi-invariant
 # ---------------------------------------------------------------------------
+
+
+def weight_from_eigenvalues(g, complement: Sequence[int],
+                            eigenvalues: Sequence[Fraction]) -> WeightVector:
+    """The functional vanishing on [g,g] with the given values on the
+    complement coordinates, as the solution of one dense system."""
+    rows = [list(b) for b in g.derived_subalgebra().basis]
+    rhs = [Fraction(0)] * len(rows)
+    for idx, lam in zip(complement, eigenvalues):
+        rows.append([Fraction(int(t == idx)) for t in range(g.dim)])
+        rhs.append(_q(lam))
+    sol = linalg.solve(rows, rhs)
+    assert sol is not None, "no weight takes the joint eigenvalues"
+    return WeightVector.of(sol)
 
 
 def weight_derivation(f: Polynomial, w) -> Polynomial:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -18,8 +19,8 @@ from coregular.invariants import (GeneratorSet, SemiInvariant, WeightVector,
                                   verify_semi_invariant)
 from coregular.lie import LieAlgebra
 from coregular.linalg import InternalCheckError
-from coregular.poly import (DEGREVLEX, Polynomial, format_polynomial,
-                            parse_polynomial)
+from coregular.poly import (DEGREVLEX, ORDERS, Polynomial,
+                            format_polynomial, parse_polynomial)
 import oracles
 from oracles import substitute_generators, weight_derivation
 
@@ -38,6 +39,23 @@ def weights_algebra(weights):
     """A line acting on Q^3 with the given weights: [v1, v_i] = w_i v_i."""
     return LieAlgebra(["v1", "v2", "v3", "v4"],
                       {(0, i + 1): {i + 1: w} for i, w in enumerate(weights)})
+
+
+# eigenspaces that are not spanned by monomials, an irrational spectrum,
+# a Jordan block ([v1, v2] = v2, [v1, v3] = v2 + v3), and weights
+# (2, -1, 3) in the basis v1, v1 + v2, v3, v4, where [g,g] is not
+# spanned by basis vectors, so a weight is nonzero on its pivots
+HAND_MADE = [
+    LieAlgebra(["v1", "v2", "v3"], {(0, 1): {2: 1}, (0, 2): {1: 1}},
+               label="swap"),
+    LieAlgebra(["v1", "v2", "v3"], {(0, 1): {2: 1}, (0, 2): {1: -1}},
+               label="rotation"),
+    LieAlgebra(["v1", "v2", "v3"], {(0, 1): {1: 1}, (0, 2): {1: 1, 2: 1}},
+               label="jordan"),
+    weights_algebra((2, -1, 3)).induced_algebra(
+        [[1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+        ["a1", "a2", "a3", "a4"], label="skewed"),
+]
 
 
 def dense_invariants(g, d):
@@ -146,6 +164,43 @@ class TestGradedSearch:
         for d in (1, 2, 3):
             assert invariants._common_kernel(g, d, vectors, DEGREVLEX) == \
                 oracles.kernel_intersection(g, d, vectors)
+
+    @pytest.mark.parametrize("g, degree, irrational, expected", [
+        (HAND_MADE[0], 1, False, [((-1, 0, 0), ["v2 - v3"]),
+                                  ((1, 0, 0), ["v2 + v3"])]),
+        (HAND_MADE[0], 2, False, [((0, 0, 0), ["v2^2 - v3^2"]),
+                                  ((-2, 0, 0), ["v2^2 - 2*v2*v3 + v3^2"]),
+                                  ((2, 0, 0), ["v2^2 + 2*v2*v3 + v3^2"])]),
+        (HAND_MADE[1], 1, True, []),
+        (HAND_MADE[1], 2, True, [((0, 0, 0), ["v2^2 + v3^2"])]),
+        (HAND_MADE[2], 2, False, [((2, 0, 0), ["v2^2"])]),
+        (HAND_MADE[3], 1, False, [((-1, -1, 0, 0), ["a3"]),
+                                  ((2, 2, 0, 0), ["a1 - a2"]),
+                                  ((3, 3, 0, 0), ["a4"])]),
+    ], ids=["swap-1", "swap-2", "rotation-1", "rotation-2", "jordan-2",
+            "skewed-1"])
+    def test_hand_made_blocks(self, g, degree, irrational, expected):
+        graded = graded_semi_invariants(g, degree)
+        assert graded.irrational_flag == irrational
+        assert [(w.values, [fmt(f, g) for f in basis])
+                for w, basis in graded.blocks] == expected
+
+    def test_blocks_are_canonical_and_weights_match_the_dense_solve(
+            self, catalog_algebras):
+        # the eigenspaces are read out without re-echelonizing, and the
+        # weights follow from the reduced basis of [g,g] without a solve
+        for g in (catalog_algebras + [weights_algebra(w) for w in WEIGHTS]
+                  + HAND_MADE):
+            pivots = {next(i for i, x in enumerate(b) if x)
+                      for b in g.derived_subalgebra().basis}
+            complement = [i for i in range(g.dim) if i not in pivots]
+            for order, d in product(ORDERS.values(), (1, 2, 3)):
+                for w, basis in graded_semi_invariants(g, d, order).blocks:
+                    assert list(basis) == oracles._echelonize(
+                        basis, g.dim, order), (g.label, order.name, d)
+                    assert w == oracles.weight_from_eigenvalues(
+                        g, complement, [w.values[c] for c in complement]), \
+                        (g.label, order.name, d)
 
     def test_large_weights_take_roots_from_the_degree_one_spectrum(
             self, monkeypatch):
@@ -383,11 +438,12 @@ class TestIndependenceAndRelations:
         assert rels[0].weighted_degree == 6
         assert substitute_generators(rels[0], gens).is_zero
 
-    def test_budget_cap(self):
+    def test_budget_cap(self, monkeypatch):
         g = abelian(2)
         gens = minimal_generators(g, 2)[0]
+        monkeypatch.setattr(invariants, "RELATION_MONOMIALS", 5)
         with pytest.raises(BudgetExceededError):
-            find_relations(gens, 40, max_monomials=5)
+            find_relations(gens, 40)
 
     def test_substitution_zero_on_all_found_relations(self):
         gens = minimal_generators(filiform(5), 4)[1]
