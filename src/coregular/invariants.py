@@ -4,8 +4,14 @@ Degree by degree: the candidate space is the common kernel of the
 acting vectors ([g,g]) on the graded component, one sparse system
 assembled directly from the brackets; the operators coming from a
 complement of [g,g] commute there and are split into joint eigenspaces
-with rational eigenvalues.  Every space is read out of a free-column
-basis that already is its canonical echelon basis.  A joint eigenvalue
+with rational eigenvalues.  With a rational spectrum on g, the
+eigenvalues in degree d are among the sums of d eigenvalues on g; each
+such candidate, ascending, gets one eigenspace system until the
+eigenspaces fill the space, so a characteristic polynomial is computed
+only when they fall short (``_eigenspaces``).  Every space is read out
+of a free-column basis that already is its canonical echelon basis.
+Every block polynomial is checked against its weight with ``ad(v_i)``
+for each basis vector (``verify_semi_invariant``).  A joint eigenvalue
 tuple lam is the weight on the complement coordinates c; at the pivot p
 of each row b of the reduced basis of [g,g] the weight is
 -sum_c b[c] lam_c.  Weight zero gives the invariants.  The generators of
@@ -254,9 +260,9 @@ def _weight(g: LieAlgebra, complement: Sequence[int],
 
 
 def _eigenvalue_candidates(g: LieAlgebra, idx: int, degree: int
-                           ) -> set[Fraction] | None:
+                           ) -> list[Fraction] | None:
     """Every eigenvalue ad(v_idx) can have on the degree-``degree``
-    polynomials, or None if its spectrum on g is not rational.
+    polynomials, ascending, or None if its spectrum on g is not rational.
 
     The derivation's eigenvalues on S^d(g) are the sums of d eigenvalues
     on g, so a rational degree-one spectrum gives a complete finite set.
@@ -267,8 +273,48 @@ def _eigenvalue_candidates(g: LieAlgebra, idx: int, degree: int
         lambda: linalg.rational_roots(linalg.charpoly(g.ad_matrix(idx))))
     if residual:
         return None
-    return {sum(combo, Fraction(0)) for combo in
-            combinations_with_replacement([r for r, _ in roots], degree)}
+    return sorted({sum(combo, Fraction(0)) for combo in
+                   combinations_with_replacement([r for r, _ in roots],
+                                                 degree)})
+
+
+def _eigenspaces(m: linalg.Mat, candidates: list[Fraction] | None
+                 ) -> tuple[list[tuple[Fraction, list[dict]]], bool]:
+    """The eigenspaces of ``m`` with rational eigenvalues, eigenvalues
+    ascending, each as its free-column basis, and whether ``m`` has an
+    eigenvalue that is not rational.
+
+    ``candidates``, ascending, must hold every eigenvalue of ``m``;
+    without them the rational roots of its characteristic polynomial
+    are the candidates.  Eigenspaces of distinct eigenvalues are
+    independent, so once their dimensions sum to the size of ``m``, it
+    is diagonalizable with every eigenvalue found, and the remaining
+    candidates are skipped.  Only a shortfall with given candidates
+    (``m`` not diagonalizable, or a candidate missing) needs the
+    characteristic polynomial: ``rational_roots`` raises
+    ``InternalCheckError`` if a root lies outside the set."""
+    k = len(m)
+    given = candidates is not None
+    irrational = False
+    if not given:
+        roots, residual = linalg.rational_roots(linalg.charpoly(m))
+        candidates, irrational = [lam for lam, _ in roots], residual > 0
+    # the off-diagonal entries of each row, sparse
+    off = [{j: x for j, x in enumerate(row) if x and j != t}
+           for t, row in enumerate(m)]
+    spaces = []
+    found = 0
+    for lam in candidates:
+        if found == k:
+            break
+        space = linalg.SolutionSpace(
+            ({**row, t: m[t][t] - lam} for t, row in enumerate(off)), k)
+        if space.dim:
+            spaces.append((lam, space.basis()))
+            found += space.dim
+    if given and found < k:
+        linalg.rational_roots(linalg.charpoly(m), candidates)
+    return spaces, irrational
 
 
 def structural_no_proper_reason(g: LieAlgebra) -> str | None:
@@ -289,10 +335,11 @@ def graded_semi_invariants(g: LieAlgebra, degree: int,
 
     The blocks are sorted with weight zero (the invariants) first; each
     block's basis is the canonical echelon basis of its space.  Each
-    eigenspace is the reversed free-column basis of ``nullspace(m -
-    lam)``, with ``m`` acting on the block's basis with its leading
-    monomials ascending: as in ``_common_kernel``, each free column is
-    then the leading monomial of its vector, with coefficient 1."""
+    eigenspace is the reversed free-column basis of the solutions of
+    ``(m - lam) c = 0`` (``_eigenspaces``), with ``m`` acting on the
+    block's basis with its leading monomials ascending: as in
+    ``_common_kernel``, each free column is then the leading monomial of
+    its vector, with coefficient 1."""
     if degree < 1:
         raise ValueError("degree must be >= 1")
     n = g.dim
@@ -313,19 +360,13 @@ def graded_semi_invariants(g: LieAlgebra, degree: int,
         new_blocks = []
         for eigs, sub in blocks_raw:
             ascending = sub[::-1]
-            m = _restricted_matrix(g, v, ascending, order)
-            roots, residual = linalg.rational_roots(linalg.charpoly(m),
-                                                    candidates)
-            flag = flag or residual > 0
-            for lam, _mult in roots:
-                shifted = [row[:] for row in m]
-                for t in range(len(shifted)):
-                    shifted[t][t] -= lam
-                eig_coords = linalg.nullspace(shifted, len(sub))
-                if eig_coords:
-                    new_blocks.append((eigs + (lam,), [
-                        _combine(enumerate(coords), ascending, n)
-                        for coords in reversed(eig_coords)]))
+            spaces, irrational = _eigenspaces(
+                _restricted_matrix(g, v, ascending, order), candidates)
+            flag = flag or irrational
+            for lam, basis in spaces:
+                new_blocks.append((eigs + (lam,), [
+                    _combine(coords.items(), ascending, n)
+                    for coords in reversed(basis)]))
         blocks_raw = new_blocks
     blocks = [(_weight(g, complement, eigs), tuple(sub))
               for eigs, sub in blocks_raw]
@@ -338,7 +379,7 @@ def graded_semi_invariants(g: LieAlgebra, degree: int,
                 raise InternalCheckError(
                     "graded search produced a non-semi-invariant")
         for b in derived.basis:
-            if sum((c * x for c, x in zip(w.values, b)), Fraction(0)) != 0:
+            if sum(c * x for c, x in zip(w.values, b) if c and x):
                 raise InternalCheckError(
                     "weight does not vanish on the derived subalgebra")
     return result

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from . import linalg
 from .linalg import (InternalCheckError, Mat, Vec, mat_eq_zero, mat_mul,
                      mat_sub, rref)
-from .poly import Polynomial, _q, apply_derivation
+from .poly import Polynomial, _q
 
 
 class LieAlgebraError(ValueError):
@@ -161,13 +161,12 @@ class LieAlgebra:
         cols = [self.bracket_basis(i, j) for j in range(self.dim)]
         return [[cols[j][k] for j in range(self.dim)] for k in range(self.dim)]
 
-    def bracket_images(self, x: Sequence) -> list[Polynomial]:
-        """[x, v_j] as degree-one polynomials, one per basis vector,
-        read straight from the bracket table."""
-        n = self.dim
+    def _image_terms(self, x: Sequence) -> list[dict[int, Fraction]]:
+        """[x, v_j] as {k: coefficient of v_k}, keys ascending, one per
+        basis vector, read straight from the bracket table."""
         support = [(i, _q(a)) for i, a in enumerate(x) if a != 0]
         images = []
-        for j in range(n):
+        for j in range(self.dim):
             acc: dict[int, Fraction] = {}
             for i, a in support:
                 if i < j:
@@ -179,10 +178,15 @@ class LieAlgebra:
                 for k, v in row.items():
                     term = v if a == 1 else a * v
                     acc[k] = acc[k] + term if k in acc else term
-            images.append(Polynomial._new(n, {
-                tuple(1 if t == k else 0 for t in range(n)): c
-                for k, c in sorted(acc.items()) if c != 0}))
+            images.append({k: c for k, c in sorted(acc.items()) if c != 0})
         return images
+
+    def bracket_images(self, x: Sequence) -> list[Polynomial]:
+        """[x, v_j] as degree-one polynomials, one per basis vector."""
+        n = self.dim
+        return [Polynomial._new(n, {
+            tuple(1 if t == k else 0 for t in range(n)): c
+            for k, c in image.items()}) for image in self._image_terms(x)]
 
     # -- derived objects -------------------------------------------------------
 
@@ -235,14 +239,33 @@ class LieAlgebra:
     def is_perfect(self) -> bool:
         return self.derived_subalgebra().dim == self.dim
 
-    def unimodular(self) -> bool:
-        return all(linalg.trace(self.ad_matrix(i)) == 0 for i in range(self.dim))
-
     # -- graded action ----------------------------------------------------------
 
     def apply_ad(self, x: Sequence, f: Polynomial) -> Polynomial:
-        """ad(x) extended as a derivation of the symmetric algebra."""
-        return apply_derivation(f, self.bracket_images(x))
+        """ad(x) extended as a derivation of the symmetric algebra.
+
+        Each x_j that a term c m of f holds adds e c [x, v_j] m / x_j,
+        where e is the exponent of x_j in m; the terms of [x, v_j] are
+        read from the bracket table, and no image polynomial is built
+        or kept on the algebra."""
+        images = [(j, list(image.items()))
+                  for j, image in enumerate(self._image_terms(x)) if image]
+        out: dict = {}
+        for m, c in f.terms.items():
+            for j, image in images:
+                e = m[j]
+                if not e:
+                    continue
+                ce = c * e
+                lowered = m[:j] + (e - 1,) + m[j + 1:]
+                for k, v in image:
+                    mono = lowered[:k] + (lowered[k] + 1,) + lowered[k + 1:]
+                    s = out.get(mono, 0) + ce * v
+                    if s:
+                        out[mono] = s
+                    else:
+                        del out[mono]
+        return Polynomial._new(self.dim, out)
 
     # -- subalgebras -------------------------------------------------------------
 

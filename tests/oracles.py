@@ -2,10 +2,12 @@
 
 The tests check the library against them: a dense Gauss-Jordan
 eliminator beside the sparse one, rational roots by trial division
-beside the p-adic lifting, the matrix of ad(x) on a graded component,
-the common kernel of ad(v) by successive intersection, the canonical
-echelon basis of a span, the weight of joint eigenvalues by a dense
-solve, a derivation as a sum of partial derivatives, the derivation of
+beside the p-adic lifting, unimodularity by the traces of ad, the
+matrix of ad(x) on a graded component, the common kernel of ad(v) by
+successive intersection, the canonical echelon basis of a span, the
+weight of joint eigenvalues by a dense solve, the eigen split of the
+graded search by characteristic polynomials and one nullspace per
+root, a derivation as a sum of partial derivatives, the derivation of
 a weight, the substitution of polynomials for variables, the anchor-map
 kernel generators from the dense nullspace, and a spot check that the
 fundamental semi-invariant divides the rank-size minors of the
@@ -15,11 +17,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import gcd, isqrt
 from typing import Iterable, Sequence
 
-from coregular import linalg
+from coregular import invariants, linalg
 from coregular.invariants import WeightVector
 from coregular.kernel import _shift
 from coregular.linalg import SparseEchelon, kernel_of_columns
@@ -168,6 +170,11 @@ def ad_of_vector(g, x: Sequence) -> list[list[Fraction]]:
     return [[cols[j][k] for j in range(n)] for k in range(n)]
 
 
+def unimodular(g) -> bool:
+    """Whether every ad(v_i) has trace zero."""
+    return all(linalg.trace(g.ad_matrix(i)) == 0 for i in range(g.dim))
+
+
 def ad_on_graded(g, x: Sequence, degree: int,
                  order: MonomialOrder = DEGREVLEX
                  ) -> tuple[list, list[list[Fraction]]]:
@@ -245,6 +252,55 @@ def weight_from_eigenvalues(g, complement: Sequence[int],
     sol = linalg.solve(rows, rhs)
     assert sol is not None, "no weight takes the joint eigenvalues"
     return WeightVector.of(sol)
+
+
+def eigen_blocks(g, degree: int, order: MonomialOrder = DEGREVLEX):
+    """The blocks and irrational flag of
+    ``invariants.graded_semi_invariants`` by the eigen loop it replaced:
+    for every restricted matrix its characteristic polynomial, the
+    rational roots of that (deflated only by the sums of ``degree``
+    eigenvalues on g when that spectrum is rational), and one dense
+    nullspace per root."""
+    n = g.dim
+    derived = g.derived_subalgebra()
+    if invariants.structural_no_proper_reason(g):
+        vectors = [[int(t == i) for t in range(n)] for i in range(n)]
+        complement = []
+    else:
+        vectors = derived.basis
+        pivots = {next(i for i, x in enumerate(b) if x) for b in vectors}
+        complement = [i for i in range(n) if i not in pivots]
+    space = invariants._common_kernel(g, degree, vectors, order)
+    blocks = [((), space)] if space else []
+    flag = False
+    for idx in complement:
+        v = [int(t == idx) for t in range(n)]
+        spectrum, residual = linalg.rational_roots(
+            linalg.charpoly(g.ad_matrix(idx)))
+        candidates = None if residual else {
+            sum(combo, Fraction(0)) for combo in combinations_with_replacement(
+                [r for r, _ in spectrum], degree)}
+        split = []
+        for eigs, sub in blocks:
+            ascending = sub[::-1]
+            m = invariants._restricted_matrix(g, v, ascending, order)
+            roots, residual = linalg.rational_roots(linalg.charpoly(m),
+                                                    candidates)
+            flag = flag or residual > 0
+            for lam, _ in roots:
+                shifted = [row[:] for row in m]
+                for t in range(len(m)):
+                    shifted[t][t] -= lam
+                eig = nullspace(shifted, len(m))
+                if eig:
+                    split.append((eigs + (lam,), [
+                        invariants._combine(enumerate(coords), ascending, n)
+                        for coords in reversed(eig)]))
+        blocks = split
+    out = [(invariants._weight(g, complement, eigs), tuple(sub))
+           for eigs, sub in blocks]
+    out.sort(key=lambda bw: (not bw[0].is_zero, bw[0].values))
+    return tuple(out), flag
 
 
 def weight_derivation(f: Polynomial, w) -> Polynomial:

@@ -2,7 +2,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import poly_pairs, poly_strategy
@@ -201,6 +201,72 @@ class TestGradedSearch:
                     assert w == oracles.weight_from_eigenvalues(
                         g, complement, [w.values[c] for c in complement]), \
                         (g.label, order.name, d)
+
+    @pytest.mark.parametrize("d", (1, 2, 3))
+    def test_blocks_match_the_charpoly_eigen_loop(self, catalog_algebras, d):
+        # example32 and "jordan" have restricted matrices that are not
+        # diagonalizable; "rotation" has an irrational spectrum
+        for g in catalog_algebras + HAND_MADE:
+            graded = graded_semi_invariants(g, d)
+            assert (graded.blocks, graded.irrational_flag) == \
+                oracles.eigen_blocks(g, d), (g.label, d)
+
+    @given(weights=st.tuples(*[st.one_of(
+               st.integers(-12, 12), st.integers(100, 130),
+               st.integers(-130, -100))] * 3),
+           d=st.integers(1, 3))
+    @example(weights=(101, 103, -107), d=3)
+    @example(weights=(1, -1, 0), d=3)
+    @settings(max_examples=25, deadline=None)
+    def test_weights_blocks_match_the_charpoly_eigen_loop(self, weights, d):
+        g = weights_algebra(weights)
+        graded = graded_semi_invariants(g, d)
+        assert (graded.blocks, graded.irrational_flag) == \
+            oracles.eigen_blocks(g, d)
+
+    @pytest.mark.parametrize("g", [weights_algebra((2, -1, 3)), example32()],
+                             ids=["weights(2,-1,3)", "example32"])
+    def test_a_missing_eigenvalue_candidate_raises(self, monkeypatch, g):
+        # the largest candidate of degree one is a weight on the
+        # candidate space, so without it the eigenspaces fall short
+        complete = invariants._eigenvalue_candidates
+        largest = complete(g, 0, 1)[-1]
+        assert any(w.values[0] == largest
+                   for w, _ in graded_semi_invariants(g, 1).blocks)
+        monkeypatch.setattr(invariants, "_eigenvalue_candidates",
+                            lambda g, idx, d: complete(g, idx, d)[:-1])
+        with pytest.raises(InternalCheckError, match="candidate set"):
+            graded_semi_invariants(g, 1)
+
+    def test_characteristic_polynomials_only_on_a_shortfall(self,
+                                                            monkeypatch):
+        sizes, roots = [], []
+        charpoly, rational_roots = linalg.charpoly, linalg.rational_roots
+        monkeypatch.setattr(linalg, "charpoly",
+                            lambda m: sizes.append(len(m)) or charpoly(m))
+        monkeypatch.setattr(
+            linalg, "rational_roots",
+            lambda p, c=None: roots.append(p) or rational_roots(p, c))
+
+        def search(g):
+            # a new algebra, so no spectrum is cached yet
+            g = LieAlgebra(g.names, g.brackets)
+            sizes.clear()
+            roots.clear()
+            for d in (1, 2, 3):
+                graded_semi_invariants(g, d)
+            return sizes[:], len(roots)
+
+        # the restricted matrices of a weights algebra are diagonal:
+        # only the spectrum of ad(v1) on g is computed
+        assert search(weights_algebra((2, -1, 3))) == ([4], 1)
+        # on the candidate spaces S^d(span(v2, v3)) of example32, ad(v1)
+        # is not diagonalizable: every degree falls short, and its
+        # restricted matrix is checked
+        assert search(example32()) == ([3, 2, 3, 4], 4)
+        assert search(HAND_MADE[2]) == ([3, 2, 3, 4], 4)
+        # an irrational spectrum on g leaves no candidates to try
+        assert search(HAND_MADE[1]) == ([3, 2, 3, 4], 4)
 
     def test_large_weights_take_roots_from_the_degree_one_spectrum(
             self, monkeypatch):

@@ -12,8 +12,9 @@ from coregular.lie import (JacobiViolationError, LieAlgebra, LieAlgebraError,
                            Subspace, is_derivation, jordan_chevalley)
 from coregular.linalg import (InternalCheckError, identity, mat_eq_zero,
                               mat_mul, mat_sub)
-from coregular.poly import Polynomial, format_polynomial, parse_polynomial
-from oracles import ad_of_vector, ad_on_graded
+from coregular.poly import (Polynomial, apply_derivation, format_polynomial,
+                            parse_polynomial)
+from oracles import ad_of_vector, ad_on_graded, unimodular
 
 rational_vec = lambda n: st.lists(
     st.fractions(min_value=-3, max_value=3, max_denominator=2),
@@ -158,6 +159,21 @@ class TestGradedAction:
                 Polynomial.from_vector([row[j] for row in ad])
                 for j in range(g.dim)]
 
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_apply_ad_matches_the_derivation_of_the_images(
+            self, data, catalog_algebras):
+        # the table-driven ad(x) against the derivation x_j -> [x, v_j]
+        g = data.draw(st.sampled_from(catalog_algebras))
+        n = g.dim
+        monomial = st.lists(st.integers(0, n - 1), max_size=3).map(
+            lambda vs: tuple(vs.count(i) for i in range(n)))
+        coeff = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+        f = data.draw(st.dictionaries(monomial, coeff, max_size=5).map(
+            lambda terms: Polynomial(n, terms)))
+        x = data.draw(rational_vec(n))
+        assert g.apply_ad(x, f) == apply_derivation(f, g.bracket_images(x))
+
     def test_leibniz_through_monomial_pairs(self):
         g = filiform(4)
         x = [1, 2, 0, Fraction(1, 2)]
@@ -178,13 +194,13 @@ class TestGradedAction:
 class TestUnimodular:
     def test_filiform_is_unimodular(self):
         for n in (3, 5, 7):
-            assert filiform(n).unimodular()
+            assert unimodular(filiform(n))
 
     def test_panyushev_is_not(self):
-        assert not panyushev().unimodular()
+        assert not unimodular(panyushev())
 
     def test_abelian_is(self):
-        assert abelian(2).unimodular()
+        assert unimodular(abelian(2))
 
 
 class TestJordanChevalley:
