@@ -479,6 +479,8 @@ def minimal_generators(g: LieAlgebra, max_degree: int | None = None,
     semi_product = inv_product = _power_products(semi, n)
     for d in range(1, bound + 1):
         graded = graded_semi_invariants(g, d, order)
+        # recorded for ``semicenter_dims``; only an int is kept
+        g.cached(("semicenter", d, order), graded.total_dim)
         if graded.irrational_flag:
             irrational.append(d)
         new = _new_generators(semi, semi_product, graded.blocks, d, n, order)
@@ -500,6 +502,20 @@ def minimal_generators(g: LieAlgebra, max_degree: int | None = None,
     return semi_set, GeneratorSet(algebra=g, degree_bound=bound, order=order,
                                   generators=tuple(inv),
                                   irrational_degrees=(), index=index)
+
+
+def semicenter_dims(g: LieAlgebra, bound: int,
+                    order: MonomialOrder) -> tuple[int, ...]:
+    """The dimensions of g's semi-invariant spaces of degrees 1..bound.
+
+    ``minimal_generators`` records each degree's dimension on the
+    algebra from its own search, keyed by degree and order, so after it
+    only a degree it has not searched under ``order`` is searched here.
+    """
+    return tuple(
+        g.cached(("semicenter", d, order),
+                 lambda: graded_semi_invariants(g, d, order).total_dim())
+        for d in range(1, bound + 1))
 
 
 # ---------------------------------------------------------------------------

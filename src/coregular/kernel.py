@@ -9,6 +9,11 @@ lower-degree ones.  The multiples lie in the kernel, since rho is
 S(g)-linear, so a degree whose multiples span as much as its kernel's
 dimension has no new generator; only in the other degrees is a kernel
 basis read out of the eliminated system.
+
+The reduction step compares the graded semi-invariant dimensions of g
+with those of h and k.  g's come from its own graded search, which
+``minimal_generators`` records on the algebra (one int per degree and
+monomial order), so after ``analyze`` g is not searched again.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from typing import Iterator, Sequence
 from . import linalg
 from .grobner import BudgetExceededError
 from .invariants import (GeneratorSet, Relation, SemiInvariant,
-                         WeightVector, generic_rank, graded_semi_invariants,
+                         WeightVector, generic_rank, semicenter_dims,
                          structural_no_proper_reason)
 from .lie import LieAlgebra, SkewPolyMatrix, is_derivation, jordan_chevalley
 from .linalg import InternalCheckError
@@ -471,12 +476,6 @@ class ReductionStep:
         return None
 
 
-def _semicenter_dims(g: LieAlgebra, bound: int,
-                     order: MonomialOrder) -> tuple[int, ...]:
-    return tuple(graded_semi_invariants(g, d, order).total_dim()
-                 for d in range(1, bound + 1))
-
-
 def reduce_one_step(g: LieAlgebra, s: SemiInvariant,
                     compare_degree: int = 3,
                     order: MonomialOrder = DEGREVLEX,
@@ -487,8 +486,13 @@ def reduce_one_step(g: LieAlgebra, s: SemiInvariant,
     ad(c) for any c with weight(c) = 1.  The k-branch can only preserve
     the invariant c-value when rank(k) = rank(g); among the surviving
     branches the one whose graded semi-invariant dimensions match those
-    of g (up to ``compare_degree``) is chosen.
+    of g (up to ``compare_degree``, at least 1) is chosen.  g's
+    dimensions come from its own graded search: after ``analyze`` (or
+    ``minimal_generators``) under the same order they are read from the
+    algebra, and only the degrees it did not search are searched again.
     """
+    if compare_degree < 1:
+        raise ValueError("comparison degree must be >= 1")
     n = g.dim
     chi = s.weight
     if chi.is_zero:
@@ -538,9 +542,9 @@ def reduce_one_step(g: LieAlgebra, s: SemiInvariant,
             "kernel of a semi-invariant weight must drop the rank by two")
 
     dims = {
-        "g": _semicenter_dims(g, compare_degree, order),
-        "h": _semicenter_dims(h, compare_degree, order),
-        "k": _semicenter_dims(k, compare_degree, order),
+        "g": semicenter_dims(g, compare_degree, order),
+        "h": semicenter_dims(h, compare_degree, order),
+        "k": semicenter_dims(k, compare_degree, order),
     }
     notes: list[str] = []
     candidates = [H_BRANCH]

@@ -61,9 +61,10 @@ class LieAlgebra:
     """A finite dimensional Lie algebra with a named basis.
 
     ``brackets`` maps (i, j) with 0 <= i < j < dim to a coefficient
-    dict {k: Fraction} describing [v_i, v_j] = sum_k c_k v_k.  An
-    algebra is never changed after construction, so the data derived
-    from it is computed once, on first use, and kept (see ``cached``).
+    dict {k: Fraction}, keys ascending, describing
+    [v_i, v_j] = sum_k c_k v_k.  An algebra is never changed after
+    construction, so the data derived from it is computed once, on
+    first use, and kept (see ``cached``).
     """
 
     def __init__(self, names: Sequence[str],
@@ -92,7 +93,7 @@ class LieAlgebra:
                 if c != 0:
                     row[k] = c
             if row:
-                table[(i, j)] = row
+                table[(i, j)] = dict(sorted(row.items()))
         self.names = names
         self.dim = n
         self.brackets = table
@@ -163,8 +164,16 @@ class LieAlgebra:
 
     def _image_terms(self, x: Sequence) -> list[dict[int, Fraction]]:
         """[x, v_j] as {k: coefficient of v_k}, keys ascending, one per
-        basis vector, read straight from the bracket table."""
+        basis vector, read straight from the bracket table.  For a basis
+        vector x = v_i, image j is a copy of row (i, j) of the table,
+        negated when i > j."""
         support = [(i, _q(a)) for i, a in enumerate(x) if a != 0]
+        if len(support) == 1 and support[0][1] == 1:
+            i = support[0][0]
+            table = self.brackets
+            return [dict(table.get((i, j), {})) if i < j else
+                    {k: -c for k, c in table.get((j, i), {}).items()}
+                    for j in range(self.dim)]
         images = []
         for j in range(self.dim):
             acc: dict[int, Fraction] = {}
@@ -246,8 +255,9 @@ class LieAlgebra:
 
         Each x_j that a term c m of f holds adds e c [x, v_j] m / x_j,
         where e is the exponent of x_j in m; the terms of [x, v_j] are
-        read from the bracket table, and no image polynomial is built
-        or kept on the algebra."""
+        read from the bracket table (for a basis vector x = v_i, row
+        (i, j) of the table, negated when i > j), and no image
+        polynomial is built or kept on the algebra."""
         images = [(j, list(image.items()))
                   for j, image in enumerate(self._image_terms(x)) if image]
         out: dict = {}

@@ -2,7 +2,8 @@
 
 ``LieAlgebra.cached`` holds the rank certificate and the principal
 rank-size Pfaffians (per probe seed), [g,g], the lower central series
-verdict and the degree-one spectrum of each ad(v_i).  These tests count
+verdict, the degree-one spectrum of each ad(v_i) and the dimension of
+each degree's semi-invariants (per monomial order).  These tests count
 the computations behind the memo, not the calls of the public methods
 in front of it.
 """
@@ -13,22 +14,37 @@ from types import SimpleNamespace
 
 import pytest
 
-from coregular.catalog import filiform
+from coregular.catalog import example32, filiform, panyushev
 from coregular.invariants import minimal_generators
 from coregular.kernel import reduce_one_step
 from coregular.lie import LieAlgebra
+from coregular.poly import DEGREVLEX, GRLEX
 from coregular.report import AnalysisOptions, analyze
 
+invariants = importlib.import_module("coregular.invariants")
 pfaffian = importlib.import_module("coregular.pfaffian")
+
+
+def weights_5_7_11():
+    return LieAlgebra(["v1", "v2", "v3", "v4"],
+                      {(0, 1): {1: 5}, (0, 2): {2: -7}, (0, 3): {3: 11}},
+                      label="weights(5,-7,11)")
 
 
 @pytest.fixture
 def counts(monkeypatch):
     """``misses[(id(g), key)]``: computations of each memo entry;
-    ``calls[name]``: calls of the functions that do the computing."""
-    misses, calls = Counter(), Counter()
+    ``calls[name]``: calls of the functions that do the computing;
+    ``searches[(id(g), order name)]``: graded semi-invariant searches."""
+    misses, calls, searches = Counter(), Counter(), Counter()
     keep = []  # holds the algebras, so that no id is reused
     cached = LieAlgebra.cached
+    search = invariants.graded_semi_invariants
+
+    def counting_search(g, degree, order=DEGREVLEX):
+        keep.append(g)
+        searches[(id(g), order.name)] += 1
+        return search(g, degree, order)
 
     def counting_cached(self, key, compute):
         def counted():
@@ -44,6 +60,7 @@ def counts(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(LieAlgebra, "cached", counting_cached)
+    monkeypatch.setattr(invariants, "graded_semi_invariants", counting_search)
     monkeypatch.setattr(pfaffian, "certified_rank",
                         counter("certificate", pfaffian.certified_rank))
     monkeypatch.setattr(LieAlgebra, "_lower_central_series_ends",
@@ -55,7 +72,7 @@ def counts(monkeypatch):
     monkeypatch.setattr(LieAlgebra, "derived_subalgebra",
                         counter("derived_subalgebra()",
                                 LieAlgebra.derived_subalgebra))
-    return SimpleNamespace(misses=misses, calls=calls)
+    return SimpleNamespace(misses=misses, calls=calls, searches=searches)
 
 
 def _kind(key):
@@ -89,16 +106,22 @@ def test_analyze_filiform6_computes_each_datum_once(counts):
     assert counts.calls["derived_subalgebra()"] > 1
 
 
-def test_weights_analyze_and_reduce_compute_each_datum_once(counts):
-    g = LieAlgebra(["v1", "v2", "v3", "v4"],
-                   {(0, 1): {1: 5}, (0, 2): {2: -7}, (0, 3): {3: 11}},
-                   label="weights(5,-7,11)")
-    report = analyze(g, AnalysisOptions(max_degree=3))
-    semi = next(s for s in report.semi_generators.generators
+def first_proper(report):
+    return next(s for s in report.semi_generators.generators
                 if not s.weight.is_zero)
-    step = reduce_one_step(g, semi)
+
+
+def test_weights_analyze_and_reduce_compute_each_datum_once(counts):
+    g = weights_5_7_11()
+    report = analyze(g, AnalysisOptions(max_degree=3))
+    assert counts.searches[(id(g), "degrevlex")] == 3
+    step = reduce_one_step(g, first_proper(report))
+    # g's semi-center dimensions come from the search analyze ran
+    assert counts.searches[(id(g), "degrevlex")] == 3
     for alg in (g, step.h, step.k):
         assert computed(counts, alg, "rank") == 1, alg.label
+        assert computed(counts, alg, "semicenter") == 3, alg.label
+        assert counts.searches[(id(alg), "degrevlex")] == 3, alg.label
     assert computed(counts, g, "derived") == 1
     assert computed(counts, g, "nilpotent") == 1
     # [g,g] = span(v2, v3, v4): only ad(v1) needs a spectrum
@@ -110,6 +133,30 @@ def test_weights_analyze_and_reduce_compute_each_datum_once(counts):
     assert counts.calls["spectrum"] == entries(counts, "spectrum")
     assert counts.calls["lower central series"] == entries(counts,
                                                            "nilpotent")
+
+
+@pytest.mark.parametrize("build", [weights_5_7_11, panyushev, example32])
+def test_reduction_after_analyze_equals_a_fresh_reduction(counts, build):
+    g, fresh = build(), build()
+    assert g == fresh
+    semi = first_proper(analyze(g))
+    searched = counts.searches[(id(g), "degrevlex")]
+    step = reduce_one_step(g, semi)
+    assert counts.searches[(id(g), "degrevlex")] == searched
+    # an equal algebra with no analyze searches g itself
+    assert reduce_one_step(fresh, semi) == step
+    assert counts.searches[(id(fresh), "degrevlex")] == step.compare_degree
+    assert all(n == 1 for n in counts.misses.values())
+
+
+def test_another_order_searches_again(counts):
+    g = weights_5_7_11()
+    semi = first_proper(analyze(g, AnalysisOptions(max_degree=3)))
+    step = reduce_one_step(g, semi, order=GRLEX)
+    assert counts.searches[(id(g), "degrevlex")] == 3
+    assert counts.searches[(id(g), "grlex")] == 3
+    assert computed(counts, g, "semicenter") == 6
+    assert step == reduce_one_step(weights_5_7_11(), semi, order=GRLEX)
 
 
 def test_memo_is_per_instance(counts):

@@ -343,6 +343,13 @@ class TestReduceOneStep:
         with pytest.raises(ValueError):
             reduce_one_step(g, s)
 
+    @pytest.mark.parametrize("degree", [0, -1])
+    def test_compare_degree_below_one_raises(self, degree):
+        g = panyushev()
+        with pytest.raises(ValueError, match="comparison degree"):
+            reduce_one_step(g, self.proper_generator(g, 2, "v2"),
+                            compare_degree=degree)
+
     def test_weight_must_vanish_on_derived(self):
         g = filiform(4)
         bad = SemiInvariant(Polynomial.variable(4, 3),

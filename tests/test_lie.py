@@ -13,7 +13,7 @@ from coregular.lie import (JacobiViolationError, LieAlgebra, LieAlgebraError,
 from coregular.linalg import (InternalCheckError, identity, mat_eq_zero,
                               mat_mul, mat_sub)
 from coregular.poly import (Polynomial, apply_derivation, format_polynomial,
-                            parse_polynomial)
+                            monomials_of_degree, parse_polynomial)
 from oracles import ad_of_vector, ad_on_graded, unimodular
 
 rational_vec = lambda n: st.lists(
@@ -173,6 +173,36 @@ class TestGradedAction:
             lambda terms: Polynomial(n, terms)))
         x = data.draw(rational_vec(n))
         assert g.apply_ad(x, f) == apply_derivation(f, g.bracket_images(x))
+
+    @pytest.mark.parametrize("one", [1, Fraction(1)])
+    def test_basis_vector_images_match_the_dense_ad_matrix(
+            self, one, catalog_algebras, rotated_sl2):
+        # e_i reads rows of the bracket table; -e_i and 2 e_i take the
+        # general path; all of them against column j of ad(v_i)
+        for g in catalog_algebras + [rotated_sl2]:
+            n = g.dim
+            polys = monomials_of_degree(n, 1) + monomials_of_degree(n, 2)
+            polys = [Polynomial(n, {m: 1}) for m in polys] + [Polynomial(
+                n, {m: Fraction(t + 1, 3) for t, m in
+                    enumerate(monomials_of_degree(n, 3))})]
+            for i in range(n):
+                ad = g.ad_matrix(i)
+                for c in (one, -one, 2 * one):
+                    x = [c if t == i else 0 for t in range(n)]
+                    dense = [Polynomial.from_vector([c * row[j] for row in ad])
+                             for j in range(n)]
+                    assert g.bracket_images(x) == dense, (g.label, i, c)
+                    for f in polys:
+                        assert g.apply_ad(x, f) == apply_derivation(f, dense)
+
+    def test_images_keep_their_keys_ascending(self):
+        # a row given in descending order is stored ascending, so the
+        # basis-vector images that copy it ascend too
+        g = LieAlgebra(["a", "b", "c", "d"], {(0, 1): {3: 1, 2: 2}})
+        assert list(g.brackets[(0, 1)]) == [2, 3]
+        for x in ([1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0]):
+            assert all(list(image) == sorted(image)
+                       for image in g._image_terms(x))
 
     def test_leibniz_through_monomial_pairs(self):
         g = filiform(4)
