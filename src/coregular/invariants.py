@@ -4,19 +4,25 @@ Degree by degree: the candidate space is the common kernel of the
 acting vectors ([g,g]) on the graded component, one sparse system
 assembled directly from the brackets; the operators coming from a
 complement of [g,g] commute there and are split into joint eigenspaces
-with rational eigenvalues.  With a rational spectrum on g, the
-eigenvalues in degree d are among the sums of d eigenvalues on g; each
-such candidate, ascending, gets one eigenspace system until the
-eigenspaces fill the space, so a characteristic polynomial is computed
-only when they fall short (``_eigenspaces``).  Every space is read out
-of a free-column basis that already is its canonical echelon basis.
-Every block polynomial is checked against its weight with ``ad(v_i)``
-for each basis vector (``verify_semi_invariant``).  A joint eigenvalue
-tuple lam is the weight on the complement coordinates c; at the pivot p
-of each row b of the reduced basis of [g,g] the weight is
--sum_c b[c] lam_c.  Weight zero gives the invariants.  The generators of
-the semi-invariant and of the invariant algebra are both read from this
-one search (``minimal_generators``).
+with rational eigenvalues (``_eigenspaces``).  A restricted matrix that
+is upper or lower triangular has its distinct diagonal entries as its
+whole spectrum; they are tried first, one eigenspace system each, and
+on a weights algebra, where every restricted matrix is diagonal, their
+eigenspaces always fill the space.  Only when they do not (the matrix
+is not triangular, or not diagonalizable) are candidates needed: with a
+rational spectrum on g, the eigenvalues in degree d are among the sums
+of d eigenvalues on g, computed on first need; each such candidate,
+ascending, gets one eigenspace system until the eigenspaces fill the
+space, so a characteristic polynomial is computed only when they fall
+short.  Every space is read out of a free-column basis that already is
+its canonical echelon basis.  Every block polynomial is checked against
+its weight with ``ad(v_i)`` for each basis vector
+(``verify_semi_invariant``).  A joint eigenvalue tuple lam is the weight
+on the complement coordinates c; at the pivot p of each row b of the
+reduced basis of [g,g] the weight is -sum_c b[c] lam_c.  Weight zero
+gives the invariants.  The generators of the semi-invariant and of the
+invariant algebra are both read from this one search
+(``minimal_generators``).
 
 Nilpotent algebras admit no proper semi-invariants (all weights vanish)
 and perfect ones none either (weights kill [g,g] = g), so for those the
@@ -31,7 +37,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations_with_replacement
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -72,14 +78,6 @@ class WeightVector:
     @property
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.values)
-
-    def __add__(self, other: "WeightVector") -> "WeightVector":
-        return WeightVector(tuple(a + b for a, b in
-                                  zip(self.values, other.values)))
-
-    def scale(self, c) -> "WeightVector":
-        c = _q(c)
-        return WeightVector(tuple(c * v for v in self.values))
 
 
 @dataclass(frozen=True)
@@ -159,8 +157,9 @@ def verify_semi_invariant(g: LieAlgebra, f: Polynomial, w: WeightVector) -> bool
     """Exact check of the defining identity ad(v_i)(f) = w_i * f."""
     n = g.dim
     for i in range(n):
-        e_i = [1 if t == i else 0 for t in range(n)]
-        if g.apply_ad(e_i, f) != f * w.values[i]:
+        image = g.apply_ad([1 if t == i else 0 for t in range(n)], f)
+        c = w.values[i]
+        if not (image == f * c if c else image.is_zero):
             return False
     return True
 
@@ -245,15 +244,15 @@ def _restricted_matrix(g: LieAlgebra, v: Sequence, space: list[Polynomial],
     return [[cols[j][i] for j in range(k)] for i in range(k)]
 
 
-def _weight(g: LieAlgebra, complement: Sequence[int],
+def _weight(g: LieAlgebra, complement: Sequence[int], pivots: Sequence[int],
             eigenvalues: Sequence[Fraction]) -> WeightVector:
     """The functional vanishing on [g,g] with the given values on the
-    complement coordinates, read off the reduced basis of [g,g]."""
+    complement coordinates, read off the reduced basis of [g,g], whose
+    row r has its pivot at ``pivots[r]``."""
     values = [Fraction(0)] * g.dim
     for c, lam in zip(complement, eigenvalues):
         values[c] = lam
-    for b in g.derived_subalgebra().basis:
-        p = next(i for i, x in enumerate(b) if x)
+    for p, b in zip(pivots, g.derived_subalgebra().basis):
         values[p] = -sum((b[c] * values[c] for c in complement),
                          Fraction(0))
     return WeightVector(tuple(values))
@@ -278,33 +277,29 @@ def _eigenvalue_candidates(g: LieAlgebra, idx: int, degree: int
                                                  degree)})
 
 
-def _eigenspaces(m: linalg.Mat, candidates: list[Fraction] | None
-                 ) -> tuple[list[tuple[Fraction, list[dict]]], bool]:
-    """The eigenspaces of ``m`` with rational eigenvalues, eigenvalues
-    ascending, each as its free-column basis, and whether ``m`` has an
-    eigenvalue that is not rational.
-
-    ``candidates``, ascending, must hold every eigenvalue of ``m``;
-    without them the rational roots of its characteristic polynomial
-    are the candidates.  Eigenspaces of distinct eigenvalues are
-    independent, so once their dimensions sum to the size of ``m``, it
-    is diagonalizable with every eigenvalue found, and the remaining
-    candidates are skipped.  Only a shortfall with given candidates
-    (``m`` not diagonalizable, or a candidate missing) needs the
-    characteristic polynomial: ``rational_roots`` raises
-    ``InternalCheckError`` if a root lies outside the set."""
+def _triangular_diagonal(m: linalg.Mat) -> list[Fraction] | None:
+    """The distinct diagonal entries of ``m``, ascending, when ``m`` is
+    upper or lower triangular (they are then its whole spectrum), and
+    None otherwise."""
     k = len(m)
-    given = candidates is not None
-    irrational = False
-    if not given:
-        roots, residual = linalg.rational_roots(linalg.charpoly(m))
-        candidates, irrational = [lam for lam, _ in roots], residual > 0
+    if (all(not m[i][j] for i in range(1, k) for j in range(i))
+            or all(not m[i][j] for i in range(k) for j in range(i + 1, k))):
+        return sorted({m[t][t] for t in range(k)})
+    return None
+
+
+def _split(m: linalg.Mat, eigenvalues: Iterable[Fraction]
+           ) -> tuple[list[tuple[Fraction, list[dict]]], int]:
+    """The nonzero eigenspaces of ``m`` for the distinct ``eigenvalues``,
+    in their order, each as its free-column basis, and the sum of their
+    dimensions; stops once that sum is the size of ``m``."""
+    k = len(m)
     # the off-diagonal entries of each row, sparse
     off = [{j: x for j, x in enumerate(row) if x and j != t}
            for t, row in enumerate(m)]
     spaces = []
     found = 0
-    for lam in candidates:
+    for lam in eigenvalues:
         if found == k:
             break
         space = linalg.SolutionSpace(
@@ -312,9 +307,42 @@ def _eigenspaces(m: linalg.Mat, candidates: list[Fraction] | None
         if space.dim:
             spaces.append((lam, space.basis()))
             found += space.dim
-    if given and found < k:
-        linalg.rational_roots(linalg.charpoly(m), candidates)
-    return spaces, irrational
+    return spaces, found
+
+
+def _eigenspaces(m: linalg.Mat,
+                 candidates: Callable[[], list[Fraction] | None]
+                 ) -> tuple[list[tuple[Fraction, list[dict]]], bool]:
+    """The eigenspaces of ``m`` with rational eigenvalues, eigenvalues
+    ascending, each as its free-column basis, and whether ``m`` has an
+    eigenvalue that is not rational.
+
+    Eigenspaces of distinct eigenvalues are independent, so once their
+    dimensions sum to the size of ``m``, it is diagonalizable with every
+    eigenvalue found.  A triangular ``m`` tries its distinct diagonal
+    entries first, one eigenspace system each: when their eigenspaces
+    fill the space (always, for the diagonal matrices of a weights
+    algebra) nothing else is computed.  Otherwise ``candidates()``,
+    ascending, must hold every eigenvalue of ``m``, and is asked for
+    only here; when it returns None, the rational roots of the
+    characteristic polynomial are the candidates.  Only a shortfall with
+    given candidates (``m`` not diagonalizable, or a candidate missing)
+    needs the characteristic polynomial: ``rational_roots`` raises
+    ``InternalCheckError`` if a root lies outside the set."""
+    k = len(m)
+    diagonal = _triangular_diagonal(m)
+    if diagonal is not None:
+        spaces, found = _split(m, diagonal)
+        if found == k:
+            return spaces, False
+    given = candidates()
+    if given is None:
+        roots, residual = linalg.rational_roots(linalg.charpoly(m))
+        return _split(m, [lam for lam, _ in roots])[0], residual > 0
+    spaces, found = _split(m, given)
+    if found < k:
+        linalg.rational_roots(linalg.charpoly(m), given)
+    return spaces, False
 
 
 def structural_no_proper_reason(g: LieAlgebra) -> str | None:
@@ -344,19 +372,20 @@ def graded_semi_invariants(g: LieAlgebra, degree: int,
         raise ValueError("degree must be >= 1")
     n = g.dim
     derived = g.derived_subalgebra()
+    pivots = [next(i for i, x in enumerate(b) if x) for b in derived.basis]
     if structural_no_proper_reason(g):
         vectors = [[int(t == i) for t in range(n)] for i in range(n)]
         complement: list[int] = []
     else:
         vectors = derived.basis
-        pivots = {next(i for i, x in enumerate(b) if x) for b in derived.basis}
         complement = [i for i in range(n) if i not in pivots]
     candidate = _common_kernel(g, degree, vectors, order)
     blocks_raw = [((), candidate)] if candidate else []
     flag = False
     for idx in complement:
         v = [int(t == idx) for t in range(n)]
-        candidates = _eigenvalue_candidates(g, idx, degree)
+        # asked for only by a block its diagonal does not split
+        candidates = partial(_eigenvalue_candidates, g, idx, degree)
         new_blocks = []
         for eigs, sub in blocks_raw:
             ascending = sub[::-1]
@@ -368,7 +397,7 @@ def graded_semi_invariants(g: LieAlgebra, degree: int,
                     _combine(coords.items(), ascending, n)
                     for coords in reversed(basis)]))
         blocks_raw = new_blocks
-    blocks = [(_weight(g, complement, eigs), tuple(sub))
+    blocks = [(_weight(g, complement, pivots, eigs), tuple(sub))
               for eigs, sub in blocks_raw]
     blocks.sort(key=lambda bw: (not bw[0].is_zero, bw[0].values))
     result = GradedSemiInvariants(degree, tuple(blocks), flag)
@@ -432,14 +461,14 @@ def _new_generators(gens: Sequence[SemiInvariant],
     of the span of the degree-``degree`` products of ``gens`` of the same
     weight; weights multiply additively."""
     lead = lambda keys: max(keys, key=order.key)
+    weights = [s.weight.values for s in gens]
     products: dict[tuple[Fraction, ...], SparseEchelon] = {}
     for exps in _exponent_vectors([s.degree for s in gens], degree):
-        w = WeightVector.zero(nvars)
-        for i, e in enumerate(exps):
+        w = (Fraction(0),) * nvars
+        for e, values in zip(exps, weights):
             if e:
-                w = w + gens[i].weight.scale(e)
-        products.setdefault(w.values, SparseEchelon(lead)).add(
-            product(exps).terms)
+                w = tuple(a + e * b for a, b in zip(w, values))
+        products.setdefault(w, SparseEchelon(lead)).add(product(exps).terms)
     new: list[SemiInvariant] = []
     for w, basis in blocks:
         ech = products.setdefault(w.values, SparseEchelon(lead))

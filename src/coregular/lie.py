@@ -162,26 +162,27 @@ class LieAlgebra:
         cols = [self.bracket_basis(i, j) for j in range(self.dim)]
         return [[cols[j][k] for j in range(self.dim)] for k in range(self.dim)]
 
-    def _image_terms(self, x: Sequence) -> list[dict[int, Fraction]]:
+    def _image_terms(self, x: Sequence) -> list[Mapping[int, Fraction]]:
         """[x, v_j] as {k: coefficient of v_k}, keys ascending, one per
-        basis vector, read straight from the bracket table.  For a basis
-        vector x = v_i, image j is a copy of row (i, j) of the table,
-        negated when i > j."""
-        support = [(i, _q(a)) for i, a in enumerate(x) if a != 0]
-        if len(support) == 1 and support[0][1] == 1:
-            i = support[0][0]
-            table = self.brackets
-            return [dict(table.get((i, j), {})) if i < j else
+        basis vector, read straight from the bracket table; callers only
+        read them.  For a basis vector x = v_i, image j is row (i, j) of
+        the table itself, not a copy, and row (j, i) negated when i > j."""
+        nonzero = [i for i, a in enumerate(x) if a]
+        table = self.brackets
+        if len(nonzero) == 1 and x[nonzero[0]] == 1:
+            i = nonzero[0]
+            return [table.get((i, j), {}) if i < j else
                     {k: -c for k, c in table.get((j, i), {}).items()}
                     for j in range(self.dim)]
+        support = [(i, _q(x[i])) for i in nonzero]
         images = []
         for j in range(self.dim):
             acc: dict[int, Fraction] = {}
             for i, a in support:
                 if i < j:
-                    row = self.brackets.get((i, j), {})
+                    row = table.get((i, j), {})
                 elif i > j:
-                    row, a = self.brackets.get((j, i), {}), -a
+                    row, a = table.get((j, i), {}), -a
                 else:
                     continue
                 for k, v in row.items():

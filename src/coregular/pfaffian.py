@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from . import linalg
@@ -80,8 +79,7 @@ def certified_rank(b: SkewPolyMatrix, seed: int = DEFAULT_PROBE_SEED) -> RankCer
     rng = random.Random(seed)
     probe_ranks = []
     for _ in range(PROBE_COUNT):
-        point = [Fraction(rng.randint(-PROBE_RANGE, PROBE_RANGE))
-                 for _ in range(n)]
+        point = [rng.randint(-PROBE_RANGE, PROBE_RANGE) for _ in range(n)]
         probe_ranks.append(linalg.rank(b.evaluate(point)))
 
     memo: dict = {}

@@ -329,7 +329,9 @@ class Polynomial:
     def evaluate(self, point: Sequence) -> Fraction:
         if len(point) != self.nvars:
             raise ValueError("point length does not match ring dimension")
-        pt = [_q(x) for x in point]
+        # int coordinates stay int: a Fraction coefficient times an int
+        # power is the same value as with Fraction coordinates
+        pt = [x if isinstance(x, int) else _q(x) for x in point]
         total = Fraction(0)
         for m, c in self.terms.items():
             val = c

@@ -263,12 +263,12 @@ def eigen_blocks(g, degree: int, order: MonomialOrder = DEGREVLEX):
     nullspace per root."""
     n = g.dim
     derived = g.derived_subalgebra()
+    pivots = [next(i for i, x in enumerate(b) if x) for b in derived.basis]
     if invariants.structural_no_proper_reason(g):
         vectors = [[int(t == i) for t in range(n)] for i in range(n)]
         complement = []
     else:
         vectors = derived.basis
-        pivots = {next(i for i, x in enumerate(b) if x) for b in vectors}
         complement = [i for i in range(n) if i not in pivots]
     space = invariants._common_kernel(g, degree, vectors, order)
     blocks = [((), space)] if space else []
@@ -297,7 +297,7 @@ def eigen_blocks(g, degree: int, order: MonomialOrder = DEGREVLEX):
                         invariants._combine(enumerate(coords), ascending, n)
                         for coords in reversed(eig)]))
         blocks = split
-    out = [(invariants._weight(g, complement, eigs), tuple(sub))
+    out = [(invariants._weight(g, complement, pivots, eigs), tuple(sub))
            for eigs, sub in blocks]
     out.sort(key=lambda bw: (not bw[0].is_zero, bw[0].values))
     return tuple(out), flag

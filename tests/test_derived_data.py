@@ -124,13 +124,13 @@ def test_weights_analyze_and_reduce_compute_each_datum_once(counts):
         assert counts.searches[(id(alg), "degrevlex")] == 3, alg.label
     assert computed(counts, g, "derived") == 1
     assert computed(counts, g, "nilpotent") == 1
-    # [g,g] = span(v2, v3, v4): only ad(v1) needs a spectrum
-    assert counts.misses[(id(g), ("spectrum", 0))] == 1
-    assert computed(counts, g, "spectrum") == 1
+    # every restricted matrix of a weights algebra is diagonal, so its
+    # diagonal is the spectrum and no spectrum on g is computed
+    assert computed(counts, g, "spectrum") == 0
     # once per algebra, seed and vector, and nothing outside the memo
     assert all(n == 1 for n in counts.misses.values())
     assert counts.calls["certificate"] == entries(counts, "rank") == 3
-    assert counts.calls["spectrum"] == entries(counts, "spectrum")
+    assert counts.calls["spectrum"] == entries(counts, "spectrum") == 0
     assert counts.calls["lower central series"] == entries(counts,
                                                            "nilpotent")
 

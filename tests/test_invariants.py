@@ -42,9 +42,11 @@ def weights_algebra(weights):
 
 
 # eigenspaces that are not spanned by monomials, an irrational spectrum,
-# a Jordan block ([v1, v2] = v2, [v1, v3] = v2 + v3), and weights
+# a Jordan block ([v1, v2] = v2, [v1, v3] = v2 + v3), weights
 # (2, -1, 3) in the basis v1, v1 + v2, v3, v4, where [g,g] is not
-# spanned by basis vectors, so a weight is nonzero on its pivots
+# spanned by basis vectors, so a weight is nonzero on its pivots, and
+# two diagonalizable ad(v1) whose restricted matrices are triangular but
+# not diagonal, one lower and one upper
 HAND_MADE = [
     LieAlgebra(["v1", "v2", "v3"], {(0, 1): {2: 1}, (0, 2): {1: 1}},
                label="swap"),
@@ -55,6 +57,10 @@ HAND_MADE = [
     weights_algebra((2, -1, 3)).induced_algebra(
         [[1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
         ["a1", "a2", "a3", "a4"], label="skewed"),
+    LieAlgebra(["v1", "v2", "v3"], {(0, 1): {1: 2}, (0, 2): {1: 1, 2: 1}},
+               label="lower"),
+    LieAlgebra(["v1", "v2", "v3"], {(0, 1): {1: 1, 2: 1}, (0, 2): {2: 2}},
+               label="upper"),
 ]
 
 
@@ -136,6 +142,16 @@ class TestGradedSearch:
             for w, basis in graded.blocks:
                 for f in basis:
                     assert verify_semi_invariant(g, f, w)
+
+    def test_wrong_weights_are_rejected(self):
+        # [v1, v2] = 2 v2: ad(v1)(v2^2) = 4 v2^2, and ad(v2)(v2^2) = 0,
+        # while ad(v2)(v1) = -2 v2 is nonzero where the weight is zero
+        g = weights_algebra((2, -1, 3))
+        v1, v2 = Polynomial.variable(4, 0), Polynomial.variable(4, 1)
+        assert verify_semi_invariant(g, v2 ** 2, WeightVector.of([4, 0, 0, 0]))
+        for f, w in ((v2 ** 2, [0, 0, 0, 0]), (v2 ** 2, [4, 1, 0, 0]),
+                     (v2 ** 2, [2, 0, 0, 0]), (v1, [0, 0, 0, 0])):
+            assert not verify_semi_invariant(g, f, WeightVector.of(w)), (f, w)
 
     def test_weight_zero_block_is_the_dense_common_kernel(
             self, catalog_algebras):
@@ -224,11 +240,14 @@ class TestGradedSearch:
         assert (graded.blocks, graded.irrational_flag) == \
             oracles.eigen_blocks(g, d)
 
-    @pytest.mark.parametrize("g", [weights_algebra((2, -1, 3)), example32()],
-                             ids=["weights(2,-1,3)", "example32"])
+    @pytest.mark.parametrize("g", [HAND_MADE[0], example32()],
+                             ids=["swap", "example32"])
     def test_a_missing_eigenvalue_candidate_raises(self, monkeypatch, g):
-        # the largest candidate of degree one is a weight on the
-        # candidate space, so without it the eigenspaces fall short
+        # the degree-one block of "swap" is [[0, 1], [1, 0]], which is
+        # not triangular, and that of example32 is triangular but not
+        # diagonalizable: both take the candidates.  The largest one is
+        # a weight on the block, and without it the eigenspaces fall
+        # short
         complete = invariants._eigenvalue_candidates
         largest = complete(g, 0, 1)[-1]
         assert any(w.values[0] == largest
@@ -257,16 +276,86 @@ class TestGradedSearch:
                 graded_semi_invariants(g, d)
             return sizes[:], len(roots)
 
-        # the restricted matrices of a weights algebra are diagonal:
-        # only the spectrum of ad(v1) on g is computed
-        assert search(weights_algebra((2, -1, 3))) == ([4], 1)
-        # on the candidate spaces S^d(span(v2, v3)) of example32, ad(v1)
-        # is not diagonalizable: every degree falls short, and its
-        # restricted matrix is checked
+        # the restricted matrices of a weights algebra are diagonal, and
+        # those of "lower" and "upper" triangular and diagonalizable:
+        # the eigenspaces of the diagonal entries fill each block, so no
+        # characteristic polynomial is computed, not even on g
+        assert search(weights_algebra((2, -1, 3))) == ([], 0)
+        assert search(HAND_MADE[4]) == ([], 0)
+        assert search(HAND_MADE[5]) == ([], 0)
+        # "swap" is diagonalizable but not triangular: only the spectrum
+        # of ad(v1) on g is computed, once, for its candidates
+        assert search(HAND_MADE[0]) == ([3], 1)
+        # on the candidate spaces S^d(span(v2, v3)) of example32 and
+        # "jordan", ad(v1) is triangular but not diagonalizable: every
+        # degree falls short, and its restricted matrix is checked
         assert search(example32()) == ([3, 2, 3, 4], 4)
         assert search(HAND_MADE[2]) == ([3, 2, 3, 4], 4)
         # an irrational spectrum on g leaves no candidates to try
         assert search(HAND_MADE[1]) == ([3, 2, 3, 4], 4)
+
+    @staticmethod
+    def _split_without_charpoly(g, d, order=DEGREVLEX):
+        """The search of a fresh copy of g (no spectrum cached) in degree
+        d, with every restricted matrix it splits; a characteristic
+        polynomial fails it."""
+        matrices = []
+        eigenspaces = invariants._eigenspaces
+
+        def recording(m, candidates):
+            matrices.append(m)
+            return eigenspaces(m, candidates)
+
+        def no_charpoly(m):
+            raise AssertionError(f"charpoly of a {len(m)}x{len(m)} matrix")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(invariants, "_eigenspaces", recording)
+            mp.setattr(linalg, "charpoly", no_charpoly)
+            graded = graded_semi_invariants(
+                LieAlgebra(g.names, g.brackets), d, order)
+        return graded, matrices
+
+    @given(weights=st.lists(st.integers(-4, 4), min_size=1, max_size=4),
+           d=st.integers(1, 3))
+    @example(weights=[0, 0, 0], d=2)
+    @example(weights=[2, 2, -1], d=3)
+    @example(weights=[0, 3, 3, -3], d=3)
+    @settings(max_examples=40, deadline=None)
+    def test_diagonal_blocks_of_weights_algebras_need_no_charpoly(
+            self, weights, d):
+        # zero and repeated weights give repeated diagonal entries
+        n = len(weights) + 1
+        g = LieAlgebra([f"v{i + 1}" for i in range(n)],
+                       {(0, i + 1): {i + 1: w}
+                        for i, w in enumerate(weights) if w})
+        graded, matrices = self._split_without_charpoly(g, d)
+        assert all(not x for m in matrices for i, row in enumerate(m)
+                   for j, x in enumerate(row) if i != j)
+        assert (graded.blocks, graded.irrational_flag) == \
+            oracles.eigen_blocks(g, d)
+
+    @pytest.mark.parametrize("g, shape", [
+        (HAND_MADE[4], "lower"), (HAND_MADE[5], "upper"),
+        (HAND_MADE[3], "diagonal")], ids=["lower", "upper", "skewed"])
+    def test_triangular_blocks_need_no_charpoly(self, g, shape):
+        # "lower" splits blocks that are lower but not upper triangular,
+        # "upper" blocks that are upper but not lower triangular, under
+        # every order; "skewed" has a [g,g] off the basis vectors
+        for order, d in product(ORDERS.values(), (1, 2, 3)):
+            graded, matrices = self._split_without_charpoly(g, d, order)
+            assert matrices
+            for m in matrices:
+                above = any(m[i][j] for i in range(len(m))
+                            for j in range(i + 1, len(m)))
+                below = any(m[i][j] for i in range(len(m))
+                            for j in range(i))
+                assert shape == {(False, True): "lower",
+                                 (True, False): "upper",
+                                 (False, False): "diagonal"}[above, below]
+            assert not graded.irrational_flag
+            assert (graded.blocks, graded.irrational_flag) == \
+                oracles.eigen_blocks(g, d, order), (order.name, d)
 
     def test_large_weights_take_roots_from_the_degree_one_spectrum(
             self, monkeypatch):

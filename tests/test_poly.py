@@ -160,6 +160,20 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             Polynomial.variable(3, 0).evaluate([1, 2])
 
+    @given(data=st.data())
+    @settings(max_examples=60)
+    def test_int_points_give_the_fraction_point_values(self, data):
+        n = data.draw(st.integers(1, 4))
+        f = data.draw(poly_strategy(n))
+        point = data.draw(st.lists(st.integers(-7, 7), min_size=n,
+                                   max_size=n))
+        value = f.evaluate(point)
+        assert isinstance(value, Fraction)
+        assert value == f.evaluate([Fraction(x) for x in point])
+        for wrong in (point + [0], point[:-1]):
+            with pytest.raises(ValueError):
+                f.evaluate(wrong)
+
     @given(poly_pairs())
     @settings(max_examples=60)
     def test_evaluation_is_ring_homomorphism(self, pair):
