@@ -37,8 +37,6 @@ def _add_input_flags(p: argparse.ArgumentParser):
                    help="read an algebra from a JSON structure-constant file")
     p.add_argument("--max-degree", type=int, default=None, metavar="N",
                    help="degree bound for the graded searches (default dim g)")
-    p.add_argument("--seed", type=int, default=DEFAULT_PROBE_SEED,
-                   help="seed for the random rank probes")
     p.add_argument("--order", choices=sorted(ORDERS), default="degrevlex",
                    help="monomial order (default degrevlex)")
 
@@ -123,7 +121,7 @@ def cmd_invariants(args) -> int:
 def cmd_kernel(args) -> int:
     g = _load_algebra(args)
     bound = args.max_degree if args.max_degree is not None else g.dim
-    kernel = kernel_of_rho(g, bound, ORDERS[args.order], args.seed)
+    kernel = kernel_of_rho(g, bound, ORDERS[args.order])
     print(f"kernel of the anchor map of {g.label} up to degree {bound}:")
     print(f"  module rank {kernel.rank}, "
           f"{len(kernel.generators)} minimal generators")
@@ -161,7 +159,7 @@ def cmd_reduce(args) -> int:
                 f"generator (available: {available})")
         chosen = wanted[0]
     step = reduce_one_step(g, chosen, compare_degree=args.compare_degree,
-                           order=order, seed=args.seed)
+                           order=order)
 
     print(f"reduction step for {g.label} along "
           f"{format_polynomial(step.semi_invariant, g.names, order)} "
@@ -200,6 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="run the full analysis pipeline")
     _add_input_flags(p)
+    p.add_argument("--seed", type=int, default=DEFAULT_PROBE_SEED,
+                   help="seed for the random rank probes, whose ranks the "
+                        "report lists")
     p.add_argument("--json", metavar="PATH",
                    help="also write the JSON report to this path")
     p.set_defaults(func=cmd_analyze)

@@ -4,18 +4,16 @@ Degree by degree: the candidate space is the common kernel of the
 acting vectors ([g,g]) on the graded component, one sparse system
 assembled directly from the brackets; the operators coming from a
 complement of [g,g] commute there and are split into joint eigenspaces
-with rational eigenvalues (``_eigenspaces``).  A restricted matrix that
-is upper or lower triangular has its distinct diagonal entries as its
-whole spectrum; they are tried first, one eigenspace system each, and
-on a weights algebra, where every restricted matrix is diagonal, their
-eigenspaces always fill the space.  Only when they do not (the matrix
-is not triangular, or not diagonalizable) are candidates needed: with a
-rational spectrum on g, the eigenvalues in degree d are among the sums
-of d eigenvalues on g, computed on first need; each such candidate,
-ascending, gets one eigenspace system until the eigenspaces fill the
-space, so a characteristic polynomial is computed only when they fall
-short.  Every space is read out of a free-column basis that already is
-its canonical echelon basis.  Every block polynomial is checked against
+with rational eigenvalues (``_eigenspaces``).  Each restricted matrix
+takes one candidate set and is split once: its distinct diagonal
+entries when it is upper or lower triangular (its whole spectrum; on a
+weights algebra every restricted matrix is diagonal), else, with a
+rational spectrum on g, the sums of d eigenvalues on g, computed on
+first need.  Each candidate, ascending, gets one eigenspace system
+until the eigenspaces fill the space, so a characteristic polynomial
+is computed only when they fall short or the spectrum on g is not
+rational.  Every space is read out of a free-column basis that already
+is its canonical echelon basis.  Every block polynomial is checked against
 its weight with ``ad(v_i)`` for each basis vector
 (``verify_semi_invariant``).  A joint eigenvalue tuple lam is the weight
 on the complement coordinates c; at the pivot p of each row b of the
@@ -317,30 +315,25 @@ def _eigenspaces(m: linalg.Mat,
     ascending, each as its free-column basis, and whether ``m`` has an
     eigenvalue that is not rational.
 
-    Eigenspaces of distinct eigenvalues are independent, so once their
-    dimensions sum to the size of ``m``, it is diagonalizable with every
-    eigenvalue found.  A triangular ``m`` tries its distinct diagonal
-    entries first, one eigenspace system each: when their eigenspaces
-    fill the space (always, for the diagonal matrices of a weights
-    algebra) nothing else is computed.  Otherwise ``candidates()``,
-    ascending, must hold every eigenvalue of ``m``, and is asked for
-    only here; when it returns None, the rational roots of the
-    characteristic polynomial are the candidates.  Only a shortfall with
-    given candidates (``m`` not diagonalizable, or a candidate missing)
-    needs the characteristic polynomial: ``rational_roots`` raises
-    ``InternalCheckError`` if a root lies outside the set."""
-    k = len(m)
-    diagonal = _triangular_diagonal(m)
-    if diagonal is not None:
-        spaces, found = _split(m, diagonal)
-        if found == k:
-            return spaces, False
-    given = candidates()
+    One ascending candidate set holds every eigenvalue of ``m``: the
+    distinct diagonal entries when ``m`` is triangular (always, for the
+    diagonal matrices of a weights algebra), else ``candidates()``,
+    asked for only here, else the rational roots of the characteristic
+    polynomial.  One eigenspace system per candidate is solved, until
+    their dimensions sum to the size of ``m``: eigenspaces of distinct
+    eigenvalues are independent, so ``m`` is then diagonalizable with
+    every eigenvalue found.  Only a shortfall with a given set (``m``
+    not diagonalizable, or a candidate missing) needs the characteristic
+    polynomial: ``rational_roots`` raises ``InternalCheckError`` if a
+    root lies outside the set."""
+    given = _triangular_diagonal(m)
+    if given is None:
+        given = candidates()
     if given is None:
         roots, residual = linalg.rational_roots(linalg.charpoly(m))
         return _split(m, [lam for lam, _ in roots])[0], residual > 0
     spaces, found = _split(m, given)
-    if found < k:
+    if found < len(m):
         linalg.rational_roots(linalg.charpoly(m), given)
     return spaces, False
 

@@ -131,8 +131,7 @@ def _anchor_equations(b: SkewPolyMatrix, monos: Sequence) -> Iterator[dict]:
 
 
 def kernel_of_rho(g: LieAlgebra, degree_bound: int,
-                  order: MonomialOrder = DEGREVLEX,
-                  seed: int = DEFAULT_PROBE_SEED) -> KernelBasis:
+                  order: MonomialOrder = DEGREVLEX) -> KernelBasis:
     """Minimal homogeneous generators of ker rho up to the degree bound.
 
     Degree d unknowns are tuples (A_1..A_n) of degree-d forms; new
@@ -145,7 +144,7 @@ def kernel_of_rho(g: LieAlgebra, degree_bound: int,
     if degree_bound < 1:
         raise ValueError("degree bound must be >= 1")
     b = g.structure_matrix()
-    rank = index(g, seed)
+    rank = index(g)
 
     generators: list[KernelGenerator] = []
     for d in range(0, degree_bound + 1):
@@ -300,16 +299,17 @@ class Geometry:
 
 def compute_geometry(g: LieAlgebra, seed: int = DEFAULT_PROBE_SEED,
                      order: MonomialOrder = DEGREVLEX) -> Geometry:
+    """The exact data of g; ``seed`` picks only the probe points of the
+    returned certificate."""
     cert = rank_certificate(g, seed)
-    fsi = fundamental_semi_invariant(g, seed, order)
+    fsi = fundamental_semi_invariant(g, order)
     try:
-        codim = singular_locus_codim(g, seed, order)
+        codim = singular_locus_codim(g, order)
         known = True
     except BudgetExceededError:
         codim = None
         known = False
-    return Geometry(cert, index(g, seed), c_value(g, seed), fsi,
-                    codim, known)
+    return Geometry(cert, index(g), c_value(g), fsi, codim, known)
 
 
 def evaluate_criteria(g: LieAlgebra, geometry: Geometry,
@@ -478,8 +478,7 @@ class ReductionStep:
 
 def reduce_one_step(g: LieAlgebra, s: SemiInvariant,
                     compare_degree: int = 3,
-                    order: MonomialOrder = DEGREVLEX,
-                    seed: int = DEFAULT_PROBE_SEED) -> ReductionStep:
+                    order: MonomialOrder = DEGREVLEX) -> ReductionStep:
     """One reduction step along a proper semi-invariant.
 
     Builds h = ker(weight) and k = h extended by the nilpotent part of
@@ -534,9 +533,9 @@ def reduce_one_step(g: LieAlgebra, s: SemiInvariant,
     k = LieAlgebra(["p"] + h_names, k_brackets,
                    label=f"{g.label}|nilpotent-extension")
 
-    rank_g = rank_certificate(g, seed).rank
-    rank_h = rank_certificate(h, seed).rank
-    rank_k = rank_certificate(k, seed).rank
+    rank_g = rank_certificate(g).rank
+    rank_h = rank_certificate(h).rank
+    rank_k = rank_certificate(k).rank
     if rank_h != rank_g - 2:
         raise InternalCheckError(
             "kernel of a semi-invariant weight must drop the rank by two")
@@ -566,12 +565,12 @@ def reduce_one_step(g: LieAlgebra, s: SemiInvariant,
         notes.append("no branch matches the graded semi-center dimensions; "
                      "raise the comparison degree")
 
-    c_before = c_value(g, seed)
+    c_before = c_value(g)
     c_after = None
     if chosen == H_BRANCH:
-        c_after = c_value(h, seed)
+        c_after = c_value(h)
     elif chosen == K_BRANCH:
-        c_after = c_value(k, seed)
+        c_after = c_value(k)
     if c_after is not None and c_after != c_before:
         raise InternalCheckError("reduction step must preserve the c-value")
 

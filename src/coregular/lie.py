@@ -69,7 +69,7 @@ class LieAlgebra:
 
     def __init__(self, names: Sequence[str],
                  brackets: Mapping[tuple[int, int], Mapping[int, object]],
-                 label: str | None = None, validate: bool = True):
+                 label: str | None = None):
         names = tuple(str(x) for x in names)
         if not names:
             raise LieAlgebraError("need at least one basis vector")
@@ -99,8 +99,7 @@ class LieAlgebra:
         self.brackets = table
         self.label = label or "lie-algebra"
         self._cache: dict = {}
-        if validate:
-            self._check_jacobi()
+        self._check_jacobi()
 
     def cached(self, key, compute: Callable[[], object]):
         """``compute()``, run on the first request for ``key`` and kept

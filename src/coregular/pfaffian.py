@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import linalg
-from .grobner import (DEFAULT_BUDGET, GrobnerBudget, Ideal, buchberger,
-                      krull_dimension)
+from .grobner import Ideal, buchberger, krull_dimension
 from .lie import LieAlgebra, SkewPolyMatrix
 from .linalg import InternalCheckError
 from .poly import DEGREVLEX, MonomialOrder, Polynomial, poly_gcd
@@ -64,7 +63,6 @@ class RankCertificate:
     rank: int
     witness_rows: tuple[int, ...]
     witness_pfaffian: Polynomial
-    bordered_all_zero: bool
     probe_seed: int
     probe_ranks: tuple[int, ...]
 
@@ -96,8 +94,8 @@ def certified_rank(b: SkewPolyMatrix, seed: int = DEFAULT_PROBE_SEED) -> RankCer
         current = grown
     witness = pfaffian(b, current, memo)
     cert = RankCertificate(rank=len(current), witness_rows=current,
-                           witness_pfaffian=witness, bordered_all_zero=True,
-                           probe_seed=seed, probe_ranks=tuple(probe_ranks))
+                           witness_pfaffian=witness, probe_seed=seed,
+                           probe_ranks=tuple(probe_ranks))
     if max(probe_ranks, default=0) > cert.rank:
         raise InternalCheckError("a probe rank exceeds the certified rank")
     return cert
@@ -106,35 +104,35 @@ def certified_rank(b: SkewPolyMatrix, seed: int = DEFAULT_PROBE_SEED) -> RankCer
 def rank_certificate(g: LieAlgebra, seed: int = DEFAULT_PROBE_SEED
                      ) -> RankCertificate:
     """The certified rank of g's structure matrix, computed once per
-    algebra and probe seed."""
+    algebra and probe seed.  The seed picks only the probe points, so
+    every exact answer below reads the certificate of the default seed."""
     return g.cached(("rank", seed),
                     lambda: certified_rank(g.structure_matrix(), seed))
 
 
-def index(g: LieAlgebra, seed: int = DEFAULT_PROBE_SEED) -> int:
+def index(g: LieAlgebra) -> int:
     """dim g minus the generic rank of the structure matrix."""
-    return g.dim - rank_certificate(g, seed).rank
+    return g.dim - rank_certificate(g).rank
 
 
-def c_value(g: LieAlgebra, seed: int = DEFAULT_PROBE_SEED) -> int:
+def c_value(g: LieAlgebra) -> int:
     """(dim + index)/2; an integer because the rank is even."""
-    two_c = g.dim + index(g, seed)
+    two_c = g.dim + index(g)
     if two_c % 2:
         raise InternalCheckError("skew rank must be even")
     return two_c // 2
 
 
-def principal_pfaffians(g: LieAlgebra, seed: int = DEFAULT_PROBE_SEED
-                        ) -> tuple[Polynomial, ...]:
+def principal_pfaffians(g: LieAlgebra) -> tuple[Polynomial, ...]:
     """Every principal Pfaffian of the certified rank size, in the order
-    of their row sets; expanded once per algebra and seed, for the
-    fundamental semi-invariant and the Pfaffian ideal."""
+    of their row sets; expanded once per algebra, for the fundamental
+    semi-invariant and the Pfaffian ideal."""
     def expand() -> tuple[Polynomial, ...]:
         b = g.structure_matrix()
         memo: dict = {}
         return tuple(pfaffian(b, rows, memo) for rows in combinations(
-            range(g.dim), rank_certificate(g, seed).rank))
-    return g.cached(("pfaffians", seed), expand)
+            range(g.dim), rank_certificate(g).rank))
+    return g.cached("pfaffians", expand)
 
 
 @dataclass(frozen=True)
@@ -148,14 +146,13 @@ class FundamentalSemiInvariant:
 
 
 def fundamental_semi_invariant(g: LieAlgebra,
-                               seed: int = DEFAULT_PROBE_SEED,
                                order: MonomialOrder = DEGREVLEX
                                ) -> FundamentalSemiInvariant:
     one = Polynomial.one(g.dim)
-    if rank_certificate(g, seed).rank == 0:
+    if rank_certificate(g).rank == 0:
         return FundamentalSemiInvariant(one, one, 0)
     gcd: Polynomial | None = None
-    for pf in principal_pfaffians(g, seed):
+    for pf in principal_pfaffians(g):
         if pf.is_zero:
             continue
         gcd = pf if gcd is None else poly_gcd(gcd, pf, order)
@@ -169,15 +166,14 @@ def fundamental_semi_invariant(g: LieAlgebra,
     return FundamentalSemiInvariant(gcd, value, deg)
 
 
-def pfaffian_ideal(g: LieAlgebra, seed: int = DEFAULT_PROBE_SEED) -> Ideal:
+def pfaffian_ideal(g: LieAlgebra) -> Ideal:
     """Ideal of all principal rank-size Pfaffians; its zero set is the
     non-regular locus."""
-    return Ideal.of(g.dim, principal_pfaffians(g, seed))
+    return Ideal.of(g.dim, principal_pfaffians(g))
 
 
-def singular_locus_codim(g: LieAlgebra, seed: int = DEFAULT_PROBE_SEED,
-                         order: MonomialOrder = DEGREVLEX,
-                         budget: GrobnerBudget = DEFAULT_BUDGET) -> int | None:
+def singular_locus_codim(g: LieAlgebra, order: MonomialOrder = DEGREVLEX
+                         ) -> int | None:
     """Codimension of the non-regular locus in the dual space.
 
     Returns None when the locus is empty (abelian algebras: every point
@@ -185,8 +181,7 @@ def singular_locus_codim(g: LieAlgebra, seed: int = DEFAULT_PROBE_SEED,
     """
     if g.is_abelian:
         return None
-    ideal = pfaffian_ideal(g, seed)
-    basis = buchberger(ideal, order, budget)
+    basis = buchberger(pfaffian_ideal(g), order)
     dim = krull_dimension(basis)
     if dim is None:
         return None

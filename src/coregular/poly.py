@@ -418,22 +418,22 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial],
             Polynomial._new(nvars, remainder))
 
 
-def try_exact_div(f: Polynomial, g: Polynomial,
-                  order: MonomialOrder = DEGREVLEX) -> Polynomial | None:
-    """f / g if the division is exact, else None."""
+def try_exact_div(f: Polynomial, g: Polynomial) -> Polynomial | None:
+    """f / g if the division is exact, else None.  One divisor is a
+    Groebner basis of its ideal, so the answer does not depend on the
+    monomial order of the division."""
     if g.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     if f.is_zero:
         return Polynomial.zero(f.nvars)
-    (q,), r = divide(f, [g], order)
+    (q,), r = divide(f, [g])
     if r.is_zero:
         return q
     return None
 
 
-def exact_div(f: Polynomial, g: Polynomial,
-              order: MonomialOrder = DEGREVLEX) -> Polynomial:
-    q = try_exact_div(f, g, order)
+def exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
+    q = try_exact_div(f, g)
     if q is None:
         raise ValueError("polynomial division is not exact")
     return q

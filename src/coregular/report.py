@@ -264,7 +264,7 @@ def analyze(g: LieAlgebra, options: AnalysisOptions | None = None
     trdeg = trdeg_check(g, semi_gens,
                         structure_rank=geometry.certificate.rank)
 
-    kernel = kernel_of_rho(g, bound, opts.order, opts.seed)
+    kernel = kernel_of_rho(g, bound, opts.order)
 
     criteria = evaluate_criteria(g, geometry, semi_gens, inv_gens,
                                  relations)

@@ -160,6 +160,22 @@ def test_reduce_rejects_a_compare_degree_below_one(capsys, value):
     assert out == ""
 
 
+@pytest.mark.parametrize("command", ["invariants", "kernel", "reduce"])
+def test_only_analyze_takes_a_seed(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--catalog", "L:4", "--seed", "7"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_analyze_records_its_seed(capsys, tmp_path):
+    json_path = tmp_path / "report.json"
+    code, _, _ = run_cli(["analyze", "--catalog", "L:4", "--seed", "7",
+                          "--json", str(json_path)], capsys)
+    assert code == 0
+    assert json.loads(json_path.read_text())["settings"]["seed"] == 7
+
+
 def test_math_failure_is_exit_zero_but_bad_input_is_not(capsys, tmp_path):
     code, _, _ = run_cli(["analyze", "--catalog", "L:5"], capsys)
     assert code == 0  # criteria fail mathematically, still a result

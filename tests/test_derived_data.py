@@ -1,7 +1,7 @@
 """Data derived from an algebra is computed once per algebra instance.
 
-``LieAlgebra.cached`` holds the rank certificate and the principal
-rank-size Pfaffians (per probe seed), [g,g], the lower central series
+``LieAlgebra.cached`` holds the rank certificate (per probe seed), the
+principal rank-size Pfaffians, [g,g], the lower central series
 verdict, the degree-one spectrum of each ad(v_i) and the dimension of
 each degree's semi-invariants (per monomial order).  These tests count
 the computations behind the memo, not the calls of the public methods
@@ -127,7 +127,7 @@ def test_weights_analyze_and_reduce_compute_each_datum_once(counts):
     # every restricted matrix of a weights algebra is diagonal, so its
     # diagonal is the spectrum and no spectrum on g is computed
     assert computed(counts, g, "spectrum") == 0
-    # once per algebra, seed and vector, and nothing outside the memo
+    # once per algebra and vector, and nothing outside the memo
     assert all(n == 1 for n in counts.misses.values())
     assert counts.calls["certificate"] == entries(counts, "rank") == 3
     assert counts.calls["spectrum"] == entries(counts, "spectrum") == 0
@@ -175,7 +175,12 @@ def test_memo_is_per_instance(counts):
 
 def test_one_certificate_per_seed(counts):
     g = filiform(5)
-    assert pfaffian.index(g) == pfaffian.index(g, seed=7) == 3
-    assert pfaffian.c_value(g, seed=7) == 4
+    analyze(g, AnalysisOptions(max_degree=2))
+    report = analyze(g, AnalysisOptions(max_degree=2, seed=7))
+    assert report.geometry.certificate.probe_seed == 7
     assert counts.calls["certificate"] == 2
-    assert pfaffian.rank_certificate(g, 7).probe_seed == 7
+    # the seed picks only the probe points: the principal Pfaffians,
+    # like every exact answer, are computed once per algebra
+    assert computed(counts, g, "pfaffians") == 1
+    assert all(n == 1 for n in counts.misses.values())
+    assert pfaffian.index(g) == 3 and pfaffian.c_value(g) == 4

@@ -1,19 +1,22 @@
 """Byte-for-byte oracle: every scripts/run_catalog.py entry must reproduce
 its committed schema-1 report in tests/golden/.  The same entries check
-that the reports need no elimination over Q[x] and that the monomial
-order changes no result.
+that the reports need no elimination over Q[x], that the monomial
+order changes no result, and that the probe seed changes nothing but
+the probe ranks.
 
 Regenerate with ``scripts/run_catalog.py --json-dir tests/golden`` only in
 a change that says why the reports changed.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
 from coregular.lie import LieAlgebra
+from coregular.pfaffian import DEFAULT_PROBE_SEED
 from coregular.poly import DEGREVLEX, GRLEX, LEX
 from coregular.report import AnalysisOptions, analyze
 
@@ -86,3 +89,18 @@ def test_monomial_orders_agree(g, bound):
         assert summary(analyze(g, AnalysisOptions(max_degree=bound,
                                                   order=order))) == expected, \
             order.name
+
+
+@pytest.mark.parametrize("g, bound", run_catalog.ENTRIES, ids=IDS)
+def test_the_seed_reaches_only_the_probe_ranks(g, bound):
+    def seedless(seed):
+        # a fresh copy, so that no datum is shared between the seeds
+        fresh = LieAlgebra(g.names, g.brackets, g.label)
+        data = json.loads(analyze(fresh, AnalysisOptions(
+            max_degree=min(bound, 2), seed=seed)).to_json())
+        assert data["settings"].pop("seed") == seed
+        del data["probe_ranks"]
+        return data
+    expected = seedless(DEFAULT_PROBE_SEED)
+    for seed in (1, 7):
+        assert seedless(seed) == expected, seed

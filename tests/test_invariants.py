@@ -240,13 +240,11 @@ class TestGradedSearch:
         assert (graded.blocks, graded.irrational_flag) == \
             oracles.eigen_blocks(g, d)
 
-    @pytest.mark.parametrize("g", [HAND_MADE[0], example32()],
-                             ids=["swap", "example32"])
+    @pytest.mark.parametrize("g", [HAND_MADE[0]], ids=["swap"])
     def test_a_missing_eigenvalue_candidate_raises(self, monkeypatch, g):
         # the degree-one block of "swap" is [[0, 1], [1, 0]], which is
-        # not triangular, and that of example32 is triangular but not
-        # diagonalizable: both take the candidates.  The largest one is
-        # a weight on the block, and without it the eigenspaces fall
+        # not triangular, so it takes the candidates.  The largest one
+        # is a weight on the block, and without it the eigenspaces fall
         # short
         complete = invariants._eigenvalue_candidates
         largest = complete(g, 0, 1)[-1]
@@ -287,10 +285,11 @@ class TestGradedSearch:
         # of ad(v1) on g is computed, once, for its candidates
         assert search(HAND_MADE[0]) == ([3], 1)
         # on the candidate spaces S^d(span(v2, v3)) of example32 and
-        # "jordan", ad(v1) is triangular but not diagonalizable: every
-        # degree falls short, and its restricted matrix is checked
-        assert search(example32()) == ([3, 2, 3, 4], 4)
-        assert search(HAND_MADE[2]) == ([3, 2, 3, 4], 4)
+        # "jordan", ad(v1) is triangular but not diagonalizable: its
+        # diagonal is the one candidate set, every degree falls short,
+        # and its restricted matrix is checked; g's spectrum is not used
+        assert search(example32()) == ([2, 3, 4], 3)
+        assert search(HAND_MADE[2]) == ([2, 3, 4], 3)
         # an irrational spectrum on g leaves no candidates to try
         assert search(HAND_MADE[1]) == ([3, 2, 3, 4], 4)
 
