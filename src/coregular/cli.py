@@ -23,7 +23,7 @@ from .kernel import freeness_verdict, kernel_of_rho, reduce_one_step
 from .lie import LieAlgebra, LieAlgebraError
 from .pfaffian import DEFAULT_PROBE_SEED
 from .poly import ORDERS, format_polynomial
-from .report import AnalysisOptions, analyze
+from .report import AnalysisOptions, analyze, generator_line
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -108,10 +108,7 @@ def cmd_invariants(args) -> int:
     if not gens.generators:
         print("  none")
     for s in gens.generators:
-        w = ("invariant" if s.weight.is_zero
-             else "weight (" + ", ".join(str(x) for x in s.weight.values) + ")")
-        print(f"  deg {s.degree}: "
-              f"{format_polynomial(s.poly, g.names, ORDERS[args.order])}  [{w}]")
+        print(generator_line(s, g.names, ORDERS[args.order]))
     if gens.irrational_degrees:
         print(f"  (irrational weights possible in degrees "
               f"{list(gens.irrational_degrees)}, not reported)")

@@ -46,10 +46,6 @@ class Ideal:
                 raise ValueError("generator ring dimension mismatch")
         return cls(nvars, kept)
 
-    @property
-    def is_zero_ideal(self) -> bool:
-        return not self.generators
-
 
 @dataclass(frozen=True)
 class GroebnerBasis:

@@ -46,7 +46,7 @@ from .lie import LieAlgebra
 from .linalg import InternalCheckError, SparseEchelon, kernel_of_columns
 from .pfaffian import DEFAULT_PROBE_SEED, rank_certificate
 from .poly import (DEGREVLEX, GRLEX, MonomialOrder, Polynomial, _q,
-                   apply_derivation, exact_div, monomials_of_degree)
+                   exact_div, monomials_of_degree)
 
 # seeded points at which a generic rank is tried before Bareiss, and
 # the range of their integer coordinates
@@ -148,7 +148,6 @@ class Relation:
 
     poly: Polynomial
     weighted_degree: int
-    generator_degrees: tuple[int, ...]
 
 
 def verify_semi_invariant(g: LieAlgebra, f: Polynomial, w: WeightVector) -> bool:
@@ -235,9 +234,7 @@ def _restricted_matrix(g: LieAlgebra, v: Sequence, space: list[Polynomial],
     """Matrix of ad(v) restricted to an invariant subspace (columns are
     images in the echelon coordinates of ``space``)."""
     pivots = [f.leading_monomial(order) for f in space]
-    ad_v = g.bracket_images(v)
-    cols = [_coordinates(space, pivots, apply_derivation(f, ad_v))
-            for f in space]
+    cols = [_coordinates(space, pivots, g.apply_ad(v, f)) for f in space]
     k = len(space)
     return [[cols[j][i] for j in range(k)] for i in range(k)]
 
@@ -648,7 +645,7 @@ def find_relations(gens: GeneratorSet, max_weighted_degree: int
             if gb is not None and ideal_membership(formal, gb):
                 continue
             formal = formal.monic(GRLEX)
-            relations.append(Relation(formal, delta, tuple(degrees)))
+            relations.append(Relation(formal, delta))
             gb = buchberger(Ideal.of(k, [r.poly for r in relations]))
     return relations
 
@@ -658,23 +655,16 @@ def find_relations(gens: GeneratorSet, max_weighted_degree: int
 # ---------------------------------------------------------------------------
 
 def poisson_bracket(a: Polynomial, b: Polynomial, g: LieAlgebra) -> Polynomial:
-    """Kostant-Kirillov bracket: {a, b} = sum_{i<j} (a_i b_j - a_j b_i) [v_i, v_j]
-    with subscripts denoting partial derivatives."""
+    """Kostant-Kirillov bracket: {a, b} = sum_i (da/dv_i) ad(v_i)(b)."""
     n = g.dim
     if a.nvars != n or b.nvars != n:
         raise ValueError("polynomials must live in the symmetric algebra of g")
-    da = [a.partial_derivative(i) for i in range(n)]
-    db = [b.partial_derivative(i) for i in range(n)]
-    matrix = g.structure_matrix()
     out = Polynomial.zero(n)
     for i in range(n):
-        for j in range(i + 1, n):
-            entry = matrix[i, j]
-            if entry.is_zero:
-                continue
-            coeff = da[i] * db[j] - da[j] * db[i]
-            if not coeff.is_zero:
-                out = out + coeff * entry
+        da = a.partial_derivative(i)
+        if not da.is_zero:
+            out = out + da * g.apply_ad([1 if t == i else 0
+                                         for t in range(n)], b)
     return out
 
 

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from . import linalg
 from .linalg import (InternalCheckError, Mat, Vec, mat_eq_zero, mat_mul,
                      mat_sub, rref)
-from .poly import Polynomial, _q
+from .poly import Polynomial, _q, apply_derivation
 
 
 class LieAlgebraError(ValueError):
@@ -251,31 +251,10 @@ class LieAlgebra:
     # -- graded action ----------------------------------------------------------
 
     def apply_ad(self, x: Sequence, f: Polynomial) -> Polynomial:
-        """ad(x) extended as a derivation of the symmetric algebra.
-
-        Each x_j that a term c m of f holds adds e c [x, v_j] m / x_j,
-        where e is the exponent of x_j in m; the terms of [x, v_j] are
-        read from the bracket table (for a basis vector x = v_i, row
-        (i, j) of the table, negated when i > j), and no image
-        polynomial is built or kept on the algebra."""
-        images = [(j, list(image.items()))
-                  for j, image in enumerate(self._image_terms(x)) if image]
-        out: dict = {}
-        for m, c in f.terms.items():
-            for j, image in images:
-                e = m[j]
-                if not e:
-                    continue
-                ce = c * e
-                lowered = m[:j] + (e - 1,) + m[j + 1:]
-                for k, v in image:
-                    mono = lowered[:k] + (lowered[k] + 1,) + lowered[k + 1:]
-                    s = out.get(mono, 0) + ce * v
-                    if s:
-                        out[mono] = s
-                    else:
-                        del out[mono]
-        return Polynomial._new(self.dim, out)
+        """ad(x) extended as a derivation of the symmetric algebra: the
+        derivation x_j -> [x, v_j], with the images read from the bracket
+        table (see ``_image_terms``)."""
+        return apply_derivation(f, self._image_terms(x))
 
     # -- subalgebras -------------------------------------------------------------
 

@@ -342,25 +342,27 @@ class Polynomial:
         return total
 
 
-def apply_derivation(f: Polynomial, images: Sequence[Polynomial]) -> Polynomial:
-    """Apply the derivation D with D(x_i) = images[i] to f.
+def apply_derivation(f: Polynomial,
+                     images: Sequence[Mapping[int, Fraction]]) -> Polynomial:
+    """Apply to f the derivation D that sends x_j to the linear form
+    images[j], given as {k: c} with every c nonzero.
 
-    On polynomials any derivation equals sum_i images[i] * d/dx_i; every
-    term of every product is added into one dict.
+    Each x_j that a term c m of f holds adds e c images[j] m / x_j,
+    where e is the exponent of x_j in m; every term goes into one dict.
     """
-    active = [(i, img.terms) for i, img in enumerate(images)
-              if img is not None and img.terms]
+    active = [(j, list(image.items()))
+              for j, image in enumerate(images) if image]
     out: dict[Monomial, Fraction] = {}
     for m, c in f.terms.items():
-        for i, img in active:
-            e = m[i]
+        for j, image in active:
+            e = m[j]
             if not e:
                 continue
             ce = c * e
-            dm = m[:i] + (e - 1,) + m[i + 1:]
-            for mm, cc in img.items():
-                mono = monomial_mul(dm, mm)
-                s = out.get(mono, 0) + ce * cc
+            lowered = m[:j] + (e - 1,) + m[j + 1:]
+            for k, v in image:
+                mono = lowered[:k] + (lowered[k] + 1,) + lowered[k + 1:]
+                s = out.get(mono, 0) + ce * v
                 if s:
                     out[mono] = s
                 else:

@@ -19,6 +19,15 @@ from .poly import DEGREVLEX, MonomialOrder, format_polynomial
 SCHEMA_VERSION = 1
 
 
+def generator_line(s: SemiInvariant, names, order: MonomialOrder) -> str:
+    """One semi-invariant generator as a line of text:
+    ``  deg d: poly  [invariant]`` or ``  [weight (w_1, ..., w_n)]``."""
+    w = ("invariant" if s.weight.is_zero else
+         "weight (" + ", ".join(str(x) for x in s.weight.values) + ")")
+    return (f"  deg {s.degree}: {format_polynomial(s.poly, names, order)}"
+            f"  [{w}]")
+
+
 @dataclass(frozen=True)
 class AnalysisOptions:
     max_degree: int | None = None
@@ -172,13 +181,7 @@ class AnalysisReport:
         ]
         if self.semi_generators.generators:
             for s in self.semi_generators.generators:
-                w = ("invariant" if s.weight.is_zero else
-                     "weight (" + ", ".join(str(x) for x in s.weight.values)
-                     + ")")
-                lines.append(
-                    f"  deg {s.degree}: "
-                    f"{format_polynomial(s.poly, g.names, self.options.order)}"
-                    f"  [{w}]")
+                lines.append(generator_line(s, g.names, self.options.order))
         else:
             lines.append("  none")
         if self.semi_generators.has_proper():

@@ -8,8 +8,9 @@ successive intersection, the canonical echelon basis of a span, the
 weight of joint eigenvalues by a dense solve, the eigen split of the
 graded search by characteristic polynomials and one nullspace per
 root, a derivation as a sum of partial derivatives, the derivation of
-a weight, the substitution of polynomials for variables, the anchor-map
-kernel generators from the dense nullspace, and a spot check that the
+a weight, the Poisson bracket from the structure matrix, the
+substitution of polynomials for variables, the anchor-map kernel
+generators from the dense nullspace, and a spot check that the
 fundamental semi-invariant divides the rank-size minors of the
 structure matrix."""
 
@@ -27,8 +28,7 @@ from coregular.kernel import _shift
 from coregular.linalg import SparseEchelon, kernel_of_columns
 from coregular.pfaffian import DEFAULT_PROBE_SEED, rank_certificate
 from coregular.poly import (DEGREVLEX, MonomialOrder, Polynomial, _q,
-                            apply_derivation, monomials_of_degree,
-                            try_exact_div)
+                            monomials_of_degree, try_exact_div)
 
 # ---------------------------------------------------------------------------
 # dense Gauss-Jordan elimination
@@ -190,8 +190,8 @@ def ad_on_graded(g, x: Sequence, degree: int,
     images = g.bracket_images(x)
     matrix = [[Fraction(0)] * len(basis) for _ in range(len(basis))]
     for j, m in enumerate(basis):
-        img = apply_derivation(Polynomial._new(g.dim, {m: Fraction(1)}),
-                               images)
+        img = derivation_by_partials(
+            Polynomial._new(g.dim, {m: Fraction(1)}), images)
         for mm, c in img.terms.items():
             matrix[index[mm]][j] = c
     return basis, matrix
@@ -222,7 +222,7 @@ def kernel_intersection(g, degree: int, vectors: Sequence[Sequence],
         if not space:
             break
         ad_v = g.bracket_images(v)
-        images = [apply_derivation(f, ad_v) for f in space]
+        images = [derivation_by_partials(f, ad_v) for f in space]
         if all(img.is_zero for img in images):
             continue
         combined = []
@@ -313,15 +313,36 @@ def weight_derivation(f: Polynomial, w) -> Polynomial:
 
 
 def derivation_by_partials(f: Polynomial, images) -> Polynomial:
-    """sum_i images[i] * df/dx_i, one partial derivative and one product
-    at a time; ``poly.apply_derivation`` computes the same sum."""
+    """sum_i images[i] * df/dx_i for polynomial images, one partial
+    derivative and one product at a time; ``poly.apply_derivation``
+    computes the same sum for linear images."""
     out = Polynomial.zero(f.nvars)
     for i, img in enumerate(images):
-        if img is None or img.is_zero:
+        if img.is_zero:
             continue
         d = f.partial_derivative(i)
         if not d.is_zero:
             out = out + img * d
+    return out
+
+
+def poisson_bracket(a: Polynomial, b: Polynomial, g) -> Polynomial:
+    """Kostant-Kirillov bracket from the structure matrix:
+    {a, b} = sum_{i<j} (a_i b_j - a_j b_i) [v_i, v_j], subscripts
+    denoting partial derivatives."""
+    n = g.dim
+    da = [a.partial_derivative(i) for i in range(n)]
+    db = [b.partial_derivative(i) for i in range(n)]
+    matrix = g.structure_matrix()
+    out = Polynomial.zero(n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            entry = matrix[i, j]
+            if entry.is_zero:
+                continue
+            coeff = da[i] * db[j] - da[j] * db[i]
+            if not coeff.is_zero:
+                out = out + coeff * entry
     return out
 
 

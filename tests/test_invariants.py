@@ -651,6 +651,21 @@ class TestPoissonBracket:
                     assert poisson_bracket(f, s, g) == \
                         weight_derivation(f, w) * s
 
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_structure_matrix_formula(
+            self, data, catalog_algebras, rotated_sl2):
+        g = data.draw(st.sampled_from(
+            catalog_algebras + [rotated_sl2, heisenberg([[1, 2], [0, -1]])]))
+        n = g.dim
+        monomial = st.lists(st.integers(0, n - 1), max_size=3).map(
+            lambda vs: tuple(vs.count(i) for i in range(n)))
+        coeff = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+        strat = st.dictionaries(monomial, coeff, max_size=4).map(
+            lambda terms: Polynomial(n, terms))
+        a, b = data.draw(strat), data.draw(strat)
+        assert poisson_bracket(a, b, g) == oracles.poisson_bracket(a, b, g)
+
     def test_found_semi_invariants_pairwise_commute(self, catalog_algebras):
         for g in catalog_algebras:
             gens = minimal_generators(g, 2)[0]
