@@ -9,9 +9,11 @@ answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import combinations
+from typing import Sequence
 
-from .poly import (DEGREVLEX, MonomialOrder, Polynomial, divide,
+from .poly import (DEGREVLEX, MonomialOrder, Polynomial, _ratio, divide,
                    monomial_degree, monomial_div, monomial_divides,
                    monomial_lcm, monomial_mul)
 
@@ -62,14 +64,17 @@ class GroebnerBasis:
         return any(e.is_constant and not e.is_zero for e in self.elements)
 
 
-def normal_form(f: Polynomial, basis, order: MonomialOrder = DEGREVLEX) -> Polynomial:
-    """Remainder of f under multivariate division by ``basis``."""
+def normal_form(f: Polynomial, basis, order: MonomialOrder = DEGREVLEX,
+                leads: Sequence | None = None) -> Polynomial:
+    """Remainder of f under multivariate division by ``basis``;
+    ``leads``, when given, holds the leading monomials of its elements
+    (see ``divide``)."""
     elements = list(basis.elements) if isinstance(basis, GroebnerBasis) else list(basis)
     if isinstance(basis, GroebnerBasis):
         order = basis.order
     if not elements:
         return f
-    _, r = divide(f, elements, order)
+    _, r = divide(f, elements, order, leads)
     return r
 
 
@@ -78,15 +83,19 @@ def s_polynomial(f: Polynomial, g: Polynomial,
     lf, lg = f.leading_monomial(order), g.leading_monomial(order)
     lcm = monomial_lcm(lf, lg)
     mf = Polynomial._new(f.nvars, {monomial_div(lcm, lf):
-                                   1 / f.leading_coefficient(order)})
+                                   _ratio(1, f.leading_coefficient(order))})
     mg = Polynomial._new(g.nvars, {monomial_div(lcm, lg):
-                                   1 / g.leading_coefficient(order)})
+                                   _ratio(1, g.leading_coefficient(order))})
     return mf * f - mg * g
 
 
 def buchberger(ideal: Ideal, order: MonomialOrder = DEGREVLEX,
                budget: GrobnerBudget = DEFAULT_BUDGET) -> GroebnerBasis:
-    """Reduced Groebner basis via Buchberger with sugar-degree selection."""
+    """Reduced Groebner basis via Buchberger with sugar-degree selection.
+
+    The pairs wait in a heap keyed (sugar, order key of the lcm of the
+    leading monomials, i, j), so the smallest key is taken first, and
+    each element's leading monomial is computed once, when it enters."""
     if ideal.nvars > budget.max_ring_dim:
         raise BudgetExceededError(
             f"ring dimension {ideal.nvars} exceeds cap {budget.max_ring_dim}")
@@ -95,47 +104,38 @@ def buchberger(ideal: Ideal, order: MonomialOrder = DEGREVLEX,
         return GroebnerBasis(ideal.nvars, order, ())
 
     basis: list[Polynomial] = []
+    lead: list = []  # leading monomial of each element
     sugar: list[int] = []
-    pairs: dict[tuple[int, int], int] = {}  # (i, j) -> pair sugar
-
-    def pair_sugar(i: int, j: int) -> int:
-        li = basis[i].leading_monomial(order)
-        lj = basis[j].leading_monomial(order)
-        lcm = monomial_lcm(li, lj)
-        return max(sugar[i] + monomial_degree(lcm) - monomial_degree(li),
-                   sugar[j] + monomial_degree(lcm) - monomial_degree(lj))
+    pairs: list[tuple] = []
 
     def add_element(f: Polynomial, s: int):
         if len(basis) >= budget.max_basis:
             raise BudgetExceededError("basis size cap exceeded")
-        basis.append(f)
-        sugar.append(s)
-        j = len(basis) - 1
-        for i in range(j):
-            li = basis[i].leading_monomial(order)
-            lj = f.leading_monomial(order)
+        lj = f.leading_monomial(order)
+        for i, li in enumerate(lead):
+            lcm = monomial_lcm(li, lj)
             # skip coprime leading monomials (Buchberger's first criterion)
-            if monomial_lcm(li, lj) == monomial_mul(li, lj):
+            if lcm == monomial_mul(li, lj):
                 continue
-            pairs[(i, j)] = pair_sugar(i, j)
+            deg = monomial_degree(lcm)
+            heappush(pairs, (max(sugar[i] + deg - monomial_degree(li),
+                                 s + deg - monomial_degree(lj)),
+                             order.key(lcm), i, len(basis)))
+        basis.append(f)
+        lead.append(lj)
+        sugar.append(s)
 
     for g in gens:
         add_element(g, g.total_degree())
 
     reductions = 0
     while pairs:
-        (i, j) = min(pairs,
-                     key=lambda p: (pairs[p],
-                                    order.key(monomial_lcm(
-                                        basis[p[0]].leading_monomial(order),
-                                        basis[p[1]].leading_monomial(order))),
-                                    p))
-        s = pairs.pop((i, j))
+        s, _, i, j = heappop(pairs)
         sp = s_polynomial(basis[i], basis[j], order)
         reductions += 1
         if reductions > budget.max_reductions:
             raise BudgetExceededError("reduction count cap exceeded")
-        r = normal_form(sp, basis, order)
+        r = normal_form(sp, basis, order, lead)
         if r.is_zero:
             continue
         if r.total_degree() > budget.max_degree:
@@ -143,7 +143,6 @@ def buchberger(ideal: Ideal, order: MonomialOrder = DEGREVLEX,
         add_element(r.monic(order), max(s, r.total_degree()))
 
     # minimalize: drop elements whose leading monomial another element divides
-    lead = [g.leading_monomial(order) for g in basis]
     minimal = []
     for i, g in enumerate(basis):
         redundant = any(

@@ -71,7 +71,7 @@ class WeightVector:
 
     @classmethod
     def zero(cls, n: int) -> "WeightVector":
-        return cls((Fraction(0),) * n)
+        return cls((0,) * n)
 
     @property
     def is_zero(self) -> bool:
@@ -187,8 +187,7 @@ def _ad_equations(g: LieAlgebra, monos: Sequence,
     for v in vectors:
         rows: dict = {}
         for j, image in enumerate(g.bracket_images(v)):
-            terms = [(mm.index(1), c.numerator if c.denominator == 1 else c)
-                     for mm, c in image.terms.items()]
+            terms = [(mm.index(1), c) for mm, c in image.terms.items()]
             if not terms:
                 continue
             for t, m in enumerate(monos):
@@ -223,7 +222,7 @@ def _common_kernel(g: LieAlgebra, degree: int, vectors: Sequence[Sequence],
 
 def _coordinates(space: list[Polynomial], pivots: list, vec: Polynomial
                  ) -> list[Fraction]:
-    coords = [vec.terms.get(p, Fraction(0)) for p in pivots]
+    coords = [vec.terms.get(p, 0) for p in pivots]
     if vec != _combine(enumerate(coords), space, vec.nvars):
         raise InternalCheckError("vector left the subspace")
     return coords
@@ -244,12 +243,11 @@ def _weight(g: LieAlgebra, complement: Sequence[int], pivots: Sequence[int],
     """The functional vanishing on [g,g] with the given values on the
     complement coordinates, read off the reduced basis of [g,g], whose
     row r has its pivot at ``pivots[r]``."""
-    values = [Fraction(0)] * g.dim
+    values = [0] * g.dim
     for c, lam in zip(complement, eigenvalues):
         values[c] = lam
     for p, b in zip(pivots, g.derived_subalgebra().basis):
-        values[p] = -sum((b[c] * values[c] for c in complement),
-                         Fraction(0))
+        values[p] = -sum(b[c] * values[c] for c in complement)
     return WeightVector(tuple(values))
 
 
@@ -267,7 +265,7 @@ def _eigenvalue_candidates(g: LieAlgebra, idx: int, degree: int
         lambda: linalg.rational_roots(linalg.charpoly(g.ad_matrix(idx))))
     if residual:
         return None
-    return sorted({sum(combo, Fraction(0)) for combo in
+    return sorted({sum(combo) for combo in
                    combinations_with_replacement([r for r, _ in roots],
                                                  degree)})
 
@@ -454,7 +452,7 @@ def _new_generators(gens: Sequence[SemiInvariant],
     weights = [s.weight.values for s in gens]
     products: dict[tuple[Fraction, ...], SparseEchelon] = {}
     for exps in _exponent_vectors([s.degree for s in gens], degree):
-        w = (Fraction(0),) * nvars
+        w = (0,) * nvars
         for e, values in zip(exps, weights):
             if e:
                 w = tuple(a + e * b for a, b in zip(w, values))

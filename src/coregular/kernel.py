@@ -33,8 +33,8 @@ from .linalg import InternalCheckError
 from .pfaffian import (DEFAULT_PROBE_SEED, FundamentalSemiInvariant,
                        RankCertificate, c_value, fundamental_semi_invariant,
                        index, rank_certificate, singular_locus_codim)
-from .poly import (DEGREVLEX, MonomialOrder, Polynomial, format_polynomial,
-                   monomial_mul, monomials_of_degree)
+from .poly import (DEGREVLEX, MonomialOrder, Polynomial, _ratio,
+                   format_polynomial, monomial_mul, monomials_of_degree)
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -122,8 +122,6 @@ def _anchor_equations(b: SkewPolyMatrix, monos: Sequence) -> Iterator[dict]:
         rows: dict = {}
         for i, row in enumerate(b.entries):
             for mm, c in row[j].terms.items():
-                if c.denominator == 1:
-                    c = c.numerator
                 for t, mono in enumerate(raised[mm.index(1)], i * nm):
                     rows.setdefault(mono, {})[t] = c
         for mono in sorted(rows):
@@ -147,17 +145,53 @@ def kernel_of_rho(g: LieAlgebra, degree_bound: int,
     rank = index(g)
 
     generators: list[KernelGenerator] = []
+    dependent: dict[int, set] = {}
     for d in range(0, degree_bound + 1):
-        generators += _generators_of_degree(b, generators, d, order)
+        generators += _generators_of_degree(b, generators, d, order,
+                                            dependent)
     return KernelBasis(g, degree_bound, tuple(generators), rank)
+
+
+def _multiples(generators: Sequence[KernelGenerator], d: int, n: int,
+               rank: dict, order: MonomialOrder, dependent: dict[int, set],
+               limit: int | None) -> linalg.SparseEchelon:
+    """The echelon of the degree-d multiples m w of the lower-degree
+    ``generators``: generator by generator, multipliers m descending;
+    it stops once it holds ``limit`` rows.
+
+    ``dependent`` maps a generator's index to the multipliers of degree
+    d - 1 whose multiple lay in the span of those before it, and is
+    rewritten with those of degree d.  Multiplication by a variable x_k
+    keeps that order, so x_k times such a multiple lies in the span of
+    those before it too: it is skipped, not reduced, and the echelon
+    rows are the same."""
+    lower = linalg.SparseEchelon(min)
+    previous = dict(dependent)
+    dependent.clear()
+    for e, same_degree in groupby(enumerate(generators),
+                                  key=lambda ag: ag[1].degree):
+        multipliers = monomials_of_degree(n, d - e, order)
+        for a, gen in same_degree:
+            skip = {m[:k] + (m[k] + 1,) + m[k + 1:]
+                    for m in previous.get(a, ()) for k in range(n)}
+            dead = dependent[a] = set()
+            for m in multipliers:
+                if m in skip or lower.add(_shift(gen.components, m,
+                                                 rank)) is None:
+                    dead.add(m)
+                elif len(lower.rows) == limit:
+                    return lower
+    return lower
 
 
 def _generators_of_degree(b: SkewPolyMatrix,
                           generators: Sequence[KernelGenerator],
-                          d: int, order: MonomialOrder
+                          d: int, order: MonomialOrder,
+                          dependent: dict[int, set]
                           ) -> list[KernelGenerator]:
     """The generators of degree d: the canonical complement, in the
-    degree-d kernel, of the multiples of the lower-degree ``generators``.
+    degree-d kernel, of the multiples of the lower-degree ``generators``
+    (see ``_multiples``, which also reads and rewrites ``dependent``).
 
     Unknown ``i * len(monos) + t`` is the coefficient of ``monos[t]`` in
     A_i, with ``monos`` descending, so the pivot of a vector is its
@@ -172,15 +206,9 @@ def _generators_of_degree(b: SkewPolyMatrix,
     if not space.dim:
         return []
     rank = {m: t for t, m in enumerate(monos)}
-    # span of degree-d multiples of lower-degree generators
-    lower = linalg.SparseEchelon(min)
-    for e, same_degree in groupby(generators, key=lambda gen: gen.degree):
-        multipliers = monomials_of_degree(n, d - e, order)
-        for gen in same_degree:
-            for m in multipliers:
-                lower.add(_shift(gen.components, m, rank))
-                if len(lower.rows) == space.dim:
-                    return []
+    lower = _multiples(generators, d, n, rank, order, dependent, space.dim)
+    if len(lower.rows) == space.dim:
+        return []
 
     new_rows = []
     for sol in space.basis():
@@ -498,7 +526,7 @@ def reduce_one_step(g: LieAlgebra, s: SemiInvariant,
         raise ValueError("reduction needs a proper semi-invariant")
     derived = g.derived_subalgebra()
     for b in derived.basis:
-        if sum((c * x for c, x in zip(chi.values, b)), Fraction(0)) != 0:
+        if sum(c * x for c, x in zip(chi.values, b)) != 0:
             raise ValueError("weight does not vanish on the derived subalgebra")
 
     h_vectors = linalg.nullspace([list(chi.values)], n)
@@ -506,8 +534,8 @@ def reduce_one_step(g: LieAlgebra, s: SemiInvariant,
     h = g.induced_algebra(h_vectors, h_names, label=f"{g.label}|ker-weight")
 
     first = next(i for i, x in enumerate(chi.values) if x != 0)
-    c_vec = [Fraction(0)] * n
-    c_vec[first] = 1 / chi.values[first]
+    c_vec = [0] * n
+    c_vec[first] = _ratio(1, chi.values[first])
 
     # matrix of ad(c) restricted to h, in the h basis
     cols = [[h_vectors[t][r] for t in range(n - 1)] for r in range(n)]

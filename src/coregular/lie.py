@@ -2,7 +2,8 @@
 
 Brackets are stored only for i < j, so antisymmetry holds by
 construction; the Jacobi identity is validated when an algebra is
-built.  All linear data lives over exact rationals.
+built.  All linear data lives over exact rationals, each value an
+``int`` when it is integral (see ``poly._q``).
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ class LieAlgebra:
     """A finite dimensional Lie algebra with a named basis.
 
     ``brackets`` maps (i, j) with 0 <= i < j < dim to a coefficient
-    dict {k: Fraction}, keys ascending, describing
+    dict {k: exact rational}, keys ascending, describing
     [v_i, v_j] = sum_k c_k v_k.  An algebra is never changed after
     construction, so the data derived from it is computed once, on
     first use, and kept (see ``cached``).
@@ -113,7 +114,7 @@ class LieAlgebra:
     def bracket_basis(self, i: int, j: int) -> Vec:
         """[v_i, v_j] as a coordinate vector; sign handled for any i, j."""
         n = self.dim
-        out = [Fraction(0)] * n
+        out = [0] * n
         if i == j:
             return out
         sign = 1
@@ -126,7 +127,7 @@ class LieAlgebra:
     def bracket(self, x: Sequence, y: Sequence) -> Vec:
         """Bilinear extension of the bracket to coordinate vectors."""
         n = self.dim
-        out = [Fraction(0)] * n
+        out = [0] * n
         xv = [_q(a) for a in x]
         yv = [_q(a) for a in y]
         for i in range(n):
@@ -144,11 +145,11 @@ class LieAlgebra:
     def _check_jacobi(self):
         n = self.dim
         for i in range(n):
-            ei = [Fraction(1 if t == i else 0) for t in range(n)]
+            ei = [int(t == i) for t in range(n)]
             for j in range(i + 1, n):
-                ej = [Fraction(1 if t == j else 0) for t in range(n)]
+                ej = [int(t == j) for t in range(n)]
                 for k in range(j + 1, n):
-                    ek = [Fraction(1 if t == k else 0) for t in range(n)]
+                    ek = [int(t == k) for t in range(n)]
                     r1 = self.bracket(ei, self.bracket_basis(j, k))
                     r2 = self.bracket(ej, self.bracket_basis(k, i))
                     r3 = self.bracket(ek, self.bracket_basis(i, j))

@@ -22,8 +22,9 @@ the lcm of its denominators; a reduction step by a row with pivot entry
 ``c`` is the entry of ``v`` at the pivot and ``g = gcd(a, c)``.  Each row
 a new pivot changes has its content divided out, so the row set stays
 canonical.  Rationals appear only on readout: ``SparseEchelon.row``, the
-dense routines and ``kernel_of_columns`` divide by the pivot entry and
-return ``Fraction`` values.
+dense routines and ``kernel_of_columns`` divide by the pivot entry, and
+a value is read out as an ``int`` when the pivot entry divides it and as
+a ``Fraction`` otherwise.
 
 ``rational_roots`` has one search as well: the roots of the square-free
 part modulo a small prime, lifted p-adically and checked by exact
@@ -36,10 +37,10 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Hashable, Iterable, Sequence
 
-from .poly import Polynomial, _q
+from .poly import Polynomial, _q, _ratio
 
-Vec = list[Fraction]
-Mat = list[list[Fraction]]
+Vec = list[int | Fraction]
+Mat = list[Vec]
 
 
 class InternalCheckError(RuntimeError):
@@ -56,11 +57,11 @@ def mat(rows: Iterable[Iterable]) -> Mat:
 
 
 def identity(n: int) -> Mat:
-    return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def zeros(n: int, m: int) -> Mat:
-    return [[Fraction(0)] * m for _ in range(n)]
+    return [[0] * m for _ in range(n)]
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
@@ -85,11 +86,11 @@ def mat_sub(a: Mat, b: Mat) -> Mat:
 
 
 def mat_vec(a: Mat, v: Sequence) -> Vec:
-    return [sum((x * _q(y) for x, y in zip(row, v)), Fraction(0)) for row in a]
+    return [sum(x * _q(y) for x, y in zip(row, v)) for row in a]
 
 
-def trace(a: Mat) -> Fraction:
-    return sum((a[i][i] for i in range(len(a))), Fraction(0))
+def trace(a: Mat) -> int | Fraction:
+    return sum(a[i][i] for i in range(len(a)))
 
 
 def mat_eq_zero(a: Mat) -> bool:
@@ -103,8 +104,7 @@ def rref(rows: Iterable[Iterable]) -> tuple[Mat, list[int]]:
     ncols = len(rows[0]) if rows else 0
     ech = _column_echelon(rows)
     pivots = sorted(ech.rows)
-    zero = Fraction(0)
-    return [[row.get(j, zero) for j in range(ncols)]
+    return [[row.get(j, 0) for j in range(ncols)]
             for row in map(ech.row, pivots)], pivots
 
 
@@ -114,8 +114,7 @@ def rank(rows: Iterable[Iterable]) -> int:
 
 def nullspace(rows: Iterable[Iterable], ncols: int) -> list[Vec]:
     """Canonical basis of {x : A x = 0}; one vector per free column."""
-    zero = Fraction(0)
-    return [[vec.get(j, zero) for j in range(ncols)]
+    return [[vec.get(j, 0) for j in range(ncols)]
             for vec in _free_columns(_column_echelon(rows), ncols)]
 
 
@@ -127,9 +126,9 @@ def solve(a: Mat, b: Sequence) -> Vec | None:
     ech = _column_echelon(list(row) + [bv] for row, bv in zip(a, b))
     if ncols in ech.rows:
         return None
-    x = [Fraction(0)] * ncols
+    x = [0] * ncols
     for pc, row in ech.rows.items():
-        x[pc] = Fraction(row.get(ncols, 0), row[pc])
+        x[pc] = _ratio(row.get(ncols, 0), row[pc])
     return x
 
 
@@ -149,11 +148,11 @@ def inverse(a: Mat) -> Mat:
 def charpoly(a: Mat) -> Polynomial:
     """Characteristic polynomial det(tI - A) by Faddeev-LeVerrier."""
     n = len(a)
-    coeffs = [Fraction(1)]  # of t^n, t^{n-1}, ...
+    coeffs = [1]  # of t^n, t^{n-1}, ...
     m = identity(n)
     for k in range(1, n + 1):
         m = mat_mul(a, m)
-        c = -trace(m) / k
+        c = _ratio(-trace(m), k)
         coeffs.append(c)
         for i in range(n):
             m[i][i] += c
@@ -180,7 +179,7 @@ def minimal_polynomial(a: Mat) -> Polynomial:
         ker = nullspace(system, cols)
         for v in ker:
             if v[cols - 1] != 0:
-                scaled = [c / v[cols - 1] for c in v]
+                scaled = [_ratio(c, v[cols - 1]) for c in v]
                 terms = {(i,): c for i, c in enumerate(scaled) if c != 0}
                 return Polynomial(1, terms)
     raise InternalCheckError(  # pragma: no cover
@@ -193,7 +192,7 @@ def poly_of_matrix(p: Polynomial, a: Mat) -> Mat:
         raise ValueError("need a univariate polynomial")
     n = len(a)
     deg = p.degree_in(0)
-    coeffs = [Fraction(0)] * (deg + 1)
+    coeffs = [0] * (deg + 1)
     for m, c in p.terms.items():
         coeffs[m[0]] = c
     out = zeros(n, n)
@@ -208,7 +207,7 @@ def squarefree_part(p: Polynomial) -> Polynomial:
     """p / gcd(p, p'), monic, for univariate p."""
     if p.is_zero:
         return p
-    cs = [Fraction(0)] * (p.degree_in(0) + 1)
+    cs = [0] * (p.degree_in(0) + 1)
     for m, c in p.terms.items():
         cs[m[0]] = c
     return Polynomial._new(1, {(i,): c for i, c in
@@ -222,7 +221,7 @@ def _squarefree_coeffs(cs: list[Fraction]) -> list[Fraction]:
     while b:
         a, b = b, _divmod_dense(a, b)[1]
     part = _divmod_dense(cs, a)[0]
-    return [c / part[-1] for c in part]
+    return [_ratio(c, part[-1]) for c in part]
 
 
 def _divmod_dense(a: list[Fraction], b: list[Fraction]
@@ -230,9 +229,9 @@ def _divmod_dense(a: list[Fraction], b: list[Fraction]
     """Quotient and remainder of dense polynomials, b[-1] != 0; the
     remainder has no trailing zeros."""
     rem = list(a)
-    quot = [Fraction(0)] * (len(a) - len(b) + 1)
+    quot = [0] * (len(a) - len(b) + 1)
     for k in range(len(quot) - 1, -1, -1):
-        q = quot[k] = rem[k + len(b) - 1] / b[-1]
+        q = quot[k] = _ratio(rem[k + len(b) - 1], b[-1])
         for i, c in enumerate(b):
             rem[k + i] -= q * c
     del rem[len(b) - 1:]
@@ -258,7 +257,7 @@ def rational_roots(p: Polynomial, candidates: Iterable[Fraction] | None = None
     if p.nvars != 1 or p.is_zero:
         raise ValueError("need a nonzero univariate polynomial")
     deg = p.degree_in(0)
-    coeffs = [Fraction(0)] * (deg + 1)
+    coeffs = [0] * (deg + 1)
     for m, c in p.terms.items():
         coeffs[m[0]] = c
 
@@ -273,9 +272,9 @@ def rational_roots(p: Polynomial, candidates: Iterable[Fraction] | None = None
                 "a root lies outside the complete candidate set")
         return roots, 0
 
-    coeffs, zero_mult = _deflate(coeffs, Fraction(0))
+    coeffs, zero_mult = _deflate(coeffs, 0)
     if zero_mult:
-        roots.append((Fraction(0), zero_mult))
+        roots.append((0, zero_mult))
 
     if len(coeffs) > 1:
         for cand in _lifted_root_candidates(coeffs):
@@ -293,7 +292,7 @@ def _deflate(cs: list[Fraction], r: Fraction) -> tuple[list[Fraction], int]:
     synthetic division; returns (quotient, multiplicity)."""
     mult = 0
     while len(cs) > 1:
-        quot = [Fraction(0)] * (len(cs) - 1)
+        quot = [0] * (len(cs) - 1)
         acc = cs[-1]
         for i in range(len(cs) - 2, -1, -1):
             quot[i] = acc
@@ -338,7 +337,7 @@ def _lifted_root_candidates(coeffs: list[Fraction]) -> list[Fraction]:
             x = (x - _horner(ints, x, mod)
                  * pow(_horner(deriv, x, mod), -1, mod)) % mod
         s = lead * x % mod
-        out.append(Fraction(s - mod if 2 * s > mod else s, lead))
+        out.append(_ratio(s - mod if 2 * s > mod else s, lead))
     return sorted(out)
 
 
@@ -360,12 +359,9 @@ def _integral(vec: dict) -> dict[Hashable, int]:
     work: dict[Hashable, int | Fraction] = {}
     den = 1
     for k, v in vec.items():
+        v = _q(v)
         if v.__class__ is not int:
-            v = _q(v)
-            if v.denominator == 1:
-                v = v.numerator
-            else:
-                den = lcm(den, v.denominator)
+            den = lcm(den, v.denominator)
         if v:
             work[k] = v
     if den == 1:
@@ -389,7 +385,8 @@ class SparseEchelon:
     A stored row is fraction-free: a primitive integer vector (the gcd
     of its entries is 1) whose pivot entry is positive, the unique such
     multiple of the reduced row with a unit pivot.  ``row`` reads that
-    reduced row out as ``Fraction`` values.
+    reduced row out, each value an ``int`` when the pivot entry divides
+    it and a ``Fraction`` otherwise.
     """
 
     def __init__(self, choose_pivot: Callable[[Iterable[Hashable]], Hashable]):
@@ -397,11 +394,11 @@ class SparseEchelon:
         self.rows: dict[Hashable, dict[Hashable, int]] = {}
         self.holders: dict[Hashable, set] = {}
 
-    def row(self, pivot: Hashable) -> dict[Hashable, Fraction]:
+    def row(self, pivot: Hashable) -> dict[Hashable, int | Fraction]:
         """The row with this pivot, divided by its pivot entry."""
         row = self.rows[pivot]
         lead = row[pivot]
-        return {k: Fraction(v, lead) for k, v in row.items()}
+        return {k: _ratio(v, lead) for k, v in row.items()}
 
     def reduce(self, vec: dict) -> dict[Hashable, int]:
         """Fully reduce ``vec`` against the current pivot rows; the
@@ -490,9 +487,9 @@ def _free_columns(ech: SparseEchelon, ncols: int) -> list[dict[int, Fraction]]:
     for fc in range(ncols):
         if fc in rows:
             continue
-        vec = {pc: Fraction(-rows[pc][fc], rows[pc][pc])
+        vec = {pc: _ratio(-rows[pc][fc], rows[pc][pc])
                for pc in ech.holders.get(fc, ())}
-        vec[fc] = Fraction(1)
+        vec[fc] = 1
         basis.append(dict(sorted(vec.items())))
     return basis
 
@@ -505,7 +502,8 @@ class SolutionSpace:
     in the order given, so a generator that builds them on demand never
     holds the whole system.  ``dim`` is the number of unknowns less the
     rank, so a caller that only needs the dimension never reads out a
-    basis; ``basis`` reads out that of ``kernel_of_columns``.
+    basis; ``basis`` reads out that of ``kernel_of_columns``, each value
+    an ``int`` when it is integral and a ``Fraction`` otherwise.
     """
 
     def __init__(self, equations: Iterable[dict[int, int | Fraction]],

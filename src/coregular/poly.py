@@ -1,8 +1,11 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-Monomials are exponent tuples, coefficients are ``fractions.Fraction``.
-Everything is immutable after construction and safe to share; all
-operations return new objects.
+Monomials are exponent tuples.  A coefficient is exact: an ``int`` when
+it is integral and a ``fractions.Fraction`` only while a denominator
+remains (``_q`` brings any value to that form, ``_ratio`` divides into
+it), so integral data runs on integer arithmetic.  Everything is
+immutable after construction and safe to share; all operations return
+new objects.
 """
 
 from __future__ import annotations
@@ -19,10 +22,20 @@ MINUS_INFINITY = float("-inf")
 Monomial = tuple  # exponent tuple, one entry per ring variable
 
 
-def _q(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
+def _q(x) -> int | Fraction:
+    """x exactly: the ``int`` when x is integral, else a ``Fraction``."""
+    if x.__class__ is not int:
+        x = x if isinstance(x, Fraction) else Fraction(x)
+        if x.denominator == 1:
+            return x.numerator
+    return x
+
+
+def _ratio(a, b) -> int | Fraction:
+    """a / b exactly, in the form ``_q`` returns: never a float."""
+    if a.__class__ is int and b.__class__ is int and not a % b:
+        return a // b
+    return _q(Fraction(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +180,7 @@ class Polynomial:
         if not 0 <= i < nvars:
             raise IndexError(f"variable index {i} out of range for {nvars} variables")
         m = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls._new(nvars, {m: Fraction(1)})
+        return cls._new(nvars, {m: 1})
 
     @classmethod
     def from_vector(cls, coeffs: Sequence) -> "Polynomial":
@@ -216,7 +229,8 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading monomial")
         return max(self.terms, key=order.key)
 
-    def leading_coefficient(self, order: MonomialOrder = DEGREVLEX) -> Fraction:
+    def leading_coefficient(self, order: MonomialOrder = DEGREVLEX
+                            ) -> int | Fraction:
         return self.terms[self.leading_monomial(order)]
 
     def monic(self, order: MonomialOrder = DEGREVLEX) -> "Polynomial":
@@ -225,7 +239,8 @@ class Polynomial:
         lc = self.leading_coefficient(order)
         if lc == 1:
             return self
-        return self._new(self.nvars, {m: c / lc for m, c in self.terms.items()})
+        return self._new(self.nvars,
+                         {m: _ratio(c, lc) for m, c in self.terms.items()})
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -326,20 +341,18 @@ class Polynomial:
                 terms[dm] = s
         return self._new(self.nvars, terms)
 
-    def evaluate(self, point: Sequence) -> Fraction:
+    def evaluate(self, point: Sequence) -> int | Fraction:
         if len(point) != self.nvars:
             raise ValueError("point length does not match ring dimension")
-        # int coordinates stay int: a Fraction coefficient times an int
-        # power is the same value as with Fraction coordinates
-        pt = [x if isinstance(x, int) else _q(x) for x in point]
-        total = Fraction(0)
+        pt = [_q(x) for x in point]
+        total = 0
         for m, c in self.terms.items():
             val = c
             for x, e in zip(pt, m):
                 if e:
                     val *= x ** e
             total += val
-        return total
+        return _q(total)
 
 
 def apply_derivation(f: Polynomial,
@@ -375,20 +388,27 @@ def apply_derivation(f: Polynomial,
 # ---------------------------------------------------------------------------
 
 def divide(f: Polynomial, divisors: Sequence[Polynomial],
-           order: MonomialOrder = DEGREVLEX) -> tuple[list[Polynomial], Polynomial]:
+           order: MonomialOrder = DEGREVLEX, leads: Sequence | None = None
+           ) -> tuple[list[Polynomial], Polynomial]:
     """Multivariate division: f = sum q_i * divisors[i] + r.
 
     No term of r is divisible by any leading monomial of the divisors.
-    The terms still to divide are kept sorted by ``order``: every term a
-    reduction step brings in is below the term it removes, so each
-    monomial's order key is computed once, when it enters.
+    ``leads``, when given, holds those leading monomials under ``order``,
+    one per divisor, so a caller that divides by the same divisors again
+    and again finds them once.  The terms still to divide are kept
+    sorted by ``order``: every term a reduction step brings in is below
+    the term it removes, so each monomial's order key is computed once,
+    when it enters.
     """
     nvars = f.nvars
     key = order.key
     quotients: list[dict[Monomial, Fraction]] = [{} for _ in divisors]
     remainder: dict[Monomial, Fraction] = {}
-    lead = [(i, g.leading_monomial(order), g.leading_coefficient(order), g)
-            for i, g in enumerate(divisors) if not g.is_zero]
+    if leads is None:
+        leads = [g.leading_monomial(order) if g.terms else None
+                 for g in divisors]
+    lead = [(i, gm, g.terms[gm], g)
+            for i, (g, gm) in enumerate(zip(divisors, leads)) if g.terms]
     work = dict(f.terms)
     # ascending, so the leading term is last; an entry whose monomial has
     # left ``work`` is stale and skipped
@@ -400,7 +420,7 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial],
             continue
         for idx, gm, gc, g in lead:
             if monomial_divides(gm, lm):
-                qm, qc = monomial_div(lm, gm), lc / gc
+                qm, qc = monomial_div(lm, gm), _ratio(lc, gc)
                 quotients[idx][qm] = qc
                 for m, c in g.terms.items():
                     if m == gm:
@@ -478,7 +498,7 @@ def _pseudo_rem(f: Polynomial, g: Polynomial, var: int) -> Polynomial:
         lc_r = _coefficients_in(r, var)[dr]
         shift = Polynomial._new(
             f.nvars,
-            {tuple(dr - dg if i == var else 0 for i in range(f.nvars)): Fraction(1)})
+            {tuple(dr - dg if i == var else 0 for i in range(f.nvars)): 1})
         r = lc_g * r - lc_r * shift * g
     return r
 

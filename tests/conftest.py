@@ -1,7 +1,22 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import strategies as st
 
 from coregular.poly import Polynomial
+
+
+def is_exact(x) -> bool:
+    """Whether x is an exact value in the library's readout form: an
+    ``int`` (never a ``bool``) when it is integral, else a ``Fraction``
+    with a denominator above 1."""
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+def is_rational(x) -> bool:
+    """Whether x is an ``int`` or a ``Fraction``: never a ``float`` or a
+    ``bool``."""
+    return type(x) in (int, Fraction)
 
 
 def poly_strategy(nvars, max_degree=3, max_terms=4, coeff_bound=4):

@@ -10,9 +10,10 @@ graded search by characteristic polynomials and one nullspace per
 root, a derivation as a sum of partial derivatives, the derivation of
 a weight, the Poisson bracket from the structure matrix, the
 substitution of polynomials for variables, the anchor-map kernel
-generators from the dense nullspace, and a spot check that the
+generators from the dense nullspace, a spot check that the
 fundamental semi-invariant divides the rank-size minors of the
-structure matrix."""
+structure matrix, and Buchberger's algorithm with each pair chosen by
+a ``min`` over all pairs, recomputing the leading monomials."""
 
 from __future__ import annotations
 
@@ -27,8 +28,10 @@ from coregular.invariants import WeightVector
 from coregular.kernel import _shift
 from coregular.linalg import SparseEchelon, kernel_of_columns
 from coregular.pfaffian import DEFAULT_PROBE_SEED, rank_certificate
-from coregular.poly import (DEGREVLEX, MonomialOrder, Polynomial, _q,
-                            monomials_of_degree, try_exact_div)
+from coregular.grobner import normal_form, s_polynomial
+from coregular.poly import (DEGREVLEX, MonomialOrder, Polynomial,
+                            monomial_degree, monomial_divides, monomial_lcm,
+                            monomial_mul, monomials_of_degree, try_exact_div)
 
 # ---------------------------------------------------------------------------
 # dense Gauss-Jordan elimination
@@ -37,8 +40,7 @@ from coregular.poly import (DEGREVLEX, MonomialOrder, Polynomial, _q,
 
 def rref(rows: Iterable[Iterable]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    zero = Fraction(0)
-    m = [[_q(x) if x else zero for x in row] for row in rows]
+    m = [[Fraction(x) for x in row] for row in rows]
     if not m:
         return [], []
     ncols = len(m[0])
@@ -86,7 +88,7 @@ def nullspace(rows: Iterable[Iterable], ncols: int) -> list[list[Fraction]]:
 def solve(a: Sequence[Sequence], b: Sequence) -> list[Fraction] | None:
     """One solution of A x = b (free unknowns zero), or None."""
     if not a:
-        return [] if all(_q(x) == 0 for x in b) else None
+        return [] if all(Fraction(x) == 0 for x in b) else None
     ncols = len(a[0])
     reduced, pivots = rref(list(row) + [bv] for row, bv in zip(a, b))
     x = [Fraction(0)] * ncols
@@ -248,7 +250,7 @@ def weight_from_eigenvalues(g, complement: Sequence[int],
     rhs = [Fraction(0)] * len(rows)
     for idx, lam in zip(complement, eigenvalues):
         rows.append([Fraction(int(t == idx)) for t in range(g.dim)])
-        rhs.append(_q(lam))
+        rhs.append(Fraction(lam))
     sol = linalg.solve(rows, rhs)
     assert sol is not None, "no weight takes the joint eigenvalues"
     return WeightVector.of(sol)
@@ -475,3 +477,62 @@ def anchor_kernel_generators(g, degree_bound: int,
                     comps[t // len(monos)][monos[t % len(monos)]] = c
             found.append((d, tuple(Polynomial(n, c) for c in comps)))
     return found
+
+
+# ---------------------------------------------------------------------------
+# Buchberger's algorithm with the pair chosen by min
+# ---------------------------------------------------------------------------
+
+
+def buchberger_by_min(generators: Sequence[Polynomial],
+                      order: MonomialOrder = DEGREVLEX
+                      ) -> tuple[tuple[Polynomial, ...], int]:
+    """(reduced Groebner basis, number of S-polynomial reductions), by
+    sugar-degree selection where each step takes the pair of least
+    (sugar, order key of the lcm of the leading monomials, (i, j)) by a
+    ``min`` over the pairs left; no budget."""
+    basis: list[Polynomial] = []
+    sugar: list[int] = []
+    pairs: dict[tuple[int, int], int] = {}
+
+    def lcm_of(i: int, j: int):
+        return monomial_lcm(basis[i].leading_monomial(order),
+                            basis[j].leading_monomial(order))
+
+    def add_element(f: Polynomial, s: int):
+        basis.append(f)
+        sugar.append(s)
+        j = len(basis) - 1
+        lj = f.leading_monomial(order)
+        for i in range(j):
+            li = basis[i].leading_monomial(order)
+            lcm = lcm_of(i, j)
+            if lcm == monomial_mul(li, lj):
+                continue
+            pairs[(i, j)] = max(
+                sugar[i] + monomial_degree(lcm) - monomial_degree(li),
+                sugar[j] + monomial_degree(lcm) - monomial_degree(lj))
+
+    for g in generators:
+        if not g.is_zero:
+            add_element(g.monic(order), g.total_degree())
+    reductions = 0
+    while pairs:
+        i, j = min(pairs, key=lambda p: (pairs[p], order.key(lcm_of(*p)), p))
+        s = pairs.pop((i, j))
+        reductions += 1
+        r = normal_form(s_polynomial(basis[i], basis[j], order), basis, order)
+        if not r.is_zero:
+            add_element(r.monic(order), max(s, r.total_degree()))
+
+    lead = [g.leading_monomial(order) for g in basis]
+    minimal = [g for i, g in enumerate(basis) if not any(
+        j != i and monomial_divides(lead[j], lead[i])
+        and (lead[j] != lead[i] or j < i) for j in range(len(basis)))]
+    reduced = []
+    for idx, g in enumerate(minimal):
+        r = normal_form(g, minimal[:idx] + minimal[idx + 1:], order)
+        if not r.is_zero:
+            reduced.append(r.monic(order))
+    reduced.sort(key=lambda g: order.key(g.leading_monomial(order)))
+    return tuple(reduced), reductions

@@ -1,15 +1,19 @@
+from dataclasses import replace
 from itertools import product
 
 import pytest
 
+import oracles
 from coregular.catalog import filiform, panyushev, sl2
-from coregular.grobner import (BudgetExceededError, GrobnerBudget,
+from coregular.grobner import (DEFAULT_BUDGET, BudgetExceededError,
+                               GrobnerBudget,
                                GroebnerBasis, Ideal, buchberger,
                                ideal_membership, krull_dimension, normal_form,
                                s_polynomial)
-from coregular.pfaffian import pfaffian_ideal
-from coregular.poly import (DEGREVLEX, GRLEX, Polynomial, monomial_divides,
-                            parse_polynomial)
+from coregular.pfaffian import index, pfaffian_ideal
+from coregular.lie import LieAlgebra
+from coregular.poly import (DEGREVLEX, GRLEX, LEX, Polynomial,
+                            monomial_divides, parse_polynomial)
 
 
 def variables(n):
@@ -48,6 +52,43 @@ def staircase_dimension_oracle(generators, nvars):
     ratio = n2 / n1
     dim = round(__import__("math").log2(ratio))
     return dim
+
+
+def seaweed(a, b):
+    """The seaweed subalgebra of sl_n, n = sum(a) = sum(b), that is
+    block upper triangular for the composition a and block lower
+    triangular for b: its E_ij (i != j), then H_i = E_ii - E_{i+1,i+1}."""
+    n = sum(a)
+    block_a = [k for k, size in enumerate(a) for _ in range(size)]
+    block_b = [k for k, size in enumerate(b) for _ in range(size)]
+    units = [(i, j) for i in range(n) for j in range(n) if i != j
+             and block_a[i] <= block_a[j] and block_b[i] >= block_b[j]]
+    basis = [{ij: 1} for ij in units] + [
+        {(i, i): 1, (i + 1, i + 1): -1} for i in range(n - 1)]
+
+    def coordinates(z):
+        out = {units.index(ij): c for ij, c in z.items() if ij[0] != ij[1]}
+        for i in range(n - 1):  # E_ii - E_jj sums the H between them
+            h = sum(z.get((t, t), 0) for t in range(i + 1))
+            if h:
+                out[len(units) + i] = h
+        return out
+
+    brackets = {}
+    for p, x in enumerate(basis):
+        for q in range(p + 1, len(basis)):
+            z = {}
+            for (i, j), c in x.items():
+                for (k, l), d in basis[q].items():
+                    if j == k:
+                        z[(i, l)] = z.get((i, l), 0) + c * d
+                    if l == i:
+                        z[(k, j)] = z.get((k, j), 0) - c * d
+            z = coordinates({ij: c for ij, c in z.items() if c})
+            if z:
+                brackets[(p, q)] = z
+    return LieAlgebra([f"x{t + 1}" for t in range(len(basis))], brackets,
+                      label=f"seaweed{a}|{b}")
 
 
 class TestBuchberger:
@@ -95,6 +136,40 @@ class TestBuchberger:
     def test_ring_dimension_cap(self):
         with pytest.raises(BudgetExceededError):
             buchberger(Ideal.of(11, [Polynomial.variable(11, 0)]))
+
+
+    @pytest.mark.parametrize("order", [DEGREVLEX, GRLEX, LEX])
+    def test_pair_heap_makes_the_reductions_of_the_min_selection(
+            self, catalog_algebras, order):
+        """The heap takes the pairs in the order of the ``min`` selection
+        it replaced, so the basis, the reduction count and with it every
+        budget verdict stay the same: the count is the least reduction
+        cap under which the run finishes."""
+        algebras = catalog_algebras + [filiform(7), seaweed((1, 1, 1), (3,)),
+                                       seaweed((1, 1, 1, 1), (1, 3)),
+                                       seaweed((2, 2), (2, 2))]
+        counts = []
+        for g in algebras:
+            if g.is_abelian:
+                continue
+            ideal = pfaffian_ideal(g)
+            expected, count = oracles.buchberger_by_min(ideal.generators,
+                                                        order)
+            capped = replace(DEFAULT_BUDGET, max_reductions=count)
+            assert buchberger(ideal, order, capped).elements == expected
+            if count:
+                with pytest.raises(BudgetExceededError):
+                    buchberger(ideal, order,
+                               replace(capped, max_reductions=count - 1))
+            counts.append(count)
+        assert max(counts) > 50
+
+    def test_seaweed_index_matches_the_meander_formula(self):
+        # 2C + P - 1 for C cycles and P paths of the meander graph:
+        # sl3 has one cycle and one path, b(sl3) two paths and
+        # (2,2)|(2,2) two cycles
+        assert [index(seaweed(a, b)) for a, b in [
+            ((3,), (3,)), ((1, 1, 1), (3,)), ((2, 2), (2, 2))]] == [2, 1, 3]
 
 
 class TestKrullDimension:

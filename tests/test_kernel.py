@@ -19,7 +19,8 @@ from coregular.kernel import (FAILS, H_BRANCH, HOLDS, K_BRANCH, UNKNOWN,
                               freeness_verdict, kernel_of_rho,
                               reduce_one_step)
 from coregular.lie import LieAlgebra
-from coregular.poly import DEGREVLEX, Polynomial, format_polynomial
+from coregular.poly import (DEGREVLEX, Polynomial, format_polynomial,
+                            monomials_of_degree)
 import oracles
 
 
@@ -148,6 +149,46 @@ class TestKernelOfRho:
         from coregular.pfaffian import index
         for g in catalog_algebras:
             assert kernel_of_rho(g, 2).rank == index(g)
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_skipped_multiples_leave_the_echelon_rows_unchanged(
+            self, monkeypatch, n):
+        # x_k m w lies in the span of the multiples before it when m w
+        # did one degree lower, so skipping it keeps every row; counted
+        # by the reductions the two runs make
+        g = filiform(n)
+        gens = kernel_of_rho(g, n).generators
+        adds = []
+        add = linalg.SparseEchelon.add
+
+        def counting(ech, vec):
+            adds[-1] += 1
+            return add(ech, vec)
+        monkeypatch.setattr(linalg.SparseEchelon, "add", counting)
+        dependent: dict = {}
+        for d in range(1, n + 1):
+            lower = [w for w in gens if w.degree < d]
+            monos = monomials_of_degree(n, d, DEGREVLEX)
+            rank = {m: t for t, m in enumerate(monos)}
+            previous = {a: set(ms) for a, ms in dependent.items()}
+            adds.append(0)
+            skipping = kernel_module._multiples(
+                lower, d, n, rank, DEGREVLEX, dependent, None)
+            adds.append(0)
+            unskipped: dict = {}
+            full = kernel_module._multiples(
+                lower, d, n, rank, DEGREVLEX, unskipped, None)
+            assert skipping.rows == full.rows
+            assert dependent == unskipped
+            skipped = adds[-1] - adds[-2]
+            assert skipped == sum(
+                len({m for m in ms if any(
+                    m[k] and m[:k] + (m[k] - 1,) + m[k + 1:] in
+                    previous.get(a, ()) for k in range(n))})
+                for a, ms in dependent.items())
+            if d > 2:
+                # every multiple that is dependent is skipped
+                assert adds[-2] == len(skipping.rows)
 
 
 class TestBlockSplit:

@@ -14,6 +14,7 @@ from coregular.linalg import (InternalCheckError, SparseEchelon, charpoly,
                               squarefree_part)
 from coregular.poly import Polynomial
 import oracles
+from conftest import is_exact
 
 # sparse vectors with integer and non-integer values
 mixed_vectors = st.lists(st.dictionaries(
@@ -235,7 +236,7 @@ class TestSparse:
                     for vec in oracles.nullspace(dense, len(images))]
         basis = kernel_of_columns(images)
         assert basis == expected
-        assert all(type(c) is Fraction for vec in basis for c in vec.values())
+        assert all(is_exact(c) for vec in basis for c in vec.values())
 
     @given(mixed_vectors)
     @settings(max_examples=100)
@@ -247,8 +248,8 @@ class TestSparse:
             if pivot is not None:
                 row = ech.row(pivot)
                 assert pivot == min(row)
-                assert type(row[pivot]) is Fraction and row[pivot] == 1
-                assert all(type(c) is Fraction for c in row.values())
+                assert type(row[pivot]) is int and row[pivot] == 1
+                assert all(is_exact(c) for c in row.values())
             for stored in ech.rows.values():
                 assert all(type(v) is int for v in stored.values())
 
@@ -304,10 +305,14 @@ def test_dense_routines_match_the_gauss_jordan_oracle(system):
     rows, ncols, b = system
     reduced, pivots = rref(rows)
     assert (reduced, pivots) == oracles.rref(rows)
-    assert all(type(x) is Fraction for row in reduced for x in row)
+    assert all(is_exact(x) for row in reduced for x in row)
     assert rank(rows) == oracles.rank(rows)
-    assert nullspace(rows, ncols) == oracles.nullspace(rows, ncols)
-    assert solve(rows, b) == oracles.solve(rows, b)
+    basis = nullspace(rows, ncols)
+    assert basis == oracles.nullspace(rows, ncols)
+    assert all(is_exact(x) for vec in basis for x in vec)
+    x = solve(rows, b)
+    assert x == oracles.solve(rows, b)
+    assert x is None or all(is_exact(v) for v in x)
 
 
 @given(small_mat)
