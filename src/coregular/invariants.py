@@ -203,6 +203,17 @@ def _ad_equations(g: LieAlgebra, monos: Sequence,
             yield rows.pop(mono)
 
 
+def _common_kernel_system(g: LieAlgebra, degree: int,
+                          vectors: Sequence[Sequence], order: MonomialOrder
+                          ) -> tuple[list, linalg.SolutionSpace]:
+    """The degree-``degree`` polynomials that ad(v) kills for every v in
+    ``vectors``, as one eliminated system, and its unknowns: the
+    monomials ascending under ``order``."""
+    monos = monomials_of_degree(g.dim, degree, order)[::-1]
+    return monos, linalg.SolutionSpace(_ad_equations(g, monos, vectors),
+                                       len(monos))
+
+
 def _common_kernel(g: LieAlgebra, degree: int, vectors: Sequence[Sequence],
                    order: MonomialOrder) -> list[Polynomial]:
     """Canonical echelon basis of the degree-``degree`` polynomials that
@@ -212,12 +223,9 @@ def _common_kernel(g: LieAlgebra, degree: int, vectors: Sequence[Sequence],
     free column of each basis vector is its leading monomial and its
     coefficient there is 1: reversed, the free-column basis is the
     reduced echelon basis with the leading monomials descending."""
-    n = g.dim
-    monos = monomials_of_degree(n, degree, order)[::-1]
-    basis = linalg.SolutionSpace(_ad_equations(g, monos, vectors),
-                                 len(monos)).basis()
-    return [Polynomial._new(n, {monos[t]: c for t, c in vec.items()})
-            for vec in reversed(basis)]
+    monos, space = _common_kernel_system(g, degree, vectors, order)
+    return [Polynomial._new(g.dim, {monos[t]: c for t, c in vec.items()})
+            for vec in reversed(space.basis())]
 
 
 def _coordinates(space: list[Polynomial], pivots: list, vec: Polynomial
@@ -333,6 +341,10 @@ def _eigenspaces(m: linalg.Mat,
     return spaces, False
 
 
+def _basis_vectors(n: int) -> list[list[int]]:
+    return [[int(t == i) for t in range(n)] for i in range(n)]
+
+
 def structural_no_proper_reason(g: LieAlgebra) -> str | None:
     """A structure-level certificate that no proper semi-invariant exists:
     nilpotency forces all weights to vanish, and a perfect algebra leaves
@@ -362,7 +374,7 @@ def graded_semi_invariants(g: LieAlgebra, degree: int,
     derived = g.derived_subalgebra()
     pivots = [next(i for i, x in enumerate(b) if x) for b in derived.basis]
     if structural_no_proper_reason(g):
-        vectors = [[int(t == i) for t in range(n)] for i in range(n)]
+        vectors = _basis_vectors(n)
         complement: list[int] = []
     else:
         vectors = derived.basis
@@ -521,17 +533,30 @@ def minimal_generators(g: LieAlgebra, max_degree: int | None = None,
                                   irrational_degrees=(), index=index)
 
 
+def _semicenter_dim(g: LieAlgebra, degree: int, order: MonomialOrder) -> int:
+    if structural_no_proper_reason(g):
+        # the search would have one block, this system's solutions
+        return _common_kernel_system(g, degree, _basis_vectors(g.dim),
+                                     order)[1].dim
+    return graded_semi_invariants(g, degree, order).total_dim()
+
+
 def semicenter_dims(g: LieAlgebra, bound: int,
                     order: MonomialOrder) -> tuple[int, ...]:
     """The dimensions of g's semi-invariant spaces of degrees 1..bound.
 
     ``minimal_generators`` records each degree's dimension on the
     algebra from its own search, keyed by degree and order, so after it
-    only a degree it has not searched under ``order`` is searched here.
+    only a degree it has not searched under ``order`` is computed here.
+    A nilpotent or perfect algebra (such as the h and k of a reduction
+    often are) is counted, not searched: its only semi-invariants are
+    the invariants, the common kernel of ad(g), whose dimension is read
+    off the eliminated system with no basis and no polynomial built.
+    Any other algebra is searched (``graded_semi_invariants``).
     """
     return tuple(
         g.cached(("semicenter", d, order),
-                 lambda: graded_semi_invariants(g, d, order).total_dim())
+                 lambda: _semicenter_dim(g, d, order))
         for d in range(1, bound + 1))
 
 

@@ -13,7 +13,10 @@ basis read out of the eliminated system.
 The reduction step compares the graded semi-invariant dimensions of g
 with those of h and k.  g's come from its own graded search, which
 ``minimal_generators`` records on the algebra (one int per degree and
-monomial order), so after ``analyze`` g is not searched again.
+monomial order), so after ``analyze`` g is not searched again.  h and
+k are counted when structural (nilpotent or perfect): the dimension
+of the invariants' system is read with no polynomial built
+(``semicenter_dims``); otherwise they are searched.
 """
 
 from __future__ import annotations

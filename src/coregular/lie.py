@@ -34,8 +34,10 @@ class JacobiViolationError(LieAlgebraError):
     def __init__(self, i: int, j: int, k: int, residual: Vec):
         self.indices = (i, j, k)
         self.residual = residual
+        # each entry in the p/q text form of the reports
+        text = ", ".join(str(x) for x in residual)
         super().__init__(
-            f"Jacobi identity fails on (v{i}, v{j}, v{k}); residual {residual}")
+            f"Jacobi identity fails on (v{i}, v{j}, v{k}); residual [{text}]")
 
 
 @dataclass(frozen=True)
@@ -379,8 +381,21 @@ class SkewPolyMatrix:
         return self.entries[ij[0]][ij[1]]
 
     def evaluate(self, point: Sequence) -> Mat:
-        return [[self.entries[i][j].evaluate(point) for j in range(self.size)]
-                for i in range(self.size)]
+        """The matrix at ``point``, converted once; each entry above the
+        diagonal is evaluated once and the lower triangle is its
+        negative."""
+        n = self.size
+        if len(point) != n:
+            raise ValueError("point length does not match ring dimension")
+        pt = [_q(x) for x in point]
+        out: Mat = [[0] * n for _ in range(n)]
+        for i in range(n):
+            row = self.entries[i]
+            for j in range(i + 1, n):
+                value = row[j]._value_at(pt)
+                out[i][j] = value
+                out[j][i] = -value
+        return out
 
     @property
     def is_zero(self) -> bool:
@@ -391,8 +406,11 @@ def jordan_chevalley(d: Mat) -> tuple[Mat, Mat]:
     """Split a rational square matrix D = D_s + D_p with D_s semisimple,
     D_p nilpotent, both commuting polynomials in D.
 
-    Newton iteration against the squarefree part of the characteristic
-    polynomial; all arithmetic stays rational.
+    A diagonal D is its own semisimple part, so it is returned as
+    ``(D, 0)`` with no characteristic polynomial.  Any other D goes
+    through Newton iteration against the squarefree part of the
+    characteristic polynomial, and its output through the defining
+    checks; all arithmetic stays rational.
     """
     n = len(d)
     if n == 0:
@@ -401,6 +419,8 @@ def jordan_chevalley(d: Mat) -> tuple[Mat, Mat]:
         if len(row) != n:
             raise ValueError("matrix must be square")
     d = [[_q(x) for x in row] for row in d]
+    if all(not d[i][j] for i in range(n) for j in range(n) if i != j):
+        return d, [[0] * n for _ in range(n)]
     chi = linalg.charpoly(d)
     s = linalg.squarefree_part(chi)
     sprime = s.partial_derivative(0)

@@ -23,8 +23,12 @@ Monomial = tuple  # exponent tuple, one entry per ring variable
 
 
 def _q(x) -> int | Fraction:
-    """x exactly: the ``int`` when x is integral, else a ``Fraction``."""
+    """x exactly: the ``int`` when x is integral, else a ``Fraction``.
+    A ``float`` raises ``TypeError``: its value is binary, not exact."""
     if x.__class__ is not int:
+        if isinstance(x, float):
+            raise TypeError(f"inexact value {x!r}: give an int, a Fraction "
+                            "or a string such as '1/10'")
         x = x if isinstance(x, Fraction) else Fraction(x)
         if x.denominator == 1:
             return x.numerator
@@ -344,7 +348,12 @@ class Polynomial:
     def evaluate(self, point: Sequence) -> int | Fraction:
         if len(point) != self.nvars:
             raise ValueError("point length does not match ring dimension")
-        pt = [_q(x) for x in point]
+        return self._value_at([_q(x) for x in point])
+
+    def _value_at(self, pt: Sequence) -> int | Fraction:
+        """The value at a point whose coordinates are already exact (as
+        ``_q`` returns them), so a caller evaluating many polynomials at
+        one point converts it once."""
         total = 0
         for m, c in self.terms.items():
             val = c

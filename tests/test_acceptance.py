@@ -42,7 +42,7 @@ def proportional(a: Polynomial, b: Polynomial) -> bool:
     lm = a.leading_monomial()
     if lm not in b.terms:
         return False
-    scale = a.terms[lm] / b.terms[lm]
+    scale = Fraction(a.terms[lm], b.terms[lm])
     return a == b * scale
 
 
@@ -174,7 +174,7 @@ def test_criterion_6_filiform6_presentation():
                 [s.poly.terms] + [p.terms for p in prods])
             combo = next(v for v in combos if v.get(0))
             translations.append(Polynomial(5, {
-                exps[t - 1]: -c / combo[0] for t, c in combo.items() if t}))
+                exps[t - 1]: Fraction(-c, combo[0]) for t, c in combo.items() if t}))
         in_classical = compose(relation.poly, translations)
         p_classical = parse_polynomial(
             "f4*f5^3 - 3*f1*f3*f5^2 + f1^3 - f2^2",

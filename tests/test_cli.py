@@ -201,6 +201,21 @@ def test_math_failure_is_exit_zero_but_bad_input_is_not(capsys, tmp_path):
     assert code == 2  # choose exactly one input source
 
 
+def test_jacobi_residual_is_printed_in_the_report_text_form(capsys,
+                                                             tmp_path):
+    # [a, b] = b, [a, c] = a/2, [b, c] = c breaks Jacobi by a fraction
+    bad = tmp_path / "half.json"
+    bad.write_text(json.dumps({
+        "name": "half", "basis": ["a", "b", "c"],
+        "brackets": [{"i": 1, "j": 2, "coeffs": {"2": "1"}},
+                     {"i": 1, "j": 3, "coeffs": {"1": "1/2"}},
+                     {"i": 2, "j": 3, "coeffs": {"3": "1"}}]}))
+    code, out, err = run_cli(["analyze", "--file", str(bad)], capsys)
+    assert code == 2 and out == ""
+    assert "residual [1/2, 1/2, -1]" in err
+    assert "Fraction(" not in err
+
+
 def test_console_script_entry_point():
     result = subprocess.run([sys.executable, "-m", "coregular.cli"],
                             capture_output=True, text=True)

@@ -134,7 +134,12 @@ def test_no_float_reaches_a_reduction_step(readouts):
 def test_q_and_ratio_return_the_exact_form():
     assert _q(Fraction(6, 3)) == 2 and type(_q(Fraction(6, 3))) is int
     assert type(_q(True)) is int and _q(True) == 1
-    assert _q(0.5) == Fraction(1, 2) and type(_q(0.5)) is Fraction
+    assert _q("1/2") == Fraction(1, 2) and type(_q("1/2")) is Fraction
+    # a float's binary value is not exact: refused, not kept
+    with pytest.raises(TypeError, match="0.1"):
+        _q(0.1)
+    with pytest.raises(TypeError):
+        _q(0.5)
     assert type(_ratio(6, 3)) is int and _ratio(6, -3) == -2
     assert _ratio(1, 2) == Fraction(1, 2)
     assert type(_ratio(Fraction(1, 2), Fraction(1, 4))) is int

@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 import oracles
+from conftest import seaweed
 from coregular.catalog import filiform, panyushev, sl2
 from coregular.grobner import (DEFAULT_BUDGET, BudgetExceededError,
                                GrobnerBudget,
@@ -11,7 +12,6 @@ from coregular.grobner import (DEFAULT_BUDGET, BudgetExceededError,
                                ideal_membership, krull_dimension, normal_form,
                                s_polynomial)
 from coregular.pfaffian import index, pfaffian_ideal
-from coregular.lie import LieAlgebra
 from coregular.poly import (DEGREVLEX, GRLEX, LEX, Polynomial,
                             monomial_divides, parse_polynomial)
 
@@ -52,43 +52,6 @@ def staircase_dimension_oracle(generators, nvars):
     ratio = n2 / n1
     dim = round(__import__("math").log2(ratio))
     return dim
-
-
-def seaweed(a, b):
-    """The seaweed subalgebra of sl_n, n = sum(a) = sum(b), that is
-    block upper triangular for the composition a and block lower
-    triangular for b: its E_ij (i != j), then H_i = E_ii - E_{i+1,i+1}."""
-    n = sum(a)
-    block_a = [k for k, size in enumerate(a) for _ in range(size)]
-    block_b = [k for k, size in enumerate(b) for _ in range(size)]
-    units = [(i, j) for i in range(n) for j in range(n) if i != j
-             and block_a[i] <= block_a[j] and block_b[i] >= block_b[j]]
-    basis = [{ij: 1} for ij in units] + [
-        {(i, i): 1, (i + 1, i + 1): -1} for i in range(n - 1)]
-
-    def coordinates(z):
-        out = {units.index(ij): c for ij, c in z.items() if ij[0] != ij[1]}
-        for i in range(n - 1):  # E_ii - E_jj sums the H between them
-            h = sum(z.get((t, t), 0) for t in range(i + 1))
-            if h:
-                out[len(units) + i] = h
-        return out
-
-    brackets = {}
-    for p, x in enumerate(basis):
-        for q in range(p + 1, len(basis)):
-            z = {}
-            for (i, j), c in x.items():
-                for (k, l), d in basis[q].items():
-                    if j == k:
-                        z[(i, l)] = z.get((i, l), 0) + c * d
-                    if l == i:
-                        z[(k, j)] = z.get((k, j), 0) - c * d
-            z = coordinates({ij: c for ij, c in z.items() if c})
-            if z:
-                brackets[(p, q)] = z
-    return LieAlgebra([f"x{t + 1}" for t in range(len(basis))], brackets,
-                      label=f"seaweed{a}|{b}")
 
 
 class TestBuchberger:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import poly_pairs, poly_strategy
+from conftest import poly_pairs, poly_strategy, seaweed
 from coregular import invariants, linalg
 from coregular.catalog import (abelian, example32, filiform, heisenberg,
                                panyushev, sl2)
@@ -15,8 +15,10 @@ from coregular.invariants import (GeneratorSet, SemiInvariant, WeightVector,
                                   find_relations, gorenstein_invariant,
                                   graded_semi_invariants, jacobian_matrix,
                                   minimal_generators, poisson_bracket,
-                                  poly_matrix_rank, trdeg_check,
+                                  poly_matrix_rank, semicenter_dims,
+                                  structural_no_proper_reason, trdeg_check,
                                   verify_semi_invariant)
+from coregular.kernel import reduce_one_step
 from coregular.lie import LieAlgebra
 from coregular.linalg import InternalCheckError
 from coregular.poly import (DEGREVLEX, ORDERS, Polynomial,
@@ -386,6 +388,49 @@ class TestGradedSearch:
         assert len(monomials) == 10
 
 
+# (algebra to reduce, structural_no_proper_reason of its h, of its k):
+# h and k are counted when it is set and searched when it is None.  The
+# last three weight triples are from the benchmark's weights workload
+# (seed 1).
+REDUCED = [
+    (example32, "nilpotent", "nilpotent"),
+    (panyushev, "nilpotent", "nilpotent"),
+] + [(lambda ws=ws: weights_algebra(ws), "nilpotent", "nilpotent")
+     for ws in [(5, -7, 11), (9, 6, -6), (-5, 8, 6), (10, -7, 1)]] + [
+    (lambda: seaweed((1, 1, 1), (3,)), None, None),
+    (lambda: seaweed((2, 1), (1, 2)), None, None),
+    (lambda: seaweed((1, 2), (3,)), "perfect", None),
+]
+
+
+def fresh(g):
+    """An equal algebra with nothing computed on it yet."""
+    return LieAlgebra(g.names, g.brackets, label=g.label)
+
+
+class TestSemicenterCount:
+    @pytest.mark.parametrize("build, h_reason, k_reason", REDUCED)
+    def test_count_equals_the_search(self, build, h_reason, k_reason):
+        g = build()
+        semi = minimal_generators(g, 3)[0]
+        proper = next(s for s in semi.generators if not s.weight.is_zero)
+        step = reduce_one_step(g, proper)
+        for alg, reason in ((step.h, h_reason), (step.k, k_reason)):
+            assert structural_no_proper_reason(alg) == reason, alg.label
+            searched = fresh(alg)
+            assert semicenter_dims(fresh(alg), 3, DEGREVLEX) == tuple(
+                graded_semi_invariants(searched, d).total_dim()
+                for d in range(1, 4)), alg.label
+
+    def test_structural_count_builds_no_polynomial(self, monkeypatch):
+        g = weights_algebra((5, -7, 11)).induced_algebra(
+            [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], ["a", "b", "c"])
+        monkeypatch.setattr(invariants, "graded_semi_invariants", None)
+        monkeypatch.setattr(invariants, "verify_semi_invariant", None)
+        # abelian of dimension 3: every monomial is an invariant
+        assert semicenter_dims(g, 3, DEGREVLEX) == (3, 6, 10)
+
+
 class TestMinimalGenerators:
     def test_filiform4_invariants(self):
         g = filiform(4)
@@ -459,7 +504,8 @@ class TestMinimalGenerators:
         casimir = gens.generators[0].poly
         # h^2 + 4 e f up to the pivot normalization
         target = parse_polynomial("h^2 + 4*e*f", g.names)
-        scale = casimir.leading_coefficient() / target.leading_coefficient()
+        scale = Fraction(casimir.leading_coefficient(),
+                         target.leading_coefficient())
         assert casimir == target * scale
 
     def test_heisenberg_generators(self):

@@ -10,8 +10,8 @@ from coregular.catalog import (abelian, example32, filiform, heisenberg,
                                panyushev, sl2)
 from coregular.lie import (JacobiViolationError, LieAlgebra, LieAlgebraError,
                            Subspace, is_derivation, jordan_chevalley)
-from coregular.linalg import (InternalCheckError, identity, mat_eq_zero,
-                              mat_mul, mat_sub)
+from coregular.linalg import (InternalCheckError, identity, inverse,
+                              mat_eq_zero, mat_mul, mat_sub)
 from coregular.poly import (Polynomial, format_polynomial,
                             monomials_of_degree, parse_polynomial)
 from oracles import (ad_of_vector, ad_on_graded, derivation_by_partials,
@@ -67,6 +67,19 @@ class TestStructureMatrix:
         b = g.structure_matrix()
         row = [format_polynomial(b[0, j], g.names) for j in range(4)]
         assert row == ["0", "v2", "v3", "-v4"]
+
+    @pytest.mark.parametrize("point", [
+        lambda n: [3 * t - 4 for t in range(n)],
+        lambda n: [Fraction(2 * t - 3, t + 2) for t in range(n)]])
+    def test_evaluate_matches_each_entry(self, catalog_algebras, point):
+        for g in catalog_algebras:
+            b = g.structure_matrix()
+            x = point(g.dim)
+            assert b.evaluate(x) == [[b[i, j].evaluate(x)
+                                      for j in range(g.dim)]
+                                     for i in range(g.dim)], g.label
+            with pytest.raises(ValueError):
+                b.evaluate(x + [1])
 
     def test_skew_symmetry(self, catalog_algebras):
         for g in catalog_algebras:
@@ -236,6 +249,20 @@ class TestUnimodular:
         assert unimodular(abelian(2))
 
 
+@pytest.fixture
+def charpolys(monkeypatch):
+    """The sizes of the matrices whose characteristic polynomial
+    ``jordan_chevalley`` computes."""
+    sizes = []
+    charpoly = lie_module.linalg.charpoly
+
+    def counting(m):
+        sizes.append(len(m))
+        return charpoly(m)
+    monkeypatch.setattr(lie_module.linalg, "charpoly", counting)
+    return sizes
+
+
 class TestJordanChevalley:
     def test_nilpotent_input(self):
         g = filiform(4)
@@ -243,16 +270,27 @@ class TestJordanChevalley:
         ds, dp = jordan_chevalley(d)
         assert mat_eq_zero(ds) and dp == d
 
-    def test_diagonal_input(self):
+    def test_diagonal_input(self, charpolys):
         d = [[Fraction(2), 0], [0, Fraction(-3)]]
-        ds, dp = jordan_chevalley(d)
-        assert ds == d and mat_eq_zero(dp)
+        assert jordan_chevalley(d) == (d, [[0, 0], [0, 0]])
+        # its own semisimple part: no Newton iteration
+        assert charpolys == []
 
-    def test_jordan_block(self):
+    def test_jordan_block(self, charpolys):
         ds, dp = jordan_chevalley([[Fraction(1), Fraction(1)],
                                    [Fraction(0), Fraction(1)]])
         assert ds == identity(2)
         assert dp == [[0, 1], [0, 0]]
+        assert charpolys == [2]
+
+    def test_conjugate_of_a_diagonal_takes_the_newton_path(self, charpolys):
+        d = [[3, 0, 0], [0, Fraction(-1, 2), 0], [0, 0, 3]]
+        p = [[1, 1, 0], [0, 1, 2], [1, 0, 1]]
+        conj = mat_mul(mat_mul(p, d), inverse(p))
+        assert any(conj[i][j] for i in range(3) for j in range(3) if i != j)
+        ds, dp = jordan_chevalley(conj)
+        assert ds == conj and mat_eq_zero(dp)
+        assert charpolys == [3]
 
     @given(st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3),
                     min_size=3, max_size=3))

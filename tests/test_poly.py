@@ -261,7 +261,8 @@ def divide_by_rescanning(f, divisors, order):
         lc = work.terms[lm]
         for idx, gm, gc, g in lead:
             if monomial_divides(gm, lm):
-                factor = Polynomial(nvars, {monomial_div(lm, gm): lc / gc})
+                factor = Polynomial(nvars,
+                                    {monomial_div(lm, gm): Fraction(lc, gc)})
                 quotients[idx] = quotients[idx] + factor
                 work = work - factor * g
                 break
