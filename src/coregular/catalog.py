@@ -136,9 +136,11 @@ CATALOG: list[CatalogEntry] = [
 
 def build_catalog_algebra(spec: str) -> LieAlgebra:
     """Build from a ``name`` or ``name:param`` catalog spec string."""
-    key, _, param = spec.partition(":")
+    key, colon, param = spec.partition(":")
     for entry in CATALOG:
         if entry.key == key:
+            if colon and entry.parameter is None:
+                raise LieAlgebraError(f"{key!r} takes no parameter")
             return entry.build(param if param else None)
     known = ", ".join(e.key for e in CATALOG)
     raise LieAlgebraError(f"unknown catalog entry {key!r} (known: {known})")

@@ -155,8 +155,7 @@ def cmd_reduce(args) -> int:
                 f"{args.weight_of!r} is not a proper semi-invariant "
                 f"generator (available: {available})")
         chosen = wanted[0]
-    step = reduce_one_step(g, chosen, compare_degree=args.compare_degree,
-                           order=order)
+    step = reduce_one_step(g, chosen, compare_degree=args.compare_degree)
 
     print(f"reduction step for {g.label} along "
           f"{format_polynomial(step.semi_invariant, g.names, order)} "

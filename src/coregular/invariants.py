@@ -33,7 +33,7 @@ Bareiss elimination only when they fall short of a proven bound.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import combinations_with_replacement
@@ -44,7 +44,7 @@ from .grobner import (BudgetExceededError, GroebnerBasis, Ideal, buchberger,
                       ideal_membership)
 from .lie import LieAlgebra
 from .linalg import InternalCheckError, SparseEchelon, kernel_of_columns
-from .pfaffian import DEFAULT_PROBE_SEED, rank_certificate
+from .pfaffian import DEFAULT_PROBE_SEED, index
 from .poly import (DEGREVLEX, GRLEX, MonomialOrder, Polynomial, _q,
                    exact_div, monomials_of_degree)
 
@@ -112,12 +112,8 @@ class GradedSemiInvariants:
 class GeneratorSet:
     algebra: LieAlgebra
     degree_bound: int
-    order: MonomialOrder
     generators: tuple[SemiInvariant, ...]
     irrational_degrees: tuple[int, ...]
-    # index g, from a rank certificate the caller holds: it bounds the
-    # Jacobian rank of a set of invariants
-    index: int | None = field(default=None, compare=False)
 
     @property
     def degrees(self) -> tuple[int, ...]:
@@ -132,11 +128,11 @@ class GeneratorSet:
     @cached_property
     def jacobian_rank(self) -> int:
         """Rank of the generators' Jacobian over the fraction field,
-        computed once per set; the generators are independent iff it
-        equals their count."""
+        computed once per set, at most index g for invariants; the
+        generators are independent iff it equals their count."""
         if not self.generators:
             return 0
-        bound = None if self.has_proper() else self.index
+        bound = None if self.has_proper() else index(self.algebra)
         return algebraically_independent(
             [s.poly for s in self.generators], self.algebra.dim, bound)[1]
 
@@ -482,8 +478,7 @@ def _new_generators(gens: Sequence[SemiInvariant],
 
 
 def minimal_generators(g: LieAlgebra, max_degree: int | None = None,
-                       order: MonomialOrder = DEGREVLEX,
-                       index: int | None = None
+                       order: MonomialOrder = DEGREVLEX
                        ) -> tuple[GeneratorSet, GeneratorSet]:
     """Minimal homogeneous generators of the semi-invariant algebra and of
     the invariant algebra, ``(semi, inv)``, both complete up to
@@ -495,8 +490,7 @@ def minimal_generators(g: LieAlgebra, max_degree: int | None = None,
     are the same complement inside the weight-zero block, taken against
     products of invariant generators only.  Until a proper
     semi-invariant turns up the two complements agree, and without one
-    ``inv is semi``.  ``index``, when the caller holds it, is kept on the
-    sets to certify their Jacobian rank.
+    ``inv is semi``.
     """
     bound = max_degree if max_degree is not None else g.dim
     if bound < 1:
@@ -509,7 +503,7 @@ def minimal_generators(g: LieAlgebra, max_degree: int | None = None,
     for d in range(1, bound + 1):
         graded = graded_semi_invariants(g, d, order)
         # recorded for ``semicenter_dims``; only an int is kept
-        g.cached(("semicenter", d, order), graded.total_dim)
+        g.cached(("semicenter", d), graded.total_dim)
         if graded.irrational_flag:
             irrational.append(d)
         new = _new_generators(semi, semi_product, graded.blocks, d, n, order)
@@ -522,32 +516,32 @@ def minimal_generators(g: LieAlgebra, max_degree: int | None = None,
         if inv is semi and any(not s.weight.is_zero for s in new):
             inv = [s for s in semi if s.weight.is_zero]
             inv_product = _power_products(inv, n)
-    semi_set = GeneratorSet(algebra=g, degree_bound=bound, order=order,
+    semi_set = GeneratorSet(algebra=g, degree_bound=bound,
                             generators=tuple(semi),
-                            irrational_degrees=tuple(irrational), index=index)
+                            irrational_degrees=tuple(irrational))
     if inv is semi:
         return semi_set, semi_set
     # an irrational weight is never zero, so no invariant is missed
-    return semi_set, GeneratorSet(algebra=g, degree_bound=bound, order=order,
+    return semi_set, GeneratorSet(algebra=g, degree_bound=bound,
                                   generators=tuple(inv),
-                                  irrational_degrees=(), index=index)
+                                  irrational_degrees=())
 
 
-def _semicenter_dim(g: LieAlgebra, degree: int, order: MonomialOrder) -> int:
+def _semicenter_dim(g: LieAlgebra, degree: int) -> int:
     if structural_no_proper_reason(g):
         # the search would have one block, this system's solutions
         return _common_kernel_system(g, degree, _basis_vectors(g.dim),
-                                     order)[1].dim
-    return graded_semi_invariants(g, degree, order).total_dim()
+                                     DEGREVLEX)[1].dim
+    return graded_semi_invariants(g, degree).total_dim()
 
 
-def semicenter_dims(g: LieAlgebra, bound: int,
-                    order: MonomialOrder) -> tuple[int, ...]:
+def semicenter_dims(g: LieAlgebra, bound: int) -> tuple[int, ...]:
     """The dimensions of g's semi-invariant spaces of degrees 1..bound.
 
-    ``minimal_generators`` records each degree's dimension on the
-    algebra from its own search, keyed by degree and order, so after it
-    only a degree it has not searched under ``order`` is computed here.
+    A dimension belongs to the algebra, not to a monomial order:
+    ``minimal_generators`` records each degree's dimension from its own
+    search under whatever order it ran, and after it only a degree it
+    has not searched is computed here.
     A nilpotent or perfect algebra (such as the h and k of a reduction
     often are) is counted, not searched: its only semi-invariants are
     the invariants, the common kernel of ad(g), whose dimension is read
@@ -555,8 +549,7 @@ def semicenter_dims(g: LieAlgebra, bound: int,
     Any other algebra is searched (``graded_semi_invariants``).
     """
     return tuple(
-        g.cached(("semicenter", d, order),
-                 lambda: _semicenter_dim(g, d, order))
+        g.cached(("semicenter", d), lambda: _semicenter_dim(g, d))
         for d in range(1, bound + 1))
 
 
@@ -708,14 +701,11 @@ class TrdegCheck:
     degree_bound: int
 
 
-def trdeg_check(g: LieAlgebra, gens: GeneratorSet,
-                structure_rank: int | None = None) -> TrdegCheck:
+def trdeg_check(g: LieAlgebra, gens: GeneratorSet) -> TrdegCheck:
     """Compare the Jacobian rank of the discovered invariants with
     dim g - rank(structure matrix), the transcendence degree of the
     invariant field when no proper semi-invariants exist."""
-    if structure_rank is None:
-        structure_rank = rank_certificate(g).rank
-    expected = g.dim - structure_rank
+    expected = index(g)
     if gens.has_proper():
         return TrdegCheck(TRDEG_NOT_APPLICABLE, None, expected,
                           gens.degree_bound)

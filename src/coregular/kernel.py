@@ -12,11 +12,12 @@ basis read out of the eliminated system.
 
 The reduction step compares the graded semi-invariant dimensions of g
 with those of h and k.  g's come from its own graded search, which
-``minimal_generators`` records on the algebra (one int per degree and
-monomial order), so after ``analyze`` g is not searched again.  h and
-k are counted when structural (nilpotent or perfect): the dimension
-of the invariants' system is read with no polynomial built
-(``semicenter_dims``); otherwise they are searched.
+``minimal_generators`` records on the algebra (one int per degree,
+under any order: a dimension does not depend on it), so after
+``analyze`` g is not searched again.  h and k are counted when
+structural (nilpotent or perfect): the dimension of the invariants'
+system is read with no polynomial built (``semicenter_dims``);
+otherwise they are searched.
 """
 
 from __future__ import annotations
@@ -330,12 +331,12 @@ class Geometry:
 
 def compute_geometry(g: LieAlgebra, seed: int = DEFAULT_PROBE_SEED,
                      order: MonomialOrder = DEGREVLEX) -> Geometry:
-    """The exact data of g; ``seed`` picks only the probe points of the
-    returned certificate."""
+    """The exact data of g; ``seed`` picks only the certificate's probe
+    points and ``order`` the fundamental semi-invariant's normalisation."""
     cert = rank_certificate(g, seed)
     fsi = fundamental_semi_invariant(g, order)
     try:
-        codim = singular_locus_codim(g, order)
+        codim = singular_locus_codim(g)
         known = True
     except BudgetExceededError:
         codim = None
@@ -508,8 +509,7 @@ class ReductionStep:
 
 
 def reduce_one_step(g: LieAlgebra, s: SemiInvariant,
-                    compare_degree: int = 3,
-                    order: MonomialOrder = DEGREVLEX) -> ReductionStep:
+                    compare_degree: int = 3) -> ReductionStep:
     """One reduction step along a proper semi-invariant.
 
     Builds h = ker(weight) and k = h extended by the nilpotent part of
@@ -518,7 +518,7 @@ def reduce_one_step(g: LieAlgebra, s: SemiInvariant,
     branches the one whose graded semi-invariant dimensions match those
     of g (up to ``compare_degree``, at least 1) is chosen.  g's
     dimensions come from its own graded search: after ``analyze`` (or
-    ``minimal_generators``) under the same order they are read from the
+    ``minimal_generators``) under any order they are read from the
     algebra, and only the degrees it did not search are searched again.
     """
     if compare_degree < 1:
@@ -572,9 +572,9 @@ def reduce_one_step(g: LieAlgebra, s: SemiInvariant,
             "kernel of a semi-invariant weight must drop the rank by two")
 
     dims = {
-        "g": semicenter_dims(g, compare_degree, order),
-        "h": semicenter_dims(h, compare_degree, order),
-        "k": semicenter_dims(k, compare_degree, order),
+        "g": semicenter_dims(g, compare_degree),
+        "h": semicenter_dims(h, compare_degree),
+        "k": semicenter_dims(k, compare_degree),
     }
     notes: list[str] = []
     candidates = [H_BRANCH]

@@ -44,13 +44,12 @@ class JacobiViolationError(LieAlgebraError):
 class Subspace:
     """A subspace of Q^n in reduced row echelon form (canonical)."""
 
-    ambient_dim: int
     basis: tuple[tuple[Fraction, ...], ...]
 
     @classmethod
-    def from_spanning(cls, vectors: Iterable[Sequence], ambient_dim: int) -> "Subspace":
+    def from_spanning(cls, vectors: Iterable[Sequence]) -> "Subspace":
         reduced, _ = rref(vectors)
-        return cls(ambient_dim, tuple(tuple(r) for r in reduced))
+        return cls(tuple(tuple(r) for r in reduced))
 
     @property
     def dim(self) -> int:
@@ -203,12 +202,19 @@ class LieAlgebra:
     # -- derived objects -------------------------------------------------------
 
     def structure_matrix(self) -> "SkewPolyMatrix":
+        """The skew matrix of brackets, built once per algebra."""
+        return self.cached("structure", self._structure_matrix)
+
+    def _structure_matrix(self) -> "SkewPolyMatrix":
+        # one shared zero entry: the matrix lives as long as the algebra
         n = self.dim
-        entries = [[Polynomial.zero(n)] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    entries[i][j] = Polynomial.from_vector(self.bracket_basis(i, j))
+        units = [tuple(int(t == k) for t in range(n)) for k in range(n)]
+        zero = Polynomial.zero(n)
+        entries = [[zero] * n for _ in range(n)]
+        for (i, j), row in self.brackets.items():
+            entries[i][j] = Polynomial._new(
+                n, {units[k]: c for k, c in row.items()})
+            entries[j][i] = -entries[i][j]
         return SkewPolyMatrix(n, tuple(tuple(row) for row in entries))
 
     def center(self) -> Subspace:
@@ -217,14 +223,13 @@ class LieAlgebra:
         for j in range(n):
             for k in range(n):
                 rows.append([self.bracket_basis(i, j)[k] for i in range(n)])
-        return Subspace.from_spanning(linalg.nullspace(rows, n), n)
+        return Subspace.from_spanning(linalg.nullspace(rows, n))
 
     def derived_subalgebra(self) -> Subspace:
         """[g, g], computed once per algebra."""
         return self.cached("derived", lambda: Subspace.from_spanning(
             [self.bracket_basis(i, j)
-             for i in range(self.dim) for j in range(i + 1, self.dim)],
-            self.dim))
+             for i in range(self.dim) for j in range(i + 1, self.dim)]))
 
     @property
     def is_abelian(self) -> bool:
@@ -242,7 +247,7 @@ class LieAlgebra:
                 ei = [1 if t == i else 0 for t in range(self.dim)]
                 for w in current.basis:
                     vectors.append(self.bracket(ei, w))
-            nxt = Subspace.from_spanning(vectors, self.dim)
+            nxt = Subspace.from_spanning(vectors)
             if nxt.dim == current.dim:
                 return False
             current = nxt
@@ -269,7 +274,7 @@ class LieAlgebra:
         """
         vecs = [[_q(x) for x in v] for v in basis_vectors]
         m = len(vecs)
-        span = Subspace.from_spanning(vecs, self.dim)
+        span = Subspace.from_spanning(vecs)
         if span.dim != m:
             raise LieAlgebraError("basis vectors are not independent")
         cols = [[vecs[t][r] for t in range(m)] for r in range(self.dim)]

@@ -172,16 +172,16 @@ def pfaffian_ideal(g: LieAlgebra) -> Ideal:
     return Ideal.of(g.dim, principal_pfaffians(g))
 
 
-def singular_locus_codim(g: LieAlgebra, order: MonomialOrder = DEGREVLEX
-                         ) -> int | None:
+def singular_locus_codim(g: LieAlgebra) -> int | None:
     """Codimension of the non-regular locus in the dual space.
 
     Returns None when the locus is empty (abelian algebras: every point
     is regular).  May raise BudgetExceededError from the Groebner run.
+    Every monomial order gives the same Krull dimension; DEGREVLEX serves.
     """
     if g.is_abelian:
         return None
-    basis = buchberger(pfaffian_ideal(g), order)
+    basis = buchberger(pfaffian_ideal(g), DEGREVLEX)
     dim = krull_dimension(basis)
     if dim is None:
         return None

@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from bisect import insort
 from fractions import Fraction
+from functools import cache
 from operator import add, sub
 from typing import Mapping, Sequence
 
@@ -107,11 +108,14 @@ LEX = MonomialOrder("lex")
 ORDERS = {o.name: o for o in (DEGREVLEX, GRLEX, LEX)}
 
 
+@cache
 def monomials_of_degree(nvars: int, degree: int,
-                        order: MonomialOrder = DEGREVLEX) -> list[Monomial]:
-    """All monomials of the given total degree, descending under ``order``."""
+                        order: MonomialOrder = DEGREVLEX
+                        ) -> tuple[Monomial, ...]:
+    """All monomials of the given total degree, descending under ``order``;
+    computed once per argument triple and shared, hence a tuple."""
     if nvars == 0:
-        return [()] if degree == 0 else []
+        return ((),) if degree == 0 else ()
     out: list[Monomial] = []
 
     def rec(prefix, remaining, slots):
@@ -123,7 +127,7 @@ def monomials_of_degree(nvars: int, degree: int,
 
     rec((), degree, nvars)
     out.sort(key=order.key, reverse=True)
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

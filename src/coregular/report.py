@@ -254,8 +254,7 @@ def analyze(g: LieAlgebra, options: AnalysisOptions | None = None
 
     # without proper semi-invariants inv_gens is semi_gens, so the two
     # share one Jacobian rank
-    semi_gens, inv_gens = minimal_generators(g, bound, opts.order,
-                                             geometry.index)
+    semi_gens, inv_gens = minimal_generators(g, bound, opts.order)
 
     relations: tuple[Relation, ...] | None
     try:
@@ -264,8 +263,7 @@ def analyze(g: LieAlgebra, options: AnalysisOptions | None = None
         relations = None
 
     gorenstein = gorenstein_invariant(inv_gens, relations or ())
-    trdeg = trdeg_check(g, semi_gens,
-                        structure_rank=geometry.certificate.rank)
+    trdeg = trdeg_check(g, semi_gens)
 
     kernel = kernel_of_rho(g, bound, opts.order)
 

@@ -73,6 +73,27 @@ def rotated_sl2():
                                  ["a", "b", "c"], label="sl2-rotated")
 
 
+@pytest.fixture(scope="session")
+def order_test_algebras(rotated_sl2):
+    """(algebra, degree bound) pairs on which a count is compared under
+    every monomial order: the entries of ``scripts/run_catalog.py`` at
+    their bounds capped at 4, t x| V with weights (5, -7, 11), sl2 in a
+    rotated basis and four seaweeds."""
+    from coregular.catalog import (abelian, example32, filiform, heisenberg,
+                                   panyushev, sl2, two_dim_nonabelian)
+    weights = LieAlgebra(["v1", "v2", "v3", "v4"],
+                         {(0, 1): {1: 5}, (0, 2): {2: -7}, (0, 3): {3: 11}},
+                         label="weights(5,-7,11)")
+    return [
+        (filiform(3), 3), (filiform(4), 4), (filiform(5), 4),
+        (filiform(6), 4), (filiform(7), 4), (abelian(4), 4),
+        (panyushev(), 2), (example32(), 3), (two_dim_nonabelian(), 2),
+        (sl2(), 3), (heisenberg([[0, 1], [0, 0]]), 2),
+        (heisenberg([[1, 0], [0, 1]]), 2), (weights, 3), (rotated_sl2, 3),
+    ] + [(seaweed(a, b), 4) for a, b in [((2, 1), (1, 2)), ((1, 2), (3,)),
+                                         ((3,), (1, 1, 1)), ((2, 1), (3,))]]
+
+
 def seaweed(a, b):
     """The seaweed subalgebra of sl_n, n = sum(a) = sum(b), that is
     block upper triangular for the composition a and block lower

@@ -183,6 +183,13 @@ def test_math_failure_is_exit_zero_but_bad_input_is_not(capsys, tmp_path):
     code, _, err = run_cli(["analyze", "--catalog", "unknown:3"], capsys)
     assert code == 2 and "unknown" in err
 
+    # an entry without a parameter never ignores one
+    for spec in ("sl2:7", "nonabelian2:5", "panyushev:x", "example32:1"):
+        code, out, err = run_cli(["analyze", "--catalog", spec], capsys)
+        name = spec.partition(":")[0]
+        assert code == 2 and f"'{name}' takes no parameter" in err, spec
+        assert out == ""
+
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({
         "name": "broken", "basis": ["v1", "v2", "v3"],

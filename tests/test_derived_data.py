@@ -1,11 +1,11 @@
 """Data derived from an algebra is computed once per algebra instance.
 
-``LieAlgebra.cached`` holds the rank certificate (per probe seed), the
-principal rank-size Pfaffians, [g,g], the lower central series
-verdict, the degree-one spectrum of each ad(v_i) and the dimension of
-each degree's semi-invariants (per monomial order).  These tests count
-the computations behind the memo, not the calls of the public methods
-in front of it.
+``LieAlgebra.cached`` holds the structure matrix, the rank certificate
+(per probe seed), the principal rank-size Pfaffians, [g,g], the lower
+central series verdict, the degree-one spectrum of each ad(v_i) and
+the dimension of each degree's semi-invariants.  These tests count the
+computations behind the memo, not the calls of the public methods in
+front of it.
 """
 
 import importlib
@@ -92,6 +92,8 @@ def entries(counts, kind):
 def test_analyze_filiform6_computes_each_datum_once(counts):
     g = filiform(6)
     analyze(g)
+    # shared by the rank certificate, the Pfaffians and the anchor kernel
+    assert computed(counts, g, "structure") == 1
     assert computed(counts, g, "rank") == 1
     assert computed(counts, g, "derived") == 1
     assert computed(counts, g, "nilpotent") == 1
@@ -119,6 +121,7 @@ def test_weights_analyze_and_reduce_compute_each_datum_once(counts):
     # g's semi-center dimensions come from the search analyze ran
     assert counts.searches[(id(g), "degrevlex")] == 3
     for alg in (g, step.h, step.k):
+        assert computed(counts, alg, "structure") == 1, alg.label
         assert computed(counts, alg, "rank") == 1, alg.label
         assert computed(counts, alg, "semicenter") == 3, alg.label
     # h and k are abelian, so their dimensions are counted, not searched
@@ -152,14 +155,18 @@ def test_reduction_after_analyze_equals_a_fresh_reduction(counts, build):
     assert all(n == 1 for n in counts.misses.values())
 
 
-def test_another_order_searches_again(counts):
+def test_reduction_under_another_order_reads_the_recorded_dimensions(
+        counts):
     g = weights_5_7_11()
-    semi = first_proper(analyze(g, AnalysisOptions(max_degree=3)))
-    step = reduce_one_step(g, semi, order=GRLEX)
-    assert counts.searches[(id(g), "degrevlex")] == 3
+    semi = first_proper(analyze(g, AnalysisOptions(max_degree=3,
+                                                   order=GRLEX)))
     assert counts.searches[(id(g), "grlex")] == 3
-    assert computed(counts, g, "semicenter") == 6
-    assert step == reduce_one_step(weights_5_7_11(), semi, order=GRLEX)
+    step = reduce_one_step(g, semi)
+    # a dimension belongs to the algebra, not to the order of the search
+    assert counts.searches[(id(g), "grlex")] == 3
+    assert counts.searches[(id(g), "degrevlex")] == 0
+    assert computed(counts, g, "semicenter") == 3
+    assert step == reduce_one_step(weights_5_7_11(), semi)
 
 
 def test_memo_is_per_instance(counts):

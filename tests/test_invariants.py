@@ -84,8 +84,7 @@ def make_generator_set(g, polys, degree_bound=None):
     zero = WeightVector.zero(g.dim)
     gens = tuple(SemiInvariant(p, zero, p.total_degree()) for p in polys)
     return GeneratorSet(algebra=g, degree_bound=degree_bound or g.dim,
-                        order=DEGREVLEX, generators=gens,
-                        irrational_degrees=())
+                        generators=gens, irrational_degrees=())
 
 
 class TestGradedSearch:
@@ -418,9 +417,21 @@ class TestSemicenterCount:
         for alg, reason in ((step.h, h_reason), (step.k, k_reason)):
             assert structural_no_proper_reason(alg) == reason, alg.label
             searched = fresh(alg)
-            assert semicenter_dims(fresh(alg), 3, DEGREVLEX) == tuple(
+            assert semicenter_dims(fresh(alg), 3) == tuple(
                 graded_semi_invariants(searched, d).total_dim()
                 for d in range(1, 4)), alg.label
+
+    def test_dimensions_do_not_depend_on_the_order(self,
+                                                   order_test_algebras):
+        # minimal_generators records the dimensions under its own order,
+        # and every reduction reads them
+        for g, bound in order_test_algebras:
+            expected = semicenter_dims(fresh(g), bound)
+            for order in ORDERS.values():
+                searched = fresh(g)
+                minimal_generators(searched, bound, order)
+                assert semicenter_dims(searched, bound) == expected, \
+                    (g.label, order.name)
 
     def test_structural_count_builds_no_polynomial(self, monkeypatch):
         g = weights_algebra((5, -7, 11)).induced_algebra(
@@ -428,7 +439,7 @@ class TestSemicenterCount:
         monkeypatch.setattr(invariants, "graded_semi_invariants", None)
         monkeypatch.setattr(invariants, "verify_semi_invariant", None)
         # abelian of dimension 3: every monomial is an invariant
-        assert semicenter_dims(g, 3, DEGREVLEX) == (3, 6, 10)
+        assert semicenter_dims(g, 3) == (3, 6, 10)
 
 
 class TestMinimalGenerators:
@@ -584,7 +595,7 @@ class TestIndependenceAndRelations:
     def test_invariants_certify_at_a_point_with_the_index(self,
                                                           monkeypatch):
         # five invariants of L(6) of rank 4 = index: no Bareiss
-        gens = minimal_generators(filiform(6), 6, index=4)[1]
+        gens = minimal_generators(filiform(6), 6)[1]
         assert len(gens.generators) == 5
 
         def no_bareiss(rows):
@@ -599,9 +610,9 @@ class TestIndependenceAndRelations:
         v2 = Polynomial.variable(2, 1)
         w = WeightVector.of([1, 0])
         gens = GeneratorSet(
-            algebra=g, degree_bound=1, order=DEGREVLEX,
+            algebra=g, degree_bound=1,
             generators=(SemiInvariant(v2, w, 1), SemiInvariant(2 * v2, w, 1)),
-            irrational_degrees=(), index=0)
+            irrational_degrees=())
         calls = []
         bareiss = invariants.poly_matrix_rank
 

@@ -120,8 +120,8 @@ class TestSubspaces:
         assert dp.dim == 3 and not dp.contains([1, 0, 0, 0])
 
     def test_subspace_canonical_equality(self):
-        a = Subspace.from_spanning([[2, 0, 2], [0, 1, 1]], 3)
-        b = Subspace.from_spanning([[1, 1, 2], [0, 2, 2], [1, 0, 1]], 3)
+        a = Subspace.from_spanning([[2, 0, 2], [0, 1, 1]])
+        b = Subspace.from_spanning([[1, 1, 2], [0, 2, 2], [1, 0, 1]])
         assert a == b
 
 

@@ -5,10 +5,11 @@ import pytest
 
 from coregular.catalog import (abelian, example32, filiform, heisenberg,
                                panyushev, sl2)
+from coregular.grobner import buchberger, krull_dimension
 from coregular.pfaffian import (c_value, certified_rank,
                                 fundamental_semi_invariant, index, pfaffian,
-                                singular_locus_codim)
-from coregular.poly import Polynomial, format_polynomial
+                                pfaffian_ideal, singular_locus_codim)
+from coregular.poly import ORDERS, Polynomial, format_polynomial
 from oracles import poly_det, verify_divides_minors
 
 
@@ -151,6 +152,15 @@ class TestSingularLocus:
 
     def test_example32(self):
         assert singular_locus_codim(example32()) == 2
+
+    def test_krull_dimension_does_not_depend_on_the_order(
+            self, order_test_algebras):
+        # singular_locus_codim reads it off a DEGREVLEX basis only
+        for g, _ in order_test_algebras:
+            ideal = pfaffian_ideal(g)
+            dims = {krull_dimension(buchberger(ideal, order))
+                    for order in ORDERS.values()}
+            assert len(dims) == 1, g.label
 
     def test_degree_zero_iff_codim_at_least_two(self, catalog_algebras):
         for g in catalog_algebras:
