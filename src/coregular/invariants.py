@@ -4,17 +4,10 @@ Degree by degree: the candidate space is the common kernel of the
 acting vectors ([g,g]) on the graded component, one sparse system
 assembled directly from the brackets; the operators coming from a
 complement of [g,g] commute there and are split into joint eigenspaces
-with rational eigenvalues (``_eigenspaces``).  Each restricted matrix
-takes one candidate set and is split once: its distinct diagonal
-entries when it is upper or lower triangular (its whole spectrum; on a
-weights algebra every restricted matrix is diagonal), else, with a
-rational spectrum on g, the sums of d eigenvalues on g, computed on
-first need.  Each candidate, ascending, gets one eigenspace system
-until the eigenspaces fill the space, so a characteristic polynomial
-is computed only when they fall short or the spectrum on g is not
-rational.  Every space is read out of a free-column basis that already
-is its canonical echelon basis.  Every block polynomial is checked against
-its weight with ``ad(v_i)`` for each basis vector
+with rational eigenvalues, one candidate set per restricted matrix
+(``_eigenspaces``).  Every space is read out of a free-column basis
+that already is its canonical echelon basis.  Every block polynomial is
+checked against its weight with ``ad(v_i)`` for each basis vector
 (``verify_semi_invariant``).  A joint eigenvalue tuple lam is the weight
 on the complement coordinates c; at the pivot p of each row b of the
 reduced basis of [g,g] the weight is -sum_c b[c] lam_c.  Weight zero
@@ -24,7 +17,10 @@ invariant algebra are both read from this one search
 
 Nilpotent algebras admit no proper semi-invariants (all weights vanish)
 and perfect ones none either (weights kill [g,g] = g), so for those the
-acting vectors are all of g and the complement is empty.
+complement is empty and the acting vectors are basis vectors that
+generate g as a Lie algebra (``_lie_generators``); ad is a Lie
+homomorphism, so the system keeps its solutions and echelon rows.
+Every basis vector still checks each block polynomial.
 
 ``generic_rank`` is the one rank over Q(x): seeded point ranks, and
 Bareiss elimination only when they fall short of a proven bound.
@@ -337,8 +333,31 @@ def _eigenspaces(m: linalg.Mat,
     return spaces, False
 
 
-def _basis_vectors(n: int) -> list[list[int]]:
-    return [[int(t == i) for t in range(n)] for i in range(n)]
+def _lie_generators(g: LieAlgebra) -> list[list[int]]:
+    """Basis vectors that generate g as a Lie algebra.  Those off the
+    pivots of [g,g] come first: each is needed, and they generate g when
+    it is nilpotent.  Then each other v_i is kept unless the subalgebra
+    generated by those kept already holds it."""
+    n = g.dim
+    basis = [[int(t == i) for t in range(n)] for i in range(n)]
+    if g.is_abelian:
+        return basis
+    pivots = [next(i for i, x in enumerate(b) if x)
+              for b in g.derived_subalgebra().basis]
+    span = SparseEchelon(min)
+    elements: list = []
+    kept = []
+    for i in [i for i in range(n) if i not in pivots] + pivots:
+        if not span.reduce(dict(enumerate(basis[i]))):
+            continue
+        kept.append(basis[i])
+        queue = [basis[i]]
+        while queue:
+            x = queue.pop()
+            if span.add(dict(enumerate(x))) is not None:
+                elements.append(x)
+                queue += [g.bracket(x, y) for y in elements]
+    return kept
 
 
 def structural_no_proper_reason(g: LieAlgebra) -> str | None:
@@ -370,7 +389,7 @@ def graded_semi_invariants(g: LieAlgebra, degree: int,
     derived = g.derived_subalgebra()
     pivots = [next(i for i, x in enumerate(b) if x) for b in derived.basis]
     if structural_no_proper_reason(g):
-        vectors = _basis_vectors(n)
+        vectors = _lie_generators(g)
         complement: list[int] = []
     else:
         vectors = derived.basis
@@ -530,7 +549,7 @@ def minimal_generators(g: LieAlgebra, max_degree: int | None = None,
 def _semicenter_dim(g: LieAlgebra, degree: int) -> int:
     if structural_no_proper_reason(g):
         # the search would have one block, this system's solutions
-        return _common_kernel_system(g, degree, _basis_vectors(g.dim),
+        return _common_kernel_system(g, degree, _lie_generators(g),
                                      DEGREVLEX)[1].dim
     return graded_semi_invariants(g, degree).total_dim()
 
@@ -701,11 +720,12 @@ class TrdegCheck:
     degree_bound: int
 
 
-def trdeg_check(g: LieAlgebra, gens: GeneratorSet) -> TrdegCheck:
-    """Compare the Jacobian rank of the discovered invariants with
-    dim g - rank(structure matrix), the transcendence degree of the
-    invariant field when no proper semi-invariants exist."""
-    expected = index(g)
+def trdeg_check(gens: GeneratorSet) -> TrdegCheck:
+    """Compare the Jacobian rank of the discovered invariants with the
+    index of their algebra, dim g - rank(structure matrix), the
+    transcendence degree of the invariant field when no proper
+    semi-invariants exist."""
+    expected = index(gens.algebra)
     if gens.has_proper():
         return TrdegCheck(TRDEG_NOT_APPLICABLE, None, expected,
                           gens.degree_bound)

@@ -7,24 +7,20 @@ sum_i A_i B[i][j] = 0 for every column j.  It is computed degree by
 degree with minimal new generators extracted against multiples of the
 lower-degree ones.  The multiples lie in the kernel, since rho is
 S(g)-linear, so a degree whose multiples span as much as its kernel's
-dimension has no new generator; only in the other degrees is a kernel
-basis read out of the eliminated system.
+dimension has no new generator.  That is first proved with no multiple
+built, from their distinct pivots and a partial rank of the system;
+only where that falls short are the multiples ranked, and only where
+they fall short too is a kernel basis read out.
 
 The reduction step compares the graded semi-invariant dimensions of g
-with those of h and k.  g's come from its own graded search, which
-``minimal_generators`` records on the algebra (one int per degree,
-under any order: a dimension does not depend on it), so after
-``analyze`` g is not searched again.  h and k are counted when
-structural (nilpotent or perfect): the dimension of the invariants'
-system is read with no polynomial built (``semicenter_dims``);
-otherwise they are searched.
+with those of h and k (``semicenter_dims``): g's are recorded by its
+own search, and h and k are counted when nilpotent or perfect.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
 from typing import Iterator, Sequence
 
 from . import linalg
@@ -140,8 +136,11 @@ def kernel_of_rho(g: LieAlgebra, degree_bound: int,
     generators are a canonical complement of the multiples of the
     lower-degree generators.  Each degree is one linear system; the
     blocks it splits into (for instance under a grading of the algebra)
-    are found by the sparse eliminator, and its dimension decides
-    whether a kernel basis is needed at all.
+    are found by the sparse eliminator.  It is eliminated only until
+    its rank proves, against the distinct pivots of the multiples, that
+    the degree has no new generator (every degree from 2 on, on
+    ``L(n)``); failing that, its dimension decides whether a kernel
+    basis is needed at all.
     """
     if degree_bound < 1:
         raise ValueError("degree bound must be >= 1")
@@ -149,68 +148,73 @@ def kernel_of_rho(g: LieAlgebra, degree_bound: int,
     rank = index(g)
 
     generators: list[KernelGenerator] = []
-    dependent: dict[int, set] = {}
     for d in range(0, degree_bound + 1):
-        generators += _generators_of_degree(b, generators, d, order,
-                                            dependent)
+        generators += _generators_of_degree(b, generators, d, order)
     return KernelBasis(g, degree_bound, tuple(generators), rank)
 
 
 def _multiples(generators: Sequence[KernelGenerator], d: int, n: int,
-               rank: dict, order: MonomialOrder, dependent: dict[int, set],
+               rank: dict, order: MonomialOrder,
                limit: int | None) -> linalg.SparseEchelon:
     """The echelon of the degree-d multiples m w of the lower-degree
     ``generators``: generator by generator, multipliers m descending;
-    it stops once it holds ``limit`` rows.
-
-    ``dependent`` maps a generator's index to the multipliers of degree
-    d - 1 whose multiple lay in the span of those before it, and is
-    rewritten with those of degree d.  Multiplication by a variable x_k
-    keeps that order, so x_k times such a multiple lies in the span of
-    those before it too: it is skipped, not reduced, and the echelon
-    rows are the same."""
+    it stops once it holds ``limit`` rows."""
     lower = linalg.SparseEchelon(min)
-    previous = dict(dependent)
-    dependent.clear()
-    for e, same_degree in groupby(enumerate(generators),
-                                  key=lambda ag: ag[1].degree):
-        multipliers = monomials_of_degree(n, d - e, order)
-        for a, gen in same_degree:
-            skip = {m[:k] + (m[k] + 1,) + m[k + 1:]
-                    for m in previous.get(a, ()) for k in range(n)}
-            dead = dependent[a] = set()
-            for m in multipliers:
-                if m in skip or lower.add(_shift(gen.components, m,
-                                                 rank)) is None:
-                    dead.add(m)
-                elif len(lower.rows) == limit:
-                    return lower
+    for gen in generators:
+        for m in monomials_of_degree(n, d - gen.degree, order):
+            if (lower.add(_shift(gen.components, m, rank)) is not None
+                    and len(lower.rows) == limit):
+                return lower
     return lower
+
+
+def _multiple_pivots(generators: Sequence[KernelGenerator], d: int,
+                     n: int, rank: dict, order: MonomialOrder) -> set[int]:
+    """The pivots of the degree-d multiples m w of ``generators``: that
+    of m lm(w_i) in A_i for the first nonzero w_i, since a monomial
+    order is multiplicative."""
+    pivots = set()
+    for gen in generators:
+        i, comp = next((i, comp) for i, comp in enumerate(gen.components)
+                       if not comp.is_zero)
+        lead = comp.leading_monomial(order)
+        base = i * len(rank)
+        pivots.update(base + rank[monomial_mul(m, lead)] for m in
+                      monomials_of_degree(n, d - gen.degree, order))
+    return pivots
 
 
 def _generators_of_degree(b: SkewPolyMatrix,
                           generators: Sequence[KernelGenerator],
-                          d: int, order: MonomialOrder,
-                          dependent: dict[int, set]
+                          d: int, order: MonomialOrder
                           ) -> list[KernelGenerator]:
     """The generators of degree d: the canonical complement, in the
     degree-d kernel, of the multiples of the lower-degree ``generators``
-    (see ``_multiples``, which also reads and rewrites ``dependent``).
+    (``_multiples``).
 
     Unknown ``i * len(monos) + t`` is the coefficient of ``monos[t]`` in
     A_i, with ``monos`` descending, so the pivot of a vector is its
     smallest unknown.  rho is S(g)-linear, so the multiples lie in the
-    kernel; as soon as they span a space of the kernel's dimension they
-    span the kernel, and neither the other multiples nor a kernel basis
-    are needed."""
+    kernel.  Those with distinct pivots are independent, so with p such
+    pivots (``_multiple_pivots``) a rank of ``ncols - p`` proves that
+    they span it: the system is eliminated only until it reaches that
+    rank and no multiple is built.  Otherwise the multiples are ranked
+    (each of the p pivots must be one of theirs) until they span the
+    kernel's dimension, and only if they fall short is a kernel basis
+    read out."""
     n = b.size
     monos = monomials_of_degree(n, d, order)
     nm = len(monos)
-    space = linalg.SolutionSpace(_anchor_equations(b, monos), n * nm)
-    if not space.dim:
-        return []
+    ncols = n * nm
     rank = {m: t for t, m in enumerate(monos)}
-    lower = _multiples(generators, d, n, rank, order, dependent, space.dim)
+    pivots = _multiple_pivots(generators, d, n, rank, order)
+    space = linalg.SolutionSpace(_anchor_equations(b, monos), ncols)
+    if space.reaches(ncols - len(pivots)):
+        return []
+    lower = _multiples(generators, d, n, rank, order, space.dim)
+    if not pivots <= lower.rows.keys():
+        raise InternalCheckError(
+            "a multiple's pivot is missing from the multiples' echelon")
     if len(lower.rows) == space.dim:
         return []
 

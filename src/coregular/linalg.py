@@ -499,25 +499,42 @@ class SolutionSpace:
     in the unknowns ``0..ncols-1``, eliminated once.
 
     Each equation is a sparse row {unknown: value}; they are eliminated
-    in the order given, so a generator that builds them on demand never
-    holds the whole system.  ``dim`` is the number of unknowns less the
-    rank, so a caller that only needs the dimension never reads out a
-    basis; ``basis`` reads out that of ``kernel_of_columns``, each value
-    an ``int`` when it is integral and a ``Fraction`` otherwise.
+    in the order given and on demand, so a generator that builds them
+    never holds the whole system, and ``reaches`` stops at a rank.
+    ``dim`` is the number of unknowns less the rank, so a caller that
+    only needs the dimension never reads out a basis; ``basis`` reads
+    out that of ``kernel_of_columns``, each value an ``int`` when it is
+    integral and a ``Fraction`` otherwise.
     """
 
     def __init__(self, equations: Iterable[dict[int, int | Fraction]],
                  ncols: int):
         self.ncols = ncols
         self.echelon = SparseEchelon(min)
-        for equation in equations:
+        self._equations = iter(equations)
+
+    def reaches(self, rank: int) -> bool:
+        """Whether the rank reaches ``rank``, eliminating only until it
+        does."""
+        rows = self.echelon.rows
+        while len(rows) < rank:
+            equation = next(self._equations, None)
+            if equation is None:
+                return False
             self.echelon.add(equation)
+        return True
+
+    def _rank(self) -> int:
+        for equation in self._equations:
+            self.echelon.add(equation)
+        return len(self.echelon.rows)
 
     @property
     def dim(self) -> int:
-        return self.ncols - len(self.echelon.rows)
+        return self.ncols - self._rank()
 
     def basis(self) -> list[dict[int, Fraction]]:
+        self._rank()
         return _free_columns(self.echelon, self.ncols)
 
 

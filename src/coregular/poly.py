@@ -113,7 +113,10 @@ def monomials_of_degree(nvars: int, degree: int,
                         order: MonomialOrder = DEGREVLEX
                         ) -> tuple[Monomial, ...]:
     """All monomials of the given total degree, descending under ``order``;
-    computed once per argument triple and shared, hence a tuple."""
+    computed once per argument triple and shared, hence a tuple.  A
+    negative degree raises ``ValueError``, which the memo does not keep."""
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
     if nvars == 0:
         return ((),) if degree == 0 else ()
     out: list[Monomial] = []

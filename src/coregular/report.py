@@ -263,7 +263,7 @@ def analyze(g: LieAlgebra, options: AnalysisOptions | None = None
         relations = None
 
     gorenstein = gorenstein_invariant(inv_gens, relations or ())
-    trdeg = trdeg_check(g, semi_gens)
+    trdeg = trdeg_check(semi_gens)
 
     kernel = kernel_of_rho(g, bound, opts.order)
 

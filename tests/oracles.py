@@ -10,7 +10,8 @@ graded search by characteristic polynomials and one nullspace per
 root, a derivation as a sum of partial derivatives, the derivation of
 a weight, the Poisson bracket from the structure matrix, the
 substitution of polynomials for variables, the anchor-map kernel
-generators from the dense nullspace, a spot check that the
+generators from the dense nullspace and from the whole anchor system
+eliminated before any multiple is ranked, a spot check that the
 fundamental semi-invariant divides the rank-size minors of the
 structure matrix, and Buchberger's algorithm with each pair chosen by
 a ``min`` over all pairs, recomputing the leading monomials."""
@@ -25,7 +26,7 @@ from typing import Iterable, Sequence
 
 from coregular import invariants, linalg
 from coregular.invariants import WeightVector
-from coregular.kernel import _shift
+from coregular.kernel import _anchor_equations, _shift
 from coregular.linalg import SparseEchelon, kernel_of_columns
 from coregular.pfaffian import DEFAULT_PROBE_SEED, rank_certificate
 from coregular.grobner import normal_form, s_polynomial
@@ -476,6 +477,41 @@ def anchor_kernel_generators(g, degree_bound: int,
                 if c:
                     comps[t // len(monos)][monos[t % len(monos)]] = c
             found.append((d, tuple(Polynomial(n, c) for c in comps)))
+    return found
+
+
+def anchor_kernel_fully_eliminated(g, degree_bound: int,
+                                   order: MonomialOrder = DEGREVLEX
+                                   ) -> list[tuple[int, tuple[Polynomial, ...]]]:
+    """(degree, components) of the minimal generators of ker rho, as
+    ``kernel.kernel_of_rho`` defines them, with no certificate: each
+    degree's anchor system is eliminated in full, then the multiples of
+    the lower-degree generators are ranked, none skipped, until they
+    span the kernel or run out, and the kernel basis is reduced against
+    them.  A remainder is a new generator, read out with a unit pivot;
+    they come in pivot order."""
+    n = g.dim
+    b = g.structure_matrix()
+    found: list[tuple[int, tuple[Polynomial, ...]]] = []
+    for d in range(degree_bound + 1):
+        monos = monomials_of_degree(n, d, order)
+        nm = len(monos)
+        space = linalg.SolutionSpace(_anchor_equations(b, monos), n * nm)
+        if not space.dim:
+            continue
+        rank = {m: t for t, m in enumerate(monos)}
+        lower = SparseEchelon(min)
+        for deg, comps in found:
+            for m in monomials_of_degree(n, d - deg, order):
+                if len(lower.rows) < space.dim:
+                    lower.add(_shift(comps, m, rank))
+        new = [lower.row(p) for p in map(lower.add, space.basis())
+               if p is not None]
+        for row in sorted(new, key=min):
+            comps = [{} for _ in range(n)]
+            for t, c in row.items():
+                comps[t // nm][monos[t % nm]] = c
+            found.append((d, tuple(Polynomial._new(n, c) for c in comps)))
     return found
 
 

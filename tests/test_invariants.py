@@ -387,6 +387,51 @@ class TestGradedSearch:
         assert len(monomials) == 10
 
 
+def generated_dim(g, vectors) -> int:
+    """The dimension of the subalgebra that ``vectors`` generate: their
+    span, with every bracket of two spanning vectors added until the
+    rank stays put."""
+    span = [list(v) for v in vectors]
+    while True:
+        before = linalg.rank(span)
+        span += [g.bracket(x, y) for x in span for y in span]
+        span = oracles.rref(span)[0]
+        if len(span) == before:
+            return before
+
+
+class TestLieGenerators:
+    """The structural search and count take ad of basis vectors that
+    generate g as a Lie algebra, not of the whole basis."""
+
+    def test_they_generate_g_and_keep_the_common_kernel(
+            self, order_test_algebras):
+        for g, bound in order_test_algebras:
+            vectors = invariants._lie_generators(g)
+            basis = [[int(t == i) for t in range(g.dim)]
+                     for i in range(g.dim)]
+            assert all(v in basis for v in vectors), g.label
+            assert generated_dim(g, vectors) == g.dim, g.label
+            if g.is_nilpotent():
+                assert len(vectors) == \
+                    g.dim - g.derived_subalgebra().dim, g.label
+            for d in range(1, min(bound, 4) + 1):
+                spaces = [invariants._common_kernel_system(
+                    g, d, vs, DEGREVLEX)[1] for vs in (vectors, basis)]
+                assert spaces[0].dim == spaces[1].dim
+                assert spaces[0].echelon.rows == spaces[1].echelon.rows, \
+                    (g.label, d)
+
+    # L(7) by v1 and v2, sl2 (perfect) by e and f, an abelian algebra by
+    # its whole basis
+    @pytest.mark.parametrize("g, kept", [
+        (filiform(7), [0, 1]), (sl2(), [0, 1]), (abelian(3), [0, 1, 2]),
+    ], ids=["L7", "sl2", "abelian3"])
+    def test_kept_basis_vectors(self, g, kept):
+        assert invariants._lie_generators(g) == [
+            [int(t == i) for t in range(g.dim)] for i in kept]
+
+
 # (algebra to reduce, structural_no_proper_reason of its h, of its k):
 # h and k are counted when it is set and searched when it is None.  The
 # last three weight triples are from the benchmark's weights workload
@@ -754,25 +799,32 @@ class TestTrdegAndGorenstein:
     def test_heisenberg_consistent(self):
         g = heisenberg([[0, 1], [0, 0]])
         gens = minimal_generators(g, 2)[0]
-        check = trdeg_check(g, gens)
+        check = trdeg_check(gens)
         assert check.status == "consistent"
         assert check.rank == 2 and check.expected == 2
 
     def test_filiform5_consistent_at_degree_three(self):
         g = filiform(5)
         gens = minimal_generators(g, 3)[0]
-        check = trdeg_check(g, gens)
+        check = trdeg_check(gens)
         assert check.status == "consistent" and check.rank == 3
 
     def test_panyushev_not_applicable(self):
         g = panyushev()
         gens = minimal_generators(g, 2)[0]
-        assert trdeg_check(g, gens).status == "not-applicable"
+        assert trdeg_check(gens).status == "not-applicable"
+
+    def test_expected_is_the_index_of_the_generators_algebra(self):
+        # the algebra is read off the generator set, so no other one can
+        # be passed beside it
+        check = trdeg_check(minimal_generators(filiform(4), 4)[0])
+        assert (check.status, check.rank, check.expected) == \
+            ("consistent", 2, 2)
 
     def test_deficient_when_bound_too_small(self):
         g = filiform(5)
         gens = minimal_generators(g, 1)[0]
-        assert trdeg_check(g, gens).status == "deficient"
+        assert trdeg_check(gens).status == "deficient"
 
     def test_gorenstein_polynomial_ring_case(self):
         gens = minimal_generators(filiform(4), 4)[1]

@@ -19,9 +19,14 @@ from coregular.kernel import (FAILS, H_BRANCH, HOLDS, K_BRANCH, UNKNOWN,
                               freeness_verdict, kernel_of_rho,
                               reduce_one_step)
 from coregular.lie import LieAlgebra
-from coregular.poly import (DEGREVLEX, Polynomial, format_polynomial,
-                            monomials_of_degree)
+from coregular.poly import (DEGREVLEX, GRLEX, LEX, Polynomial,
+                            format_polynomial, monomials_of_degree)
 import oracles
+from conftest import seaweed
+
+# sl3, gl3 in sl4 and a Borel subalgebra of that gl3: at degrees 3 and 4
+# of the first two the pivots of the multiples fall short of their rank
+SEAWEEDS = [((3,), (3,)), ((1, 3), (1, 3)), ((1, 1, 1, 1), (1, 3))]
 
 
 def _sl3() -> LieAlgebra:
@@ -151,44 +156,99 @@ class TestKernelOfRho:
             assert kernel_of_rho(g, 2).rank == index(g)
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
-    def test_skipped_multiples_leave_the_echelon_rows_unchanged(
-            self, monkeypatch, n):
-        # x_k m w lies in the span of the multiples before it when m w
-        # did one degree lower, so skipping it keeps every row; counted
-        # by the reductions the two runs make
+    def test_multiples_echelon_pivots_are_their_leading_terms(self, n):
+        # the generators of L(n) are a Groebner basis of the module: in
+        # every degree the echelon of all their multiples has exactly the
+        # pivots read off the leading terms, so the certificate holds
         g = filiform(n)
         gens = kernel_of_rho(g, n).generators
-        adds = []
-        add = linalg.SparseEchelon.add
-
-        def counting(ech, vec):
-            adds[-1] += 1
-            return add(ech, vec)
-        monkeypatch.setattr(linalg.SparseEchelon, "add", counting)
-        dependent: dict = {}
         for d in range(1, n + 1):
             lower = [w for w in gens if w.degree < d]
             monos = monomials_of_degree(n, d, DEGREVLEX)
             rank = {m: t for t, m in enumerate(monos)}
-            previous = {a: set(ms) for a, ms in dependent.items()}
-            adds.append(0)
-            skipping = kernel_module._multiples(
-                lower, d, n, rank, DEGREVLEX, dependent, None)
-            adds.append(0)
-            unskipped: dict = {}
-            full = kernel_module._multiples(
-                lower, d, n, rank, DEGREVLEX, unskipped, None)
-            assert skipping.rows == full.rows
-            assert dependent == unskipped
-            skipped = adds[-1] - adds[-2]
-            assert skipped == sum(
-                len({m for m in ms if any(
-                    m[k] and m[:k] + (m[k] - 1,) + m[k + 1:] in
-                    previous.get(a, ()) for k in range(n))})
-                for a, ms in dependent.items())
-            if d > 2:
-                # every multiple that is dependent is skipped
-                assert adds[-2] == len(skipping.rows)
+            echelon = kernel_module._multiples(lower, d, n, rank,
+                                               DEGREVLEX, None)
+            assert echelon.rows.keys() == kernel_module._multiple_pivots(
+                lower, d, n, rank, DEGREVLEX), d
+
+
+class TestPivotCertificate:
+    """A degree is proved to have no new generator by the distinct pivots
+    of the lower multiples and a partial rank of the anchor system;
+    elsewhere the multiples are ranked."""
+
+    @staticmethod
+    def multiples_degrees(monkeypatch):
+        """The degrees at which ``_multiples`` runs, with the number of
+        lower-degree generators it is given."""
+        calls = []
+        multiples = kernel_module._multiples
+
+        def recording(generators, d, *args):
+            calls.append((d, len(generators)))
+            return multiples(generators, d, *args)
+        monkeypatch.setattr(kernel_module, "_multiples", recording)
+        return calls
+
+    @pytest.mark.parametrize("order", [DEGREVLEX, GRLEX, LEX],
+                             ids=lambda o: o.name)
+    def test_generators_match_full_elimination(self, order,
+                                               order_test_algebras):
+        cases = [(filiform(n), n) for n in range(3, 9)] + \
+            order_test_algebras + [(seaweed(a, b), 4) for a, b in SEAWEEDS]
+        for g, bound in cases:
+            kernel = kernel_of_rho(g, bound, order)
+            assert [(w.degree, w.components) for w in kernel.generators] \
+                == oracles.anchor_kernel_fully_eliminated(g, bound, order), \
+                g.label
+
+    @pytest.mark.parametrize("a, b", SEAWEEDS[:2])
+    def test_seaweeds_rank_the_multiples_where_pivots_fall_short(
+            self, monkeypatch, a, b):
+        # degrees 3 and 4 have lower generators and no new one, yet the
+        # pivots of the multiples do not prove it
+        calls = self.multiples_degrees(monkeypatch)
+        kernel = kernel_of_rho(seaweed(a, b), 4)
+        assert max(kernel.degrees) < 3
+        assert [d for d, lower in calls if lower and d >= 3] == [3, 4]
+
+    def test_filiform7_certifies_every_degree_from_two(self, monkeypatch):
+        calls = self.multiples_degrees(monkeypatch)
+        consumed = []
+        equations = kernel_module._anchor_equations
+
+        def counting(b, monos):
+            consumed.append(0)
+            for equation in equations(b, monos):
+                consumed[-1] += 1
+                yield equation
+        monkeypatch.setattr(kernel_module, "_anchor_equations", counting)
+        g = filiform(7)
+        kernel = kernel_of_rho(g, 7)
+        assert [d for d, _ in calls] == [0, 1]
+        monos = monomials_of_degree(7, 7, DEGREVLEX)
+        rank = {m: t for t, m in enumerate(monos)}
+        pivots = kernel_module._multiple_pivots(
+            kernel.generators, 7, 7, rank, DEGREVLEX)
+        ncols = 7 * len(monos)
+        assert ncols == 12012
+        assert consumed[7] == ncols - len(pivots) == 4710
+
+    def test_pivot_missing_from_the_multiples_raises(self, monkeypatch):
+        # one pivot swapped for an unknown that is none of the multiples'
+        # keeps the count, so the certificate still falls short, and the
+        # exact check sees the stranger
+        multiple_pivots = kernel_module._multiple_pivots
+
+        def swapped(gens, d, n, rank, order):
+            pivots = multiple_pivots(gens, d, n, rank, order)
+            if gens and d == 3:
+                pivots.remove(min(pivots))
+                pivots.add(max(set(range(n * len(rank))) - pivots))
+            return pivots
+        monkeypatch.setattr(kernel_module, "_multiple_pivots", swapped)
+        with pytest.raises(InternalCheckError, match="pivot"):
+            kernel_of_rho(seaweed((3,), (3,)), 3)
 
 
 class TestBlockSplit:

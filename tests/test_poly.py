@@ -209,6 +209,13 @@ class TestOrdersAndText:
         assert keys == sorted(keys, reverse=True)
         assert len(monos) == 6
 
+    @pytest.mark.parametrize("nvars", [0, 1, 3])
+    def test_monomials_of_a_negative_degree_raise(self, nvars):
+        for _ in range(2):  # the memo keeps no answer for it
+            with pytest.raises(ValueError, match="degree"):
+                monomials_of_degree(nvars, -1)
+        assert monomials_of_degree(nvars, 0) == ((0,) * nvars,)
+
     def test_format_orders_terms_descending(self):
         names = ["v1", "v2", "v3"]
         f = pv("v3 + v1^2 + 2*v2", names)
