@@ -85,9 +85,9 @@ def heisenberg(p: Sequence[Sequence]) -> LieAlgebra:
     return LieAlgebra(names, brackets, label=label)
 
 
-def _parse_matrix(param: str) -> list[list[Fraction]]:
+def _parse_matrix(param: str) -> list[list[int | Fraction]]:
     try:
-        return [[Fraction(x) for x in row.split(",")]
+        return [[_q(x) for x in row.split(",")]
                 for row in param.split(";")]
     except (ValueError, ZeroDivisionError) as exc:
         raise LieAlgebraError(f"bad matrix parameter {param!r}: {exc}")

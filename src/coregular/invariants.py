@@ -173,21 +173,21 @@ def _ad_equations(g: LieAlgebra, monos: Sequence,
     ``monos`` as sparse rows, in the order of their keys
     (v, image monomial); unknown t is the coefficient of ``monos[t]``.
 
-    ad(v) is the derivation with x_j -> [v, v_j], so a term c x_k of
-    [v, v_j] adds e c to the row of m x_k / x_j for each unknown m,
-    where e is the exponent of x_j in m."""
+    ad(v) is the derivation with x_j -> [v, v_j], read from the bracket
+    table as {k: c} (``bracket_images``), so a term c x_k of it adds e c
+    to the row of m x_k / x_j for each unknown m, where e is the
+    exponent of x_j in m."""
     for v in vectors:
         rows: dict = {}
         for j, image in enumerate(g.bracket_images(v)):
-            terms = [(mm.index(1), c) for mm, c in image.terms.items()]
-            if not terms:
+            if not image:
                 continue
             for t, m in enumerate(monos):
                 e = m[j]
                 if not e:
                     continue
                 lowered = m[:j] + (e - 1,) + m[j + 1:]
-                for k, c in terms:
+                for k, c in image.items():
                     row = rows.setdefault(
                         lowered[:k] + (lowered[k] + 1,) + lowered[k + 1:], {})
                     row[t] = row.get(t, 0) + e * c

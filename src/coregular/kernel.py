@@ -107,22 +107,22 @@ def _shift(components: Sequence[Polynomial], m, rank: dict) -> dict:
     return vec
 
 
-def _anchor_equations(b: SkewPolyMatrix, monos: Sequence) -> Iterator[dict]:
+def _anchor_equations(g: LieAlgebra, monos: Sequence) -> Iterator[dict]:
     """The degree's system sum_i A_i B[i][j] = 0 as sparse rows, in the
     order of their keys (j, monomial); unknown ``i * len(monos) + t`` is
     the coefficient of ``monos[t]`` in A_i.
 
-    The rows are built one column j of B at a time.  The entries of B
-    are linear forms, so a term c v_k of B[i][j] adds c to the row of
-    m v_k for each unknown (i, m): only the exponent of v_k changes."""
+    The rows are built one column j of B at a time.  B[i][j] = [v_i, v_j]
+    is read from the bracket table as {k: c}, so a term c v_k adds c to
+    the row of m v_k for each unknown (i, m): only its exponent changes."""
     nm = len(monos)
     raised = [[m[:k] + (m[k] + 1,) + m[k + 1:] for m in monos]
-              for k in range(b.size)]
-    for j in range(b.size):
+              for k in range(g.dim)]
+    for j in range(g.dim):
         rows: dict = {}
-        for i, row in enumerate(b.entries):
-            for mm, c in row[j].terms.items():
-                for t, mono in enumerate(raised[mm.index(1)], i * nm):
+        for i in range(g.dim):
+            for k, c in g._bracket_terms(i, j).items():
+                for t, mono in enumerate(raised[k], i * nm):
                     rows.setdefault(mono, {})[t] = c
         for mono in sorted(rows):
             yield rows.pop(mono)
@@ -144,12 +144,11 @@ def kernel_of_rho(g: LieAlgebra, degree_bound: int,
     """
     if degree_bound < 1:
         raise ValueError("degree bound must be >= 1")
-    b = g.structure_matrix()
     rank = index(g)
 
     generators: list[KernelGenerator] = []
     for d in range(0, degree_bound + 1):
-        generators += _generators_of_degree(b, generators, d, order)
+        generators += _generators_of_degree(g, generators, d, order)
     return KernelBasis(g, degree_bound, tuple(generators), rank)
 
 
@@ -184,7 +183,7 @@ def _multiple_pivots(generators: Sequence[KernelGenerator], d: int,
     return pivots
 
 
-def _generators_of_degree(b: SkewPolyMatrix,
+def _generators_of_degree(g: LieAlgebra,
                           generators: Sequence[KernelGenerator],
                           d: int, order: MonomialOrder
                           ) -> list[KernelGenerator]:
@@ -202,13 +201,13 @@ def _generators_of_degree(b: SkewPolyMatrix,
     (each of the p pivots must be one of theirs) until they span the
     kernel's dimension, and only if they fall short is a kernel basis
     read out."""
-    n = b.size
+    n = g.dim
     monos = monomials_of_degree(n, d, order)
     nm = len(monos)
     ncols = n * nm
     rank = {m: t for t, m in enumerate(monos)}
     pivots = _multiple_pivots(generators, d, n, rank, order)
-    space = linalg.SolutionSpace(_anchor_equations(b, monos), ncols)
+    space = linalg.SolutionSpace(_anchor_equations(g, monos), ncols)
     if space.reaches(ncols - len(pivots)):
         return []
     lower = _multiples(generators, d, n, rank, order, space.dim)
@@ -225,6 +224,7 @@ def _generators_of_degree(b: SkewPolyMatrix,
             new_rows.append(lower.row(p))
     # canonical order; each row was read out with a unit pivot
     new_rows.sort(key=min)
+    b = g.structure_matrix()
     new = []
     for row in new_rows:
         comps = [dict() for _ in range(n)]

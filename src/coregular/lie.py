@@ -1,9 +1,11 @@
 """Lie algebras from structure constants.
 
 Brackets are stored only for i < j, so antisymmetry holds by
-construction; the Jacobi identity is validated when an algebra is
-built.  All linear data lives over exact rationals, each value an
-``int`` when it is integral (see ``poly._q``).
+construction; one private reader gives [v_i, v_j] for any pair, and all
+bracket arithmetic reads it, from the Jacobi check that runs when an
+algebra is built to the images [x, v_j] as {k: c} (``bracket_images``).
+All linear data lives over exact rationals, each value an ``int`` when
+it is integral (see ``poly._q``).
 """
 
 from __future__ import annotations
@@ -18,6 +20,10 @@ from . import linalg
 from .linalg import (InternalCheckError, Mat, Vec, mat_eq_zero, mat_mul,
                      mat_sub, rref)
 from .poly import Polynomial, _q, apply_derivation
+
+
+# the bracket of a pair the table leaves out; shared, so never changed
+_NO_TERMS: Mapping[int, Fraction] = {}
 
 
 class LieAlgebraError(ValueError):
@@ -112,92 +118,75 @@ class LieAlgebra:
 
     # -- basic structure -----------------------------------------------------
 
+    def _bracket_terms(self, i: int, j: int) -> Mapping[int, Fraction]:
+        """[v_i, v_j] as {k: c}, keys ascending: row (i, j) of the table
+        itself when i < j, and row (j, i) negated otherwise.  The one
+        place the sign rule of the i < j table is applied; callers only
+        read what it returns."""
+        if i < j:
+            return self.brackets.get((i, j), _NO_TERMS)
+        return {k: -c for k, c in self.brackets.get((j, i), _NO_TERMS).items()}
+
     def bracket_basis(self, i: int, j: int) -> Vec:
-        """[v_i, v_j] as a coordinate vector; sign handled for any i, j."""
-        n = self.dim
-        out = [0] * n
-        if i == j:
-            return out
-        sign = 1
-        if i > j:
-            i, j, sign = j, i, -1
-        for k, c in self.brackets.get((i, j), {}).items():
-            out[k] = sign * c
+        """[v_i, v_j] as a coordinate vector, for any i, j."""
+        out = [0] * self.dim
+        for k, c in self._bracket_terms(i, j).items():
+            out[k] = c
         return out
 
     def bracket(self, x: Sequence, y: Sequence) -> Vec:
-        """Bilinear extension of the bracket to coordinate vectors."""
-        n = self.dim
-        out = [0] * n
-        xv = [_q(a) for a in x]
-        yv = [_q(a) for a in y]
-        for i in range(n):
-            if xv[i] == 0:
-                continue
-            for j in range(n):
-                if yv[j] == 0:
-                    continue
-                c = xv[i] * yv[j]
-                for k, v in enumerate(self.bracket_basis(i, j)):
-                    if v:
-                        out[k] += c * v
+        """Bilinear extension of the bracket: sum_j y_j [x, v_j]."""
+        out = [0] * self.dim
+        for b, image in zip(y, self.bracket_images(x)):
+            b = _q(b)
+            if b:
+                for k, c in image.items():
+                    out[k] += b * c
         return out
 
     def _check_jacobi(self):
+        """The Jacobi identity on each triple i < j < k, term by term."""
         n = self.dim
+        terms = self._bracket_terms
         for i in range(n):
-            ei = [int(t == i) for t in range(n)]
             for j in range(i + 1, n):
-                ej = [int(t == j) for t in range(n)]
                 for k in range(j + 1, n):
-                    ek = [int(t == k) for t in range(n)]
-                    r1 = self.bracket(ei, self.bracket_basis(j, k))
-                    r2 = self.bracket(ej, self.bracket_basis(k, i))
-                    r3 = self.bracket(ek, self.bracket_basis(i, j))
-                    residual = [a + b + c for a, b, c in zip(r1, r2, r3)]
-                    if any(x != 0 for x in residual):
+                    residual = [0] * n
+                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                        for m, s in terms(b, c).items():
+                            for t, u in terms(a, m).items():
+                                residual[t] += s * u
+                    if any(residual):
                         raise JacobiViolationError(i + 1, j + 1, k + 1, residual)
 
     def ad_matrix(self, i: int) -> Mat:
         """Matrix of ad(v_i) on degree one: column j = [v_i, v_j]."""
-        cols = [self.bracket_basis(i, j) for j in range(self.dim)]
-        return [[cols[j][k] for j in range(self.dim)] for k in range(self.dim)]
+        out = [[0] * self.dim for _ in range(self.dim)]
+        for j in range(self.dim):
+            for k, c in self._bracket_terms(i, j).items():
+                out[k][j] = c
+        return out
 
-    def _image_terms(self, x: Sequence) -> list[Mapping[int, Fraction]]:
+    def bracket_images(self, x: Sequence) -> list[Mapping[int, Fraction]]:
         """[x, v_j] as {k: coefficient of v_k}, keys ascending, one per
-        basis vector, read straight from the bracket table; callers only
-        read them.  For a basis vector x = v_i, image j is row (i, j) of
-        the table itself, not a copy, and row (j, i) negated when i > j."""
+        basis vector; callers only read them.  For a basis vector x = v_i,
+        image j is the table entry [v_i, v_j] (``_bracket_terms``): row
+        (i, j) of the table itself when i < j."""
         nonzero = [i for i, a in enumerate(x) if a]
-        table = self.brackets
+        n = self.dim
         if len(nonzero) == 1 and x[nonzero[0]] == 1:
             i = nonzero[0]
-            return [table.get((i, j), {}) if i < j else
-                    {k: -c for k, c in table.get((j, i), {}).items()}
-                    for j in range(self.dim)]
-        support = [(i, _q(x[i])) for i in nonzero]
+            return [self._bracket_terms(i, j) for j in range(n)]
         images = []
-        for j in range(self.dim):
+        support = [(i, _q(x[i])) for i in nonzero]
+        for j in range(n):
             acc: dict[int, Fraction] = {}
             for i, a in support:
-                if i < j:
-                    row = table.get((i, j), {})
-                elif i > j:
-                    row, a = table.get((j, i), {}), -a
-                else:
-                    continue
-                for k, v in row.items():
+                for k, v in self._bracket_terms(i, j).items():
                     term = v if a == 1 else a * v
                     acc[k] = acc[k] + term if k in acc else term
             images.append({k: c for k, c in sorted(acc.items()) if c != 0})
         return images
-
-    def bracket_images(self, x: Sequence) -> list[Polynomial]:
-        """[x, v_j] as degree-one polynomials, one per basis vector."""
-        n = self.dim
-        return [Polynomial._new(n, {
-            tuple(1 if t == k else 0 for t in range(n)): c
-            for k, c in image.items()}) for image in self._image_terms(x)]
 
     # -- derived objects -------------------------------------------------------
 
@@ -261,8 +250,8 @@ class LieAlgebra:
     def apply_ad(self, x: Sequence, f: Polynomial) -> Polynomial:
         """ad(x) extended as a derivation of the symmetric algebra: the
         derivation x_j -> [x, v_j], with the images read from the bracket
-        table (see ``_image_terms``)."""
-        return apply_derivation(f, self._image_terms(x))
+        table (see ``bracket_images``)."""
+        return apply_derivation(f, self.bracket_images(x))
 
     # -- subalgebras -------------------------------------------------------------
 
@@ -343,7 +332,7 @@ class LieAlgebra:
                     raise LieAlgebraError(
                         f"bracket ({i}, {j}): key {k!r} is not a basis number")
                 try:
-                    row[int(k) - 1] = Fraction(str(c))
+                    row[int(k) - 1] = _q(str(c))
                 except (ValueError, ZeroDivisionError) as exc:
                     raise LieAlgebraError(
                         f"bracket ({i}, {j}): bad entry {k!r}: {c!r} ({exc})")
@@ -353,8 +342,10 @@ class LieAlgebra:
     @classmethod
     def from_json(cls, text: str) -> "LieAlgebra":
         try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
+            # a bare number is kept as written, for the same text gate
+            data = json.loads(text, parse_float=str)
+        # a JSONDecodeError, or a number past the int conversion limit
+        except ValueError as exc:
             raise LieAlgebraError(f"invalid JSON: {exc}")
         return cls.from_json_dict(data)
 

@@ -23,13 +23,20 @@ MINUS_INFINITY = float("-inf")
 Monomial = tuple  # exponent tuple, one entry per ring variable
 
 
+_RATIONAL_TEXT = re.compile(r"\s*[-+]?(\d+(/\d+|\.\d*)?|\.\d+)\s*", re.ASCII)
+
+
 def _q(x) -> int | Fraction:
     """x exactly: the ``int`` when x is integral, else a ``Fraction``.
-    A ``float`` raises ``TypeError``: its value is binary, not exact."""
+    A ``float`` raises ``TypeError``: its value is binary, not exact.
+    Text must be an integer, a decimal or p/q, never with an exponent:
+    "1e10000000" alone is a number of ten million digits."""
     if x.__class__ is not int:
         if isinstance(x, float):
             raise TypeError(f"inexact value {x!r}: give an int, a Fraction "
                             "or a string such as '1/10'")
+        if isinstance(x, str) and not _RATIONAL_TEXT.fullmatch(x):
+            raise ValueError(f"{x!r} is not an integer, a decimal or p/q")
         x = x if isinstance(x, Fraction) else Fraction(x)
         if x.denominator == 1:
             return x.numerator

@@ -3,15 +3,19 @@
 The tests check the library against them: a dense Gauss-Jordan
 eliminator beside the sparse one, rational roots by trial division
 beside the p-adic lifting, unimodularity by the traces of ad, the
-matrix of ad(x) on a graded component, the common kernel of ad(v) by
+matrix of ad(x) on a graded component, the bracket through a dense
+vector per pair of basis vectors with the sign rule applied beside it,
+the Jacobi check as a triple loop over that bracket, the common kernel
+of ad(v) by
 successive intersection, the canonical echelon basis of a span, the
 weight of joint eigenvalues by a dense solve, the eigen split of the
 graded search by characteristic polynomials and one nullspace per
 root, a derivation as a sum of partial derivatives, the derivation of
 a weight, the Poisson bracket from the structure matrix, the
-substitution of polynomials for variables, the anchor-map kernel
-generators from the dense nullspace and from the whole anchor system
-eliminated before any multiple is ranked, a spot check that the
+substitution of polynomials for variables, the anchor system read from
+the entries of the structure matrix, the anchor-map kernel generators
+from the dense nullspace and from the whole anchor system eliminated
+before any multiple is ranked, a spot check that the
 fundamental semi-invariant divides the rank-size minors of the
 structure matrix, and Buchberger's algorithm with each pair chosen by
 a ``min`` over all pairs, recomputing the leading monomials."""
@@ -26,7 +30,7 @@ from typing import Iterable, Sequence
 
 from coregular import invariants, linalg
 from coregular.invariants import WeightVector
-from coregular.kernel import _anchor_equations, _shift
+from coregular.kernel import _shift
 from coregular.linalg import SparseEchelon, kernel_of_columns
 from coregular.pfaffian import DEFAULT_PROBE_SEED, rank_certificate
 from coregular.grobner import normal_form, s_polynomial
@@ -165,10 +169,63 @@ def _divide_linear(cs: list[Fraction], r: Fraction) -> list[Fraction]:
 # ---------------------------------------------------------------------------
 
 
+def table_bracket_basis(g, i: int, j: int) -> list:
+    """[v_i, v_j] as a coordinate vector, read from the i < j table of g
+    with the sign rule applied here."""
+    out = [0] * g.dim
+    if i == j:
+        return out
+    sign = 1
+    if i > j:
+        i, j, sign = j, i, -1
+    for k, c in g.brackets.get((i, j), {}).items():
+        out[k] = sign * c
+    return out
+
+
+def dense_bracket(g, x: Sequence, y: Sequence) -> list:
+    """The bilinear extension of the bracket, through a dense vector
+    [v_i, v_j] for each pair of nonzero coordinates x_i, y_j."""
+    n = g.dim
+    out = [0] * n
+    xv = [Fraction(a) for a in x]
+    yv = [Fraction(a) for a in y]
+    for i in range(n):
+        if xv[i] == 0:
+            continue
+        for j in range(n):
+            if yv[j] == 0:
+                continue
+            c = xv[i] * yv[j]
+            for k, v in enumerate(table_bracket_basis(g, i, j)):
+                if v:
+                    out[k] += c * v
+    return out
+
+
+def jacobi_violation(g) -> tuple[tuple[int, int, int], list] | None:
+    """The first triple i < j < k, 1-based, on which the table of g
+    breaks the Jacobi identity, with the residual
+    [vi,[vj,vk]] + [vj,[vk,vi]] + [vk,[vi,vj]], or None: the triple loop
+    over ``dense_bracket``."""
+    n = g.dim
+    unit = [[int(t == i) for t in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                r1 = dense_bracket(g, unit[i], table_bracket_basis(g, j, k))
+                r2 = dense_bracket(g, unit[j], table_bracket_basis(g, k, i))
+                r3 = dense_bracket(g, unit[k], table_bracket_basis(g, i, j))
+                residual = [a + b + c for a, b, c in zip(r1, r2, r3)]
+                if any(residual):
+                    return (i + 1, j + 1, k + 1), residual
+    return None
+
+
 def ad_of_vector(g, x: Sequence) -> list[list[Fraction]]:
     """Matrix of ad(x) on g: column j = [x, v_j]."""
     n = g.dim
-    cols = [g.bracket(x, [1 if t == j else 0 for t in range(n)])
+    cols = [dense_bracket(g, x, [1 if t == j else 0 for t in range(n)])
             for j in range(n)]
     return [[cols[j][k] for j in range(n)] for k in range(n)]
 
@@ -316,11 +373,13 @@ def weight_derivation(f: Polynomial, w) -> Polynomial:
 
 
 def derivation_by_partials(f: Polynomial, images) -> Polynomial:
-    """sum_i images[i] * df/dx_i for polynomial images, one partial
-    derivative and one product at a time; ``poly.apply_derivation``
-    computes the same sum for linear images."""
-    out = Polynomial.zero(f.nvars)
-    for i, img in enumerate(images):
+    """sum_i images[i] * df/dx_i for linear images {k: c}, each made a
+    degree-one polynomial, one partial derivative and one product at a
+    time; ``poly.apply_derivation`` computes the same sum term by term."""
+    n = f.nvars
+    out = Polynomial.zero(n)
+    for i, image in enumerate(images):
+        img = Polynomial.from_vector([image.get(k, 0) for k in range(n)])
         if img.is_zero:
             continue
         d = f.partial_derivative(i)
@@ -480,6 +539,25 @@ def anchor_kernel_generators(g, degree_bound: int,
     return found
 
 
+def anchor_equations_from_matrix(b, monos: Sequence):
+    """The degree's anchor system sum_i A_i B[i][j] = 0 as sparse rows,
+    in the order of their keys (j, monomial), as
+    ``kernel._anchor_equations`` yields it, read from the entries of the
+    structure matrix ``b``: the unit exponent of each term of B[i][j]
+    names the v_k it raises."""
+    nm = len(monos)
+    raised = [[m[:k] + (m[k] + 1,) + m[k + 1:] for m in monos]
+              for k in range(b.size)]
+    for j in range(b.size):
+        rows: dict = {}
+        for i, row in enumerate(b.entries):
+            for mm, c in row[j].terms.items():
+                for t, mono in enumerate(raised[mm.index(1)], i * nm):
+                    rows.setdefault(mono, {})[t] = c
+        for mono in sorted(rows):
+            yield rows.pop(mono)
+
+
 def anchor_kernel_fully_eliminated(g, degree_bound: int,
                                    order: MonomialOrder = DEGREVLEX
                                    ) -> list[tuple[int, tuple[Polynomial, ...]]]:
@@ -496,7 +574,8 @@ def anchor_kernel_fully_eliminated(g, degree_bound: int,
     for d in range(degree_bound + 1):
         monos = monomials_of_degree(n, d, order)
         nm = len(monos)
-        space = linalg.SolutionSpace(_anchor_equations(b, monos), n * nm)
+        space = linalg.SolutionSpace(anchor_equations_from_matrix(b, monos),
+                                     n * nm)
         if not space.dim:
             continue
         rank = {m: t for t, m in enumerate(monos)}

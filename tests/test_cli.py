@@ -302,9 +302,59 @@ def test_unreadable_file_or_unwritable_json_exits_two_with_a_message(
     assert out == ""
 
 
+def _exponent_file(tmp_path, value, bare=False):
+    """A file whose one coefficient is ``value``: a JSON string, or the
+    text itself as a bare JSON number."""
+    path = tmp_path / "exponent.json"
+    path.write_text('{"name": "exponent", "basis": ["v1", "v2", "v3"], '
+                    '"brackets": [{"i": 1, "j": 2, "coeffs": {"2": %s}}]}'
+                    % (value if bare else json.dumps(value)))
+    return ["--file", str(path)]
+
+
+@pytest.mark.parametrize("value", ["1e5000", "1e10000000", "2E3"])
+@pytest.mark.parametrize("source", ["file", "bare-number", "catalog"])
+def test_coefficient_with_an_exponent_exits_two_with_one_line(
+        capsys, tmp_path, source, value):
+    # 1e5000 has more digits than the report may print, and 1e10000000
+    # takes seconds to build: any exponent is refused as it is read
+    args = (["--catalog", f"heisenberg:{value},0;0,1"] if source == "catalog"
+            else _exponent_file(tmp_path, value, source == "bare-number"))
+    code, out, err = run_cli(["analyze"] + args, capsys)
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err and "not an integer, a decimal or p/q" in err
+
+
+@pytest.mark.parametrize("literal", ["string", "number"])
+def test_literal_past_the_int_digit_limit_exits_two_with_one_line(
+        capsys, tmp_path, literal):
+    digits = "7" * 5000
+    path = tmp_path / "long.json"
+    value = json.dumps(digits) if literal == "string" else digits
+    path.write_text('{"basis": ["v1", "v2", "v3"], "brackets": '
+                    '[{"i": 1, "j": 2, "coeffs": {"2": %s}}]}' % value)
+    code, out, err = run_cli(["analyze", "--file", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def test_integer_decimal_and_ratio_text_are_read_exactly(capsys, tmp_path):
+    # a bare JSON number is read as written: 0.00001 is not the float
+    # 1e-05, whose text has an exponent
+    for value, shown, bare in (("3", "3", False), ("-0.25", "-1/4", False),
+                               (" 6/4 ", "3/2", False), ("-0.25", "-1/4", True),
+                               ("0.00001", "1/100000", True)):
+        code, out, _ = run_cli(
+            ["reduce"] + _exponent_file(tmp_path, value, bare), capsys)
+        assert code == 0 and f"weight ('{shown}', '0', '0')" in out, value
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 6) | st.floats()
-    | st.sampled_from([1.5, "1", "1/2", "-3", "x", "v1"]) | st.text(max_size=4),
+    | st.sampled_from([1.5, "1", "1/2", "-3", "x", "v1", "1e5000",
+                       "1e10000000", "2E3", "-1.5e-2"])
+    | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=3), inner, max_size=3),
     max_leaves=6)

@@ -106,6 +106,10 @@ def test_analyze_filiform6_computes_each_datum_once(counts):
     assert counts.calls["spectrum"] == 0
     # the public method is still asked by every stage that needs it
     assert counts.calls["derived_subalgebra()"] > 1
+    # and nothing else is kept
+    assert set(g._cache) == {
+        "structure", ("rank", pfaffian.DEFAULT_PROBE_SEED), "derived",
+        "nilpotent", "pfaffians"} | {("semicenter", d) for d in range(1, 7)}
 
 
 def first_proper(report):
@@ -167,6 +171,23 @@ def test_reduction_under_another_order_reads_the_recorded_dimensions(
     assert counts.searches[(id(g), "degrevlex")] == 0
     assert computed(counts, g, "semicenter") == 3
     assert step == reduce_one_step(weights_5_7_11(), semi)
+
+
+# what the memo of an algebra holds once analyze (bound 3) and a
+# reduction step have run: no table of ad images or other derived data
+REDUCED_MEMO = {"structure", ("rank", pfaffian.DEFAULT_PROBE_SEED),
+                "derived", "nilpotent", ("semicenter", 1), ("semicenter", 2),
+                ("semicenter", 3)}
+
+
+@pytest.mark.parametrize("build", [weights_5_7_11, panyushev, example32])
+def test_analyze_and_reduce_keep_only_the_known_memo_keys(build):
+    g = build()
+    report = analyze(g, AnalysisOptions(max_degree=3))
+    step = reduce_one_step(g, first_proper(report))
+    assert set(g._cache) == REDUCED_MEMO | {"pfaffians"}
+    for alg in (step.h, step.k):
+        assert set(alg._cache) == REDUCED_MEMO, alg.label
 
 
 def test_memo_is_per_instance(counts):

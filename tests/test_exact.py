@@ -147,6 +147,17 @@ def test_q_and_ratio_return_the_exact_form():
         _ratio(1, 0)
 
 
+def test_q_reads_integer_decimal_and_ratio_text_only():
+    assert _q("-3") == -3 and type(_q("-3")) is int
+    assert _q(" 0.25 ") == Fraction(1, 4) and _q("6/4") == Fraction(3, 2)
+    assert type(_q("4/2")) is int and _q(".5") == _q("1/2")
+    # an exponent is refused before any value is built
+    for text in ("1e5000", "1e10000000", "2E3", "1.5e-2", "x", "1_000",
+                 "", "1/2/3", "1.5/2"):
+        with pytest.raises(ValueError):
+            _q(text)
+
+
 def test_s_polynomial_divides_by_int_leading_coefficients():
     x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
     sp = s_polynomial(2 * x + 1, 3 * y + 1)

@@ -217,9 +217,9 @@ class TestPivotCertificate:
         consumed = []
         equations = kernel_module._anchor_equations
 
-        def counting(b, monos):
+        def counting(g, monos):
             consumed.append(0)
-            for equation in equations(b, monos):
+            for equation in equations(g, monos):
                 consumed[-1] += 1
                 yield equation
         monkeypatch.setattr(kernel_module, "_anchor_equations", counting)
@@ -470,6 +470,22 @@ class TestReduceOneStep:
 
 class TestKernelOracle:
     """Independent dense-solve oracle for the sparse kernel path."""
+
+    def test_anchor_rows_match_the_structure_matrix_oracle(
+            self, order_test_algebras):
+        # the rows read from the bracket table against those read from
+        # the matrix's degree-one entries: same rows, keys and order
+        seaweeds = [g for g, _ in order_test_algebras
+                    if g.label.startswith("seaweed")]
+        assert len(seaweeds) == 4
+        for g in [filiform(n) for n in range(3, 8)] + seaweeds:
+            b = g.structure_matrix()
+            for d in range(5):
+                monos = monomials_of_degree(g.dim, d, DEGREVLEX)
+                rows = kernel_module._anchor_equations(g, monos)
+                expected = oracles.anchor_equations_from_matrix(b, monos)
+                assert [list(r.items()) for r in rows] == \
+                    [list(r.items()) for r in expected], (g.label, d)
 
     def dense_kernel_dimension(self, g, d):
         # brute force: coefficient matrix of sum_i A_i B[i][j] over a dense

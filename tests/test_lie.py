@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from coregular.linalg import (InternalCheckError, identity, inverse,
                               mat_eq_zero, mat_mul, mat_sub)
 from coregular.poly import (Polynomial, format_polynomial,
                             monomials_of_degree, parse_polynomial)
+import oracles
 from oracles import (ad_of_vector, ad_on_graded, derivation_by_partials,
                      unimodular)
 
@@ -51,6 +53,83 @@ class TestValidation:
         assert g.bracket_basis(0, 1) == [0, 0, 1, 0]
         assert g.bracket_basis(1, 0) == [0, 0, -1, 0]
         assert g.bracket_basis(2, 2) == [0, 0, 0, 0]
+
+
+@pytest.fixture(scope="module")
+def reader_algebras(catalog_algebras, rotated_sl2, order_test_algebras):
+    """The catalog, sl2 in a rotated basis and the four seaweeds."""
+    return catalog_algebras + [rotated_sl2] + [
+        g for g, _ in order_test_algebras if g.label.startswith("seaweed")]
+
+
+def unit_multiple(n, i, c):
+    return [c if t == i else 0 for t in range(n)]
+
+
+class TestBracketReader:
+    """The table read in one place against the dense oracles: a vector
+    [v_i, v_j] per pair with the sign rule applied beside it."""
+
+    def test_basis_brackets_and_ad_matrices(self, reader_algebras):
+        for g in reader_algebras:
+            n = g.dim
+            for i in range(n):
+                cols = [oracles.table_bracket_basis(g, i, j) for j in range(n)]
+                assert [g.bracket_basis(i, j) for j in range(n)] == cols
+                assert g.ad_matrix(i) == [[cols[j][k] for j in range(n)]
+                                          for k in range(n)], (g.label, i)
+
+    def test_unit_multiples(self, reader_algebras):
+        # e_i reads the table's rows; -e_i and 2 e_i take the general path
+        for g in reader_algebras:
+            n = g.dim
+            for i in range(n):
+                for c in (1, -1, 2, Fraction(1), Fraction(-1, 2)):
+                    x = unit_multiple(n, i, c)
+                    images = g.bracket_images(x)
+                    for j in range(n):
+                        y = unit_multiple(n, j, 1)
+                        dense = oracles.dense_bracket(g, x, y)
+                        assert g.bracket(x, y) == dense, (g.label, i, j, c)
+                        assert images[j] == {k: v for k, v in enumerate(dense)
+                                             if v}, (g.label, i, j, c)
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_general_vectors(self, data, reader_algebras):
+        g = data.draw(st.sampled_from(reader_algebras))
+        n = g.dim
+        vector = rational_vec(n) | st.builds(
+            unit_multiple, st.just(n), st.integers(0, n - 1),
+            st.sampled_from([1, -1, 2, Fraction(1, 3)]))
+        x, y = data.draw(vector), data.draw(vector)
+        assert g.bracket(x, y) == oracles.dense_bracket(g, x, y)
+        images = g.bracket_images(x)
+        for j in range(n):
+            dense = oracles.dense_bracket(g, x, unit_multiple(n, j, 1))
+            assert images[j] == {k: v for k, v in enumerate(dense) if v}
+            assert list(images[j]) == sorted(images[j])
+
+    @given(n=st.integers(3, 5), data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_jacobi_check_matches_the_triple_loop(self, n, data):
+        coeff = st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-3, 2)])
+        pairs = st.tuples(st.integers(0, n - 2), st.integers(1, n - 1)).filter(
+            lambda ij: ij[0] < ij[1])
+        table = data.draw(st.dictionaries(
+            pairs, st.dictionaries(st.integers(0, n - 1), coeff, min_size=1,
+                                   max_size=2), max_size=4))
+        expected = oracles.jacobi_violation(
+            SimpleNamespace(dim=n, brackets=table))
+        names = [f"v{t + 1}" for t in range(n)]
+        if expected is None:
+            LieAlgebra(names, table)
+            return
+        with pytest.raises(JacobiViolationError) as err:
+            LieAlgebra(names, table)
+        assert (err.value.indices, err.value.residual) == expected
+        text = ", ".join(str(Fraction(x)) for x in expected[1])
+        assert str(err.value).endswith(f"residual [{text}]")
 
 
 class TestStructureMatrix:
@@ -170,7 +249,7 @@ class TestGradedAction:
         for g in (panyushev(), filiform(4), abelian(4)):
             ad = ad_of_vector(g, x)
             assert g.bracket_images(x) == [
-                Polynomial.from_vector([row[j] for row in ad])
+                {k: row[j] for k, row in enumerate(ad) if row[j]}
                 for j in range(g.dim)]
 
     @given(data=st.data())
@@ -201,11 +280,11 @@ class TestGradedAction:
                 n, {m: Fraction(t + 1, 3) for t, m in
                     enumerate(monomials_of_degree(n, 3))})]
             for i in range(n):
-                ad = g.ad_matrix(i)
+                ad = ad_of_vector(g, [1 if t == i else 0 for t in range(n)])
                 for c in (one, -one, 2 * one):
                     x = [c if t == i else 0 for t in range(n)]
-                    dense = [Polynomial.from_vector([c * row[j] for row in ad])
-                             for j in range(n)]
+                    dense = [{k: c * row[j] for k, row in enumerate(ad)
+                              if row[j]} for j in range(n)]
                     assert g.bracket_images(x) == dense, (g.label, i, c)
                     for f in polys:
                         assert g.apply_ad(x, f) == \
@@ -218,7 +297,17 @@ class TestGradedAction:
         assert list(g.brackets[(0, 1)]) == [2, 3]
         for x in ([1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0]):
             assert all(list(image) == sorted(image)
-                       for image in g._image_terms(x))
+                       for image in g.bracket_images(x))
+
+    def test_basis_vector_images_above_the_diagonal_are_the_table_rows(
+            self, catalog_algebras):
+        # for v_i and i < j, image j is row (i, j) itself, not a copy
+        for g in catalog_algebras:
+            for i in range(g.dim):
+                images = g.bracket_images([int(t == i) for t in range(g.dim)])
+                for j in range(i + 1, g.dim):
+                    if (i, j) in g.brackets:
+                        assert images[j] is g.brackets[(i, j)]
 
     def test_leibniz_through_monomial_pairs(self):
         g = filiform(4)

@@ -144,9 +144,7 @@ class TestCalculus:
             st.dictionaries(st.integers(0, n - 1), coeff, max_size=n),
             min_size=n, max_size=n))
         out = apply_derivation(f, images)
-        polys = [Polynomial.from_vector([image.get(k, 0) for k in range(n)])
-                 for image in images]
-        assert out == oracles.derivation_by_partials(f, polys)
+        assert out == oracles.derivation_by_partials(f, images)
         assert all(c != 0 for c in out.terms.values())
 
 
