@@ -65,10 +65,6 @@ class WeightVector:
     def of(cls, values) -> "WeightVector":
         return cls(tuple(_q(x) for x in values))
 
-    @classmethod
-    def zero(cls, n: int) -> "WeightVector":
-        return cls((0,) * n)
-
     @property
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.values)

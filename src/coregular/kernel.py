@@ -348,14 +348,20 @@ def compute_geometry(g: LieAlgebra, seed: int = DEFAULT_PROBE_SEED,
     return Geometry(cert, index(g), c_value(g), fsi, codim, known)
 
 
-def evaluate_criteria(g: LieAlgebra, geometry: Geometry,
-                      semi_gens: GeneratorSet, inv_gens: GeneratorSet,
+def evaluate_criteria(geometry: Geometry, semi_gens: GeneratorSet,
+                      inv_gens: GeneratorSet,
                       relations: Sequence[Relation] | None
                       ) -> list[CriterionVerdict]:
-    """All numerical coregularity criteria for one algebra.
+    """All numerical coregularity criteria for the algebra of
+    ``semi_gens``; ``inv_gens`` and ``geometry`` must be of that algebra.
 
     ``relations`` may be None when the relation search blew its budget.
     """
+    g = semi_gens.algebra
+    if inv_gens.algebra is not g:
+        raise ValueError("the invariant generators are of another algebra")
+    if geometry.index != index(g):
+        raise ValueError("the geometry is of another algebra")
     n = g.dim
     idx = geometry.index
     c = geometry.c

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import linalg
-from .linalg import (InternalCheckError, Mat, Vec, mat_eq_zero, mat_mul,
+from .linalg import (InternalCheckError, Mat, Vec, mat, mat_eq_zero, mat_mul,
                      mat_sub, rref)
 from .poly import Polynomial, _q, apply_derivation
 
@@ -60,9 +60,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def contains(self, vector: Sequence) -> bool:
-        return linalg.rank(list(self.basis) + [vector]) == self.dim
 
 
 class LieAlgebra:
@@ -393,10 +390,6 @@ class SkewPolyMatrix:
                 out[j][i] = -value
         return out
 
-    @property
-    def is_zero(self) -> bool:
-        return all(e.is_zero for row in self.entries for e in row)
-
 
 def jordan_chevalley(d: Mat) -> tuple[Mat, Mat]:
     """Split a rational square matrix D = D_s + D_p with D_s semisimple,
@@ -406,7 +399,12 @@ def jordan_chevalley(d: Mat) -> tuple[Mat, Mat]:
     ``(D, 0)`` with no characteristic polynomial.  Any other D goes
     through Newton iteration against the squarefree part of the
     characteristic polynomial, and its output through the defining
-    checks; all arithmetic stays rational.
+    checks; all arithmetic stays rational, and the output is in the
+    form ``_q`` returns.  The semisimplicity check needs no minimal
+    polynomial: that polynomial divides every polynomial annihilating
+    D_s and has the roots of charpoly(D_s), so it is square-free, and
+    D_s semisimple, exactly when the square-free part of charpoly(D_s)
+    annihilates D_s.
     """
     n = len(d)
     if n == 0:
@@ -414,13 +412,12 @@ def jordan_chevalley(d: Mat) -> tuple[Mat, Mat]:
     for row in d:
         if len(row) != n:
             raise ValueError("matrix must be square")
-    d = [[_q(x) for x in row] for row in d]
+    d = mat(d)
     if all(not d[i][j] for i in range(n) for j in range(n) if i != j):
         return d, [[0] * n for _ in range(n)]
-    chi = linalg.charpoly(d)
-    s = linalg.squarefree_part(chi)
-    sprime = s.partial_derivative(0)
-    x = [row[:] for row in d]
+    s = linalg.squarefree_part(linalg.charpoly(d))
+    sprime = linalg.derivative(s)
+    x = d
     # converges quadratically along the nilpotent filtration
     for _ in range(n.bit_length() + 2):
         sx = linalg.poly_of_matrix(s, x)
@@ -431,8 +428,8 @@ def jordan_chevalley(d: Mat) -> tuple[Mat, Mat]:
     else:
         raise InternalCheckError(
             "Jordan-Chevalley iteration failed to converge")
-    ds = x
-    dp = mat_sub(d, ds)
+    ds = mat(x)
+    dp = mat(mat_sub(d, ds))
     # defining checks: commuting, nilpotent, semisimple
     if not mat_eq_zero(mat_sub(mat_mul(ds, dp), mat_mul(dp, ds))):
         raise InternalCheckError("semisimple and nilpotent parts do not commute")
@@ -443,10 +440,9 @@ def jordan_chevalley(d: Mat) -> tuple[Mat, Mat]:
         power = mat_mul(power, dp)
     if not mat_eq_zero(power):
         raise InternalCheckError("nilpotent part is not nilpotent")
-    ms = linalg.minimal_polynomial(ds)
-    if linalg.squarefree_part(ms) != ms.monic():
-        raise InternalCheckError(
-            "semisimple part has a non-squarefree minimal polynomial")
+    if not mat_eq_zero(linalg.poly_of_matrix(
+            linalg.squarefree_part(linalg.charpoly(ds)), ds)):
+        raise InternalCheckError("semisimple part is not semisimple")
     return ds, dp
 
 

@@ -26,9 +26,13 @@ dense routines and ``kernel_of_columns`` divide by the pivot entry, and
 a value is read out as an ``int`` when the pivot entry divides it and as
 a ``Fraction`` otherwise.
 
-``rational_roots`` has one search as well: the roots of the square-free
-part modulo a small prime, lifted p-adically and checked by exact
-deflation, so no coefficient is ever factored.
+A univariate polynomial has one form, a dense coefficient list ``cs``
+with ``cs[i]`` the coefficient of t^i and a nonzero last entry:
+``charpoly`` returns one, and ``poly_of_matrix``, ``derivative``,
+``squarefree_part`` and ``rational_roots`` take one.  ``rational_roots``
+has one search as well: the roots of the square-free part modulo a
+small prime, lifted p-adically and checked by exact deflation, so no
+coefficient is ever factored.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Hashable, Iterable, Sequence
 
-from .poly import Polynomial, _q, _ratio
+from .poly import _q, _ratio
 
 Vec = list[int | Fraction]
 Mat = list[Vec]
@@ -142,11 +146,12 @@ def inverse(a: Mat) -> Mat:
 
 
 # ---------------------------------------------------------------------------
-# characteristic and minimal polynomials (univariate, as Polynomial in 1 var)
+# univariate polynomials: a dense coefficient list cs, cs[i] the
+# coefficient of t^i and cs[-1] != 0
 # ---------------------------------------------------------------------------
 
-def charpoly(a: Mat) -> Polynomial:
-    """Characteristic polynomial det(tI - A) by Faddeev-LeVerrier."""
+def charpoly(a: Mat) -> Vec:
+    """The coefficient list of det(tI - A), by Faddeev-LeVerrier."""
     n = len(a)
     coeffs = [1]  # of t^n, t^{n-1}, ...
     m = identity(n)
@@ -156,68 +161,31 @@ def charpoly(a: Mat) -> Polynomial:
         coeffs.append(c)
         for i in range(n):
             m[i][i] += c
-    terms = {}
-    for i, c in enumerate(coeffs):
-        if c:
-            terms[(n - i,)] = c
-    return Polynomial(1, terms)
+    return coeffs[::-1]
 
 
-def minimal_polynomial(a: Mat) -> Polynomial:
-    """Monic minimal polynomial, by the first linear dependence of powers."""
+def poly_of_matrix(cs: Sequence, a: Mat) -> Mat:
+    """Evaluate sum cs[i] t^i at a square matrix (Horner)."""
     n = len(a)
-    powers: list[Mat] = [identity(n)]
-    vectors: list[Vec] = [[x for row in powers[0] for x in row]]
-    cur = identity(n)
-    for _ in range(n):
-        cur = mat_mul(a, cur)
-        powers.append(cur)
-        vectors.append([x for row in cur for x in row])
-        cols = len(vectors)
-        system = [[vectors[j][i] for j in range(cols)]
-                  for i in range(n * n)]
-        ker = nullspace(system, cols)
-        for v in ker:
-            if v[cols - 1] != 0:
-                scaled = [_ratio(c, v[cols - 1]) for c in v]
-                terms = {(i,): c for i, c in enumerate(scaled) if c != 0}
-                return Polynomial(1, terms)
-    raise InternalCheckError(  # pragma: no cover
-        "minimal polynomial not found")
-
-
-def poly_of_matrix(p: Polynomial, a: Mat) -> Mat:
-    """Evaluate a univariate polynomial at a square matrix (Horner)."""
-    if p.nvars != 1:
-        raise ValueError("need a univariate polynomial")
-    n = len(a)
-    deg = p.degree_in(0)
-    coeffs = [0] * (deg + 1)
-    for m, c in p.terms.items():
-        coeffs[m[0]] = c
     out = zeros(n, n)
-    for c in reversed(coeffs):
+    for c in reversed(cs):
         out = mat_mul(out, a)
         for i in range(n):
             out[i][i] += c
     return out
 
 
-def squarefree_part(p: Polynomial) -> Polynomial:
-    """p / gcd(p, p'), monic, for univariate p."""
-    if p.is_zero:
-        return p
-    cs = [0] * (p.degree_in(0) + 1)
-    for m, c in p.terms.items():
-        cs[m[0]] = c
-    return Polynomial._new(1, {(i,): c for i, c in
-                               enumerate(_squarefree_coeffs(cs)) if c})
+def derivative(cs: Sequence) -> Vec:
+    """d/dt of sum cs[i] t^i; a constant gives the empty list."""
+    return [i * c for i, c in enumerate(cs)][1:]
 
 
-def _squarefree_coeffs(cs: list[Fraction]) -> list[Fraction]:
-    """The monic square-free part of sum cs[i] t^i (cs[-1] != 0) by
-    Euclid's algorithm on dense coefficient lists."""
-    a, b = cs, [i * c for i, c in enumerate(cs)][1:]
+def squarefree_part(cs: Sequence) -> Vec:
+    """The monic square-free part cs / gcd(cs, cs') by Euclid's
+    algorithm."""
+    if not cs or cs[-1] == 0:
+        raise ValueError("need a nonzero leading coefficient")
+    a, b = cs, derivative(cs)
     while b:
         a, b = b, _divmod_dense(a, b)[1]
     part = _divmod_dense(cs, a)[0]
@@ -240,49 +208,45 @@ def _divmod_dense(a: list[Fraction], b: list[Fraction]
     return quot, rem
 
 
-def rational_roots(p: Polynomial, candidates: Iterable[Fraction] | None = None
+def rational_roots(cs: Sequence, candidates: Iterable[Fraction] | None = None
                    ) -> tuple[list[tuple[Fraction, int]], int]:
-    """Rational roots with multiplicities of a univariate polynomial.
+    """Rational roots with multiplicities of sum cs[i] t^i.
 
     Returns (roots, residual_degree) where residual_degree is the degree
     left over after all rational roots are divided out; a positive value
     means irrational or complex roots exist.  Roots come in ascending
     order.
 
-    ``candidates``, when given, must contain every root of ``p``: the
-    polynomial is deflated only by them, in ascending order, and no
-    root search runs.  A degree left over then means the set was not
-    complete, which raises ``InternalCheckError``.
+    ``candidates``, when given, must contain every root: the polynomial
+    is deflated only by them, in ascending order, and no root search
+    runs.  A degree left over then means the set was not complete,
+    which raises ``InternalCheckError``.
     """
-    if p.nvars != 1 or p.is_zero:
-        raise ValueError("need a nonzero univariate polynomial")
-    deg = p.degree_in(0)
-    coeffs = [0] * (deg + 1)
-    for m, c in p.terms.items():
-        coeffs[m[0]] = c
+    if not cs or cs[-1] == 0:
+        raise ValueError("need a nonzero leading coefficient")
 
     roots: list[tuple[Fraction, int]] = []
     if candidates is not None:
         for cand in sorted(set(candidates)):
-            coeffs, mult = _deflate(coeffs, cand)
+            cs, mult = _deflate(cs, cand)
             if mult:
                 roots.append((cand, mult))
-        if len(coeffs) > 1:
+        if len(cs) > 1:
             raise InternalCheckError(
                 "a root lies outside the complete candidate set")
         return roots, 0
 
-    coeffs, zero_mult = _deflate(coeffs, 0)
+    cs, zero_mult = _deflate(cs, 0)
     if zero_mult:
         roots.append((0, zero_mult))
 
-    if len(coeffs) > 1:
-        for cand in _lifted_root_candidates(coeffs):
-            coeffs, mult = _deflate(coeffs, cand)
+    if len(cs) > 1:
+        for cand in _lifted_root_candidates(cs):
+            cs, mult = _deflate(cs, cand)
             if mult:
                 roots.append((cand, mult))
 
-    residual_degree = len(coeffs) - 1
+    residual_degree = len(cs) - 1
     roots.sort(key=lambda rm: rm[0])
     return roots, residual_degree
 
@@ -313,12 +277,12 @@ def _lifted_root_candidates(coeffs: list[Fraction]) -> list[Fraction]:
     them simple lift by Newton's iteration to roots modulo l^k > 2*bound,
     and c*r is the symmetric residue of c times one of them.
     """
-    rat = _squarefree_coeffs(coeffs)
+    rat = squarefree_part(coeffs)
     den = 1
     for c in rat:
         den = lcm(den, c.denominator)
     ints = [int(c * den) for c in rat]
-    deriv = [i * c for i, c in enumerate(ints)][1:]
+    deriv = derivative(ints)
     lead = ints[-1]
     bound = abs(lead) + max(abs(c) for c in ints)
     ell = 1

@@ -200,17 +200,6 @@ class Polynomial:
         m = tuple(1 if j == i else 0 for j in range(nvars))
         return cls._new(nvars, {m: 1})
 
-    @classmethod
-    def from_vector(cls, coeffs: Sequence) -> "Polynomial":
-        """Degree-one polynomial sum_i coeffs[i] * x_i."""
-        n = len(coeffs)
-        terms = {}
-        for i, c in enumerate(coeffs):
-            c = _q(c)
-            if c != 0:
-                terms[tuple(1 if j == i else 0 for j in range(n))] = c
-        return cls._new(n, terms)
-
     # -- predicates / views -------------------------------------------------
 
     @property

@@ -267,8 +267,7 @@ def analyze(g: LieAlgebra, options: AnalysisOptions | None = None
 
     kernel = kernel_of_rho(g, bound, opts.order)
 
-    criteria = evaluate_criteria(g, geometry, semi_gens, inv_gens,
-                                 relations)
+    criteria = evaluate_criteria(geometry, semi_gens, inv_gens, relations)
     criteria.append(freeness_verdict(kernel))
 
     notes: list[str] = []

@@ -2,7 +2,8 @@
 
 The tests check the library against them: a dense Gauss-Jordan
 eliminator beside the sparse one, rational roots by trial division
-beside the p-adic lifting, unimodularity by the traces of ad, the
+beside the p-adic lifting, the minimal polynomial of a matrix from the
+first dependence among its powers, unimodularity by the traces of ad, the
 matrix of ad(x) on a graded component, the bracket through a dense
 vector per pair of basis vectors with the sign rule applied beside it,
 the Jacobi check as a triple loop over that bracket, the common kernel
@@ -105,18 +106,16 @@ def solve(a: Sequence[Sequence], b: Sequence) -> list[Fraction] | None:
 
 
 # ---------------------------------------------------------------------------
-# rational roots by trial division
+# rational roots by trial division, and minimal polynomials
 # ---------------------------------------------------------------------------
 
 
-def trial_division_roots(p: Polynomial
+def trial_division_roots(cs: Sequence
                          ) -> tuple[list[tuple[Fraction, int]], int]:
-    """(roots with multiplicities, residual degree) of a univariate p,
+    """(roots with multiplicities, residual degree) of sum cs[i] t^i,
     trying every +-a/b with a dividing the constant term and b the
     leading coefficient; roots ascend."""
-    coeffs = [Fraction(0)] * (p.degree_in(0) + 1)
-    for m, c in p.terms.items():
-        coeffs[m[0]] = c
+    coeffs = [Fraction(c) for c in cs]
     roots = []
     mult = 0
     while len(coeffs) > 1 and coeffs[0] == 0:
@@ -162,6 +161,23 @@ def _divide_linear(cs: list[Fraction], r: Fraction) -> list[Fraction]:
         quot[i] = acc
         acc = cs[i] + r * acc
     return quot
+
+
+def minimal_polynomial(a: Sequence[Sequence]) -> list[Fraction]:
+    """The monic minimal polynomial of a square matrix as a coefficient
+    list, from the first linear dependence of its powers."""
+    n = len(a)
+    power = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    vectors = [[x for row in power for x in row]]
+    while True:
+        power = [[sum(Fraction(a[i][t]) * power[t][j] for t in range(n))
+                  for j in range(n)] for i in range(n)]
+        vectors.append([x for row in power for x in row])
+        k = len(vectors)
+        for v in nullspace([[vec[i] for vec in vectors]
+                            for i in range(n * n)], k):
+            if v[-1]:
+                return [c / v[-1] for c in v]
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +395,8 @@ def derivation_by_partials(f: Polynomial, images) -> Polynomial:
     n = f.nvars
     out = Polynomial.zero(n)
     for i, image in enumerate(images):
-        img = Polynomial.from_vector([image.get(k, 0) for k in range(n)])
+        img = sum((c * Polynomial.variable(n, k) for k, c in image.items()),
+                  Polynomial.zero(n))
         if img.is_zero:
             continue
         d = f.partial_derivative(i)

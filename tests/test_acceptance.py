@@ -237,7 +237,7 @@ def test_criterion_9_heisenberg_invariants():
         assert c == parse_polynomial("c", g.names)
         z_found = gens.generators[1].poly
         z = parse_polynomial("c*t - w2*u1", g.names)
-        assert verify_semi_invariant(g, z, WeightVector.zero(6))
+        assert verify_semi_invariant(g, z, WeightVector.of([0] * 6))
         # z_found spans with z modulo the product c^2
         c2 = parse_polynomial("c^2", g.names)
         coeffs = kernel_of_columns([z_found.terms, z.terms, c2.terms])

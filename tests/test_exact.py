@@ -17,8 +17,7 @@ from coregular.grobner import s_polynomial
 from coregular.invariants import SemiInvariant, WeightVector
 from coregular.kernel import reduce_one_step
 from coregular.lie import LieAlgebra, SkewPolyMatrix
-from coregular.linalg import (_divmod_dense, charpoly, minimal_polynomial,
-                              squarefree_part)
+from coregular.linalg import _divmod_dense, charpoly, squarefree_part
 from coregular.poly import Polynomial, _q, _ratio, divide
 from coregular.report import AnalysisOptions, analyze
 
@@ -184,32 +183,21 @@ def test_reduction_divides_by_an_int_weight():
 
 def test_charpoly_of_an_int_matrix_is_integral():
     p = charpoly([[1, 1], [0, 2]])
-    assert p.terms == {(2,): 1, (1,): -3, (0,): 2}
-    assert all(type(c) is int for c in coefficients(p))
+    assert p == [2, -3, 1]
+    assert all(type(c) is int for c in p)
     # past the 53 bits of a float
     big = 10 ** 17 + 1
-    p = charpoly([[big, 1], [0, 3]])
-    assert p.terms == {(2,): 1, (1,): -big - 3, (0,): 3 * big}
+    assert charpoly([[big, 1], [0, 3]]) == [3 * big, -big - 3, 1]
     p = charpoly([[Fraction(1, 2), 0], [0, 1]])
-    assert p.terms == {(2,): 1, (1,): Fraction(-3, 2), (0,): Fraction(1, 2)}
-
-
-def test_minimal_polynomial_of_an_int_matrix_is_integral():
-    p = minimal_polynomial([[2, 1], [0, 2]])
-    assert p.terms == {(2,): 1, (1,): -4, (0,): 4}
-    assert all(type(c) is int for c in coefficients(p))
-    big = 10 ** 17 + 1
-    assert minimal_polynomial([[big, 0], [0, big]]).terms == \
-        {(1,): 1, (0,): -big}
-    p = minimal_polynomial([[Fraction(1, 2), 0], [0, Fraction(1, 2)]])
-    assert p.terms == {(1,): 1, (0,): Fraction(-1, 2)}
+    assert p == [Fraction(1, 2), Fraction(-3, 2), 1]
+    assert all(is_exact(c) for c in p)
 
 
 def test_squarefree_part_divides_by_an_int_leading_coefficient():
     # 2 (t - 1)^2
-    p = squarefree_part(Polynomial(1, {(2,): 2, (1,): -4, (0,): 2}))
-    assert p.terms == {(1,): 1, (0,): -1}
-    assert all(type(c) is int for c in coefficients(p))
+    p = squarefree_part([2, -4, 2])
+    assert p == [-1, 1]
+    assert all(type(c) is int for c in p)
 
 
 def test_divmod_dense_divides_by_an_int_leading_coefficient():

@@ -81,7 +81,7 @@ def dense_invariants(g, d):
 
 
 def make_generator_set(g, polys, degree_bound=None):
-    zero = WeightVector.zero(g.dim)
+    zero = WeightVector.of([0] * g.dim)
     gens = tuple(SemiInvariant(p, zero, p.total_degree()) for p in polys)
     return GeneratorSet(algebra=g, degree_bound=degree_bound or g.dim,
                         generators=gens, irrational_degrees=())

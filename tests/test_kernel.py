@@ -356,7 +356,7 @@ class TestCriteria:
         from coregular.invariants import find_relations
         rels = find_relations(inv, bound)
         return {v.criterion: v
-                for v in evaluate_criteria(g, geometry, semi, inv, rels)}
+                for v in evaluate_criteria(geometry, semi, inv, rels)}
 
     def test_filiform5_bound_fails(self):
         verdicts = self.run(filiform(5), 5)
@@ -401,6 +401,16 @@ class TestCriteria:
             verdicts = self.run(g, 2)
             assert verdicts["singular-locus-purity"].status == UNKNOWN
 
+    def test_data_of_another_algebra_is_refused(self):
+        # sl2's c = 2 against filiform(4)'s degree sum 3 would read as a
+        # certified failure of the bound
+        semi, inv = minimal_generators(filiform(4), 4)
+        with pytest.raises(ValueError, match="geometry"):
+            evaluate_criteria(compute_geometry(sl2()), semi, inv, ())
+        other = minimal_generators(sl2(), 2)[1]
+        with pytest.raises(ValueError, match="invariant generators"):
+            evaluate_criteria(compute_geometry(filiform(4)), semi, other, ())
+
 
 class TestReduceOneStep:
     def proper_generator(self, g, bound=3, text=None):
@@ -439,7 +449,7 @@ class TestReduceOneStep:
 
     def test_rejects_invariant_input(self):
         g = filiform(4)
-        zero = WeightVector.zero(4)
+        zero = WeightVector.of([0] * 4)
         s = SemiInvariant(Polynomial.variable(4, 3), zero, 1)
         with pytest.raises(ValueError):
             reduce_one_step(g, s)

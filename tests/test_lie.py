@@ -12,10 +12,12 @@ from coregular.catalog import (abelian, example32, filiform, heisenberg,
 from coregular.lie import (JacobiViolationError, LieAlgebra, LieAlgebraError,
                            Subspace, is_derivation, jordan_chevalley)
 from coregular.linalg import (InternalCheckError, identity, inverse,
-                              mat_eq_zero, mat_mul, mat_sub)
+                              mat_eq_zero, mat_mul, mat_sub, rank,
+                              squarefree_part)
 from coregular.poly import (Polynomial, format_polynomial,
                             monomials_of_degree, parse_polynomial)
 import oracles
+from conftest import is_exact
 from oracles import (ad_of_vector, ad_on_graded, derivation_by_partials,
                      unimodular)
 
@@ -139,7 +141,8 @@ class TestStructureMatrix:
         assert row == ["0", "v3", "v4", "v5", "0"]
 
     def test_abelian_matrix_is_zero(self):
-        assert abelian(3).structure_matrix().is_zero
+        b = abelian(3).structure_matrix()
+        assert all(b[i, j].is_zero for i in range(3) for j in range(3))
 
     def test_panyushev_first_row(self):
         g = panyushev()
@@ -185,18 +188,20 @@ class TestSubspaces:
         assert z.dim == 2
         c_vec = [0, 0, 1, 0]
         t_vec = [0, 0, 0, 1]
-        assert z.contains(c_vec) and z.contains(t_vec)
+        assert rank(list(z.basis) + [c_vec, t_vec]) == z.dim
 
     def test_derived_subalgebras(self):
         g5 = filiform(5)
         d = g5.derived_subalgebra()
         assert d.dim == 3
         for k in (2, 3, 4):
-            assert d.contains([1 if i == k else 0 for i in range(5)])
+            e_k = [1 if i == k else 0 for i in range(5)]
+            assert rank(list(d.basis) + [e_k]) == d.dim
         assert abelian(3).derived_subalgebra().dim == 0
         p = panyushev()
         dp = p.derived_subalgebra()
-        assert dp.dim == 3 and not dp.contains([1, 0, 0, 0])
+        assert dp.dim == 3
+        assert rank(list(dp.basis) + [[1, 0, 0, 0]]) == dp.dim + 1
 
     def test_subspace_canonical_equality(self):
         a = Subspace.from_spanning([[2, 0, 2], [0, 1, 1]])
@@ -320,9 +325,10 @@ class TestGradedAction:
     def test_center_annihilated_in_degree_one(self, catalog_algebras):
         for g in catalog_algebras:
             for z in g.center().basis:
+                f = sum((c * Polynomial.variable(g.dim, k)
+                         for k, c in enumerate(z)), Polynomial.zero(g.dim))
                 for i in range(g.dim):
                     e_i = [1 if t == i else 0 for t in range(g.dim)]
-                    f = Polynomial.from_vector(z)
                     assert g.apply_ad(e_i, f).is_zero
 
 
@@ -352,47 +358,71 @@ def charpolys(monkeypatch):
     return sizes
 
 
+def jordan_chevalley_exact(d):
+    """``jordan_chevalley(d)``, asserting each entry is in the form
+    ``_q`` returns."""
+    ds, dp = jordan_chevalley(d)
+    assert all(is_exact(x) for m in (ds, dp) for row in m for x in row)
+    return ds, dp
+
+
 class TestJordanChevalley:
     def test_nilpotent_input(self):
         g = filiform(4)
         d = g.ad_matrix(0)
-        ds, dp = jordan_chevalley(d)
+        ds, dp = jordan_chevalley_exact(d)
         assert mat_eq_zero(ds) and dp == d
 
     def test_diagonal_input(self, charpolys):
         d = [[Fraction(2), 0], [0, Fraction(-3)]]
-        assert jordan_chevalley(d) == (d, [[0, 0], [0, 0]])
+        assert jordan_chevalley_exact(d) == (d, [[0, 0], [0, 0]])
         # its own semisimple part: no Newton iteration
         assert charpolys == []
 
     def test_jordan_block(self, charpolys):
-        ds, dp = jordan_chevalley([[Fraction(1), Fraction(1)],
-                                   [Fraction(0), Fraction(1)]])
+        ds, dp = jordan_chevalley_exact([[Fraction(1), Fraction(1)],
+                                         [Fraction(0), Fraction(1)]])
         assert ds == identity(2)
         assert dp == [[0, 1], [0, 0]]
-        assert charpolys == [2]
+        # one for the iteration, one for the semisimplicity check
+        assert charpolys == [2, 2]
 
     def test_conjugate_of_a_diagonal_takes_the_newton_path(self, charpolys):
         d = [[3, 0, 0], [0, Fraction(-1, 2), 0], [0, 0, 3]]
         p = [[1, 1, 0], [0, 1, 2], [1, 0, 1]]
         conj = mat_mul(mat_mul(p, d), inverse(p))
         assert any(conj[i][j] for i in range(3) for j in range(3) if i != j)
-        ds, dp = jordan_chevalley(conj)
+        ds, dp = jordan_chevalley_exact(conj)
         assert ds == conj and mat_eq_zero(dp)
-        assert charpolys == [3]
+        assert charpolys == [3, 3]
+
+    def test_newton_path_keeps_integral_values_int(self):
+        ds, dp = jordan_chevalley_exact([[3, 1, 0], [0, 3, 0],
+                                         [0, 0, Fraction(1, 2)]])
+        assert ds == [[3, 0, 0], [0, 3, 0], [0, 0, Fraction(1, 2)]]
+        assert dp == [[0, 1, 0], [0, 0, 0], [0, 0, 0]]
+
+    def test_irrational_spectrum(self):
+        # diag(C, C) + [[0, I], [0, 0]], C the companion matrix of t^2 - 2
+        ds, dp = jordan_chevalley_exact([[0, 2, 1, 0], [1, 0, 0, 1],
+                                         [0, 0, 0, 2], [0, 0, 1, 0]])
+        assert ds == [[0, 2, 0, 0], [1, 0, 0, 0], [0, 0, 0, 2], [0, 0, 1, 0]]
+        assert dp == [[0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0]]
 
     @given(st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3),
                     min_size=3, max_size=3))
     @settings(max_examples=25, deadline=None)
     def test_defining_properties_on_random_matrices(self, rows):
         d = [[Fraction(x) for x in row] for row in rows]
-        ds, dp = jordan_chevalley(d)
+        ds, dp = jordan_chevalley_exact(d)
         assert mat_sub(d, ds) == dp
         assert mat_eq_zero(mat_sub(mat_mul(ds, dp), mat_mul(dp, ds)))
         power = dp
         for _ in range(3):
             power = mat_mul(power, dp)
         assert mat_eq_zero(power)
+        minimal = oracles.minimal_polynomial(ds)
+        assert squarefree_part(minimal) == minimal
 
     def test_non_convergence_raises_an_internal_check_error(
             self, monkeypatch):
@@ -401,6 +431,21 @@ class TestJordanChevalley:
         with pytest.raises(InternalCheckError, match="converge"):
             jordan_chevalley([[Fraction(1), Fraction(1)],
                               [Fraction(0), Fraction(2)]])
+
+    def test_a_non_semisimple_part_raises_an_internal_check_error(
+            self, monkeypatch):
+        # the first s(x) reads zero, so the iteration stops on D itself,
+        # a Jordan block, with a zero nilpotent part
+        poly_of_matrix = lie_module.linalg.poly_of_matrix
+        calls = []
+
+        def zero_first(cs, m):
+            calls.append(cs)
+            return ([[0] * len(m) for _ in m] if len(calls) == 1
+                    else poly_of_matrix(cs, m))
+        monkeypatch.setattr(lie_module.linalg, "poly_of_matrix", zero_first)
+        with pytest.raises(InternalCheckError, match="not semisimple"):
+            jordan_chevalley([[1, 1], [0, 1]])
 
 
 class TestInducedAndJson:
