@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import combinations
-from typing import Sequence
 
 from .poly import (DEGREVLEX, MonomialOrder, Polynomial, _ratio, divide,
                    monomial_degree, monomial_div, monomial_divides,
@@ -64,18 +63,13 @@ class GroebnerBasis:
         return any(e.is_constant and not e.is_zero for e in self.elements)
 
 
-def normal_form(f: Polynomial, basis, order: MonomialOrder = DEGREVLEX,
-                leads: Sequence | None = None) -> Polynomial:
-    """Remainder of f under multivariate division by ``basis``;
-    ``leads``, when given, holds the leading monomials of its elements
-    (see ``divide``)."""
-    elements = list(basis.elements) if isinstance(basis, GroebnerBasis) else list(basis)
-    if isinstance(basis, GroebnerBasis):
-        order = basis.order
-    if not elements:
-        return f
-    _, r = divide(f, elements, order, leads)
-    return r
+def normal_form(f: Polynomial, basis: GroebnerBasis) -> Polynomial:
+    """Remainder of f under multivariate division by the elements of a
+    Groebner basis, in its own order: the unique normal form of f
+    modulo the ideal."""
+    if f.nvars != basis.nvars:
+        raise ValueError("ring dimension mismatch")
+    return divide(f, basis.elements, basis.order)[1]
 
 
 def s_polynomial(f: Polynomial, g: Polynomial,
@@ -135,7 +129,7 @@ def buchberger(ideal: Ideal, order: MonomialOrder = DEGREVLEX,
         reductions += 1
         if reductions > budget.max_reductions:
             raise BudgetExceededError("reduction count cap exceeded")
-        r = normal_form(sp, basis, order, lead)
+        r = divide(sp, basis, order, lead)[1]
         if r.is_zero:
             continue
         if r.total_degree() > budget.max_degree:
@@ -156,7 +150,7 @@ def buchberger(ideal: Ideal, order: MonomialOrder = DEGREVLEX,
     reduced: list[Polynomial] = []
     for idx, g in enumerate(minimal):
         others = minimal[:idx] + minimal[idx + 1:]
-        r = normal_form(g, others, order)
+        r = divide(g, others, order)[1]
         if not r.is_zero:
             reduced.append(r.monic(order))
     reduced.sort(key=lambda g: order.key(g.leading_monomial(order)))
@@ -164,8 +158,6 @@ def buchberger(ideal: Ideal, order: MonomialOrder = DEGREVLEX,
 
 
 def ideal_membership(f: Polynomial, basis: GroebnerBasis) -> bool:
-    if f.nvars != basis.nvars:
-        raise ValueError("ring dimension mismatch")
     return normal_form(f, basis).is_zero
 
 

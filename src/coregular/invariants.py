@@ -315,8 +315,8 @@ def _eigenspaces(m: linalg.Mat,
     eigenvalues are independent, so ``m`` is then diagonalizable with
     every eigenvalue found.  Only a shortfall with a given set (``m``
     not diagonalizable, or a candidate missing) needs the characteristic
-    polynomial: ``rational_roots`` raises ``InternalCheckError`` if a
-    root lies outside the set."""
+    polynomial: its roots are searched, and ``InternalCheckError`` is
+    raised unless all of them are rational and in the set."""
     given = _triangular_diagonal(m)
     if given is None:
         given = candidates()
@@ -325,7 +325,10 @@ def _eigenspaces(m: linalg.Mat,
         return _split(m, [lam for lam, _ in roots])[0], residual > 0
     spaces, found = _split(m, given)
     if found < len(m):
-        linalg.rational_roots(linalg.charpoly(m), given)
+        roots, residual = linalg.rational_roots(linalg.charpoly(m))
+        if residual or any(lam not in given for lam, _ in roots):
+            raise InternalCheckError(
+                "an eigenvalue lies outside the complete candidate set")
     return spaces, False
 
 
@@ -340,7 +343,7 @@ def _lie_generators(g: LieAlgebra) -> list[list[int]]:
         return basis
     pivots = [next(i for i, x in enumerate(b) if x)
               for b in g.derived_subalgebra().basis]
-    span = SparseEchelon(min)
+    span = SparseEchelon()
     elements: list = []
     kept = []
     for i in [i for i in range(n) if i not in pivots] + pivots:
@@ -470,8 +473,17 @@ def _new_generators(gens: Sequence[SemiInvariant],
                     ) -> list[SemiInvariant]:
     """The canonical complement, inside each weight block of one degree,
     of the span of the degree-``degree`` products of ``gens`` of the same
-    weight; weights multiply additively."""
-    lead = lambda keys: max(keys, key=order.key)
+    weight; weights multiply additively.
+
+    A monomial is keyed by its place in the degree's monomials, which
+    descend under ``order``, so the pivot of a row (its least key) is
+    its leading monomial."""
+    monos = monomials_of_degree(nvars, degree, order)
+    place = {m: t for t, m in enumerate(monos)}
+
+    def keyed(f: Polynomial) -> dict[int, Fraction]:
+        return {place[m]: c for m, c in f.terms.items()}
+
     weights = [s.weight.values for s in gens]
     products: dict[tuple[Fraction, ...], SparseEchelon] = {}
     for exps in _exponent_vectors([s.degree for s in gens], degree):
@@ -479,16 +491,17 @@ def _new_generators(gens: Sequence[SemiInvariant],
         for e, values in zip(exps, weights):
             if e:
                 w = tuple(a + e * b for a, b in zip(w, values))
-        products.setdefault(w, SparseEchelon(lead)).add(product(exps).terms)
+        products.setdefault(w, SparseEchelon()).add(keyed(product(exps)))
     new: list[SemiInvariant] = []
     for w, basis in blocks:
-        ech = products.setdefault(w.values, SparseEchelon(lead))
+        ech = products.setdefault(w.values, SparseEchelon())
         for f in basis:
-            p = ech.add(f.terms)
+            p = ech.add(keyed(f))
             if p is not None:
                 # the pivot is the leading monomial, so the row is monic
-                new.append(SemiInvariant(Polynomial._new(nvars, ech.row(p)),
-                                         w, degree))
+                row = {monos[t]: c for t, c in ech.row(p).items()}
+                new.append(SemiInvariant(Polynomial._new(nvars, row), w,
+                                         degree))
     return new
 
 

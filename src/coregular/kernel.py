@@ -27,7 +27,7 @@ from . import linalg
 from .grobner import BudgetExceededError
 from .invariants import (GeneratorSet, Relation, SemiInvariant,
                          WeightVector, generic_rank, semicenter_dims,
-                         structural_no_proper_reason)
+                         structural_no_proper_reason, verify_semi_invariant)
 from .lie import LieAlgebra, SkewPolyMatrix, is_derivation, jordan_chevalley
 from .linalg import InternalCheckError
 from .pfaffian import (DEFAULT_PROBE_SEED, FundamentalSemiInvariant,
@@ -154,11 +154,11 @@ def kernel_of_rho(g: LieAlgebra, degree_bound: int,
 
 def _multiples(generators: Sequence[KernelGenerator], d: int, n: int,
                rank: dict, order: MonomialOrder,
-               limit: int | None) -> linalg.SparseEchelon:
+               limit: int) -> linalg.SparseEchelon:
     """The echelon of the degree-d multiples m w of the lower-degree
     ``generators``: generator by generator, multipliers m descending;
     it stops once it holds ``limit`` rows."""
-    lower = linalg.SparseEchelon(min)
+    lower = linalg.SparseEchelon()
     for gen in generators:
         for m in monomials_of_degree(n, d - gen.degree, order):
             if (lower.add(_shift(gen.components, m, rank)) is not None
@@ -325,6 +325,7 @@ def freeness_verdict(kernel: KernelBasis) -> CriterionVerdict:
 class Geometry:
     """Bundle of the exact numeric data of one algebra."""
 
+    algebra: LieAlgebra
     certificate: RankCertificate
     index: int
     c: int
@@ -345,7 +346,7 @@ def compute_geometry(g: LieAlgebra, seed: int = DEFAULT_PROBE_SEED,
     except BudgetExceededError:
         codim = None
         known = False
-    return Geometry(cert, index(g), c_value(g), fsi, codim, known)
+    return Geometry(g, cert, index(g), c_value(g), fsi, codim, known)
 
 
 def evaluate_criteria(geometry: Geometry, semi_gens: GeneratorSet,
@@ -360,7 +361,7 @@ def evaluate_criteria(geometry: Geometry, semi_gens: GeneratorSet,
     g = semi_gens.algebra
     if inv_gens.algebra is not g:
         raise ValueError("the invariant generators are of another algebra")
-    if geometry.index != index(g):
+    if geometry.algebra is not g:
         raise ValueError("the geometry is of another algebra")
     n = g.dim
     idx = geometry.index
@@ -530,17 +531,25 @@ def reduce_one_step(g: LieAlgebra, s: SemiInvariant,
     dimensions come from its own graded search: after ``analyze`` (or
     ``minimal_generators``) under any order they are read from the
     algebra, and only the degrees it did not search are searched again.
+    ``s`` must be a nonzero semi-invariant of g of its weight: one of
+    another algebra, or a polynomial of another weight, raises
+    ``ValueError``.
     """
     if compare_degree < 1:
         raise ValueError("comparison degree must be >= 1")
     n = g.dim
     chi = s.weight
+    if len(chi.values) != n or s.poly.nvars != n:
+        raise ValueError("the semi-invariant is of another algebra")
     if chi.is_zero:
         raise ValueError("reduction needs a proper semi-invariant")
     derived = g.derived_subalgebra()
     for b in derived.basis:
         if sum(c * x for c, x in zip(chi.values, b)) != 0:
             raise ValueError("weight does not vanish on the derived subalgebra")
+    if s.poly.is_zero or not verify_semi_invariant(g, s.poly, chi):
+        raise ValueError("the polynomial is not a semi-invariant of this "
+                         "weight")
 
     h_vectors = linalg.nullspace([list(chi.values)], n)
     h_names = [f"h{i + 1}" for i in range(n - 1)]

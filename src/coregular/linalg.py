@@ -1,12 +1,14 @@
 """Exact linear algebra over the rationals.
 
 One eliminator, ``SparseEchelon``, does every elimination.  It works on
-vectors stored as dicts keyed by arbitrary sortable labels (monomials,
-column indices) and is the workhorse behind the graded kernel
-computations.  It indexes each key to the rows that hold it, so a
-system that splits into independent blocks (for instance under a
-grading of the algebra) is solved block by block without the caller
-naming the blocks.  The dense routines (``rref``, ``rank``,
+vectors stored as dicts keyed by sortable labels, and the pivot of a row
+is its least key: a caller that wants another pivot, such as a leading
+monomial, numbers its keys so that this one comes first (column
+indices, or monomials by their place in a descending list).  It is the
+workhorse behind the graded kernel computations.  It indexes each key
+to the rows that hold it, so a system that splits into independent
+blocks (for instance under a grading of the algebra) is solved block by
+block without the caller naming the blocks.  The dense routines (``rref``, ``rank``,
 ``nullspace``, ``solve``, ``inverse``) take lists of rows, run them
 through the same eliminator keyed by column index and read the result
 back out; ``nullspace`` and ``SolutionSpace`` (behind
@@ -30,7 +32,7 @@ A univariate polynomial has one form, a dense coefficient list ``cs``
 with ``cs[i]`` the coefficient of t^i and a nonzero last entry:
 ``charpoly`` returns one, and ``poly_of_matrix``, ``derivative``,
 ``squarefree_part`` and ``rational_roots`` take one.  ``rational_roots``
-has one search as well: the roots of the square-free part modulo a
+has one mode, a search: the roots of the square-free part modulo a
 small prime, lifted p-adically and checked by exact deflation, so no
 coefficient is ever factored.
 """
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 from .poly import _q, _ratio
 
@@ -208,34 +210,18 @@ def _divmod_dense(a: list[Fraction], b: list[Fraction]
     return quot, rem
 
 
-def rational_roots(cs: Sequence, candidates: Iterable[Fraction] | None = None
-                   ) -> tuple[list[tuple[Fraction, int]], int]:
+def rational_roots(cs: Sequence) -> tuple[list[tuple[Fraction, int]], int]:
     """Rational roots with multiplicities of sum cs[i] t^i.
 
     Returns (roots, residual_degree) where residual_degree is the degree
     left over after all rational roots are divided out; a positive value
     means irrational or complex roots exist.  Roots come in ascending
     order.
-
-    ``candidates``, when given, must contain every root: the polynomial
-    is deflated only by them, in ascending order, and no root search
-    runs.  A degree left over then means the set was not complete,
-    which raises ``InternalCheckError``.
     """
     if not cs or cs[-1] == 0:
         raise ValueError("need a nonzero leading coefficient")
 
     roots: list[tuple[Fraction, int]] = []
-    if candidates is not None:
-        for cand in sorted(set(candidates)):
-            cs, mult = _deflate(cs, cand)
-            if mult:
-                roots.append((cand, mult))
-        if len(cs) > 1:
-            raise InternalCheckError(
-                "a root lies outside the complete candidate set")
-        return roots, 0
-
     cs, zero_mult = _deflate(cs, 0)
     if zero_mult:
         roots.append((0, zero_mult))
@@ -338,13 +324,12 @@ def _integral(vec: dict) -> dict[Hashable, int]:
 class SparseEchelon:
     """Incremental reduced echelon form of sparse vectors.
 
-    Vectors are dicts {key: value} with rational values.  ``choose_pivot``
-    picks the pivot key of a nonzero vector (e.g. ``min`` for column
-    indices, or largest-under-monomial-order for polynomials).  Pivot
-    rows are kept fully reduced against each other, so the final row set
-    is canonical for the span, independent of insertion order.
-    ``holders`` maps each non-pivot key to the pivots of the rows that
-    hold it, so a new pivot re-reduces only those rows.
+    Vectors are dicts {key: value} with rational values and sortable
+    keys; the pivot of a row is its least key.  Pivot rows are kept fully
+    reduced against each other, so the final row set is canonical for
+    the span, independent of insertion order.  ``holders`` maps each
+    non-pivot key to the pivots of the rows that hold it, so a new pivot
+    re-reduces only those rows.
 
     A stored row is fraction-free: a primitive integer vector (the gcd
     of its entries is 1) whose pivot entry is positive, the unique such
@@ -353,8 +338,7 @@ class SparseEchelon:
     it and a ``Fraction`` otherwise.
     """
 
-    def __init__(self, choose_pivot: Callable[[Iterable[Hashable]], Hashable]):
-        self.choose_pivot = choose_pivot
+    def __init__(self):
         self.rows: dict[Hashable, dict[Hashable, int]] = {}
         self.holders: dict[Hashable, set] = {}
 
@@ -396,7 +380,7 @@ class SparseEchelon:
         work = self.reduce(vec)
         if not work:
             return None
-        p = self.choose_pivot(work.keys())
+        p = min(work)
         content = gcd(*work.values())
         if work[p] < 0:
             content = -content
@@ -437,7 +421,7 @@ class SparseEchelon:
 
 def _column_echelon(rows: Iterable[Iterable]) -> SparseEchelon:
     """The echelon of a dense matrix's rows, keyed by column index."""
-    ech = SparseEchelon(min)
+    ech = SparseEchelon()
     for row in rows:
         ech.add(dict(enumerate(row)))
     return ech
@@ -474,7 +458,7 @@ class SolutionSpace:
     def __init__(self, equations: Iterable[dict[int, int | Fraction]],
                  ncols: int):
         self.ncols = ncols
-        self.echelon = SparseEchelon(min)
+        self.echelon = SparseEchelon()
         self._equations = iter(equations)
 
     def reaches(self, rank: int) -> bool:

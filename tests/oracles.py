@@ -11,8 +11,9 @@ of ad(v) by
 successive intersection, the canonical echelon basis of a span, the
 weight of joint eigenvalues by a dense solve, the eigen split of the
 graded search by characteristic polynomials and one nullspace per
-root, a derivation as a sum of partial derivatives, the derivation of
-a weight, the Poisson bracket from the structure matrix, the
+root, the minimal generators as complements of the lower-degree
+products by dense elimination, a derivation as a sum of partial
+derivatives, the derivation of a weight, the Poisson bracket from the structure matrix, the
 substitution of polynomials for variables, the anchor system read from
 the entries of the structure matrix, the anchor-map kernel generators
 from the dense nullspace and from the whole anchor system eliminated
@@ -34,8 +35,8 @@ from coregular.invariants import WeightVector
 from coregular.kernel import _shift
 from coregular.linalg import SparseEchelon, kernel_of_columns
 from coregular.pfaffian import DEFAULT_PROBE_SEED, rank_certificate
-from coregular.grobner import normal_form, s_polynomial
-from coregular.poly import (DEGREVLEX, MonomialOrder, Polynomial,
+from coregular.grobner import s_polynomial
+from coregular.poly import (DEGREVLEX, MonomialOrder, Polynomial, divide,
                             monomial_degree, monomial_divides, monomial_lcm,
                             monomial_mul, monomials_of_degree, try_exact_div)
 
@@ -275,13 +276,19 @@ def ad_on_graded(g, x: Sequence, degree: int,
 
 def _echelonize(polys: Sequence[Polynomial], nvars: int,
                 order: MonomialOrder) -> list[Polynomial]:
-    """Canonical reduced basis of the span, pivots = leading monomials."""
-    ech = SparseEchelon(lambda keys: max(keys, key=order.key))
+    """Canonical reduced basis of the span, pivots = leading monomials:
+    each monomial is keyed by its place among those of ``polys``,
+    descending, so the least key is the leading monomial."""
+    monos = sorted({m for p in polys for m in p.terms}, key=order.key,
+                   reverse=True)
+    place = {m: t for t, m in enumerate(monos)}
+    ech = SparseEchelon()
     for p in polys:
         if not p.is_zero:
-            ech.add(p.terms)
-    return [Polynomial._new(nvars, ech.row(p))
-            for p in sorted(ech.rows, key=order.key, reverse=True)]
+            ech.add({place[m]: c for m, c in p.terms.items()})
+    return [Polynomial._new(nvars, {monos[t]: c
+                                    for t, c in ech.row(p).items()})
+            for p in sorted(ech.rows)]
 
 
 def kernel_intersection(g, degree: int, vectors: Sequence[Sequence],
@@ -334,9 +341,9 @@ def eigen_blocks(g, degree: int, order: MonomialOrder = DEGREVLEX):
     """The blocks and irrational flag of
     ``invariants.graded_semi_invariants`` by the eigen loop it replaced:
     for every restricted matrix its characteristic polynomial, the
-    rational roots of that (deflated only by the sums of ``degree``
-    eigenvalues on g when that spectrum is rational), and one dense
-    nullspace per root."""
+    rational roots of that (each required to be one of the sums of
+    ``degree`` eigenvalues on g when that spectrum is rational, with no
+    degree left over), and one dense nullspace per root."""
     n = g.dim
     derived = g.derived_subalgebra()
     pivots = [next(i for i, x in enumerate(b) if x) for b in derived.basis]
@@ -360,8 +367,11 @@ def eigen_blocks(g, degree: int, order: MonomialOrder = DEGREVLEX):
         for eigs, sub in blocks:
             ascending = sub[::-1]
             m = invariants._restricted_matrix(g, v, ascending, order)
-            roots, residual = linalg.rational_roots(linalg.charpoly(m),
-                                                    candidates)
+            roots, residual = linalg.rational_roots(linalg.charpoly(m))
+            if candidates is not None:
+                assert not residual and all(lam in candidates
+                                            for lam, _ in roots), \
+                    "an eigenvalue lies outside the candidate set"
             flag = flag or residual > 0
             for lam, _ in roots:
                 shifted = [row[:] for row in m]
@@ -377,6 +387,51 @@ def eigen_blocks(g, degree: int, order: MonomialOrder = DEGREVLEX):
            for eigs, sub in blocks]
     out.sort(key=lambda bw: (not bw[0].is_zero, bw[0].values))
     return tuple(out), flag
+
+
+def generator_complements(g, bound: int, order: MonomialOrder,
+                          invariant: bool = False) -> list[tuple]:
+    """The semi-invariant generators of ``invariants.minimal_generators``
+    (the invariant ones when ``invariant``) as (polynomial, weight,
+    degree) triples, by dense Gauss-Jordan elimination.  In each degree
+    and weight block of the graded search the columns are the degree's
+    monomials, descending under ``order``, and the rows the products of
+    the generators of lower degree that have the block's weight; the
+    block's basis polynomials are appended one at a time, and each one
+    that raises the rank gives the row of the reduced echelon form at
+    its new pivot column."""
+    n = g.dim
+    found: list[tuple] = []
+    for d in range(1, bound + 1):
+        monos = monomials_of_degree(n, d, order)
+        products = []
+        for size in range(1, d + 1):
+            for combo in combinations_with_replacement(found, size):
+                if sum(deg for _, _, deg in combo) == d:
+                    prod = Polynomial.one(n)
+                    for f, _, _ in combo:
+                        prod = prod * f
+                    weight = tuple(sum(vs) for vs in
+                                   zip(*(w.values for _, w, _ in combo)))
+                    products.append((prod, weight))
+        new = []
+        for w, basis in invariants.graded_semi_invariants(g, d, order).blocks:
+            if invariant and not w.is_zero:
+                continue
+            rows = [[f.terms.get(m, 0) for m in monos]
+                    for f, weight in products if weight == w.values]
+            pivots = rref(rows)[1]
+            for f in basis:
+                rows.append([f.terms.get(m, 0) for m in monos])
+                reduced, grown = rref(rows)
+                if len(grown) > len(pivots):
+                    (col,) = set(grown) - set(pivots)
+                    row = reduced[grown.index(col)]
+                    new.append((Polynomial._new(n, {
+                        monos[t]: c for t, c in enumerate(row) if c}), w, d))
+                pivots = grown
+        found += new
+    return found
 
 
 def weight_derivation(f: Polynomial, w) -> Polynomial:
@@ -596,7 +651,7 @@ def anchor_kernel_fully_eliminated(g, degree_bound: int,
         if not space.dim:
             continue
         rank = {m: t for t, m in enumerate(monos)}
-        lower = SparseEchelon(min)
+        lower = SparseEchelon()
         for deg, comps in found:
             for m in monomials_of_degree(n, d - deg, order):
                 if len(lower.rows) < space.dim:
@@ -653,7 +708,7 @@ def buchberger_by_min(generators: Sequence[Polynomial],
         i, j = min(pairs, key=lambda p: (pairs[p], order.key(lcm_of(*p)), p))
         s = pairs.pop((i, j))
         reductions += 1
-        r = normal_form(s_polynomial(basis[i], basis[j], order), basis, order)
+        r = divide(s_polynomial(basis[i], basis[j], order), basis, order)[1]
         if not r.is_zero:
             add_element(r.monic(order), max(s, r.total_degree()))
 
@@ -663,7 +718,7 @@ def buchberger_by_min(generators: Sequence[Polynomial],
         and (lead[j] != lead[i] or j < i) for j in range(len(basis)))]
     reduced = []
     for idx, g in enumerate(minimal):
-        r = normal_form(g, minimal[:idx] + minimal[idx + 1:], order)
+        r = divide(g, minimal[:idx] + minimal[idx + 1:], order)[1]
         if not r.is_zero:
             reduced.append(r.monic(order))
     reduced.sort(key=lambda g: order.key(g.leading_monomial(order)))

@@ -183,6 +183,14 @@ class TestMembership:
         assert ideal_membership(v[2] ** 2, basis)
         assert not ideal_membership(v[1], basis)
 
+    def test_a_polynomial_of_another_ring_is_refused(self):
+        # v1 v3 + v2 has a third variable that the division would drop
+        basis = buchberger(Ideal.of(2, variables(2)[:1]))
+        f = parse_polynomial("v1*v3 + v2", ["v1", "v2", "v3"])
+        for call in (normal_form, ideal_membership):
+            with pytest.raises(ValueError, match="ring dimension"):
+                call(f, basis)
+
     def test_generators_always_members(self):
         for g in (filiform(5), panyushev(), sl2()):
             ideal = pfaffian_ideal(g)

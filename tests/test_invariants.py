@@ -256,15 +256,20 @@ class TestGradedSearch:
         with pytest.raises(InternalCheckError, match="candidate set"):
             graded_semi_invariants(g, 1)
 
+    def test_an_irrational_eigenvalue_on_a_shortfall_raises(self):
+        # the candidate 0 is no eigenvalue, and t^2 - 2 leaves a residual
+        # degree: the eigenvalues lie outside the candidate set
+        with pytest.raises(InternalCheckError, match="candidate set"):
+            invariants._eigenspaces([[0, 2], [1, 0]], lambda: [0])
+
     def test_characteristic_polynomials_only_on_a_shortfall(self,
                                                             monkeypatch):
         sizes, roots = [], []
         charpoly, rational_roots = linalg.charpoly, linalg.rational_roots
         monkeypatch.setattr(linalg, "charpoly",
                             lambda m: sizes.append(len(m)) or charpoly(m))
-        monkeypatch.setattr(
-            linalg, "rational_roots",
-            lambda p, c=None: roots.append(p) or rational_roots(p, c))
+        monkeypatch.setattr(linalg, "rational_roots",
+                            lambda p: roots.append(p) or rational_roots(p))
 
         def search(g):
             # a new algebra, so no spectrum is cached yet
@@ -488,6 +493,20 @@ class TestSemicenterCount:
 
 
 class TestMinimalGenerators:
+    def test_generators_are_the_dense_complements_under_every_order(
+            self, order_test_algebras):
+        # the golden reports pin degrevlex only; under each order the
+        # pivot of a row is its leading monomial
+        for g, bound in order_test_algebras:
+            for order in ORDERS.values():
+                semi, inv = minimal_generators(g, bound, order)
+                for gens, invariant in ((semi, False), (inv, True)):
+                    assert [(s.poly, s.weight, s.degree)
+                            for s in gens.generators] == \
+                        oracles.generator_complements(
+                            g, bound, order, invariant), \
+                        (g.label, order.name, invariant)
+
     def test_filiform4_invariants(self):
         g = filiform(4)
         gens = minimal_generators(g, 3)[1]
@@ -582,7 +601,8 @@ class TestMinimalGenerators:
         gens = minimal_generators(filiform(6), 4)[1]
         from coregular.linalg import SparseEchelon
         for k, s in enumerate(gens.generators):
-            ech = SparseEchelon(lambda keys: max(keys, key=DEGREVLEX.key))
+            # membership does not depend on the pivots: key by monomial
+            ech = SparseEchelon()
             from coregular.invariants import _exponent_vectors
             lower = gens.generators[:k]
             for exps in _exponent_vectors([t.degree for t in lower], s.degree):

@@ -407,6 +407,11 @@ class TestCriteria:
         semi, inv = minimal_generators(filiform(4), 4)
         with pytest.raises(ValueError, match="geometry"):
             evaluate_criteria(compute_geometry(sl2()), semi, inv, ())
+        # L(3) has sl2's index 1, and with sl2's d = 0 its degree-sum
+        # equality would read as a failure
+        with pytest.raises(ValueError, match="geometry"):
+            evaluate_criteria(compute_geometry(sl2()),
+                              *minimal_generators(filiform(3), 3), ())
         other = minimal_generators(sl2(), 2)[1]
         with pytest.raises(ValueError, match="invariant generators"):
             evaluate_criteria(compute_geometry(filiform(4)), semi, other, ())
@@ -453,6 +458,23 @@ class TestReduceOneStep:
         s = SemiInvariant(Polynomial.variable(4, 3), zero, 1)
         with pytest.raises(ValueError):
             reduce_one_step(g, s)
+
+    def test_semi_invariant_of_another_algebra_is_refused(self):
+        # panyushev's v4 has weight (-1, 0, 0, 0), four entries against
+        # example32's three
+        v4 = self.proper_generator(panyushev(), 2, "v4")
+        with pytest.raises(ValueError, match="another algebra"):
+            reduce_one_step(example32(), v4)
+        # v1 is no semi-invariant of panyushev, though its weight
+        # vanishes on the derived subalgebra
+        s = SemiInvariant(Polynomial.variable(4, 0),
+                          WeightVector.of([1, 0, 0, 0]), 1)
+        with pytest.raises(ValueError, match="not a semi-invariant"):
+            reduce_one_step(panyushev(), s)
+        # nor is the zero polynomial, which every ad(v_i) kills
+        zero = SemiInvariant(Polynomial.zero(4), s.weight, 1)
+        with pytest.raises(ValueError, match="not a semi-invariant"):
+            reduce_one_step(panyushev(), zero)
 
     @pytest.mark.parametrize("degree", [0, -1])
     def test_compare_degree_below_one_raises(self, degree):
