@@ -139,8 +139,17 @@ class Relation:
 
 
 def verify_semi_invariant(g: LieAlgebra, f: Polynomial, w: WeightVector) -> bool:
-    """Exact check of the defining identity ad(v_i)(f) = w_i * f."""
+    """Exact check that f is a nonzero semi-invariant of weight w: f is
+    not zero and ad(v_i)(f) = w_i * f for every basis vector v_i.  A
+    weight or a polynomial of another dimension raises ``ValueError``.
+
+    A weight that does not vanish on [g, g] fails the identity, since
+    for f nonzero w([x, y]) f = [ad(x), ad(y)](f) = 0."""
     n = g.dim
+    if len(w.values) != n or f.nvars != n:
+        raise ValueError("the weight or the polynomial is of another algebra")
+    if f.is_zero:
+        return False
     for i in range(n):
         image = g.apply_ad([1 if t == i else 0 for t in range(n)], f)
         c = w.values[i]

@@ -154,6 +154,22 @@ class TestGradedSearch:
                      (v2 ** 2, [2, 0, 0, 0]), (v1, [0, 0, 0, 0])):
             assert not verify_semi_invariant(g, f, WeightVector.of(w)), (f, w)
 
+    def test_zero_and_off_derived_weights_fail_and_sizes_raise(self):
+        # [v1, v4] = -v4, so v4 has weight (-1, 0, 0, 0); [g, g] is
+        # spanned by v2, v3, v4
+        g = panyushev()
+        v4 = Polynomial.variable(4, 3)
+        assert verify_semi_invariant(g, v4, WeightVector.of([-1, 0, 0, 0]))
+        # every ad(v_i) kills the zero polynomial, whatever the weight
+        assert not verify_semi_invariant(g, Polynomial.zero(4),
+                                         WeightVector.of([5, 5, 5, 5]))
+        # a weight that does not vanish on [g, g]
+        assert not verify_semi_invariant(g, v4, WeightVector.of([-1, 5, 5, 5]))
+        for f, w in ((v4, [-1, 0, 0, 0, 7]), (v4, [-1, 0, 0]),
+                     (Polynomial.variable(3, 2), [-1, 0, 0, 0])):
+            with pytest.raises(ValueError, match="another algebra"):
+                verify_semi_invariant(g, f, WeightVector.of(w))
+
     def test_weight_zero_block_is_the_dense_common_kernel(
             self, catalog_algebras):
         for g in catalog_algebras + [weights_algebra(w) for w in WEIGHTS]:

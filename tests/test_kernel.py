@@ -174,8 +174,9 @@ class TestKernelOfRho:
 
 class TestPivotCertificate:
     """A degree is proved to have no new generator by the distinct pivots
-    of the lower multiples and a partial rank of the anchor system;
-    elsewhere the multiples are ranked."""
+    of the lower multiples and the distinct least keys of the anchor
+    rows, else a partial rank of the anchor system; elsewhere the
+    multiples are ranked."""
 
     @staticmethod
     def multiples_degrees(monkeypatch):
@@ -212,27 +213,57 @@ class TestPivotCertificate:
         assert max(kernel.degrees) < 3
         assert [d for d, lower in calls if lower and d >= 3] == [3, 4]
 
+    @staticmethod
+    def system_sizes(monkeypatch):
+        """The column counts of the ``SolutionSpace`` systems built."""
+        sizes = []
+        space = linalg.SolutionSpace
+
+        def recording(equations, ncols):
+            sizes.append(ncols)
+            return space(equations, ncols)
+        monkeypatch.setattr(linalg, "SolutionSpace", recording)
+        return sizes
+
     def test_filiform7_certifies_every_degree_from_two(self, monkeypatch):
         calls = self.multiples_degrees(monkeypatch)
-        consumed = []
-        equations = kernel_module._anchor_equations
-
-        def counting(g, monos):
-            consumed.append(0)
-            for equation in equations(g, monos):
-                consumed[-1] += 1
-                yield equation
-        monkeypatch.setattr(kernel_module, "_anchor_equations", counting)
+        sizes = self.system_sizes(monkeypatch)
         g = filiform(7)
         kernel = kernel_of_rho(g, 7)
         assert [d for d, _ in calls] == [0, 1]
+        # systems are built at degrees 0 and 1 only, with 7 and 7 * 7
+        # unknowns
+        assert sizes == [7, 49]
         monos = monomials_of_degree(7, 7, DEGREVLEX)
         rank = {m: t for t, m in enumerate(monos)}
         pivots = kernel_module._multiple_pivots(
             kernel.generators, 7, 7, rank, DEGREVLEX)
         ncols = 7 * len(monos)
         assert ncols == 12012
-        assert consumed[7] == ncols - len(pivots) == 4710
+        assert len(kernel_module._least_keys(g, monos)) \
+            == ncols - len(pivots) == 4710
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_filiform_builds_systems_at_degrees_zero_and_one(
+            self, monkeypatch, n):
+        sizes = self.system_sizes(monkeypatch)
+        kernel_of_rho(filiform(n), n)
+        assert sizes == [n, n * n]
+
+    @pytest.mark.parametrize("order", [DEGREVLEX, GRLEX, LEX],
+                             ids=lambda o: o.name)
+    def test_least_keys_are_those_of_the_anchor_rows(self, order,
+                                                     rotated_sl2):
+        algebras = [filiform(n) for n in range(3, 8)] + [
+            abelian(4), example32(), panyushev(), sl2(),
+            two_dim_nonabelian(), SL3, rotated_sl2] + [
+            seaweed(a, b) for a, b in SEAWEEDS]
+        for g in algebras:
+            for d in range(5):
+                monos = monomials_of_degree(g.dim, d, order)
+                assert kernel_module._least_keys(g, monos) == {
+                    min(row) for row in
+                    kernel_module._anchor_equations(g, monos)}, (g.label, d)
 
     def test_pivot_missing_from_the_multiples_raises(self, monkeypatch):
         # one pivot swapped for an unknown that is none of the multiples'
@@ -257,13 +288,11 @@ class TestBlockSplit:
     single-system solver."""
 
     def block_sizes(self, monkeypatch, g, bound):
-        sizes = []
-        space = linalg.SolutionSpace
-
-        def recording(equations, ncols):
-            sizes.append(ncols)
-            return space(equations, ncols)
-        monkeypatch.setattr(linalg, "SolutionSpace", recording)
+        # no degree is certified from the least keys, so every degree
+        # builds its system
+        monkeypatch.setattr(kernel_module, "_least_keys",
+                            lambda g, monos: set())
+        sizes = TestPivotCertificate.system_sizes(monkeypatch)
         return kernel_of_rho(g, bound), sizes
 
     def test_trivial_grading_is_one_block(self, monkeypatch, rotated_sl2):
