@@ -19,7 +19,7 @@ from .invariants import (GeneratorSet, GorensteinResult, GradedSemiInvariants,
                          Relation, SemiInvariant, TrdegCheck, WeightVector,
                          algebraically_independent, find_relations,
                          gorenstein_invariant, graded_semi_invariants,
-                         minimal_generators, poisson_bracket, trdeg_check,
+                         minimal_generators, trdeg_check,
                          verify_semi_invariant)
 from .kernel import (CriterionVerdict, Geometry, InternalCheckError,
                      KernelBasis, KernelGenerator, ReductionStep,

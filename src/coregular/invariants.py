@@ -4,10 +4,15 @@ Degree by degree: the candidate space is the common kernel of the
 acting vectors ([g,g]) on the graded component, one sparse system
 assembled directly from the brackets; the operators coming from a
 complement of [g,g] commute there and are split into joint eigenspaces
-with rational eigenvalues, one candidate set per restricted matrix
-(``_eigenspaces``).  Every space is read out of a free-column basis
-that already is its canonical echelon basis.  Every block polynomial is
-checked against its weight with ``ad(v_i)`` for each basis vector
+with rational eigenvalues.  A complement vector with [v, v_j] a
+multiple of v_j for every j, such as the torus of a t x| V or the H_i
+of a Borel or seaweed subalgebra, is diagonal on the monomials, and its
+eigenspaces are read off the basis vectors of each block
+(``_torus_split``); any other vector splits each block through its
+restricted matrix, one candidate set per matrix (``_eigenspaces``).
+Every space is read out of a free-column basis that already is its
+canonical echelon basis.  Every block polynomial is checked against its
+weight with ``ad(v_i)`` for each basis vector, on integers
 (``verify_semi_invariant``).  A joint eigenvalue tuple lam is the weight
 on the complement coordinates c; at the pivot p of each row b of the
 reduced basis of [g,g] the weight is -sum_c b[c] lam_c.  Weight zero
@@ -33,6 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import combinations_with_replacement
+from math import lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import linalg
@@ -42,7 +48,7 @@ from .lie import LieAlgebra
 from .linalg import InternalCheckError, SparseEchelon, kernel_of_columns
 from .pfaffian import DEFAULT_PROBE_SEED, index
 from .poly import (DEGREVLEX, GRLEX, MonomialOrder, Polynomial, _q,
-                   exact_div, monomials_of_degree)
+                   apply_derivation, exact_div, monomials_of_degree)
 
 # seeded points at which a generic rank is tried before Bareiss, and
 # the range of their integer coordinates
@@ -89,12 +95,6 @@ class GradedSemiInvariants:
     degree: int
     blocks: tuple[tuple[WeightVector, tuple[Polynomial, ...]], ...]
     irrational_flag: bool
-
-    def weight_zero(self) -> tuple[Polynomial, ...]:
-        for w, basis in self.blocks:
-            if w.is_zero:
-                return basis
-        return ()
 
     def total_dim(self) -> int:
         return sum(len(basis) for _, basis in self.blocks)
@@ -144,15 +144,33 @@ def verify_semi_invariant(g: LieAlgebra, f: Polynomial, w: WeightVector) -> bool
     weight or a polynomial of another dimension raises ``ValueError``.
 
     A weight that does not vanish on [g, g] fails the identity, since
-    for f nonzero w([x, y]) f = [ad(x), ad(y)](f) = 0."""
+    for f nonzero w([x, y]) f = [ad(x), ad(y)](f) = 0.
+
+    The identity is checked on integers: on D f, with D the lcm of the
+    denominators of f, and with the bracket constants and w scaled by
+    the lcm of theirs, which multiplies both of its sides alike.  The
+    images [v_i, v_j] of all basis vectors come from one pass over the
+    bracket table."""
     n = g.dim
     if len(w.values) != n or f.nvars != n:
         raise ValueError("the weight or the polynomial is of another algebra")
     if f.is_zero:
         return False
-    for i in range(n):
-        image = g.apply_ad([1 if t == i else 0 for t in range(n)], f)
-        c = w.values[i]
+    scale = lcm(*(c.denominator for row in g.brackets.values()
+                  for c in row.values()),
+                *(c.denominator for c in w.values))
+    images = [[{}] * n for _ in range(n)]
+    for (i, j), row in g.brackets.items():
+        if scale != 1:
+            row = {k: int(c * scale) for k, c in row.items()}
+        images[i][j] = row
+        images[j][i] = {k: -c for k, c in row.items()}
+    d = lcm(*(c.denominator for c in f.terms.values()))
+    if d != 1:
+        f = Polynomial._new(n, {m: int(c * d) for m, c in f.terms.items()})
+    for row, c in zip(images, w.values):
+        image = apply_derivation(f, row)
+        c = int(c * scale)
         if not (image == f * c if c else image.is_zero):
             return False
     return True
@@ -316,16 +334,16 @@ def _eigenspaces(m: linalg.Mat,
     eigenvalue that is not rational.
 
     One ascending candidate set holds every eigenvalue of ``m``: the
-    distinct diagonal entries when ``m`` is triangular (always, for the
-    diagonal matrices of a weights algebra), else ``candidates()``,
-    asked for only here, else the rational roots of the characteristic
-    polynomial.  One eigenspace system per candidate is solved, until
-    their dimensions sum to the size of ``m``: eigenspaces of distinct
-    eigenvalues are independent, so ``m`` is then diagonalizable with
-    every eigenvalue found.  Only a shortfall with a given set (``m``
-    not diagonalizable, or a candidate missing) needs the characteristic
-    polynomial: its roots are searched, and ``InternalCheckError`` is
-    raised unless all of them are rational and in the set."""
+    distinct diagonal entries when ``m`` is triangular, else
+    ``candidates()``, asked for only here, else the rational roots of
+    the characteristic polynomial.  One eigenspace system per candidate
+    is solved, until their dimensions sum to the size of ``m``:
+    eigenspaces of distinct eigenvalues are independent, so ``m`` is
+    then diagonalizable with every eigenvalue found.  Only a shortfall
+    with a given set (``m`` not diagonalizable, or a candidate missing)
+    needs the characteristic polynomial: its roots are searched, and
+    ``InternalCheckError`` is raised unless all of them are rational and
+    in the set."""
     given = _triangular_diagonal(m)
     if given is None:
         given = candidates()
@@ -339,6 +357,40 @@ def _eigenspaces(m: linalg.Mat,
             raise InternalCheckError(
                 "an eigenvalue lies outside the complete candidate set")
     return spaces, False
+
+
+def _torus_action(g: LieAlgebra, idx: int
+                  ) -> list[tuple[int, Fraction]] | None:
+    """The pairs (j, c), c nonzero, with [v_idx, v_j] = c v_j, read from
+    the bracket table, when every [v_idx, v_j] is a multiple of v_j;
+    else None.  ad(v_idx) is then diagonal on the monomials of S(g):
+    x^e has the eigenvalue sum_j e_j c_j."""
+    pairs = []
+    for j in range(g.dim):
+        terms = g._bracket_terms(idx, j)
+        if any(k != j for k in terms):
+            return None
+        if terms:
+            pairs.append((j, terms[j]))
+    return pairs
+
+
+def _torus_split(block: list[Polynomial],
+                 action: list[tuple[int, Fraction]]
+                 ) -> list[tuple[Fraction, list[Polynomial]]]:
+    """The eigenspaces of a diagonal ad(v) (``_torus_action``) in a
+    block it keeps stable, eigenvalues ascending: the block's basis
+    vectors grouped by eigenvalue, each group in block order.
+
+    A stable subspace of an operator diagonal on the monomials is the
+    sum of its pieces of one eigenvalue, and the canonical echelon basis
+    of that sum is the union of theirs: each basis vector lies in one
+    piece, so any one of its monomials gives its eigenvalue."""
+    groups: dict = {}
+    for f in block:
+        m = next(iter(f.terms))
+        groups.setdefault(sum(m[j] * c for j, c in action), []).append(f)
+    return [(_q(lam), basis) for lam, basis in sorted(groups.items())]
 
 
 def _lie_generators(g: LieAlgebra) -> list[list[int]]:
@@ -385,12 +437,14 @@ def graded_semi_invariants(g: LieAlgebra, degree: int,
     """Weight decomposition of the degree-``degree`` semi-invariants.
 
     The blocks are sorted with weight zero (the invariants) first; each
-    block's basis is the canonical echelon basis of its space.  Each
-    eigenspace is the reversed free-column basis of the solutions of
-    ``(m - lam) c = 0`` (``_eigenspaces``), with ``m`` acting on the
-    block's basis with its leading monomials ascending: as in
-    ``_common_kernel``, each free column is then the leading monomial of
-    its vector, with coefficient 1."""
+    block's basis is the canonical echelon basis of its space.  A
+    complement vector diagonal on the basis (``_torus_action``) splits a
+    block into groups of its basis vectors (``_torus_split``).  For any
+    other, each eigenspace is the reversed free-column basis of the
+    solutions of ``(m - lam) c = 0`` (``_eigenspaces``), with ``m`` the
+    restricted matrix on the block's basis with its leading monomials
+    ascending: as in ``_common_kernel``, each free column is then the
+    leading monomial of its vector, with coefficient 1."""
     if degree < 1:
         raise ValueError("degree must be >= 1")
     n = g.dim
@@ -406,6 +460,11 @@ def graded_semi_invariants(g: LieAlgebra, degree: int,
     blocks_raw = [((), candidate)] if candidate else []
     flag = False
     for idx in complement:
+        action = _torus_action(g, idx)
+        if action is not None:
+            blocks_raw = [(eigs + (lam,), basis) for eigs, sub in blocks_raw
+                          for lam, basis in _torus_split(sub, action)]
+            continue
         v = [int(t == idx) for t in range(n)]
         # asked for only by a block its diagonal does not split
         candidates = partial(_eigenvalue_candidates, g, idx, degree)
@@ -701,24 +760,6 @@ def find_relations(gens: GeneratorSet, max_weighted_degree: int
             relations.append(Relation(formal, delta))
             gb = buchberger(Ideal.of(k, [r.poly for r in relations]))
     return relations
-
-
-# ---------------------------------------------------------------------------
-# Poisson bracket
-# ---------------------------------------------------------------------------
-
-def poisson_bracket(a: Polynomial, b: Polynomial, g: LieAlgebra) -> Polynomial:
-    """Kostant-Kirillov bracket: {a, b} = sum_i (da/dv_i) ad(v_i)(b)."""
-    n = g.dim
-    if a.nvars != n or b.nvars != n:
-        raise ValueError("polynomials must live in the symmetric algebra of g")
-    out = Polynomial.zero(n)
-    for i in range(n):
-        da = a.partial_derivative(i)
-        if not da.is_zero:
-            out = out + da * g.apply_ad([1 if t == i else 0
-                                         for t in range(n)], b)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ from coregular.catalog import (example32, filiform, heisenberg, panyushev,
                                sl2)
 from coregular.invariants import (WeightVector,
                                   _exponent_vectors, graded_semi_invariants,
-                                  minimal_generators, poisson_bracket,
-                                  trdeg_check, verify_semi_invariant)
+                                  minimal_generators, trdeg_check,
+                                  verify_semi_invariant)
 from coregular.kernel import (FAILS, HOLDS, K_BRANCH, find_syzygy,
                               freeness_verdict, kernel_of_rho, reduce_one_step)
 from coregular.linalg import kernel_of_columns
@@ -23,7 +23,7 @@ from coregular.pfaffian import (fundamental_semi_invariant, index, pfaffian,
                                 singular_locus_codim, certified_rank)
 from coregular.poly import Polynomial, format_polynomial, parse_polynomial
 from coregular.report import AnalysisOptions, analyze
-from oracles import compose, poly_det
+from oracles import compose, poisson_bracket, poly_det
 
 
 @contextmanager

@@ -14,8 +14,8 @@ from coregular.invariants import (GeneratorSet, SemiInvariant, WeightVector,
                                   _exponent_vectors, algebraically_independent,
                                   find_relations, gorenstein_invariant,
                                   graded_semi_invariants, jacobian_matrix,
-                                  minimal_generators, poisson_bracket,
-                                  poly_matrix_rank, semicenter_dims,
+                                  minimal_generators, poly_matrix_rank,
+                                  semicenter_dims,
                                   structural_no_proper_reason, trdeg_check,
                                   verify_semi_invariant)
 from coregular.kernel import reduce_one_step
@@ -24,9 +24,13 @@ from coregular.linalg import InternalCheckError
 from coregular.poly import (DEGREVLEX, ORDERS, Polynomial,
                             format_polynomial, parse_polynomial)
 import oracles
-from oracles import substitute_generators, weight_derivation
+from oracles import (poisson_bracket, substitute_generators,
+                     weight_derivation)
 
 WEIGHTS = [(1, 1, -1), (2, -1, 3), (5, -7, 11)]
+# the compositions of 2 and 3, which give the seaweeds of sl2 and sl3
+COMPOSITIONS = {2: [(2,), (1, 1)],
+                3: [(3,), (2, 1), (1, 2), (1, 1, 1)]}
 
 
 def fmt(p, g):
@@ -35,6 +39,12 @@ def fmt(p, g):
 
 def weights_of(block_list):
     return sorted(tuple(w.values) for w, _ in block_list)
+
+
+def weight_zero(graded):
+    """The basis of the weight-zero block of a graded search (the
+    invariants of its degree), or () when there is none."""
+    return next((basis for w, basis in graded.blocks if w.is_zero), ())
 
 
 def weights_algebra(weights):
@@ -98,13 +108,13 @@ class TestGradedSearch:
             (one, 0, 0, 0): ["v2", "v3"],
             (-one, 0, 0, 0): ["v4"],
         }
-        assert graded.weight_zero() == ()
+        assert weight_zero(graded) == ()
         assert not graded.irrational_flag
 
     def test_panyushev_degree_two_invariants(self):
         g = panyushev()
         graded = graded_semi_invariants(g, 2)
-        assert [fmt(f, g) for f in graded.weight_zero()] == ["v2*v4", "v3*v4"]
+        assert [fmt(f, g) for f in weight_zero(graded)] == ["v2*v4", "v3*v4"]
 
     def test_filiform3_degree_one(self):
         g = filiform(3)
@@ -154,6 +164,29 @@ class TestGradedSearch:
                      (v2 ** 2, [2, 0, 0, 0]), (v1, [0, 0, 0, 0])):
             assert not verify_semi_invariant(g, f, WeightVector.of(w)), (f, w)
 
+    def test_fractional_constants_and_coefficients(self):
+        # [v1, v_i] = w_i v_i with w = (1/2, -3/4, 5): the check scales
+        # f, the bracket constants and the weight to integers
+        g = weights_algebra((Fraction(1, 2), Fraction(-3, 4), 5))
+        v2, v3, v4 = (Polynomial.variable(4, i) for i in (1, 2, 3))
+        f = (v2 ** 2 * v3 + v4 * v2 * Fraction(2, 3)) * Fraction(1, 7)
+        # v2^2 v3 has weight 2 * 1/2 - 3/4 = 1/4 and v2 v4 has 1/2 + 5,
+        # so f has none
+        assert verify_semi_invariant(g, v2 ** 2 * v3 * Fraction(1, 7),
+                                     WeightVector.of(["1/4", 0, 0, 0]))
+        assert verify_semi_invariant(g, v4 * Fraction(5, 3),
+                                     WeightVector.of([5, 0, 0, 0]))
+        for w in (["1/4", 0, 0, 0], ["11/2", 0, 0, 0], [1, 0, 0, 0]):
+            assert not verify_semi_invariant(g, f, WeightVector.of(w)), w
+        assert not verify_semi_invariant(g, v2, WeightVector.of(
+            ["1/2", "1/3", 0, 0]))
+        for d in (1, 2, 3):
+            graded = graded_semi_invariants(g, d)
+            assert (graded.blocks, graded.irrational_flag) == \
+                oracles.eigen_blocks(g, d)
+            assert any(x.denominator > 1 for w, _ in graded.blocks
+                       for x in w.values)
+
     def test_zero_and_off_derived_weights_fail_and_sizes_raise(self):
         # [v1, v4] = -v4, so v4 has weight (-1, 0, 0, 0); [g, g] is
         # spanned by v2, v3, v4
@@ -174,7 +207,7 @@ class TestGradedSearch:
             self, catalog_algebras):
         for g in catalog_algebras + [weights_algebra(w) for w in WEIGHTS]:
             for d in (1, 2, 3):
-                assert list(graded_semi_invariants(g, d).weight_zero()) == \
+                assert list(weight_zero(graded_semi_invariants(g, d))) == \
                     dense_invariants(g, d), (g.label, d)
 
     def test_one_system_matches_successive_intersection(
@@ -296,10 +329,11 @@ class TestGradedSearch:
                 graded_semi_invariants(g, d)
             return sizes[:], len(roots)
 
-        # the restricted matrices of a weights algebra are diagonal, and
-        # those of "lower" and "upper" triangular and diagonalizable:
-        # the eigenspaces of the diagonal entries fill each block, so no
-        # characteristic polynomial is computed, not even on g
+        # a weights algebra is split by the eigenvalues of its basis
+        # vectors, and the restricted matrices of "lower" and "upper"
+        # are triangular and diagonalizable: the eigenspaces of the
+        # diagonal entries fill each block, so no characteristic
+        # polynomial is computed, not even on g
         assert search(weights_algebra((2, -1, 3))) == ([], 0)
         assert search(HAND_MADE[4]) == ([], 0)
         assert search(HAND_MADE[5]) == ([], 0)
@@ -345,16 +379,62 @@ class TestGradedSearch:
     @settings(max_examples=40, deadline=None)
     def test_diagonal_blocks_of_weights_algebras_need_no_charpoly(
             self, weights, d):
-        # zero and repeated weights give repeated diagonal entries
+        # ad(v1) is diagonal on the basis, so each block is split by the
+        # eigenvalues of its basis vectors: no restricted matrix, no
+        # eigenspace system and no characteristic polynomial.  Zero and
+        # repeated weights give repeated eigenvalues
         n = len(weights) + 1
         g = LieAlgebra([f"v{i + 1}" for i in range(n)],
                        {(0, i + 1): {i + 1: w}
                         for i, w in enumerate(weights) if w})
-        graded, matrices = self._split_without_charpoly(g, d)
-        assert all(not x for m in matrices for i, row in enumerate(m)
-                   for j, x in enumerate(row) if i != j)
-        assert (graded.blocks, graded.irrational_flag) == \
-            oracles.eigen_blocks(g, d)
+        assert (self._read_off(g, d), False) == oracles.eigen_blocks(g, d)
+
+    @staticmethod
+    def _read_off(g, d, order=DEGREVLEX):
+        """The blocks of the search of g in degree d, which fails if it
+        builds a restricted matrix, splits one or computes a
+        characteristic polynomial."""
+        def fail(*args):
+            raise AssertionError("the general eigen path ran")
+
+        with pytest.MonkeyPatch.context() as mp:
+            for module, name in ((invariants, "_restricted_matrix"),
+                                 (invariants, "_eigenspaces"),
+                                 (linalg, "charpoly")):
+                mp.setattr(module, name, fail)
+            graded = graded_semi_invariants(g, d, order)
+        assert not graded.irrational_flag
+        return graded.blocks
+
+    @pytest.mark.parametrize("a, b", [
+        (a, b) for n in (2, 3) for a in COMPOSITIONS[n]
+        for b in COMPOSITIONS[n]])
+    def test_seaweeds_are_read_off_their_cartan(self, a, b):
+        # the complement of [g,g] is spanned by some H_i, each diagonal
+        # on the E_ij / H_i basis; b(sl3) is seaweed((1, 1, 1), (3,))
+        g = seaweed(a, b)
+        for order, d in product(ORDERS.values(), (1, 2, 3)):
+            assert (self._read_off(g, d, order), False) == \
+                oracles.eigen_blocks(g, d, order), (order.name, d)
+
+    def test_example32_splits_through_eigenspaces_and_roots(
+            self, monkeypatch):
+        # ad(v1) is not diagonal on the basis ([v1, v2] = v2 + v3), so
+        # each degree takes the general path, which falls short and
+        # searches the roots of a characteristic polynomial
+        splits, roots = [], []
+        eigenspaces, rational_roots = (invariants._eigenspaces,
+                                       linalg.rational_roots)
+        monkeypatch.setattr(invariants, "_eigenspaces", lambda m, c: (
+            splits.append(len(m)) or eigenspaces(m, c)))
+        monkeypatch.setattr(linalg, "rational_roots", lambda p: (
+            roots.append(p) or rational_roots(p)))
+        g = example32()
+        assert invariants._torus_action(g, 0) is None
+        for d in (1, 2, 3):
+            graded_semi_invariants(g, d)
+        # the blocks S^d(span(v2, v3))
+        assert splits == [2, 3, 4] and len(roots) == 3
 
     @pytest.mark.parametrize("g, shape", [
         (HAND_MADE[4], "lower"), (HAND_MADE[5], "upper"),
@@ -378,22 +458,27 @@ class TestGradedSearch:
             assert (graded.blocks, graded.irrational_flag) == \
                 oracles.eigen_blocks(g, d, order), (order.name, d)
 
-    def test_large_weights_take_roots_from_the_degree_one_spectrum(
-            self, monkeypatch):
-        # [v1, v_i] = w_i v_i: the degree-3 characteristic polynomials
-        # have huge coefficients; the candidates are sums of three
-        # weights, so no root search runs on them
-        weights = (101, 103, -107)
-        g = LieAlgebra(["v1", "v2", "v3", "v4"],
-                       {(0, i + 1): {i + 1: w} for i, w in enumerate(weights)})
+    @staticmethod
+    def _bounded_root_search(monkeypatch):
+        """Fail at once on a root search beyond the degree-1 spectrum of
+        weights (101, 103, -107)."""
         search = linalg._lifted_root_candidates
 
         def bounded_search(coeffs):
-            # fail at once on a polynomial beyond the degree-1 spectrum
             big = max(abs(c) for c in coeffs)
             assert big <= 101 * 103 * 107, f"root search with {big}"
             return search(coeffs)
         monkeypatch.setattr(linalg, "_lifted_root_candidates", bounded_search)
+
+    def test_large_weights_take_roots_from_the_degree_one_spectrum(
+            self, monkeypatch):
+        # [v1, v_i] = w_i v_i: the degree-3 characteristic polynomials
+        # would have huge coefficients, but the blocks are read off the
+        # monomials, so no root search runs on them
+        weights = (101, 103, -107)
+        g = LieAlgebra(["v1", "v2", "v3", "v4"],
+                       {(0, i + 1): {i + 1: w} for i, w in enumerate(weights)})
+        self._bounded_root_search(monkeypatch)
         graded = graded_semi_invariants(g, 3)
         assert graded.total_dim() == 10
         assert not graded.irrational_flag
@@ -406,6 +491,25 @@ class TestGradedSearch:
                                         zip(m[1:], weights)), 0, 0, 0)
                 monomials.add(m)
         assert len(monomials) == 10
+
+    def test_rotated_large_weights_take_candidates_from_the_spectrum(
+            self, monkeypatch):
+        # in the basis v1, v2 + v3, v2 - v3, v4, ad(v1) is not diagonal:
+        # each block is split through its restricted matrix, with the
+        # sums of three weights as candidates, and the only root search
+        # is on the degree-one spectrum
+        g0 = weights_algebra((101, 103, -107))
+        g = g0.induced_algebra(
+            [[1, 0, 0, 0], [0, 1, 1, 0], [0, 1, -1, 0], [0, 0, 0, 1]],
+            ["a1", "a2", "a3", "a4"])
+        assert invariants._torus_action(g, 0) is None
+        self._bounded_root_search(monkeypatch)
+        graded = graded_semi_invariants(g, 3)
+        assert not graded.irrational_flag
+        assert weights_of(graded.blocks) == \
+            weights_of(graded_semi_invariants(g0, 3).blocks)
+        for w, basis in graded.blocks:
+            assert len(basis) == 1
 
 
 def generated_dim(g, vectors) -> int:
@@ -744,6 +848,9 @@ class TestIndependenceAndRelations:
 
 
 class TestPoissonBracket:
+    """The Kostant-Kirillov bracket of the oracles, with which the
+    semi-invariants found are checked."""
+
     def test_degree_one_equals_bracket(self):
         g = filiform(3)
         v1, v2 = Polynomial.variable(3, 0), Polynomial.variable(3, 1)
@@ -802,7 +909,12 @@ class TestPoissonBracket:
         strat = st.dictionaries(monomial, coeff, max_size=4).map(
             lambda terms: Polynomial(n, terms))
         a, b = data.draw(strat), data.draw(strat)
-        assert poisson_bracket(a, b, g) == oracles.poisson_bracket(a, b, g)
+        # {a, b} = sum_i (da/dv_i) ad(v_i)(b), ad through the library
+        expected = Polynomial.zero(n)
+        for i in range(n):
+            expected = expected + a.partial_derivative(i) * g.apply_ad(
+                [int(t == i) for t in range(n)], b)
+        assert poisson_bracket(a, b, g) == expected
 
     def test_found_semi_invariants_pairwise_commute(self, catalog_algebras):
         for g in catalog_algebras:

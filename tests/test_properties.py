@@ -11,13 +11,12 @@ from itertools import combinations
 import pytest
 
 from coregular.catalog import filiform
-from coregular.invariants import (minimal_generators, poisson_bracket,
-                                  verify_semi_invariant)
+from coregular.invariants import minimal_generators, verify_semi_invariant
 from coregular.kernel import kernel_of_rho, reduce_one_step
 from coregular.pfaffian import (certified_rank, fundamental_semi_invariant,
                                 index, pfaffian, singular_locus_codim)
 from coregular.poly import Polynomial
-from oracles import poly_det, weight_derivation
+from oracles import poisson_bracket, poly_det, weight_derivation
 
 SEARCH_DEGREE = 2
 
