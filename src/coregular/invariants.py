@@ -8,8 +8,12 @@ with rational eigenvalues.  A complement vector with [v, v_j] a
 multiple of v_j for every j, such as the torus of a t x| V or the H_i
 of a Borel or seaweed subalgebra, is diagonal on the monomials, and its
 eigenspaces are read off the basis vectors of each block
-(``_torus_split``); any other vector splits each block through its
-restricted matrix, one candidate set per matrix (``_eigenspaces``).
+(``_torus_split``).  Any other vector splits each block through its
+restricted matrix by one rule (``_eigenspaces``): the candidates are
+the sums of its degree-one spectrum on g, computed once per algebra,
+one eigenspace system is solved per candidate until the block is
+filled, and a characteristic polynomial is computed only on a
+shortfall or when that spectrum is not rational.
 Every space is read out of a free-column basis that already is its
 canonical echelon basis.  Every block polynomial is checked against its
 weight with ``ad(v_i)`` for each basis vector, on integers
@@ -36,7 +40,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import combinations_with_replacement
 from math import lcm
 from typing import Callable, Iterable, Iterator, Sequence
@@ -150,7 +154,9 @@ def verify_semi_invariant(g: LieAlgebra, f: Polynomial, w: WeightVector) -> bool
     denominators of f, and with the bracket constants and w scaled by
     the lcm of theirs, which multiplies both of its sides alike.  The
     images [v_i, v_j] of all basis vectors come from one pass over the
-    bracket table."""
+    bracket table, which scales each row once and negates it here for
+    [v_j, v_i]: read through ``LieAlgebra._bracket_terms``, each
+    negated row would be built unscaled and then scaled again."""
     n = g.dim
     if len(w.values) != n or f.nvars != n:
         raise ValueError("the weight or the polynomial is of another algebra")
@@ -293,17 +299,6 @@ def _eigenvalue_candidates(g: LieAlgebra, idx: int, degree: int
                                                  degree)})
 
 
-def _triangular_diagonal(m: linalg.Mat) -> list[Fraction] | None:
-    """The distinct diagonal entries of ``m``, ascending, when ``m`` is
-    upper or lower triangular (they are then its whole spectrum), and
-    None otherwise."""
-    k = len(m)
-    if (all(not m[i][j] for i in range(1, k) for j in range(i))
-            or all(not m[i][j] for i in range(k) for j in range(i + 1, k))):
-        return sorted({m[t][t] for t in range(k)})
-    return None
-
-
 def _split(m: linalg.Mat, eigenvalues: Iterable[Fraction]
            ) -> tuple[list[tuple[Fraction, list[dict]]], int]:
     """The nonzero eigenspaces of ``m`` for the distinct ``eigenvalues``,
@@ -326,34 +321,29 @@ def _split(m: linalg.Mat, eigenvalues: Iterable[Fraction]
     return spaces, found
 
 
-def _eigenspaces(m: linalg.Mat,
-                 candidates: Callable[[], list[Fraction] | None]
+def _eigenspaces(m: linalg.Mat, candidates: list[Fraction] | None
                  ) -> tuple[list[tuple[Fraction, list[dict]]], bool]:
     """The eigenspaces of ``m`` with rational eigenvalues, eigenvalues
     ascending, each as its free-column basis, and whether ``m`` has an
     eigenvalue that is not rational.
 
-    One ascending candidate set holds every eigenvalue of ``m``: the
-    distinct diagonal entries when ``m`` is triangular, else
-    ``candidates()``, asked for only here, else the rational roots of
-    the characteristic polynomial.  One eigenspace system per candidate
-    is solved, until their dimensions sum to the size of ``m``:
-    eigenspaces of distinct eigenvalues are independent, so ``m`` is
-    then diagonalizable with every eigenvalue found.  Only a shortfall
-    with a given set (``m`` not diagonalizable, or a candidate missing)
-    needs the characteristic polynomial: its roots are searched, and
-    ``InternalCheckError`` is raised unless all of them are rational and
-    in the set."""
-    given = _triangular_diagonal(m)
-    if given is None:
-        given = candidates()
-    if given is None:
+    ``candidates`` is an ascending set that holds every eigenvalue of
+    ``m`` (``_eigenvalue_candidates``), or None when there is none.  One
+    eigenspace system per candidate is solved, until their dimensions
+    sum to the size of ``m``: eigenspaces of distinct eigenvalues are
+    independent, so ``m`` is then diagonalizable with every eigenvalue
+    found.  The characteristic polynomial is computed only on a
+    shortfall (``m`` not diagonalizable, or a candidate missing), where
+    ``InternalCheckError`` is raised unless all of its roots are
+    rational and candidates, or when there are no candidates, where its
+    rational roots are the eigenvalues."""
+    if candidates is None:
         roots, residual = linalg.rational_roots(linalg.charpoly(m))
         return _split(m, [lam for lam, _ in roots])[0], residual > 0
-    spaces, found = _split(m, given)
+    spaces, found = _split(m, candidates)
     if found < len(m):
         roots, residual = linalg.rational_roots(linalg.charpoly(m))
-        if residual or any(lam not in given for lam, _ in roots):
+        if residual or any(lam not in candidates for lam, _ in roots):
             raise InternalCheckError(
                 "an eigenvalue lies outside the complete candidate set")
     return spaces, False
@@ -439,12 +429,14 @@ def graded_semi_invariants(g: LieAlgebra, degree: int,
     The blocks are sorted with weight zero (the invariants) first; each
     block's basis is the canonical echelon basis of its space.  A
     complement vector diagonal on the basis (``_torus_action``) splits a
-    block into groups of its basis vectors (``_torus_split``).  For any
-    other, each eigenspace is the reversed free-column basis of the
-    solutions of ``(m - lam) c = 0`` (``_eigenspaces``), with ``m`` the
-    restricted matrix on the block's basis with its leading monomials
-    ascending: as in ``_common_kernel``, each free column is then the
-    leading monomial of its vector, with coefficient 1."""
+    block into groups of its basis vectors (``_torus_split``).  Any
+    other takes one candidate set per degree, the sums of its degree-one
+    spectrum on g (``_eigenvalue_candidates``), or None when that is not
+    rational, and each eigenspace is the reversed free-column basis of
+    the solutions of ``(m - lam) c = 0`` (``_eigenspaces``), with ``m``
+    the restricted matrix on the block's basis with its leading
+    monomials ascending: as in ``_common_kernel``, each free column is
+    then the leading monomial of its vector, with coefficient 1."""
     if degree < 1:
         raise ValueError("degree must be >= 1")
     n = g.dim
@@ -466,8 +458,7 @@ def graded_semi_invariants(g: LieAlgebra, degree: int,
                           for lam, basis in _torus_split(sub, action)]
             continue
         v = [int(t == idx) for t in range(n)]
-        # asked for only by a block its diagonal does not split
-        candidates = partial(_eigenvalue_candidates, g, idx, degree)
+        candidates = _eigenvalue_candidates(g, idx, degree)
         new_blocks = []
         for eigs, sub in blocks_raw:
             ascending = sub[::-1]

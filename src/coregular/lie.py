@@ -117,9 +117,12 @@ class LieAlgebra:
 
     def _bracket_terms(self, i: int, j: int) -> Mapping[int, Fraction]:
         """[v_i, v_j] as {k: c}, keys ascending: row (i, j) of the table
-        itself when i < j, and row (j, i) negated otherwise.  The one
-        place the sign rule of the i < j table is applied; callers only
-        read what it returns."""
+        itself when i < j, and row (j, i) negated otherwise; callers only
+        read what it returns.  Every reader of single entries applies
+        the sign rule of the i < j table through it.  Two readers of the
+        whole table negate rows themselves: ``_structure_matrix``, once
+        per entry pair, and ``invariants.verify_semi_invariant``, which
+        scales the whole table to integers in one pass."""
         if i < j:
             return self.brackets.get((i, j), _NO_TERMS)
         return {k: -c for k, c in self.brackets.get((j, i), _NO_TERMS).items()}

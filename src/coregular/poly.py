@@ -609,34 +609,31 @@ def parse_polynomial(text: str, names: Sequence[str]) -> Polynomial:
 
     def take():
         nonlocal pos
-        tok = tokens[pos]
+        if pos == len(tokens):
+            raise ValueError(f"unexpected end of polynomial text {text!r}")
         pos += 1
-        return tok
+        return tokens[pos - 1]
 
     def parse_factor() -> Polynomial:
-        nonlocal pos
-        tok = peek()
-        if tok is None:
-            raise ValueError("unexpected end of polynomial text")
+        tok = take()
         if tok == "(":
-            take()
             p = parse_sum()
             if peek() != ")":
                 raise ValueError("missing closing parenthesis")
             take()
         elif tok.isdigit():
-            take()
             num = int(tok)
             if peek() == "/":
                 take()
                 den = take()
                 if not den.isdigit():
                     raise ValueError("malformed rational coefficient")
+                if not int(den):
+                    raise ValueError(f"zero denominator in {text!r}")
                 p = Polynomial.constant(nvars, Fraction(num, int(den)))
             else:
                 p = Polynomial.constant(nvars, num)
         else:
-            take()
             if tok not in index:
                 raise ValueError(f"unknown variable {tok!r}")
             p = Polynomial.variable(nvars, index[tok])

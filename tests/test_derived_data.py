@@ -134,8 +134,8 @@ def test_weights_analyze_and_reduce_compute_each_datum_once(counts):
         assert counts.searches[(id(alg), "degrevlex")] == 0, alg.label
     assert computed(counts, g, "derived") == 1
     assert computed(counts, g, "nilpotent") == 1
-    # every restricted matrix of a weights algebra is diagonal, so its
-    # diagonal is the spectrum and no spectrum on g is computed
+    # the torus of a weights algebra is read off the bracket table, so
+    # no spectrum on g is computed
     assert computed(counts, g, "spectrum") == 0
     # once per algebra and vector, and nothing outside the memo
     assert all(n == 1 for n in counts.misses.values())
@@ -180,12 +180,17 @@ REDUCED_MEMO = {"structure", ("rank", pfaffian.DEFAULT_PROBE_SEED),
                 ("semicenter", 3)}
 
 
-@pytest.mark.parametrize("build", [weights_5_7_11, panyushev, example32])
-def test_analyze_and_reduce_keep_only_the_known_memo_keys(build):
+@pytest.mark.parametrize("build, spectra", [
+    (weights_5_7_11, set()), (panyushev, set()),
+    (example32, {("spectrum", 0)})],
+    ids=["weights_5_7_11", "panyushev", "example32"])
+def test_analyze_and_reduce_keep_only_the_known_memo_keys(build, spectra):
+    # a complement vector diagonal on the basis is read off the bracket
+    # table; any other, such as v1 of example32, keeps its spectrum on g
     g = build()
     report = analyze(g, AnalysisOptions(max_degree=3))
     step = reduce_one_step(g, first_proper(report))
-    assert set(g._cache) == REDUCED_MEMO | {"pfaffians"}
+    assert set(g._cache) == REDUCED_MEMO | {"pfaffians"} | spectra
     for alg in (step.h, step.k):
         assert set(alg._cache) == REDUCED_MEMO, alg.label
 

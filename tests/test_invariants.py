@@ -292,10 +292,10 @@ class TestGradedSearch:
 
     @pytest.mark.parametrize("g", [HAND_MADE[0]], ids=["swap"])
     def test_a_missing_eigenvalue_candidate_raises(self, monkeypatch, g):
-        # the degree-one block of "swap" is [[0, 1], [1, 0]], which is
-        # not triangular, so it takes the candidates.  The largest one
-        # is a weight on the block, and without it the eigenspaces fall
-        # short
+        # the degree-one block of "swap" is [[0, 1], [1, 0]], split by
+        # the candidates from the spectrum of ad(v1) on g.  The largest
+        # one is a weight on the block, and without it the eigenspaces
+        # fall short
         complete = invariants._eigenvalue_candidates
         largest = complete(g, 0, 1)[-1]
         assert any(w.values[0] == largest
@@ -309,7 +309,7 @@ class TestGradedSearch:
         # the candidate 0 is no eigenvalue, and t^2 - 2 leaves a residual
         # degree: the eigenvalues lie outside the candidate set
         with pytest.raises(InternalCheckError, match="candidate set"):
-            invariants._eigenspaces([[0, 2], [1, 0]], lambda: [0])
+            invariants._eigenspaces([[0, 2], [1, 0]], [0])
 
     def test_characteristic_polynomials_only_on_a_shortfall(self,
                                                             monkeypatch):
@@ -330,32 +330,36 @@ class TestGradedSearch:
             return sizes[:], len(roots)
 
         # a weights algebra is split by the eigenvalues of its basis
-        # vectors, and the restricted matrices of "lower" and "upper"
-        # are triangular and diagonalizable: the eigenspaces of the
-        # diagonal entries fill each block, so no characteristic
+        # vectors, read off the bracket table: no characteristic
         # polynomial is computed, not even on g
         assert search(weights_algebra((2, -1, 3))) == ([], 0)
-        assert search(HAND_MADE[4]) == ([], 0)
-        assert search(HAND_MADE[5]) == ([], 0)
-        # "swap" is diagonalizable but not triangular: only the spectrum
-        # of ad(v1) on g is computed, once, for its candidates
+        # ad(v1) is diagonalizable on "lower", "upper", "swap" and
+        # "skewed": only its spectrum on g is computed, once, and the
+        # eigenspaces of its candidates fill every block
+        assert search(HAND_MADE[4]) == ([3], 1)
+        assert search(HAND_MADE[5]) == ([3], 1)
         assert search(HAND_MADE[0]) == ([3], 1)
+        assert search(HAND_MADE[3]) == ([4], 1)
         # on the candidate spaces S^d(span(v2, v3)) of example32 and
-        # "jordan", ad(v1) is triangular but not diagonalizable: its
-        # diagonal is the one candidate set, every degree falls short,
-        # and its restricted matrix is checked; g's spectrum is not used
-        assert search(example32()) == ([2, 3, 4], 3)
-        assert search(HAND_MADE[2]) == ([2, 3, 4], 3)
-        # an irrational spectrum on g leaves no candidates to try
+        # "jordan", ad(v1) is not diagonalizable: every degree falls
+        # short, and its restricted matrix is checked.  An irrational
+        # spectrum on g ("rotation") leaves no candidates to try, so
+        # each block's roots are its eigenvalues
+        assert search(example32()) == ([3, 2, 3, 4], 4)
+        assert search(HAND_MADE[2]) == ([3, 2, 3, 4], 4)
         assert search(HAND_MADE[1]) == ([3, 2, 3, 4], 4)
 
     @staticmethod
     def _split_without_charpoly(g, d, order=DEGREVLEX):
-        """The search of a fresh copy of g (no spectrum cached) in degree
-        d, with every restricted matrix it splits; a characteristic
-        polynomial fails it."""
+        """The search of a fresh copy of g in degree d, with every
+        restricted matrix it splits; a characteristic polynomial of a
+        block fails it.  The spectra on g, which give the candidates,
+        are computed before."""
         matrices = []
         eigenspaces = invariants._eigenspaces
+        g = LieAlgebra(g.names, g.brackets)
+        for idx in range(g.dim):
+            invariants._eigenvalue_candidates(g, idx, 1)
 
         def recording(m, candidates):
             matrices.append(m)
@@ -367,8 +371,7 @@ class TestGradedSearch:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(invariants, "_eigenspaces", recording)
             mp.setattr(linalg, "charpoly", no_charpoly)
-            graded = graded_semi_invariants(
-                LieAlgebra(g.names, g.brackets), d, order)
+            graded = graded_semi_invariants(g, d, order)
         return graded, matrices
 
     @given(weights=st.lists(st.integers(-4, 4), min_size=1, max_size=4),
@@ -421,7 +424,8 @@ class TestGradedSearch:
             self, monkeypatch):
         # ad(v1) is not diagonal on the basis ([v1, v2] = v2 + v3), so
         # each degree takes the general path, which falls short and
-        # searches the roots of a characteristic polynomial
+        # searches the roots of a characteristic polynomial, after the
+        # one root search of the spectrum on g
         splits, roots = [], []
         eigenspaces, rational_roots = (invariants._eigenspaces,
                                        linalg.rational_roots)
@@ -434,7 +438,7 @@ class TestGradedSearch:
         for d in (1, 2, 3):
             graded_semi_invariants(g, d)
         # the blocks S^d(span(v2, v3))
-        assert splits == [2, 3, 4] and len(roots) == 3
+        assert splits == [2, 3, 4] and len(roots) == 4
 
     @pytest.mark.parametrize("g, shape", [
         (HAND_MADE[4], "lower"), (HAND_MADE[5], "upper"),
@@ -442,7 +446,9 @@ class TestGradedSearch:
     def test_triangular_blocks_need_no_charpoly(self, g, shape):
         # "lower" splits blocks that are lower but not upper triangular,
         # "upper" blocks that are upper but not lower triangular, under
-        # every order; "skewed" has a [g,g] off the basis vectors
+        # every order; "skewed" has a [g,g] off the basis vectors.  Each
+        # ad(v1) is diagonalizable, so the candidates from its spectrum
+        # on g fill every block with no characteristic polynomial
         for order, d in product(ORDERS.values(), (1, 2, 3)):
             graded, matrices = self._split_without_charpoly(g, d, order)
             assert matrices

@@ -232,6 +232,16 @@ class TestOrdersAndText:
         with pytest.raises(ValueError):
             parse_polynomial("", ["v1"])
 
+    @pytest.mark.parametrize("text, message", [
+        ("v1^", "end"), ("v1**", "end"), ("3/", "end"), ("v1 + 2/", "end"),
+        ("2/0", "zero denominator")])
+    def test_parse_rejects_a_cut_or_zero_denominator_text(self, text,
+                                                          message):
+        # a text cut after an operator, or a zero denominator, is
+        # malformed input like any other: a ValueError with a message
+        with pytest.raises(ValueError, match=message):
+            parse_polynomial(text, ["v1", "v2"])
+
     @given(poly_strategy(3))
     @settings(max_examples=80)
     def test_format_parse_round_trip(self, f):
