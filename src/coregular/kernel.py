@@ -7,12 +7,13 @@ sum_i A_i B[i][j] = 0 for every column j.  It is computed degree by
 degree with minimal new generators extracted against multiples of the
 lower-degree ones.  The multiples lie in the kernel, since rho is
 S(g)-linear, so a degree whose multiples span as much as its kernel's
-dimension has no new generator.  That is first proved with no multiple
-built, from their distinct pivots and a lower bound on the rank of the
-system: the number of distinct least keys of its rows, read from the
-bracket table with no row built, and failing that a partial
-elimination.  Only where both fall short are the multiples ranked, and
-only where they fall short too is a kernel basis read out.
+dimension has no new generator.  Each degree is decided once, with no
+multiple built, from their distinct pivots: first against the number
+of distinct least keys of the system's rows, a lower bound on its rank
+read from the bracket table with no row built, and else against the
+dimension of the system, eliminated in full.  Only where the pivots
+fall short of that dimension are the multiples ranked and the
+complement read out of a kernel basis.
 
 The reduction step compares the graded semi-invariant dimensions of g
 with those of h and k (``semicenter_dims``): g's are recorded by its
@@ -165,12 +166,12 @@ def kernel_of_rho(g: LieAlgebra, degree_bound: int,
     lower-degree generators.  Each degree is one linear system; the
     blocks it splits into (for instance under a grading of the algebra)
     are found by the sparse eliminator.  A degree has no new generator
-    once a lower bound on the system's rank reaches the unknowns less
-    the distinct pivots of the multiples.  The distinct least keys of
-    its rows give that bound with no system built (every degree from 2
-    on, on ``L(n)``); failing that, the system is eliminated only until
-    its rank reaches it, and failing that too, its dimension decides
-    whether a kernel basis is needed at all.
+    once the distinct pivots of the multiples are as many as the
+    unknowns less a lower bound on the system's rank.  The distinct
+    least keys of its rows give such a bound with no system built
+    (every degree from 2 on, on ``L(n)``); failing that, the system is
+    eliminated in full, and the degree has none when its dimension is
+    the number of those pivots.
     """
     if degree_bound < 1:
         raise ValueError("degree bound must be >= 1")
@@ -183,17 +184,13 @@ def kernel_of_rho(g: LieAlgebra, degree_bound: int,
 
 
 def _multiples(generators: Sequence[KernelGenerator], d: int, n: int,
-               rank: dict, order: MonomialOrder,
-               limit: int) -> linalg.SparseEchelon:
-    """The echelon of the degree-d multiples m w of the lower-degree
-    ``generators``: generator by generator, multipliers m descending;
-    it stops once it holds ``limit`` rows."""
+               rank: dict, order: MonomialOrder) -> linalg.SparseEchelon:
+    """The echelon of all the degree-d multiples m w of the lower-degree
+    ``generators``: generator by generator, multipliers m descending."""
     lower = linalg.SparseEchelon()
     for gen in generators:
         for m in monomials_of_degree(n, d - gen.degree, order):
-            if (lower.add(_shift(gen.components, m, rank)) is not None
-                    and len(lower.rows) == limit):
-                return lower
+            lower.add(_shift(gen.components, m, rank))
     return lower
 
 
@@ -225,14 +222,15 @@ def _generators_of_degree(g: LieAlgebra,
     A_i, with ``monos`` descending, so the pivot of a vector is its
     smallest unknown.  rho is S(g)-linear, so the multiples lie in the
     kernel.  Those with distinct pivots are independent, so with p such
-    pivots (``_multiple_pivots``) a rank of ``ncols - p`` proves that
-    they span it, and no multiple is built.  Rows with pairwise
-    distinct least keys are independent too, so that rank is proved
-    first by ``ncols - p`` distinct least keys (``_least_keys``), with
-    no system built, and else by eliminating the system until it
-    reaches that rank.  Otherwise the multiples are ranked (each of the
-    p pivots must be one of theirs) until they span the kernel's
-    dimension, and only if they fall short is a kernel basis read out."""
+    pivots (``_multiple_pivots``) their rank lies between p and the
+    kernel's dimension, and a dimension of p proves that they span it,
+    with no multiple built.  Rows with pairwise distinct least keys are
+    independent too, so ``ncols - p`` distinct least keys
+    (``_least_keys``) prove it first, with no system built; else the
+    system is eliminated in full and its dimension compared with p.
+    Otherwise all the multiples are ranked (each of the p pivots must
+    be one of theirs) and a kernel basis is reduced against them: its
+    remainders are the new generators."""
     n = g.dim
     monos = monomials_of_degree(n, d, order)
     nm = len(monos)
@@ -242,14 +240,12 @@ def _generators_of_degree(g: LieAlgebra,
     if len(_least_keys(g, monos)) >= ncols - len(pivots):
         return []
     space = linalg.SolutionSpace(_anchor_equations(g, monos), ncols)
-    if space.reaches(ncols - len(pivots)):
+    if space.dim == len(pivots):
         return []
-    lower = _multiples(generators, d, n, rank, order, space.dim)
+    lower = _multiples(generators, d, n, rank, order)
     if not pivots <= lower.rows.keys():
         raise InternalCheckError(
             "a multiple's pivot is missing from the multiples' echelon")
-    if len(lower.rows) == space.dim:
-        return []
 
     new_rows = []
     for sol in space.basis():

@@ -12,8 +12,9 @@ block without the caller naming the blocks.  The dense routines (``rref``, ``ran
 ``nullspace``, ``solve``, ``inverse``) take lists of rows, run them
 through the same eliminator keyed by column index and read the result
 back out; ``nullspace`` and ``SolutionSpace`` (behind
-``kernel_of_columns``) share that readout.  A ``SolutionSpace`` knows
-its dimension from the rank alone, so a caller that needs only the
+``kernel_of_columns``) share that readout.  A ``SolutionSpace``
+eliminates its whole system once, when it is built, and knows its
+dimension from the rank alone, so a caller that needs only the
 dimension never reads out a basis.
 
 The eliminator is fraction-free, in the spirit of Bareiss (1968).
@@ -444,11 +445,10 @@ def _free_columns(ech: SparseEchelon, ncols: int) -> list[dict[int, Fraction]]:
 
 class SolutionSpace:
     """The solutions c of the equations ``sum_j equation[j] * c_j = 0``
-    in the unknowns ``0..ncols-1``, eliminated once.
+    in the unknowns ``0..ncols-1``, eliminated in full on construction.
 
-    Each equation is a sparse row {unknown: value}; they are eliminated
-    in the order given and on demand, so a generator that builds them
-    never holds the whole system, and ``reaches`` stops at a rank.
+    Each equation is a sparse row {unknown: value}, eliminated as it is
+    drawn, so a generator that builds them never holds the whole system.
     ``dim`` is the number of unknowns less the rank, so a caller that
     only needs the dimension never reads out a basis; ``basis`` reads
     out that of ``kernel_of_columns``, each value an ``int`` when it is
@@ -459,30 +459,11 @@ class SolutionSpace:
                  ncols: int):
         self.ncols = ncols
         self.echelon = SparseEchelon()
-        self._equations = iter(equations)
-
-    def reaches(self, rank: int) -> bool:
-        """Whether the rank reaches ``rank``, eliminating only until it
-        does."""
-        rows = self.echelon.rows
-        while len(rows) < rank:
-            equation = next(self._equations, None)
-            if equation is None:
-                return False
+        for equation in equations:
             self.echelon.add(equation)
-        return True
-
-    def _rank(self) -> int:
-        for equation in self._equations:
-            self.echelon.add(equation)
-        return len(self.echelon.rows)
-
-    @property
-    def dim(self) -> int:
-        return self.ncols - self._rank()
+        self.dim = ncols - len(self.echelon.rows)
 
     def basis(self) -> list[dict[int, Fraction]]:
-        self._rank()
         return _free_columns(self.echelon, self.ncols)
 
 

@@ -138,13 +138,7 @@ class TestKernelOfRho:
             self, monkeypatch):
         # L(5): generators in degrees 0 and 1; from degree 2 on the
         # multiples span the kernel, so its basis is never read out
-        read = []
-        basis = linalg.SolutionSpace.basis
-
-        def recording(space):
-            read.append(space.ncols)
-            return basis(space)
-        monkeypatch.setattr(linalg.SolutionSpace, "basis", recording)
+        read = TestPivotCertificate.basis_reads(monkeypatch)
         kernel = kernel_of_rho(filiform(5), 5)
         assert kernel.degrees == (0, 1, 1, 1)
         # 5 * C(d + 4, 4) unknowns at degree d
@@ -166,17 +160,17 @@ class TestKernelOfRho:
             lower = [w for w in gens if w.degree < d]
             monos = monomials_of_degree(n, d, DEGREVLEX)
             rank = {m: t for t, m in enumerate(monos)}
-            echelon = kernel_module._multiples(lower, d, n, rank,
-                                               DEGREVLEX, None)
+            echelon = kernel_module._multiples(lower, d, n, rank, DEGREVLEX)
             assert echelon.rows.keys() == kernel_module._multiple_pivots(
                 lower, d, n, rank, DEGREVLEX), d
 
 
 class TestPivotCertificate:
     """A degree is proved to have no new generator by the distinct pivots
-    of the lower multiples and the distinct least keys of the anchor
-    rows, else a partial rank of the anchor system; elsewhere the
-    multiples are ranked."""
+    of the lower multiples: against the distinct least keys of the
+    anchor rows, else against the dimension of the anchor system,
+    eliminated in full.  Elsewhere all the multiples are ranked and a
+    kernel basis is read out."""
 
     @staticmethod
     def multiples_degrees(monkeypatch):
@@ -212,6 +206,50 @@ class TestPivotCertificate:
         kernel = kernel_of_rho(seaweed(a, b), 4)
         assert max(kernel.degrees) < 3
         assert [d for d, lower in calls if lower and d >= 3] == [3, 4]
+
+    @staticmethod
+    def basis_reads(monkeypatch):
+        """The column counts of the systems whose basis is read out."""
+        read = []
+        basis = linalg.SolutionSpace.basis
+
+        def recording(space):
+            read.append(space.ncols)
+            return basis(space)
+        monkeypatch.setattr(linalg.SolutionSpace, "basis", recording)
+        return read
+
+    # the degrees at which the pivots of the multiples are as many as the
+    # dimension of the anchor system; no degree is certified by its least
+    # keys
+    @pytest.mark.parametrize("g, bound, by_dim", [
+        (seaweed((1, 1, 1, 1), (1, 3)), 4, [1, 3, 4]),
+        (example32(), 3, [0, 2, 3]),
+        (seaweed((3,), (3,)), 4, [0]),
+        (seaweed((1, 3), (1, 3)), 4, []),
+    ], ids=["(1,1,1,1)|(1,3)", "example32", "(3)|(3)", "(1,3)|(1,3)"])
+    def test_a_system_as_large_as_the_pivots_builds_no_multiples(
+            self, monkeypatch, g, bound, by_dim):
+        calls = self.multiples_degrees(monkeypatch)
+        read = self.basis_reads(monkeypatch)
+        sizes = self.system_sizes(monkeypatch)
+        kernel = kernel_of_rho(g, bound)
+        n = g.dim
+        ncols = [n * len(monomials_of_degree(n, d, DEGREVLEX))
+                 for d in range(bound + 1)]
+        assert sizes == ncols
+        built = [d for d, _ in calls]
+        assert built == [d for d in range(bound + 1) if d not in by_dim]
+        # where the multiples are built, the basis is read out
+        assert read == [ncols[d] for d in built]
+        for d in by_dim:
+            monos = monomials_of_degree(n, d, DEGREVLEX)
+            rank = {m: t for t, m in enumerate(monos)}
+            lower = [w for w in kernel.generators if w.degree < d]
+            space = linalg.SolutionSpace(
+                kernel_module._anchor_equations(g, monos), ncols[d])
+            assert space.dim == len(kernel_module._multiple_pivots(
+                lower, d, n, rank, DEGREVLEX)), d
 
     @staticmethod
     def system_sizes(monkeypatch):

@@ -217,6 +217,22 @@ class TestSparse:
         assert all(is_exact(c) for vec in basis for c in vec.values())
 
     @given(mixed_vectors)
+    @settings(max_examples=60)
+    def test_solution_space_reads_alike_from_a_one_shot_generator(
+            self, images):
+        keys = sorted({k for img in images for k in img})
+        # the equation of each key, yielded once
+        equations = ({j: img[k] for j, img in enumerate(images) if k in img}
+                     for k in keys)
+        space = linalg.SolutionSpace(equations, len(images))
+        # eliminated in full on construction
+        assert next(equations, None) is None
+        basis = kernel_of_columns(images)
+        for _ in range(2):
+            assert space.dim == len(basis)
+            assert space.basis() == basis
+
+    @given(mixed_vectors)
     @settings(max_examples=100)
     def test_echelon_stores_integers_as_int_and_reads_out_fractions(
             self, vectors):
