@@ -31,6 +31,18 @@ generate g as a Lie algebra (``_lie_generators``); ad is a Lie
 homomorphism, so the system keeps its solutions and echelon rows.
 Every basis vector still checks each block polynomial.
 
+A degree whose products of lower generators fill its semi-invariants is
+decided with no search (``minimal_generators``, ``_products_fill``).
+The products lie in the common kernel, those with distinct leading
+monomials are independent, and rows of its system with distinct least
+keys are too, so once these two counts sum to the number of monomials
+the products span the kernel: the degree has no new semi-invariant
+generator, and its weight-zero block is the echelon of the weight-zero
+products, each checked as above.  Both counts are read with nothing
+built: the leading monomials are products of the generators' own, and
+the least keys come from the bracket table, as ``kernel._least_keys``
+reads those of the anchor equations.
+
 ``generic_rank`` is the one rank over Q(x): seeded point ranks, and
 Bareiss elimination only when they fall short of a proven bound.
 """
@@ -43,6 +55,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement
 from math import lcm
+from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import linalg
@@ -52,7 +65,8 @@ from .lie import LieAlgebra
 from .linalg import InternalCheckError, SparseEchelon, kernel_of_columns
 from .pfaffian import DEFAULT_PROBE_SEED, index
 from .poly import (DEGREVLEX, GRLEX, MonomialOrder, Polynomial, _q,
-                   apply_derivation, exact_div, monomials_of_degree)
+                   apply_derivation, exact_div, monomial_mul,
+                   monomials_of_degree)
 
 # seeded points at which a generic rank is tried before Bareiss, and
 # the range of their integer coordinates
@@ -386,14 +400,15 @@ def _torus_split(block: list[Polynomial],
 def _lie_generators(g: LieAlgebra) -> list[list[int]]:
     """Basis vectors that generate g as a Lie algebra.  Those off the
     pivots of [g,g] come first: each is needed, and they generate g when
-    it is nilpotent.  Then each other v_i is kept unless the subalgebra
-    generated by those kept already holds it."""
+    it is nilpotent, which then keeps just them.  Otherwise each other
+    v_i is kept unless the subalgebra generated by those kept already
+    holds it."""
     n = g.dim
     basis = [[int(t == i) for t in range(n)] for i in range(n)]
-    if g.is_abelian:
-        return basis
     pivots = [next(i for i, x in enumerate(b) if x)
               for b in g.derived_subalgebra().basis]
+    if g.is_nilpotent():
+        return [basis[i] for i in range(n) if i not in pivots]
     span = SparseEchelon()
     elements: list = []
     kept = []
@@ -421,6 +436,19 @@ def structural_no_proper_reason(g: LieAlgebra) -> str | None:
     return None
 
 
+def _acting(g: LieAlgebra) -> tuple[list, list[int], list[int]]:
+    """The acting vectors of the graded search, the complement
+    coordinates split off after it, and the pivots of the reduced basis
+    of [g,g]: for a nilpotent or perfect algebra ``_lie_generators`` and
+    no complement, and else that basis and the coordinates off its
+    pivots."""
+    derived = g.derived_subalgebra()
+    pivots = [next(i for i, x in enumerate(b) if x) for b in derived.basis]
+    if structural_no_proper_reason(g):
+        return _lie_generators(g), [], pivots
+    return derived.basis, [i for i in range(g.dim) if i not in pivots], pivots
+
+
 def graded_semi_invariants(g: LieAlgebra, degree: int,
                            order: MonomialOrder = DEGREVLEX
                            ) -> GradedSemiInvariants:
@@ -440,14 +468,7 @@ def graded_semi_invariants(g: LieAlgebra, degree: int,
     if degree < 1:
         raise ValueError("degree must be >= 1")
     n = g.dim
-    derived = g.derived_subalgebra()
-    pivots = [next(i for i, x in enumerate(b) if x) for b in derived.basis]
-    if structural_no_proper_reason(g):
-        vectors = _lie_generators(g)
-        complement: list[int] = []
-    else:
-        vectors = derived.basis
-        complement = [i for i in range(n) if i not in pivots]
+    vectors, complement, pivots = _acting(g)
     candidate = _common_kernel(g, degree, vectors, order)
     blocks_raw = [((), candidate)] if candidate else []
     flag = False
@@ -521,6 +542,130 @@ def _power_products(gens: Sequence[SemiInvariant], nvars: int
     return product
 
 
+def _weighted_exponents(gens: Sequence[SemiInvariant], degree: int,
+                        nvars: int
+                        ) -> Iterator[tuple[tuple[int, ...], tuple]]:
+    """The exponent tuples e of the degree-``degree`` products of
+    ``gens``, each with the weight values of its product: weights
+    multiply additively."""
+    weights = [s.weight.values for s in gens]
+    for exps in _exponent_vectors([s.degree for s in gens], degree):
+        w = (0,) * nvars
+        for e, values in zip(exps, weights):
+            if e:
+                w = tuple(a + e * b for a, b in zip(w, values))
+        yield exps, w
+
+
+def _leading_products(gens: Sequence[SemiInvariant], degree: int,
+                      nvars: int, order: MonomialOrder) -> set:
+    """The distinct leading monomials of the degree-``degree`` products
+    of ``gens``, with no product built: a monomial order is
+    multiplicative, so each is the product of its factors' leading
+    monomials.  They are reached degree by degree, one generator at a
+    time, each degree's set kept free of repeats."""
+    reach = [set() for _ in range(degree + 1)]
+    reach[0].add((0,) * nvars)
+    for s in gens:
+        lead = s.poly.leading_monomial(order)
+        for t in range(s.degree, degree + 1):
+            reach[t].update([monomial_mul(m, lead)
+                             for m in reach[t - s.degree]])
+    return reach[degree]
+
+
+def _products_fill(g: LieAlgebra, monos: Sequence,
+                   vectors: Sequence[Sequence], leads: set) -> bool:
+    """Whether products with the distinct leading monomials ``leads``
+    span the common kernel of ad(v), v in ``vectors``, on the span of
+    ``monos`` (ascending), decided from the distinct least keys of the
+    rows of ``_ad_equations(g, monos, vectors)`` with no row built.
+
+    Rows with distinct least keys are independent, and so are products
+    with distinct leading monomials, so with P such keys and L such
+    monomials L <= dim <= len(monos) - P, and P + L = len(monos) proves
+    that the products span the kernel.  A least key is a pivot of the
+    system's echelon and a kernel vector's leading monomial, its
+    greatest unknown, is a free column, so a lead that is also a least
+    key raises ``InternalCheckError``.  The twin rule of the anchor
+    kernel is ``kernel._least_keys``.
+
+    Row (v, u) holds unknown m = u x_j / x_k, for j != k, with the
+    single term m_j c of each term c x_k of [v, v_j]: it never cancels.
+    Only its entry at u itself sums terms, sum_j u_j c_jj with c_jj the
+    coefficient of x_j in [v, v_j], and that sum is computed exactly.
+    The unknowns are scanned ascending, so one is the least key of the
+    rows it is the first to reach; the scan stops once more of them than
+    ``len(leads)`` are the least key of no row.  A monomial is coded by
+    its exponents as digits in base d + 1, d the degree of ``monos``,
+    and the rows of the i-th vector are shifted past all the codes i
+    times."""
+    n = g.dim
+    base = 1 + sum(monos[0])
+    powers = [base ** v for v in range(n)]
+    moves: dict[int, list[int]] = {}
+    diagonals = []
+    for i, v in enumerate(vectors):
+        shift = i * base ** n
+        diagonal = []
+        for j, image in enumerate(g.bracket_images(v)):
+            for k, c in image.items():
+                if k == j:
+                    diagonal.append((j, c))
+                else:
+                    moves.setdefault(j, []).append(
+                        shift + powers[k] - powers[j])
+        if diagonal:
+            diagonals.append((shift, diagonal))
+    rows: set[int] = set()
+    room = len(leads)
+    for m in monos:
+        code = sum(map(mul, m, powers))
+        reached = len(rows)
+        for j, steps in moves.items():
+            if m[j]:
+                rows.update(map(code.__add__, steps))
+        for shift, diagonal in diagonals:
+            if sum(m[j] * c for j, c in diagonal):
+                rows.add(code + shift)
+        if len(rows) > reached:
+            if m in leads:
+                raise InternalCheckError(
+                    "a product's leading monomial is a least key of the "
+                    "common-kernel system")
+        else:
+            room -= 1
+            if room < 0:
+                return False
+    return True
+
+
+def _invariant_block(g: LieAlgebra, gens: Sequence[SemiInvariant],
+                     product: Callable[[Sequence[int]], Polynomial],
+                     degree: int, order: MonomialOrder
+                     ) -> tuple[WeightVector, list[Polynomial]]:
+    """The zero weight and the canonical echelon basis, leading
+    monomials descending, of the span of the weight-zero
+    degree-``degree`` products of ``gens``, each basis polynomial checked
+    to be an invariant: the weight-zero block of the search in a degree
+    those products fill."""
+    n = g.dim
+    monos = monomials_of_degree(n, degree, order)
+    place = {m: t for t, m in enumerate(monos)}
+    ech = SparseEchelon()
+    for exps, w in _weighted_exponents(gens, degree, n):
+        if not any(w):
+            ech.add({place[m]: c for m, c in product(exps).terms.items()})
+    block = [Polynomial._new(n, {monos[t]: c for t, c in ech.row(p).items()})
+             for p in sorted(ech.rows)]
+    zero = WeightVector((0,) * n)
+    for f in block:
+        if not verify_semi_invariant(g, f, zero):
+            raise InternalCheckError(
+                "a weight-zero product block holds a non-invariant")
+    return zero, block
+
+
 def _new_generators(gens: Sequence[SemiInvariant],
                     product: Callable[[Sequence[int]], Polynomial],
                     blocks: Iterable[tuple[WeightVector, Sequence[Polynomial]]],
@@ -528,7 +673,7 @@ def _new_generators(gens: Sequence[SemiInvariant],
                     ) -> list[SemiInvariant]:
     """The canonical complement, inside each weight block of one degree,
     of the span of the degree-``degree`` products of ``gens`` of the same
-    weight; weights multiply additively.
+    weight.
 
     A monomial is keyed by its place in the degree's monomials, which
     descend under ``order``, so the pivot of a row (its least key) is
@@ -539,13 +684,8 @@ def _new_generators(gens: Sequence[SemiInvariant],
     def keyed(f: Polynomial) -> dict[int, Fraction]:
         return {place[m]: c for m, c in f.terms.items()}
 
-    weights = [s.weight.values for s in gens]
     products: dict[tuple[Fraction, ...], SparseEchelon] = {}
-    for exps in _exponent_vectors([s.degree for s in gens], degree):
-        w = (0,) * nvars
-        for e, values in zip(exps, weights):
-            if e:
-                w = tuple(a + e * b for a, b in zip(w, values))
+    for exps, w in _weighted_exponents(gens, degree, nvars):
         products.setdefault(w, SparseEchelon()).add(keyed(product(exps)))
     new: list[SemiInvariant] = []
     for w, basis in blocks:
@@ -565,7 +705,8 @@ def minimal_generators(g: LieAlgebra, max_degree: int | None = None,
                        ) -> tuple[GeneratorSet, GeneratorSet]:
     """Minimal homogeneous generators of the semi-invariant algebra and of
     the invariant algebra, ``(semi, inv)``, both complete up to
-    ``max_degree`` (default dim g), from one graded search per degree.
+    ``max_degree`` (default dim g), from at most one graded search per
+    degree.
 
     In each degree the new semi-invariant generators are a canonical
     complement, inside each weight block of the search, of the span of
@@ -574,16 +715,40 @@ def minimal_generators(g: LieAlgebra, max_degree: int | None = None,
     products of invariant generators only.  Until a proper
     semi-invariant turns up the two complements agree, and without one
     ``inv is semi``.
+
+    A degree is first decided with no search (``_products_fill``): the
+    products of the lower semi-invariant generators lie in the common
+    kernel of the acting vectors, which holds the degree's
+    semi-invariants, and when their distinct leading monomials and the
+    distinct least keys of that system's rows together number its
+    unknowns, they span it.  The degree then has no new semi-invariant
+    generator and no irrational weight, its dimension is the number of
+    those monomials, and its weight-zero block, against which any new
+    invariant generator is read, is the echelon of the weight-zero
+    products (``_invariant_block``).  The certificate's acting vectors
+    are computed once per call; a degree it leaves open is searched.
     """
     bound = max_degree if max_degree is not None else g.dim
     if bound < 1:
         raise ValueError("degree bound must be >= 1")
     n = g.dim
+    vectors = _acting(g)[0]
     semi: list[SemiInvariant] = []
     inv = semi
     irrational: list[int] = []
     semi_product = inv_product = _power_products(semi, n)
     for d in range(1, bound + 1):
+        leads = _leading_products(semi, d, n, order)
+        if _products_fill(g, monomials_of_degree(n, d, order)[::-1],
+                          vectors, leads):
+            # recorded for ``semicenter_dims``, as after a search
+            g.cached(("semicenter", d), leads.__len__)
+            if inv is not semi:
+                inv += _new_generators(
+                    inv, inv_product,
+                    [_invariant_block(g, semi, semi_product, d, order)],
+                    d, n, order)
+            continue
         graded = graded_semi_invariants(g, d, order)
         # recorded for ``semicenter_dims``; only an int is kept
         g.cached(("semicenter", d), graded.total_dim)
@@ -610,30 +775,32 @@ def minimal_generators(g: LieAlgebra, max_degree: int | None = None,
                                   irrational_degrees=())
 
 
-def _semicenter_dim(g: LieAlgebra, degree: int) -> int:
-    if structural_no_proper_reason(g):
-        # the search would have one block, this system's solutions
-        return _common_kernel_system(g, degree, _lie_generators(g),
-                                     DEGREVLEX)[1].dim
-    return graded_semi_invariants(g, degree).total_dim()
-
-
 def semicenter_dims(g: LieAlgebra, bound: int) -> tuple[int, ...]:
     """The dimensions of g's semi-invariant spaces of degrees 1..bound.
 
     A dimension belongs to the algebra, not to a monomial order:
-    ``minimal_generators`` records each degree's dimension from its own
-    search under whatever order it ran, and after it only a degree it
-    has not searched is computed here.
+    ``minimal_generators`` records each degree's dimension, from its own
+    search or its certificate, under whatever order it ran, and after it
+    only a degree it has not recorded is computed here.
     A nilpotent or perfect algebra (such as the h and k of a reduction
     often are) is counted, not searched: its only semi-invariants are
     the invariants, the common kernel of ad(g), whose dimension is read
-    off the eliminated system with no basis and no polynomial built.
+    off the eliminated system with no basis and no polynomial built; its
+    acting vectors are computed once per call, on the first such degree.
     Any other algebra is searched (``graded_semi_invariants``).
     """
-    return tuple(
-        g.cached(("semicenter", d), lambda: _semicenter_dim(g, d))
-        for d in range(1, bound + 1))
+    vectors: list = []
+
+    def count(d: int) -> int:
+        if not structural_no_proper_reason(g):
+            return graded_semi_invariants(g, d).total_dim()
+        if not vectors:
+            vectors.extend(_lie_generators(g))
+        # the search would have one block, this system's solutions
+        return _common_kernel_system(g, d, vectors, DEGREVLEX)[1].dim
+
+    return tuple(g.cached(("semicenter", d), lambda: count(d))
+                 for d in range(1, bound + 1))
 
 
 # ---------------------------------------------------------------------------
