@@ -1,28 +1,29 @@
 """Graded computation of invariants and proper semi-invariants.
 
-Degree by degree: the candidate space is the common kernel of the
-acting vectors ([g,g]) on the graded component, one sparse system
-assembled directly from the brackets; the operators coming from a
-complement of [g,g] commute there and are split into joint eigenspaces
-with rational eigenvalues.  A complement vector with [v, v_j] a
-multiple of v_j for every j, such as the torus of a t x| V or the H_i
-of a Borel or seaweed subalgebra, is diagonal on the monomials, and its
-eigenspaces are read off the basis vectors of each block
+Degree by degree, and in each degree class by class: the diagonal
+derivations diag(a) of the basis that vanish on a complement of [g,g]
+(``_torus``, computed once per algebra) split the monomials into weight
+classes, and every system below lies in one class.  A class's candidate
+space is the common kernel of the acting vectors ([g,g]) on it, one
+sparse system assembled directly from the brackets; the operators
+coming from the complement commute there and are split into joint
+eigenspaces with rational eigenvalues.  A complement vector with
+[v, v_j] a multiple of v_j for every j, such as the torus of a t x| V or
+the H_i of a Borel or seaweed subalgebra, is diagonal on the monomials,
+and its eigenspaces are read off the basis vectors of each block
 (``_torus_split``).  Any other vector splits each block through its
-restricted matrix by one rule (``_eigenspaces``): the candidates are
-the sums of its degree-one spectrum on g, computed once per algebra,
-one eigenspace system is solved per candidate until the block is
-filled, and a characteristic polynomial is computed only on a
-shortfall or when that spectrum is not rational.
-Every space is read out of a free-column basis that already is its
-canonical echelon basis.  Every block polynomial is checked against its
-weight with ``ad(v_i)`` for each basis vector, on integers
-(``verify_semi_invariant``).  A joint eigenvalue tuple lam is the weight
-on the complement coordinates c; at the pivot p of each row b of the
-reduced basis of [g,g] the weight is -sum_c b[c] lam_c.  Weight zero
-gives the invariants.  The generators of the semi-invariant and of the
-invariant algebra are both read from this one search
-(``minimal_generators``).
+restricted matrix by one rule (``_eigenspaces``): the candidates are the
+sums of its degree-one spectrum on g, computed once per algebra, one
+eigenspace system is solved per candidate until the block is filled,
+and a characteristic polynomial is computed only on a shortfall or when
+that spectrum is not rational.  Every space is read out of a
+free-column basis that already is its canonical echelon basis, and the
+canonical basis of a degree's block is the union of its classes' parts.
+Every block polynomial is checked against its weight with ``ad(v_i)``
+for each basis vector, on integers (``verify_semi_invariant``).  A joint
+eigenvalue tuple lam is the weight on the complement coordinates c; at
+the pivot p of each row b of the reduced basis of [g,g] the weight is
+-sum_c b[c] lam_c.  Weight zero gives the invariants.
 
 Nilpotent algebras admit no proper semi-invariants (all weights vanish)
 and perfect ones none either (weights kill [g,g] = g), so for those the
@@ -31,17 +32,12 @@ generate g as a Lie algebra (``_lie_generators``); ad is a Lie
 homomorphism, so the system keeps its solutions and echelon rows.
 Every basis vector still checks each block polynomial.
 
-A degree whose products of lower generators fill its semi-invariants is
-decided with no search (``minimal_generators``, ``_products_fill``).
-The products lie in the common kernel, those with distinct leading
-monomials are independent, and rows of its system with distinct least
-keys are too, so once these two counts sum to the number of monomials
-the products span the kernel: the degree has no new semi-invariant
-generator, and its weight-zero block is the echelon of the weight-zero
-products, each checked as above.  Both counts are read with nothing
-built: the leading monomials are products of the generators' own, and
-the least keys come from the bracket table, as ``kernel._least_keys``
-reads those of the anchor equations.
+The generators of the semi-invariant and of the invariant algebra are
+both read from this one search (``minimal_generators``).  A class whose
+products of lower generators fill its semi-invariants is decided with
+no elimination (``_classes``): the distinct leading monomials of the
+products and the distinct least keys of the class's rows, both read
+with nothing built, number its monomials.
 
 ``generic_rank`` is the one rank over Q(x): seeded point ranks, and
 Bareiss elimination only when they fall short of a proven bound.
@@ -53,7 +49,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 from math import lcm
 from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
@@ -65,7 +61,7 @@ from .lie import LieAlgebra
 from .linalg import InternalCheckError, SparseEchelon, kernel_of_columns
 from .pfaffian import DEFAULT_PROBE_SEED, index
 from .poly import (DEGREVLEX, GRLEX, MonomialOrder, Polynomial, _q,
-                   apply_derivation, exact_div, monomial_mul,
+                   apply_derivation, exact_div,
                    monomials_of_degree)
 
 # seeded points at which a generic rank is tried before Bareiss, and
@@ -185,15 +181,22 @@ def verify_semi_invariant(g: LieAlgebra, f: Polynomial, w: WeightVector) -> bool
             row = {k: int(c * scale) for k, c in row.items()}
         images[i][j] = row
         images[j][i] = {k: -c for k, c in row.items()}
-    d = lcm(*(c.denominator for c in f.terms.values()))
-    if d != 1:
-        f = Polynomial._new(n, {m: int(c * d) for m, c in f.terms.items()})
+    f = _integer_multiple(f)
     for row, c in zip(images, w.values):
         image = apply_derivation(f, row)
         c = int(c * scale)
         if not (image == f * c if c else image.is_zero):
             return False
     return True
+
+
+def _integer_multiple(f: Polynomial) -> Polynomial:
+    """f times the lcm of the denominators of its coefficients."""
+    d = lcm(*(c.denominator for c in f.terms.values()))
+    if d == 1:
+        return f
+    return Polynomial._new(f.nvars,
+                           {m: int(c * d) for m, c in f.terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -210,19 +213,19 @@ def _combine(pairs: Iterable[tuple[int, Fraction]],
     return acc
 
 
-def _ad_equations(g: LieAlgebra, monos: Sequence,
-                  vectors: Sequence[Sequence]) -> Iterator[dict]:
-    """The system ad(v)(f) = 0, v in ``vectors``, on the span of
-    ``monos`` as sparse rows, in the order of their keys
-    (v, image monomial); unknown t is the coefficient of ``monos[t]``.
+def _ad_equations(images: Sequence[Sequence[dict]], monos: Sequence
+                  ) -> Iterator[dict]:
+    """The system ad(v)(f) = 0 on the span of ``monos``, for the vectors
+    v whose images [v, v_j] as {k: c} (``bracket_images``) are
+    ``images``, as sparse rows in the order of their keys (v, image
+    monomial); unknown t is the coefficient of ``monos[t]``.
 
-    ad(v) is the derivation with x_j -> [v, v_j], read from the bracket
-    table as {k: c} (``bracket_images``), so a term c x_k of it adds e c
-    to the row of m x_k / x_j for each unknown m, where e is the
-    exponent of x_j in m."""
-    for v in vectors:
+    ad(v) is the derivation with x_j -> [v, v_j], so a term c x_k of it
+    adds e c to the row of m x_k / x_j for each unknown m, where e is
+    the exponent of x_j in m."""
+    for vector_images in images:
         rows: dict = {}
-        for j, image in enumerate(g.bracket_images(v)):
+        for j, image in enumerate(vector_images):
             if not image:
                 continue
             for t, m in enumerate(monos):
@@ -245,21 +248,27 @@ def _common_kernel_system(g: LieAlgebra, degree: int,
     ``vectors``, as one eliminated system, and its unknowns: the
     monomials ascending under ``order``."""
     monos = monomials_of_degree(g.dim, degree, order)[::-1]
-    return monos, linalg.SolutionSpace(_ad_equations(g, monos, vectors),
+    images = [g.bracket_images(v) for v in vectors]
+    return monos, linalg.SolutionSpace(_ad_equations(images, monos),
                                        len(monos))
 
 
 def _common_kernel(g: LieAlgebra, degree: int, vectors: Sequence[Sequence],
                    order: MonomialOrder) -> list[Polynomial]:
     """Canonical echelon basis of the degree-``degree`` polynomials that
-    ad(v) kills for every v in ``vectors``, from one system.
-
-    The unknowns are the monomials ascending under ``order``, so the
-    free column of each basis vector is its leading monomial and its
-    coefficient there is 1: reversed, the free-column basis is the
-    reduced echelon basis with the leading monomials descending."""
+    ad(v) kills for every v in ``vectors``, from one system
+    (``_kernel_basis``)."""
     monos, space = _common_kernel_system(g, degree, vectors, order)
-    return [Polynomial._new(g.dim, {monos[t]: c for t, c in vec.items()})
+    return _kernel_basis(g.dim, monos, space)
+
+
+def _kernel_basis(nvars: int, monos: Sequence, space: linalg.SolutionSpace
+                  ) -> list[Polynomial]:
+    """The solutions of a system in the unknowns ``monos``, ascending
+    under a monomial order, as polynomials: the free column of each
+    basis vector is its leading monomial, with coefficient 1, so the
+    reversed free-column basis is the reduced echelon basis."""
+    return [Polynomial._new(nvars, {monos[t]: c for t, c in vec.items()})
             for vec in reversed(space.basis())]
 
 
@@ -449,59 +458,232 @@ def _acting(g: LieAlgebra) -> tuple[list, list[int], list[int]]:
     return derived.basis, [i for i in range(g.dim) if i not in pivots], pivots
 
 
+def _torus(g: LieAlgebra) -> list[list[int]]:
+    """An integer basis, computed once per algebra, of the diagonal
+    derivations D = diag(a) of the basis (a_i + a_j = a_k for each
+    nonzero c_ij^k) with a_c = 0 on the complement coordinates of
+    ``_acting``, so that ad(v_c) keeps each D-weight class of monomials.
+    Each acting vector must be D-homogeneous, or ``InternalCheckError``
+    is raised: ad of one of D-weight b takes class c to c + b, so each
+    row of a common-kernel system lies in one class."""
+    def compute() -> list[list[int]]:
+        n = g.dim
+        vectors, complement, _ = _acting(g)
+        rows = {((c, 1),) for c in complement}
+        for (i, j), row in g.brackets.items():
+            for k in row:
+                eq = {i: 1, j: 1}
+                eq[k] = eq.get(k, 0) - 1
+                rows.add(tuple((t, x) for t, x in eq.items() if x))
+        torus = []
+        for a in linalg.SolutionSpace(map(dict, rows), n).basis():
+            scale = lcm(*(x.denominator for x in a.values()))
+            torus.append([int(a.get(t, 0) * scale) for t in range(n)])
+        for v in vectors:
+            support = [i for i, x in enumerate(v) if x]
+            if any(a[i] != a[support[0]] for a in torus for i in support):
+                raise InternalCheckError(
+                    "an acting vector is not homogeneous under the torus")
+        return torus
+    return g.cached("torus", compute)
+
+
+def _class_codes(g: LieAlgebra, degree: int) -> list[int]:
+    """Integers c_j such that two degree-``degree`` monomials m lie in
+    one D-weight class exactly when their keys sum_j m_j c_j are equal:
+    the D-weights of the basis vectors (``_torus``) read as digits in a
+    base that no difference of two such classes reaches.  All zero for
+    a torus of dimension 0, which leaves one class."""
+    codes = [0] * g.dim
+    torus = _torus(g)
+    if torus:
+        base = 1 + 2 * degree * max(map(abs, chain(*torus)))
+        for t, a in enumerate(torus):
+            codes = [c + x * base ** t for c, x in zip(codes, a)]
+    return codes
+
+
+def _classes(images: Sequence[Sequence[dict]], monos: Sequence,
+             codes: Sequence[int], leads: set[int]
+             ) -> tuple[dict[int, int], dict[int, int], dict[int, list]]:
+    """The numbers of ``leads`` and of free monomials, the least key of
+    no row, in each D-weight class of ``monos`` (ascending), by key
+    (``_class_codes``), and the open classes, which products with those
+    distinct leading monomials may not fill, each with its monomials
+    ascending.  Decided in one ascending scan of the
+    distinct least keys of the rows of ``_ad_equations(images, monos)``,
+    with no row built, as ``kernel._least_keys`` reads those of the
+    anchor equations.  A monomial of degree d is coded by its exponents
+    as digits in base d + 1, and ``leads`` holds codes
+    (``_leading_products``).
+
+    Rows with distinct least keys are independent, and so are products
+    with distinct leading monomials.  Each row lies in one class, so
+    with P_c such keys and L_c such monomials in class c,
+    L_c <= dim_c <= |c| - P_c, and |c| - P_c = L_c proves that the
+    products fill c.  A least key is a pivot of the system's echelon
+    and a kernel vector's leading monomial a free column, so a lead
+    that is a least key raises ``InternalCheckError``.
+
+    Row (v, u) holds unknown m = u x_j / x_k, for j != k, with the
+    single term m_j c of each term c x_k of [v, v_j]: it never cancels.
+    Only its entry at u itself sums terms, sum_j u_j c_jj with c_jj the
+    coefficient of x_j in [v, v_j], and that sum is computed exactly.
+    The unknowns are scanned ascending, so one is the least key of the
+    rows it is the first to reach.  A row is coded by its monomial, and
+    the rows of the i-th vector are shifted past all the codes i times.
+    A class with no free monomial is empty, and one with no least key
+    has no row."""
+    n, degree = len(monos[0]), sum(monos[0])
+    powers = [(degree + 1) ** v for v in range(n)]
+    moves: list[tuple[int, int]] = []
+    diagonals = []
+    for i, vector_images in enumerate(images):
+        shift = i * (degree + 1) ** n
+        diagonal = []
+        for j, image in enumerate(vector_images):
+            for k, c in image.items():
+                if k == j:
+                    diagonal.append((j, c))
+                else:
+                    moves.append((j, shift + powers[k] - powers[j]))
+        if diagonal:
+            diagonals.append((shift, diagonal))
+    room: dict[int, int] = {}
+    free: dict[int, int] = {}
+    rows: set[int] = set()
+    add = rows.add
+    for m in monos:
+        code = sum(map(mul, m, powers))
+        reached = len(rows)
+        for j, step in moves:
+            if m[j]:
+                add(code + step)
+        for shift, diagonal in diagonals:
+            if sum(m[j] * c for j, c in diagonal):
+                add(code + shift)
+        if len(rows) > reached:
+            if code in leads:
+                raise InternalCheckError(
+                    "a product's leading monomial is a least key of the "
+                    "common-kernel system")
+        else:
+            key = sum(map(mul, m, codes))
+            free[key] = free.get(key, 0) + 1
+            if code in leads:
+                room[key] = room.get(key, 0) + 1
+    classes: dict[int, list] = {key: [] for key, k in free.items()
+                                if k > room.get(key, 0)}
+    if classes:
+        for m in monos:
+            key = sum(map(mul, m, codes))
+            if key in classes:
+                classes[key].append(m)
+    return room, free, classes
+
+
+def _class_search(g: LieAlgebra, degree: int, order: MonomialOrder,
+                  codes: Sequence[int], leads: set
+                  ) -> tuple[dict[int, int], list[tuple[int, list, bool]]]:
+    """The degree's semi-invariants class by class (``_classes``, keyed
+    by ``codes``): the classes that products with the distinct leading
+    monomials ``leads`` fill, each with its dimension, its number of
+    leads; and every other class that is not empty, with its weight
+    blocks and the irrational flag of its split.
+
+    An open class eliminates only its own rows, if it has any, and is
+    filled when its dimension is its number of leads.  Otherwise its basis
+    (``_kernel_basis``) is split by the complement vectors, which keep
+    the class: one diagonal on the basis groups a block's basis vectors
+    (``_torus_split``); any other splits it by ``_eigenspaces`` on the
+    restricted matrix of the block with its leading monomials ascending,
+    so each eigenspace is a reversed free-column basis.  Every block
+    polynomial is checked with ``verify_semi_invariant``."""
+    n = g.dim
+    vectors, complement, pivots = _acting(g)
+    images = [g.bracket_images(v) for v in vectors]
+    room, free, classes = _classes(
+        images, monomials_of_degree(n, degree, order)[::-1], codes, leads)
+    filled = {key: count for key, count in room.items() if key not in classes}
+    searched = []
+    splits = None
+    for key, monos in classes.items():
+        count = room.get(key, 0)
+        if free.get(key, 0) == len(monos):
+            # no row lies in the class: its monomials span its kernel
+            basis = [Polynomial._new(n, {m: 1}) for m in reversed(monos)]
+        else:
+            space = linalg.SolutionSpace(_ad_equations(images, monos),
+                                         len(monos))
+            if space.dim < count:
+                raise InternalCheckError(
+                    "independent products outnumber the dimension of a class")
+            if space.dim == count:
+                filled[key] = count
+                continue
+            basis = _kernel_basis(n, monos, space)
+        if splits is None:
+            # each complement vector's action, or candidate eigenvalues
+            splits = []
+            for idx in complement:
+                action = _torus_action(g, idx)
+                splits.append((idx, action, None if action is not None
+                               else _eigenvalue_candidates(g, idx, degree)))
+        blocks_raw = [((), basis)]
+        flag = False
+        for idx, action, candidates in splits:
+            if action is not None:
+                blocks_raw = [(eigs + (lam,), basis)
+                              for eigs, sub in blocks_raw
+                              for lam, basis in _torus_split(sub, action)]
+                continue
+            v = [int(t == idx) for t in range(n)]
+            new_blocks = []
+            for eigs, sub in blocks_raw:
+                ascending = sub[::-1]
+                spaces, irrational = _eigenspaces(
+                    _restricted_matrix(g, v, ascending, order), candidates)
+                flag = flag or irrational
+                for lam, basis in spaces:
+                    new_blocks.append((eigs + (lam,), [
+                        _combine(coords.items(), ascending, n)
+                        for coords in reversed(basis)]))
+            blocks_raw = new_blocks
+        blocks = [(_weight(g, complement, pivots, eigs), sub)
+                  for eigs, sub in blocks_raw]
+        for w, basis in blocks:
+            for f in basis:
+                if not verify_semi_invariant(g, f, w):
+                    raise InternalCheckError(
+                        "graded search produced a non-semi-invariant")
+        searched.append((key, blocks, flag))
+    return filled, searched
+
+
 def graded_semi_invariants(g: LieAlgebra, degree: int,
                            order: MonomialOrder = DEGREVLEX
                            ) -> GradedSemiInvariants:
     """Weight decomposition of the degree-``degree`` semi-invariants.
 
     The blocks are sorted with weight zero (the invariants) first; each
-    block's basis is the canonical echelon basis of its space.  A
-    complement vector diagonal on the basis (``_torus_action``) splits a
-    block into groups of its basis vectors (``_torus_split``).  Any
-    other takes one candidate set per degree, the sums of its degree-one
-    spectrum on g (``_eigenvalue_candidates``), or None when that is not
-    rational, and each eigenspace is the reversed free-column basis of
-    the solutions of ``(m - lam) c = 0`` (``_eigenspaces``), with ``m``
-    the restricted matrix on the block's basis with its leading
-    monomials ascending: as in ``_common_kernel``, each free column is
-    then the leading monomial of its vector, with coefficient 1."""
+    block's basis is the canonical echelon basis of its space, the union
+    of its parts' bases in the classes of ``_class_search`` (with no
+    leads), leading monomials descending."""
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    n = g.dim
-    vectors, complement, pivots = _acting(g)
-    candidate = _common_kernel(g, degree, vectors, order)
-    blocks_raw = [((), candidate)] if candidate else []
+    merged: dict[WeightVector, list[list[Polynomial]]] = {}
     flag = False
-    for idx in complement:
-        action = _torus_action(g, idx)
-        if action is not None:
-            blocks_raw = [(eigs + (lam,), basis) for eigs, sub in blocks_raw
-                          for lam, basis in _torus_split(sub, action)]
-            continue
-        v = [int(t == idx) for t in range(n)]
-        candidates = _eigenvalue_candidates(g, idx, degree)
-        new_blocks = []
-        for eigs, sub in blocks_raw:
-            ascending = sub[::-1]
-            spaces, irrational = _eigenspaces(
-                _restricted_matrix(g, v, ascending, order), candidates)
-            flag = flag or irrational
-            for lam, basis in spaces:
-                new_blocks.append((eigs + (lam,), [
-                    _combine(coords.items(), ascending, n)
-                    for coords in reversed(basis)]))
-        blocks_raw = new_blocks
-    blocks = [(_weight(g, complement, pivots, eigs), tuple(sub))
-              for eigs, sub in blocks_raw]
+    for _, blocks, irrational in _class_search(
+            g, degree, order, _class_codes(g, degree), set())[1]:
+        flag = flag or irrational
+        for w, basis in blocks:
+            merged.setdefault(w, []).append(basis)
+    blocks = [(w, tuple(parts[0] if len(parts) == 1 else sorted(
+        chain(*parts), reverse=True,
+        key=lambda f: order.key(f.leading_monomial(order)))))
+        for w, parts in merged.items()]
     blocks.sort(key=lambda bw: (not bw[0].is_zero, bw[0].values))
-    result = GradedSemiInvariants(degree, tuple(blocks), flag)
-
-    for w, basis in result.blocks:
-        for f in basis:
-            if not verify_semi_invariant(g, f, w):
-                raise InternalCheckError(
-                    "graded search produced a non-semi-invariant")
-    return result
+    return GradedSemiInvariants(degree, tuple(blocks), flag)
 
 
 # ---------------------------------------------------------------------------
@@ -542,161 +724,94 @@ def _power_products(gens: Sequence[SemiInvariant], nvars: int
     return product
 
 
-def _weighted_exponents(gens: Sequence[SemiInvariant], degree: int,
-                        nvars: int
-                        ) -> Iterator[tuple[tuple[int, ...], tuple]]:
+def _leading_products(gens: Sequence[SemiInvariant], degree: int,
+                      nvars: int, order: MonomialOrder) -> set[int]:
+    """The codes (see ``_classes``) of the distinct leading monomials of
+    the degree-``degree`` products of ``gens``, with no product built: a
+    monomial order is multiplicative, so each is the product of its
+    factors' leading monomials, and its code the sum of theirs.  They
+    are reached degree by degree, one generator at a time, each
+    degree's set kept free of repeats."""
+    powers = [(degree + 1) ** v for v in range(nvars)]
+    reach: list[set[int]] = [set() for _ in range(degree + 1)]
+    reach[0].add(0)
+    for s in gens:
+        lead = sum(map(mul, s.poly.leading_monomial(order), powers))
+        for t in range(s.degree, degree + 1):
+            reach[t].update([c + lead for c in reach[t - s.degree]])
+    return reach[degree]
+
+
+def _class_exponents(gens: Sequence[SemiInvariant], degree: int,
+                     codes: Sequence[int], nvars: int) -> dict[int, dict]:
     """The exponent tuples e of the degree-``degree`` products of
-    ``gens``, each with the weight values of its product: weights
-    multiply additively."""
+    ``gens``, by the key of their D-weight class (``_class_codes``) and
+    then by the weight values of their product.  Each generator lies in
+    one class, and keys and weights add up in a product."""
+    keys = [sum(map(mul, next(iter(s.poly.terms)), codes)) for s in gens]
     weights = [s.weight.values for s in gens]
+    out: dict[int, dict] = {}
     for exps in _exponent_vectors([s.degree for s in gens], degree):
         w = (0,) * nvars
         for e, values in zip(exps, weights):
             if e:
                 w = tuple(a + e * b for a, b in zip(w, values))
-        yield exps, w
+        out.setdefault(sum(map(mul, exps, keys)), {}).setdefault(
+            w, []).append(exps)
+    return out
 
 
-def _leading_products(gens: Sequence[SemiInvariant], degree: int,
-                      nvars: int, order: MonomialOrder) -> set:
-    """The distinct leading monomials of the degree-``degree`` products
-    of ``gens``, with no product built: a monomial order is
-    multiplicative, so each is the product of its factors' leading
-    monomials.  They are reached degree by degree, one generator at a
-    time, each degree's set kept free of repeats."""
-    reach = [set() for _ in range(degree + 1)]
-    reach[0].add((0,) * nvars)
-    for s in gens:
-        lead = s.poly.leading_monomial(order)
-        for t in range(s.degree, degree + 1):
-            reach[t].update([monomial_mul(m, lead)
-                             for m in reach[t - s.degree]])
-    return reach[degree]
-
-
-def _products_fill(g: LieAlgebra, monos: Sequence,
-                   vectors: Sequence[Sequence], leads: set) -> bool:
-    """Whether products with the distinct leading monomials ``leads``
-    span the common kernel of ad(v), v in ``vectors``, on the span of
-    ``monos`` (ascending), decided from the distinct least keys of the
-    rows of ``_ad_equations(g, monos, vectors)`` with no row built.
-
-    Rows with distinct least keys are independent, and so are products
-    with distinct leading monomials, so with P such keys and L such
-    monomials L <= dim <= len(monos) - P, and P + L = len(monos) proves
-    that the products span the kernel.  A least key is a pivot of the
-    system's echelon and a kernel vector's leading monomial, its
-    greatest unknown, is a free column, so a lead that is also a least
-    key raises ``InternalCheckError``.  The twin rule of the anchor
-    kernel is ``kernel._least_keys``.
-
-    Row (v, u) holds unknown m = u x_j / x_k, for j != k, with the
-    single term m_j c of each term c x_k of [v, v_j]: it never cancels.
-    Only its entry at u itself sums terms, sum_j u_j c_jj with c_jj the
-    coefficient of x_j in [v, v_j], and that sum is computed exactly.
-    The unknowns are scanned ascending, so one is the least key of the
-    rows it is the first to reach; the scan stops once more of them than
-    ``len(leads)`` are the least key of no row.  A monomial is coded by
-    its exponents as digits in base d + 1, d the degree of ``monos``,
-    and the rows of the i-th vector are shifted past all the codes i
-    times."""
-    n = g.dim
-    base = 1 + sum(monos[0])
-    powers = [base ** v for v in range(n)]
-    moves: dict[int, list[int]] = {}
-    diagonals = []
-    for i, v in enumerate(vectors):
-        shift = i * base ** n
-        diagonal = []
-        for j, image in enumerate(g.bracket_images(v)):
-            for k, c in image.items():
-                if k == j:
-                    diagonal.append((j, c))
-                else:
-                    moves.setdefault(j, []).append(
-                        shift + powers[k] - powers[j])
-        if diagonal:
-            diagonals.append((shift, diagonal))
-    rows: set[int] = set()
-    room = len(leads)
-    for m in monos:
-        code = sum(map(mul, m, powers))
-        reached = len(rows)
-        for j, steps in moves.items():
-            if m[j]:
-                rows.update(map(code.__add__, steps))
-        for shift, diagonal in diagonals:
-            if sum(m[j] * c for j, c in diagonal):
-                rows.add(code + shift)
-        if len(rows) > reached:
-            if m in leads:
-                raise InternalCheckError(
-                    "a product's leading monomial is a least key of the "
-                    "common-kernel system")
-        else:
-            room -= 1
-            if room < 0:
-                return False
-    return True
-
-
-def _invariant_block(g: LieAlgebra, gens: Sequence[SemiInvariant],
-                     product: Callable[[Sequence[int]], Polynomial],
-                     degree: int, order: MonomialOrder
-                     ) -> tuple[WeightVector, list[Polynomial]]:
-    """The zero weight and the canonical echelon basis, leading
-    monomials descending, of the span of the weight-zero
-    degree-``degree`` products of ``gens``, each basis polynomial checked
-    to be an invariant: the weight-zero block of the search in a degree
-    those products fill."""
-    n = g.dim
-    monos = monomials_of_degree(n, degree, order)
-    place = {m: t for t, m in enumerate(monos)}
+def _product_block(g: LieAlgebra,
+                   product: Callable[[Sequence[int]], Polynomial],
+                   exponents: Iterable[Sequence[int]], place: dict,
+                   monos: Sequence) -> list[Polynomial]:
+    """The canonical echelon basis, leading monomials descending, of the
+    span of the weight-zero products ``product(e)``, e in ``exponents``,
+    each basis polynomial checked to be an invariant: the weight-zero
+    block of a class that products fill.  ``place`` numbers ``monos``,
+    the degree's monomials descending."""
     ech = SparseEchelon()
-    for exps, w in _weighted_exponents(gens, degree, n):
-        if not any(w):
-            ech.add({place[m]: c for m, c in product(exps).terms.items()})
-    block = [Polynomial._new(n, {monos[t]: c for t, c in ech.row(p).items()})
+    for exps in exponents:
+        ech.add({place[m]: c for m, c in product(exps).terms.items()})
+    block = [Polynomial._new(g.dim, {monos[t]: c
+                                     for t, c in ech.row(p).items()})
              for p in sorted(ech.rows)]
-    zero = WeightVector((0,) * n)
+    zero = WeightVector((0,) * g.dim)
     for f in block:
         if not verify_semi_invariant(g, f, zero):
             raise InternalCheckError(
                 "a weight-zero product block holds a non-invariant")
-    return zero, block
+    return block
 
 
-def _new_generators(gens: Sequence[SemiInvariant],
-                    product: Callable[[Sequence[int]], Polynomial],
+def _new_generators(product: Callable[[Sequence[int]], Polynomial],
+                    exponents: dict,
                     blocks: Iterable[tuple[WeightVector, Sequence[Polynomial]]],
-                    degree: int, nvars: int, order: MonomialOrder
-                    ) -> list[SemiInvariant]:
-    """The canonical complement, inside each weight block of one degree,
-    of the span of the degree-``degree`` products of ``gens`` of the same
-    weight.
+                    place: dict, monos: Sequence, degree: int
+                    ) -> list[tuple[tuple, SemiInvariant]]:
+    """The canonical complement, inside each weight block, of the span
+    of the products ``product(e)`` of the same weight w, e in
+    ``exponents[w]``, each new generator with its place in the degree's
+    output: its block, weight zero first and then by weight, and the
+    leading monomial of the block vector it came from, descending.
 
-    A monomial is keyed by its place in the degree's monomials, which
-    descend under ``order``, so the pivot of a row (its least key) is
-    its leading monomial."""
-    monos = monomials_of_degree(nvars, degree, order)
-    place = {m: t for t, m in enumerate(monos)}
-
-    def keyed(f: Polynomial) -> dict[int, Fraction]:
-        return {place[m]: c for m, c in f.terms.items()}
-
-    products: dict[tuple[Fraction, ...], SparseEchelon] = {}
-    for exps, w in _weighted_exponents(gens, degree, nvars):
-        products.setdefault(w, SparseEchelon()).add(keyed(product(exps)))
-    new: list[SemiInvariant] = []
+    A monomial is keyed by its place in ``monos``, the degree's
+    monomials descending, so the pivot of a row (its least key) is its
+    leading monomial."""
+    new = []
     for w, basis in blocks:
-        ech = products.setdefault(w.values, SparseEchelon())
+        ech = SparseEchelon()
+        for exps in exponents.get(w.values, ()):
+            ech.add({place[m]: c for m, c in product(exps).terms.items()})
         for f in basis:
-            p = ech.add(keyed(f))
+            vec = {place[m]: c for m, c in f.terms.items()}
+            p = ech.add(vec)
             if p is not None:
                 # the pivot is the leading monomial, so the row is monic
                 row = {monos[t]: c for t, c in ech.row(p).items()}
-                new.append(SemiInvariant(Polynomial._new(nvars, row), w,
-                                         degree))
+                new.append(((not w.is_zero, w.values, min(vec)),
+                            SemiInvariant(Polynomial._new(f.nvars, row), w,
+                                          degree)))
     return new
 
 
@@ -705,63 +820,84 @@ def minimal_generators(g: LieAlgebra, max_degree: int | None = None,
                        ) -> tuple[GeneratorSet, GeneratorSet]:
     """Minimal homogeneous generators of the semi-invariant algebra and of
     the invariant algebra, ``(semi, inv)``, both complete up to
-    ``max_degree`` (default dim g), from at most one graded search per
-    degree.
+    ``max_degree`` (default dim g).
 
     In each degree the new semi-invariant generators are a canonical
-    complement, inside each weight block of the search, of the span of
-    products of the generators already found.  The invariant generators
-    are the same complement inside the weight-zero block, taken against
-    products of invariant generators only.  Until a proper
-    semi-invariant turns up the two complements agree, and without one
-    ``inv is semi``.
+    complement, inside each weight block, of the span of products of the
+    generators already found.  The invariant generators are the same
+    complement inside the weight-zero block, taken against products of
+    invariant generators only.  Until a proper semi-invariant turns up
+    the two complements agree, and without one ``inv is semi``.
 
-    A degree is first decided with no search (``_products_fill``): the
-    products of the lower semi-invariant generators lie in the common
-    kernel of the acting vectors, which holds the degree's
-    semi-invariants, and when their distinct leading monomials and the
-    distinct least keys of that system's rows together number its
-    unknowns, they span it.  The degree then has no new semi-invariant
-    generator and no irrational weight, its dimension is the number of
-    those monomials, and its weight-zero block, against which any new
-    invariant generator is read, is the echelon of the weight-zero
-    products (``_invariant_block``).  The certificate's acting vectors
-    are computed once per call; a degree it leaves open is searched.
+    A degree with no lower generator is searched whole
+    (``graded_semi_invariants``), any other class by class
+    (``_class_search``) against the distinct leading monomials of the
+    products of the lower semi-invariant generators
+    (``_leading_products``).  Each product lies in one class, in the
+    common kernel of the acting vectors.  A class the products fill has
+    no new semi-invariant generator and no irrational weight, and its
+    weight-zero block, against which new invariant generators are read,
+    is the echelon of its weight-zero products (``_product_block``).
+    Any other class is echeloned only against its own products of each
+    weight.  A reduced echelon basis over disjoint sets of monomials is
+    the union of the parts' bases, so the classes' generators, sorted by
+    block and then by the leading monomial of the block vector they came
+    from, are those of one search of the whole degree.
     """
     bound = max_degree if max_degree is not None else g.dim
     if bound < 1:
         raise ValueError("degree bound must be >= 1")
     n = g.dim
-    vectors = _acting(g)[0]
     semi: list[SemiInvariant] = []
     inv = semi
     irrational: list[int] = []
     semi_product = inv_product = _power_products(semi, n)
     for d in range(1, bound + 1):
-        leads = _leading_products(semi, d, n, order)
-        if _products_fill(g, monomials_of_degree(n, d, order)[::-1],
-                          vectors, leads):
-            # recorded for ``semicenter_dims``, as after a search
-            g.cached(("semicenter", d), leads.__len__)
+        monos = monomials_of_degree(n, d, order)
+        place = {m: t for t, m in enumerate(monos)}
+        if not semi:
+            graded = graded_semi_invariants(g, d, order)
+            dim, flag = graded.total_dim(), graded.irrational_flag
+            new = _new_generators(semi_product, {}, graded.blocks, place,
+                                  monos, d)
+            new_inv = []
+        else:
+            codes = _class_codes(g, d)
+            filled, searched = _class_search(
+                g, d, order, codes, _leading_products(semi, d, n, order))
+            semi_exps = (_class_exponents(semi, d, codes, n)
+                         if searched or inv is not semi else {})
+            dim, flag, new, new_inv = sum(filled.values()), False, [], []
+            for key, blocks, irrational_class in searched:
+                dim += sum(len(basis) for _, basis in blocks)
+                flag = flag or irrational_class
+                new += _new_generators(semi_product, semi_exps.get(key, {}),
+                                       blocks, place, monos, d)
             if inv is not semi:
-                inv += _new_generators(
-                    inv, inv_product,
-                    [_invariant_block(g, semi, semi_product, d, order)],
-                    d, n, order)
-            continue
-        graded = graded_semi_invariants(g, d, order)
+                zero = (0,) * n
+                zero_blocks = [(key, [(w, b) for w, b in blocks if w.is_zero])
+                               for key, blocks, _ in searched]
+                zero_blocks += [(key, [(WeightVector(zero), _product_block(
+                    g, semi_product, products[zero], place, monos))])
+                    for key, products in semi_exps.items()
+                    if key in filled and zero in products]
+                zero_blocks = [(key, blocks) for key, blocks in zero_blocks
+                               if blocks]
+                inv_exps = (_class_exponents(inv, d, codes, n)
+                            if zero_blocks else {})
+                for key, blocks in zero_blocks:
+                    new_inv += _new_generators(
+                        inv_product, inv_exps.get(key, {}), blocks, place,
+                        monos, d)
+            new.sort(key=lambda item: item[0])
+            new_inv.sort(key=lambda item: item[0])
         # recorded for ``semicenter_dims``; only an int is kept
-        g.cached(("semicenter", d), graded.total_dim)
-        if graded.irrational_flag:
+        g.cached(("semicenter", d), lambda: dim)
+        if flag:
             irrational.append(d)
-        new = _new_generators(semi, semi_product, graded.blocks, d, n, order)
-        if inv is not semi:
-            inv += _new_generators(
-                inv, inv_product,
-                [(w, basis) for w, basis in graded.blocks if w.is_zero],
-                d, n, order)
-        semi += new
-        if inv is semi and any(not s.weight.is_zero for s in new):
+        inv += [s for _, s in new_inv]
+        semi += [s for _, s in new]
+        if inv is semi and any(not s.weight.is_zero for _, s in new):
             inv = [s for s in semi if s.weight.is_zero]
             inv_product = _power_products(inv, n)
     semi_set = GeneratorSet(algebra=g, degree_bound=bound,
@@ -877,10 +1013,16 @@ def algebraically_independent(polys: Sequence[Polynomial], nvars: int,
 
     The rank is the ``generic_rank`` of the Jacobian; ``rank_bound``
     (index g when every polynomial is an invariant of g) also bounds it.
+    Each polynomial is first cleared of denominators
+    (``_integer_multiple``), which scales only its row, so the partial
+    derivatives and their values at the seeded points are computed on
+    integers.
     """
     if not polys:
         raise ValueError("need at least one polynomial")
-    rank = generic_rank(jacobian_matrix(polys, nvars), rank_bound)
+    rank = generic_rank(
+        jacobian_matrix(list(map(_integer_multiple, polys)), nvars),
+        rank_bound)
     return rank == len(polys), rank
 
 

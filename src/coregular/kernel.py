@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterator, Sequence
 
 from . import linalg
@@ -142,13 +143,14 @@ def _least_keys(g: LieAlgebra, monos: Sequence) -> set[int]:
     so the code of m v_k is that of m plus ``base ** k``."""
     nm = len(monos)
     base = 2 + max(map(sum, monos), default=0)
-    codes = [sum(e * base ** v for v, e in enumerate(m)) for m in monos]
+    powers = [base ** v for v in range(g.dim)]
+    codes = [sum(map(mul, m, powers)) for m in monos]
     keys: set[int] = set()
     for j in range(g.dim):
         least: dict[int, int] = {}
         for i in range(g.dim):
             for k in g._bracket_terms(i, j):
-                step = base ** k
+                step = powers[k]
                 for t, code in enumerate(codes, i * nm):
                     u = code + step
                     if t < least.get(u, t + 1):
@@ -198,15 +200,25 @@ def _multiple_pivots(generators: Sequence[KernelGenerator], d: int,
                      n: int, rank: dict, order: MonomialOrder) -> set[int]:
     """The pivots of the degree-d multiples m w of ``generators``: that
     of m lm(w_i) in A_i for the first nonzero w_i, since a monomial
-    order is multiplicative."""
+    order is multiplicative.  Monomials are coded as in ``_least_keys``,
+    so the code of m lm(w_i) is the sum of their codes."""
+    if not generators:
+        return set()
+    base = 2 + d
+    powers = [base ** v for v in range(n)]
+    place = {sum(map(mul, m, powers)): t for m, t in rank.items()}
+    codes: dict[int, list[int]] = {}
     pivots = set()
     for gen in generators:
         i, comp = next((i, comp) for i, comp in enumerate(gen.components)
                        if not comp.is_zero)
-        lead = comp.leading_monomial(order)
-        base = i * len(rank)
-        pivots.update(base + rank[monomial_mul(m, lead)] for m in
-                      monomials_of_degree(n, d - gen.degree, order))
+        lead = sum(map(mul, comp.leading_monomial(order), powers))
+        e = d - gen.degree
+        if e not in codes:
+            codes[e] = [sum(map(mul, m, powers))
+                        for m in monomials_of_degree(n, e, order)]
+        shift = i * len(rank)
+        pivots.update([shift + place[c + lead] for c in codes[e]])
     return pivots
 
 

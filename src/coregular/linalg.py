@@ -310,9 +310,10 @@ def _integral(vec: dict) -> dict[Hashable, int]:
     work: dict[Hashable, int | Fraction] = {}
     den = 1
     for k, v in vec.items():
-        v = _q(v)
         if v.__class__ is not int:
-            den = lcm(den, v.denominator)
+            v = _q(v)
+            if v.__class__ is not int:
+                den = lcm(den, v.denominator)
         if v:
             work[k] = v
     if den == 1:

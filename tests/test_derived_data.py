@@ -2,8 +2,9 @@
 
 ``LieAlgebra.cached`` holds the structure matrix, the rank certificate
 (per probe seed), the principal rank-size Pfaffians, [g,g], the lower
-central series verdict, the degree-one spectrum of each ad(v_i) and
-the dimension of each degree's semi-invariants.  These tests count the
+central series verdict, the degree-one spectrum of each ad(v_i), the
+torus of diagonal derivations that grades the semi-invariant search
+and the dimension of each degree's semi-invariants.  These tests count the
 computations behind the memo, not the calls of the public methods in
 front of it.
 """
@@ -109,7 +110,8 @@ def test_analyze_filiform6_computes_each_datum_once(counts):
     # and nothing else is kept
     assert set(g._cache) == {
         "structure", ("rank", pfaffian.DEFAULT_PROBE_SEED), "derived",
-        "nilpotent", "pfaffians"} | {("semicenter", d) for d in range(1, 7)}
+        "nilpotent", "pfaffians", "torus"} | {("semicenter", d)
+                                             for d in range(1, 7)}
 
 
 def first_proper(report):
@@ -193,7 +195,7 @@ def test_analyze_and_reduce_keep_only_the_known_memo_keys(build, spectra):
     g = build()
     report = analyze(g, AnalysisOptions(max_degree=3))
     step = reduce_one_step(g, first_proper(report))
-    assert set(g._cache) == REDUCED_MEMO | {"pfaffians"} | spectra
+    assert set(g._cache) == REDUCED_MEMO | {"pfaffians", "torus"} | spectra
     for alg in (step.h, step.k):
         assert set(alg._cache) == REDUCED_MEMO, alg.label
 

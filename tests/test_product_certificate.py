@@ -1,13 +1,15 @@
 """The product certificate of ``invariants.minimal_generators``.
 
-A degree whose products of lower semi-invariant generators fill the
-common kernel of the acting vectors is decided with no graded search
-(``invariants._products_fill``): the distinct least keys of that
-system's rows and the distinct leading monomials of the products
-together number its unknowns.  With the certificate made to fail in
-every degree, each degree is searched, and the generators, the
-irrational degrees and the recorded dimensions must not change under
-any monomial order.
+Each degree is split into D-weight classes under the torus of diagonal
+derivations (``invariants._torus``).  A class whose products of lower
+semi-invariant generators fill its part of the common kernel of the
+acting vectors is decided with no elimination (``invariants._classes``):
+the distinct least keys of that system's rows in the class and the
+distinct leading monomials of the products in it together number its
+monomials.  With a zero torus, each degree is one class, and with the
+certificate made to fail in every class, each degree is eliminated
+whole; the generators, the irrational degrees and the recorded
+dimensions must not change under any monomial order.
 """
 
 import importlib.util
@@ -19,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from conftest import seaweed
+from test_basis_change import CHANGES, ENTRIES
 from coregular import invariants
 from coregular.catalog import abelian, filiform
 from coregular.invariants import minimal_generators
@@ -78,8 +81,20 @@ def invariant_cases():
             for w in [(1, 1, -2), (-4, 4, -2), (8, -6, 6)]]
 
 
+def rotated_cases():
+    """The catalog entries of dim <= 6 in the seed-7 bases of
+    ``tests/test_basis_change.py``, at their bounds but at most 5 (L(6)
+    takes 2-3 s at 6 per run and order): most have a torus of dimension
+    0, which leaves one class per degree."""
+    return [(g.induced_algebra(CHANGES[label],
+                               [f"u{i + 1}" for i in range(g.dim)],
+                               label=f"{label}-rotated"), min(bound, 5))
+            for label, (g, bound) in ENTRIES.items()]
+
+
 CASES = {"catalog": catalog_cases, "seaweeds": seaweed_cases,
-         "weights": weights_cases, "invariants": invariant_cases}
+         "weights": weights_cases, "invariants": invariant_cases,
+         "rotated": rotated_cases}
 
 
 def outcome(g, bound, order):
@@ -89,16 +104,19 @@ def outcome(g, bound, order):
             [g._cache[("semicenter", d)] for d in range(1, bound + 1)])
 
 
-def certified(monkeypatch) -> list[bool]:
-    """Record the verdict of every certificate from here on."""
+def certified(monkeypatch) -> list[tuple[int, int]]:
+    """Record the verdicts of every class scan from here on: the number
+    of classes certified (those with a lead that are not open) and of
+    open classes."""
     verdicts = []
-    fill = invariants._products_fill
+    scan = invariants._classes
 
     def recorded(*args):
-        verdicts.append(fill(*args))
-        return verdicts[-1]
+        room, free, open_ = scan(*args)
+        verdicts.append((len(room.keys() - open_.keys()), len(open_)))
+        return room, free, open_
 
-    monkeypatch.setattr(invariants, "_products_fill", recorded)
+    monkeypatch.setattr(invariants, "_classes", recorded)
     return verdicts
 
 
@@ -109,33 +127,54 @@ def test_a_search_in_every_degree_finds_the_same(monkeypatch, kind, order):
     verdicts = certified(monkeypatch)
     with_certificate = [outcome(g, bound, order)
                         for g, bound in CASES[kind]()]
-    assert any(verdicts)
-    monkeypatch.setattr(invariants, "_products_fill", lambda *args: False)
+    assert any(count for count, _ in verdicts)
+    scan = invariants._classes
+
+    def all_open(images, monos, codes, leads):
+        room, free, _ = scan(images, monos, codes, leads)
+        return room, free, {0: list(monos)}
+
+    monkeypatch.setattr(invariants, "_torus", lambda g: [])
+    monkeypatch.setattr(invariants, "_classes", all_open)
+    del verdicts[:]
     searched = [outcome(g, bound, order) for g, bound in CASES[kind]()]
     assert searched == with_certificate
+    # each degree was one class
+    assert verdicts and all(sum(v) <= 1 for v in verdicts)
     if kind == "invariants":
-        # an invariant generator of a certified degree
+        # an invariant generator of a certified class
         assert all(inv for _, _, inv, _, _ in with_certificate)
 
 
-@pytest.mark.parametrize("cases, count, degrees", [
-    (weights_cases, 120, 180),
-    (lambda: [(filiform(n), n) for n in (4, 5, 6, 7)], 0, 22),
-    (lambda: [(abelian(4), 4)], 3, 4),
-    (seaweed_cases, 20, 52),
+@pytest.mark.parametrize("cases, count, open_count", [
+    (weights_cases, 960, 180),
+    (lambda: [(filiform(n), n) for n in (4, 5, 6, 7)], 55, 148),
+    (lambda: [(abelian(4), 4)], 65, 4),
+    (seaweed_cases, 62, 108),
 ], ids=["weights", "L4-L7", "abelian4", "seaweeds"])
-def test_certified_degree_counts(monkeypatch, cases, count, degrees):
+def test_certified_degree_counts(monkeypatch, cases, count, open_count):
+    # the classes certified and left open, summed over every degree of
+    # every case
     verdicts = certified(monkeypatch)
     for g, bound in cases():
         minimal_generators(g, bound)
-    assert (sum(verdicts), len(verdicts)) == (count, degrees)
+    assert (sum(c for c, _ in verdicts),
+            sum(k for _, k in verdicts)) == (count, open_count)
+
+
+def code_of(monos):
+    """The codes of ``monos`` that ``invariants._classes`` reads leads
+    by."""
+    base = 1 + sum(monos[0])
+    return [sum(e * base ** v for v, e in enumerate(m)) for m in monos]
 
 
 def least_keys(g, degree, vectors):
     """The distinct least keys of the built rows of the degree's
     common-kernel system."""
     monos = monomials_of_degree(g.dim, degree, DEGREVLEX)[::-1]
-    rows = invariants._ad_equations(g, monos, vectors)
+    rows = invariants._ad_equations([g.bracket_images(v) for v in vectors],
+                                    monos)
     return monos, {min(t for t, c in row.items() if c) for row in rows
                    if any(row.values())}
 
@@ -146,18 +185,27 @@ def test_the_certificate_counts_the_least_keys_of_the_built_rows(kind):
         vectors = invariants._acting(g)[0]
         for d in range(1, min(bound, 3) + 1):
             monos, keys = least_keys(g, d, vectors)
+            codes = invariants._class_codes(g, d)
             free = {monos[t] for t in range(len(monos)) if t not in keys}
-            # the free unknowns fill exactly; one fewer falls short
-            assert invariants._products_fill(g, monos, vectors, free)
-            if free:
-                assert not invariants._products_fill(
-                    g, monos, vectors, set(list(free)[1:]))
+            code = dict(zip(monos, code_of(monos)))
+            # the free unknowns fill every class exactly; one fewer
+            # leaves its own class open
+            images = [g.bracket_images(v) for v in vectors]
+            room, _, open_ = invariants._classes(images, monos, codes,
+                                                 {code[m] for m in free})
+            assert not open_ and sum(room.values()) == len(free)
+            for m in list(free)[:3]:
+                key = sum(e * c for e, c in zip(m, codes))
+                room, _, open_ = invariants._classes(
+                    images, monos, codes, {code[u] for u in free - {m}})
+                assert open_ == {key: [u for u in monos if key == sum(
+                    e * c for e, c in zip(u, codes))]}
 
 
 def test_a_lead_that_is_a_least_key_raises(monkeypatch):
     g = weights_algebra((5, -7, 11))
     monos, keys = least_keys(g, 2, invariants._acting(g)[0])
-    key = monos[min(keys)]
+    key = code_of(monos)[min(keys)]
     leading = invariants._leading_products
 
     def with_a_least_key(gens, degree, nvars, order):
@@ -166,15 +214,17 @@ def test_a_lead_that_is_a_least_key_raises(monkeypatch):
 
     verdicts = certified(monkeypatch)
     minimal_generators(weights_algebra((5, -7, 11)), 2)
-    assert verdicts == [False, True]
+    # degree 1 leaves v2, v3 and v4 open; degree 2 is certified
+    assert verdicts == [(0, 3), (6, 0)]
     monkeypatch.setattr(invariants, "_leading_products", with_a_least_key)
     with pytest.raises(InternalCheckError, match="least key"):
         minimal_generators(g, 2)
 
 
 def test_a_weight_zero_product_block_is_verified(monkeypatch):
-    # degree 1 is searched and has no weight-zero block; degree 3 is
-    # certified, and its weight-zero products are invariants
+    # degree 1 is searched and has no weight-zero block; the classes of
+    # degree 3 are certified, and their weight-zero products are
+    # invariants
     g = weights_algebra((1, 1, -2))
     verify = invariants.verify_semi_invariant
     monkeypatch.setattr(invariants, "verify_semi_invariant",
