@@ -512,8 +512,7 @@ def _classes(images: Sequence[Sequence[dict]], monos: Sequence,
     distinct leading monomials may not fill, each with its monomials
     ascending.  Decided in one ascending scan of the
     distinct least keys of the rows of ``_ad_equations(images, monos)``,
-    with no row built, as ``kernel._least_keys`` reads those of the
-    anchor equations.  A monomial of degree d is coded by its exponents
+    with no row built.  A monomial of degree d is coded by its exponents
     as digits in base d + 1, and ``leads`` holds codes
     (``_leading_products``).
 

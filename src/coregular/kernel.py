@@ -8,12 +8,12 @@ degree with minimal new generators extracted against multiples of the
 lower-degree ones.  The multiples lie in the kernel, since rho is
 S(g)-linear, so a degree whose multiples span as much as its kernel's
 dimension has no new generator.  Each degree is decided once, with no
-multiple built, from their distinct pivots: first against the number
-of distinct least keys of the system's rows, a lower bound on its rank
-read from the bracket table with no row built, and else against the
-dimension of the system, eliminated in full.  Only where the pivots
-fall short of that dimension are the multiples ranked and the
-complement read out of a kernel basis.
+multiple built: the distinct pivots of the multiples are counted, with
+no monomial listed, first against a lower bound on the rank of the
+degree's system, counted too, and else against the dimension of the
+system, eliminated in full.  Only where the pivots fall short of that
+dimension are the multiples ranked and the complement read out of a
+kernel basis.
 
 The reduction step compares the graded semi-invariant dimensions of g
 with those of h and k (``semicenter_dims``): g's are recorded by its
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from math import comb
 from typing import Iterator, Sequence
 
 from . import linalg
@@ -132,33 +132,6 @@ def _anchor_equations(g: LieAlgebra, monos: Sequence) -> Iterator[dict]:
             yield rows.pop(mono)
 
 
-def _least_keys(g: LieAlgebra, monos: Sequence) -> set[int]:
-    """The distinct least keys of the rows of ``_anchor_equations(g,
-    monos)``, read from the bracket table with no row built: the least
-    key of row (j, u) is the least ``i * len(monos) + place(u / v_k)``
-    over the terms c v_k of [v_i, v_j] with v_k dividing u.
-
-    A monomial is coded by its exponents as digits in base d + 2, d the
-    degree of ``monos``: no exponent of degree d + 1 reaches the base,
-    so the code of m v_k is that of m plus ``base ** k``."""
-    nm = len(monos)
-    base = 2 + max(map(sum, monos), default=0)
-    powers = [base ** v for v in range(g.dim)]
-    codes = [sum(map(mul, m, powers)) for m in monos]
-    keys: set[int] = set()
-    for j in range(g.dim):
-        least: dict[int, int] = {}
-        for i in range(g.dim):
-            for k in g._bracket_terms(i, j):
-                step = powers[k]
-                for t, code in enumerate(codes, i * nm):
-                    u = code + step
-                    if t < least.get(u, t + 1):
-                        least[u] = t
-        keys.update(least.values())
-    return keys
-
-
 def kernel_of_rho(g: LieAlgebra, degree_bound: int,
                   order: MonomialOrder = DEGREVLEX) -> KernelBasis:
     """Minimal homogeneous generators of ker rho up to the degree bound.
@@ -169,20 +142,99 @@ def kernel_of_rho(g: LieAlgebra, degree_bound: int,
     blocks it splits into (for instance under a grading of the algebra)
     are found by the sparse eliminator.  A degree has no new generator
     once the distinct pivots of the multiples are as many as the
-    unknowns less a lower bound on the system's rank.  The distinct
-    least keys of its rows give such a bound with no system built
-    (every degree from 2 on, on ``L(n)``); failing that, the system is
-    eliminated in full, and the degree has none when its dimension is
-    the number of those pivots.
+    unknowns less a lower bound on the system's rank.  Both are counted
+    with no monomial listed (``_generators_of_degree``): from the
+    echelon of the rows of B, found once here, and from monomial ideals,
+    each counted once per call.  Elsewhere (degrees 0 and 1, on
+    ``L(n)``) the system is eliminated in full, and the degree has none
+    when its dimension is the number of those pivots.
     """
     if degree_bound < 1:
         raise ValueError("degree bound must be >= 1")
     rank = index(g)
+    leads = _column_leads(g)
+    counted: dict = {}
 
     generators: list[KernelGenerator] = []
     for d in range(0, degree_bound + 1):
-        generators += _generators_of_degree(g, generators, d, order)
+        generators += _generators_of_degree(g, generators, d, order, leads,
+                                            counted)
     return KernelBasis(g, degree_bound, tuple(generators), rank)
+
+
+def _column_leads(g: LieAlgebra) -> list[int]:
+    """The number |V_j| of lead variables in each column j of the echelon
+    of the rows b_i = ([v_i, v_j])_j of B, read from the bracket table,
+    with x_k in column j keyed ``j * n + k`` and the least key as
+    pivot."""
+    n = g.dim
+    echelon = linalg.SparseEchelon()
+    for i in range(n):
+        echelon.add({j * n + k: c for j in range(n)
+                     for k, c in g._bracket_terms(i, j).items()})
+    leads = [0] * n
+    for key in echelon.rows:
+        leads[key // n] += 1
+    return leads
+
+
+def _monomial_count(n: int, d: int) -> int:
+    """The number of monomials of degree d in n variables."""
+    return comb(n + d - 1, d) if n else int(d == 0)
+
+
+def _image_count(leads: Sequence[int], d: int) -> int:
+    """The distinct leading terms of the m b'_a of degree d + 1
+    (``_generators_of_degree``): in column j, the monomials that one of
+    its |V_j| lead variables divides, all less those in the others."""
+    n = len(leads)
+    return sum(_monomial_count(n, d + 1) - _monomial_count(n - v, d + 1)
+               for v in leads)
+
+
+def _ideal_count(leads: frozenset, n: int, d: int, counted: dict) -> int:
+    """The number of monomials of degree d in n variables that one of the
+    monomials ``leads`` divides, memoized in ``counted``.
+
+    A monomial u x_n^e is in the ideal when one of the leads whose last
+    exponent is at most e divides it, that is when u is in the ideal of
+    those leads with their last exponent dropped; so the count is the
+    sum over e of those counts in degree d - e, in n - 1 variables."""
+    leads = frozenset(m for m in leads if sum(m) <= d)
+    if not leads:
+        return 0
+    key = (leads, n, d)
+    if key not in counted:
+        if not any(map(any, leads)):
+            counted[key] = _monomial_count(n, d)
+        else:
+            counted[key] = sum(
+                _ideal_count(frozenset(m[:-1] for m in leads if m[-1] <= e),
+                             n - 1, d - e, counted)
+                for e in range(d + 1))
+    return counted[key]
+
+
+def _leading(gen: KernelGenerator, order: MonomialOrder):
+    """The first nonzero component i of ``gen`` and its leading
+    monomial."""
+    i, comp = next((i, comp) for i, comp in enumerate(gen.components)
+                   if not comp.is_zero)
+    return i, comp.leading_monomial(order)
+
+
+def _pivot_count(generators: Sequence[KernelGenerator], d: int, n: int,
+                 order: MonomialOrder, counted: dict) -> int:
+    """The number of distinct pivots of the degree-d multiples m w of
+    ``generators`` (``_multiple_pivots``): in each component i, the
+    degree-d monomials of the ideal of the leading monomials of the
+    generators that lead in i."""
+    ideals: dict[int, set] = {}
+    for gen in generators:
+        i, lead = _leading(gen, order)
+        ideals.setdefault(i, set()).add(lead)
+    return sum(_ideal_count(frozenset(ideal), n, d, counted)
+               for ideal in ideals.values())
 
 
 def _multiples(generators: Sequence[KernelGenerator], d: int, n: int,
@@ -200,31 +252,20 @@ def _multiple_pivots(generators: Sequence[KernelGenerator], d: int,
                      n: int, rank: dict, order: MonomialOrder) -> set[int]:
     """The pivots of the degree-d multiples m w of ``generators``: that
     of m lm(w_i) in A_i for the first nonzero w_i, since a monomial
-    order is multiplicative.  Monomials are coded as in ``_least_keys``,
-    so the code of m lm(w_i) is the sum of their codes."""
-    if not generators:
-        return set()
-    base = 2 + d
-    powers = [base ** v for v in range(n)]
-    place = {sum(map(mul, m, powers)): t for m, t in rank.items()}
-    codes: dict[int, list[int]] = {}
+    order is multiplicative."""
     pivots = set()
     for gen in generators:
-        i, comp = next((i, comp) for i, comp in enumerate(gen.components)
-                       if not comp.is_zero)
-        lead = sum(map(mul, comp.leading_monomial(order), powers))
-        e = d - gen.degree
-        if e not in codes:
-            codes[e] = [sum(map(mul, m, powers))
-                        for m in monomials_of_degree(n, e, order)]
+        i, lead = _leading(gen, order)
         shift = i * len(rank)
-        pivots.update([shift + place[c + lead] for c in codes[e]])
+        pivots.update(shift + rank[monomial_mul(m, lead)] for m in
+                      monomials_of_degree(n, d - gen.degree, order))
     return pivots
 
 
 def _generators_of_degree(g: LieAlgebra,
                           generators: Sequence[KernelGenerator],
-                          d: int, order: MonomialOrder
+                          d: int, order: MonomialOrder,
+                          leads: Sequence[int], counted: dict
                           ) -> list[KernelGenerator]:
     """The generators of degree d: the canonical complement, in the
     degree-d kernel, of the multiples of the lower-degree ``generators``
@@ -233,27 +274,48 @@ def _generators_of_degree(g: LieAlgebra,
     Unknown ``i * len(monos) + t`` is the coefficient of ``monos[t]`` in
     A_i, with ``monos`` descending, so the pivot of a vector is its
     smallest unknown.  rho is S(g)-linear, so the multiples lie in the
-    kernel.  Those with distinct pivots are independent, so with p such
-    pivots (``_multiple_pivots``) their rank lies between p and the
-    kernel's dimension, and a dimension of p proves that they span it,
-    with no multiple built.  Rows with pairwise distinct least keys are
-    independent too, so ``ncols - p`` distinct least keys
-    (``_least_keys``) prove it first, with no system built; else the
-    system is eliminated in full and its dimension compared with p.
-    Otherwise all the multiples are ranked (each of the p pivots must
-    be one of theirs) and a kernel basis is reduced against them: its
-    remainders are the new generators."""
+    kernel.  The pivot of m w is that of m lm(w_i) in A_i for the first
+    nonzero w_i, since a monomial order is multiplicative, so the
+    distinct pivots in component i are the degree-d monomials of the
+    ideal of the leading monomials of the generators that lead in i,
+    and their number p is counted (``_pivot_count``).  Multiples with
+    distinct pivots are independent, so their rank lies between p and
+    the kernel's dimension, and a dimension of p proves that they span
+    it, with no multiple built.
+
+    The rank of the system is the dimension of the image of
+    (A_i) -> (sum_i A_i B[i][j])_j, spanned by the vectors m b_i, m of
+    degree d, b_i = (B[i][j])_j.  The echelon rows b'_a of the b_i
+    (``_column_leads``) span them, so the m b'_a span the image too.
+    Order the image's terms position over term: the least column j
+    first, then the larger monomial.  The pivot of b'_a is x_k in
+    column j; its other terms lie in later columns or are x_k' in
+    column j with k' > k, and m x_k' < m x_k under every monomial order
+    here, so the leading term of m b'_a is m x_k in column j.  Vectors
+    with distinct leading terms are independent, and column j holds as
+    leading terms the degree-(d + 1) monomials that one of its lead
+    variables V_j divides, so the rank is at least
+    r = sum_j C(n + d, d + 1) - C(n - |V_j| + d, d + 1)
+    (``_image_count``).  Hence ``r >= ncols - p`` proves that the degree
+    has no new generator, with no monomial listed; else the system is
+    eliminated in full and its dimension compared with p.  Otherwise all
+    the multiples are ranked (their pivots, listed, must be p in number
+    and each one of theirs) and a kernel basis is reduced against them:
+    its remainders are the new generators."""
     n = g.dim
+    ncols = n * _monomial_count(n, d)
+    p = _pivot_count(generators, d, n, order, counted)
+    if _image_count(leads, d) >= ncols - p:
+        return []
     monos = monomials_of_degree(n, d, order)
-    nm = len(monos)
-    ncols = n * nm
+    space = linalg.SolutionSpace(_anchor_equations(g, monos), ncols)
+    if space.dim == p:
+        return []
     rank = {m: t for t, m in enumerate(monos)}
     pivots = _multiple_pivots(generators, d, n, rank, order)
-    if len(_least_keys(g, monos)) >= ncols - len(pivots):
-        return []
-    space = linalg.SolutionSpace(_anchor_equations(g, monos), ncols)
-    if space.dim == len(pivots):
-        return []
+    if len(pivots) != p:
+        raise InternalCheckError(
+            "the multiples' pivots are not as many as counted")
     lower = _multiples(generators, d, n, rank, order)
     if not pivots <= lower.rows.keys():
         raise InternalCheckError(
@@ -261,9 +323,9 @@ def _generators_of_degree(g: LieAlgebra,
 
     new_rows = []
     for sol in space.basis():
-        p = lower.add(sol)
-        if p is not None:
-            new_rows.append(lower.row(p))
+        pivot = lower.add(sol)
+        if pivot is not None:
+            new_rows.append(lower.row(pivot))
     # canonical order; each row was read out with a unit pivot
     new_rows.sort(key=min)
     b = g.structure_matrix()
@@ -271,7 +333,7 @@ def _generators_of_degree(g: LieAlgebra,
     for row in new_rows:
         comps = [dict() for _ in range(n)]
         for t, c in row.items():
-            i, r = divmod(t, nm)
+            i, r = divmod(t, len(monos))
             comps[i][monos[r]] = c
         components = tuple(Polynomial._new(n, comp) for comp in comps)
         if not _annihilates(b, components):

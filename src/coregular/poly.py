@@ -121,23 +121,27 @@ def monomials_of_degree(nvars: int, degree: int,
                         ) -> tuple[Monomial, ...]:
     """All monomials of the given total degree, descending under ``order``;
     computed once per argument triple and shared, hence a tuple.  A
-    negative degree raises ``ValueError``, which the memo does not keep."""
+    negative degree raises ``ValueError``, which the memo does not keep.
+
+    Built one variable at a time, already in order, with no sort: a
+    lex (or, within one degree, grlex) table puts each new variable
+    first, its exponent descending, before a table of the later
+    variables; a degrevlex table puts it last, its exponent ascending,
+    after a table of the earlier ones.  Each table of the variables so
+    far is kept for every degree up to ``degree``, the last for that
+    degree only."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    if nvars == 0:
-        return ((),) if degree == 0 else ()
-    out: list[Monomial] = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + (e,), remaining - e, slots - 1)
-
-    rec((), degree, nvars)
-    out.sort(key=order.key, reverse=True)
-    return tuple(out)
+    lex = order.name != "degrevlex"
+    tables: list[list[Monomial]] = [[()]] + [[] for _ in range(degree)]
+    for v in range(nvars):
+        low = degree if v == nvars - 1 else 0
+        tables[low:] = [
+            [(e,) + m for e in range(k, -1, -1) for m in tables[k - e]]
+            if lex else
+            [m + (e,) for e in range(k + 1) for m in tables[k - e]]
+            for k in range(low, degree + 1)]
+    return tuple(tables[degree])
 
 
 # ---------------------------------------------------------------------------

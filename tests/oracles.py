@@ -19,13 +19,15 @@ the entries of the structure matrix, the anchor-map kernel generators
 from the dense nullspace and from the whole anchor system eliminated
 before any multiple is ranked, a spot check that the
 fundamental semi-invariant divides the rank-size minors of the
-structure matrix, and Buchberger's algorithm with each pair chosen by
-a ``min`` over all pairs, recomputing the leading monomials."""
+structure matrix, Buchberger's algorithm with each pair chosen by
+a ``min`` over all pairs, recomputing the leading monomials, and the
+semi-invariant dimensions of ``L(n)`` by the Cayley-Sylvester formula."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, combinations_with_replacement
 from math import gcd, isqrt
 from typing import Iterable, Sequence
@@ -723,3 +725,38 @@ def buchberger_by_min(generators: Sequence[Polynomial],
             reduced.append(r.monic(order))
     reduced.sort(key=lambda g: order.key(g.leading_monomial(order)))
     return tuple(reduced), reductions
+
+
+# ---------------------------------------------------------------------------
+# semi-invariant dimensions of L(n) by Cayley-Sylvester
+# ---------------------------------------------------------------------------
+
+def filiform_semicenter_dims(n: int, bound: int) -> tuple[int, ...]:
+    """The dimensions of L(n)'s semi-invariant spaces of degrees 1..bound,
+    from the Cayley-Sylvester formula.
+
+    L(n) is nilpotent, so its semi-invariants are its invariants.  It is
+    v1 acting on the abelian ideal V = <v2..vn> by one nilpotent Jordan
+    block e.  A polynomial that V brackets to zero has no v1 in it, since
+    {v_i, f} is -df/dv1 [v1, v_i]; so the invariants are S(V)^e.  Take
+    V to be the irreducible sl2-module of highest weight n - 2 with e
+    its raising operator: the degree-d invariants are the highest weight
+    vectors of S^d(V), one per irreducible summand, as many as the
+    vectors of the middle weight.  That weight space of S^d(V) counts
+    the partitions of floor(d (n - 2) / 2) into at most d parts, each at
+    most n - 2."""
+    top = n - 2
+
+    @cache
+    def partitions(total: int, parts: int, largest: int) -> int:
+        # the largest part is below ``largest``, or one part equals it
+        if total == 0:
+            return 1
+        if parts == 0 or largest == 0:
+            return 0
+        return partitions(total, parts, largest - 1) + (
+            partitions(total - largest, parts - 1, largest)
+            if total >= largest else 0)
+
+    return tuple(partitions(d * top // 2, d, top)
+                 for d in range(1, bound + 1))

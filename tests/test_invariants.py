@@ -609,6 +609,11 @@ class TestSemicenterCount:
                 assert semicenter_dims(searched, bound) == expected, \
                     (g.label, order.name)
 
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_filiform_dimensions_are_cayley_sylvester(self, n):
+        assert semicenter_dims(filiform(n), n) == \
+            oracles.filiform_semicenter_dims(n, n)
+
     def test_structural_count_builds_no_polynomial(self, monkeypatch):
         g = weights_algebra((5, -7, 11)).induced_algebra(
             [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], ["a", "b", "c"])

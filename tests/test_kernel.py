@@ -5,6 +5,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coregular
 from coregular import kernel as kernel_module
@@ -166,11 +168,11 @@ class TestKernelOfRho:
 
 
 class TestPivotCertificate:
-    """A degree is proved to have no new generator by the distinct pivots
-    of the lower multiples: against the distinct least keys of the
-    anchor rows, else against the dimension of the anchor system,
-    eliminated in full.  Elsewhere all the multiples are ranked and a
-    kernel basis is read out."""
+    """A degree is proved to have no new generator by the counted pivots
+    of the lower multiples: against the counted leading terms of the
+    anchor map's image, else against the dimension of the anchor
+    system, eliminated in full.  Elsewhere all the multiples are ranked
+    and a kernel basis is read out."""
 
     @staticmethod
     def multiples_degrees(monkeypatch):
@@ -219,17 +221,17 @@ class TestPivotCertificate:
         monkeypatch.setattr(linalg.SolutionSpace, "basis", recording)
         return read
 
-    # the degrees at which the pivots of the multiples are as many as the
-    # dimension of the anchor system; no degree is certified by its least
-    # keys
-    @pytest.mark.parametrize("g, bound, by_dim", [
-        (seaweed((1, 1, 1, 1), (1, 3)), 4, [1, 3, 4]),
-        (example32(), 3, [0, 2, 3]),
-        (seaweed((3,), (3,)), 4, [0]),
-        (seaweed((1, 3), (1, 3)), 4, []),
+    # the degrees certified by the image count, with no system built,
+    # and those at which the pivots of the multiples are as many as the
+    # dimension of the anchor system
+    @pytest.mark.parametrize("g, bound, counted, by_dim", [
+        (seaweed((1, 1, 1, 1), (1, 3)), 4, [], [1, 3, 4]),
+        (example32(), 3, [0, 2, 3], []),
+        (seaweed((3,), (3,)), 4, [0], []),
+        (seaweed((1, 3), (1, 3)), 4, [], []),
     ], ids=["(1,1,1,1)|(1,3)", "example32", "(3)|(3)", "(1,3)|(1,3)"])
     def test_a_system_as_large_as_the_pivots_builds_no_multiples(
-            self, monkeypatch, g, bound, by_dim):
+            self, monkeypatch, g, bound, counted, by_dim):
         calls = self.multiples_degrees(monkeypatch)
         read = self.basis_reads(monkeypatch)
         sizes = self.system_sizes(monkeypatch)
@@ -237,12 +239,15 @@ class TestPivotCertificate:
         n = g.dim
         ncols = [n * len(monomials_of_degree(n, d, DEGREVLEX))
                  for d in range(bound + 1)]
-        assert sizes == ncols
+        assert sizes == [ncols[d] for d in range(bound + 1)
+                         if d not in counted]
         built = [d for d, _ in calls]
-        assert built == [d for d in range(bound + 1) if d not in by_dim]
+        assert built == [d for d in range(bound + 1)
+                         if d not in counted + by_dim]
         # where the multiples are built, the basis is read out
         assert read == [ncols[d] for d in built]
-        for d in by_dim:
+        # either way the kernel's dimension is the multiples' pivots
+        for d in counted + by_dim:
             monos = monomials_of_degree(n, d, DEGREVLEX)
             rank = {m: t for t, m in enumerate(monos)}
             lower = [w for w in kernel.generators if w.degree < d]
@@ -276,10 +281,13 @@ class TestPivotCertificate:
         rank = {m: t for t, m in enumerate(monos)}
         pivots = kernel_module._multiple_pivots(
             kernel.generators, 7, 7, rank, DEGREVLEX)
+        p = kernel_module._pivot_count(kernel.generators, 7, 7, DEGREVLEX,
+                                       {})
+        assert len(pivots) == p
         ncols = 7 * len(monos)
         assert ncols == 12012
-        assert len(kernel_module._least_keys(g, monos)) \
-            == ncols - len(pivots) == 4710
+        leads = kernel_module._column_leads(g)
+        assert kernel_module._image_count(leads, 7) == ncols - p == 4710
 
     @pytest.mark.parametrize("n", range(4, 9))
     def test_filiform_builds_systems_at_degrees_zero_and_one(
@@ -290,18 +298,50 @@ class TestPivotCertificate:
 
     @pytest.mark.parametrize("order", [DEGREVLEX, GRLEX, LEX],
                              ids=lambda o: o.name)
-    def test_least_keys_are_those_of_the_anchor_rows(self, order,
-                                                     rotated_sl2):
+    def test_image_count_bounds_the_rank_of_the_anchor_system(
+            self, order, rotated_sl2):
         algebras = [filiform(n) for n in range(3, 8)] + [
             abelian(4), example32(), panyushev(), sl2(),
             two_dim_nonabelian(), SL3, rotated_sl2] + [
             seaweed(a, b) for a, b in SEAWEEDS]
         for g in algebras:
+            leads = kernel_module._column_leads(g)
             for d in range(5):
                 monos = monomials_of_degree(g.dim, d, order)
-                assert kernel_module._least_keys(g, monos) == {
-                    min(row) for row in
-                    kernel_module._anchor_equations(g, monos)}, (g.label, d)
+                ncols = g.dim * len(monos)
+                space = linalg.SolutionSpace(
+                    kernel_module._anchor_equations(g, monos), ncols)
+                count = kernel_module._image_count(leads, d)
+                assert count <= ncols - space.dim, (g.label, d)
+                if d == 0:
+                    # the degree-one echelon is the rank of B itself
+                    assert count == ncols - space.dim, g.label
+
+    @given(st.integers(0, 4), st.integers(0, 5),
+           st.lists(st.lists(st.integers(0, 3), min_size=4, max_size=4),
+                    max_size=5))
+    @settings(max_examples=150, deadline=None)
+    def test_ideal_count_is_that_of_the_monomials(self, n, d, exponents):
+        leads = {tuple(e[:n]) for e in exponents}
+        divisible = [m for m in monomials_of_degree(n, d, DEGREVLEX)
+                     if any(all(a <= b for a, b in zip(lead, m))
+                            for lead in leads)]
+        assert kernel_module._ideal_count(frozenset(leads), n, d, {}) \
+            == len(divisible)
+
+    def test_pivots_fewer_than_counted_raise(self, monkeypatch):
+        # one pivot dropped from the listed set, where the multiples are
+        # built, disagrees with the count
+        multiple_pivots = kernel_module._multiple_pivots
+
+        def dropped(gens, d, n, rank, order):
+            pivots = multiple_pivots(gens, d, n, rank, order)
+            if gens and d == 3:
+                pivots.remove(min(pivots))
+            return pivots
+        monkeypatch.setattr(kernel_module, "_multiple_pivots", dropped)
+        with pytest.raises(InternalCheckError, match="as many as counted"):
+            kernel_of_rho(seaweed((3,), (3,)), 3)
 
     def test_pivot_missing_from_the_multiples_raises(self, monkeypatch):
         # one pivot swapped for an unknown that is none of the multiples'
@@ -326,10 +366,10 @@ class TestBlockSplit:
     single-system solver."""
 
     def block_sizes(self, monkeypatch, g, bound):
-        # no degree is certified from the least keys, so every degree
+        # no degree is certified by the image count, so every degree
         # builds its system
-        monkeypatch.setattr(kernel_module, "_least_keys",
-                            lambda g, monos: set())
+        monkeypatch.setattr(kernel_module, "_image_count",
+                            lambda leads, d: 0)
         sizes = TestPivotCertificate.system_sizes(monkeypatch)
         return kernel_of_rho(g, bound), sizes
 

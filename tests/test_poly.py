@@ -207,6 +207,21 @@ class TestOrdersAndText:
         assert keys == sorted(keys, reverse=True)
         assert len(monos) == 6
 
+    @pytest.mark.parametrize("order", [DEGREVLEX, GRLEX, LEX],
+                             ids=lambda o: o.name)
+    def test_monomials_of_degree_are_all_exponents_sorted(self, order):
+        def exponents(nvars, degree):
+            if nvars == 0:
+                return [()] if degree == 0 else []
+            return [(e,) + rest for e in range(degree + 1)
+                    for rest in exponents(nvars - 1, degree - e)]
+
+        for nvars in range(9):
+            for degree in range(9):
+                assert monomials_of_degree(nvars, degree, order) == tuple(
+                    sorted(exponents(nvars, degree), key=order.key,
+                           reverse=True)), (nvars, degree)
+
     @pytest.mark.parametrize("nvars", [0, 1, 3])
     def test_monomials_of_a_negative_degree_raise(self, nvars):
         for _ in range(2):  # the memo keeps no answer for it
