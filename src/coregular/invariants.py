@@ -9,11 +9,12 @@ sparse system assembled directly from the brackets; the operators
 coming from the complement commute there and are split into joint
 eigenspaces with rational eigenvalues.  A complement vector with
 [v, v_j] a multiple of v_j for every j, such as the torus of a t x| V or
-the H_i of a Borel or seaweed subalgebra, is diagonal on the monomials,
-and its eigenspaces are read off the basis vectors of each block
-(``_torus_split``).  Any other vector splits each block through its
-restricted matrix by one rule (``_eigenspaces``): the candidates are the
-sums of its degree-one spectrum on g, computed once per algebra, one
+the H_i of a Borel or seaweed subalgebra, is diagonal on the monomials
+with a diagonal in the torus, so its one eigenvalue on a class is read
+off any monomial of the class (``_torus_action``).  Any other vector
+splits each block through its restricted matrix by one rule
+(``_eigenspaces``): the candidates are the sums of its degree-one
+spectrum on g, computed once per algebra, one
 eigenspace system is solved per candidate until the block is filled,
 and a characteristic polynomial is computed only on a shortfall or when
 that spectrum is not rational.  Every space is read out of a
@@ -388,24 +389,6 @@ def _torus_action(g: LieAlgebra, idx: int
     return pairs
 
 
-def _torus_split(block: list[Polynomial],
-                 action: list[tuple[int, Fraction]]
-                 ) -> list[tuple[Fraction, list[Polynomial]]]:
-    """The eigenspaces of a diagonal ad(v) (``_torus_action``) in a
-    block it keeps stable, eigenvalues ascending: the block's basis
-    vectors grouped by eigenvalue, each group in block order.
-
-    A stable subspace of an operator diagonal on the monomials is the
-    sum of its pieces of one eigenvalue, and the canonical echelon basis
-    of that sum is the union of theirs: each basis vector lies in one
-    piece, so any one of its monomials gives its eigenvalue."""
-    groups: dict = {}
-    for f in block:
-        m = next(iter(f.terms))
-        groups.setdefault(sum(m[j] * c for j, c in action), []).append(f)
-    return [(_q(lam), basis) for lam, basis in sorted(groups.items())]
-
-
 def _lie_generators(g: LieAlgebra) -> list[list[int]]:
     """Basis vectors that generate g as a Lie algebra.  Those off the
     pivots of [g,g] come first: each is needed, and they generate g when
@@ -593,11 +576,15 @@ def _class_search(g: LieAlgebra, degree: int, order: MonomialOrder,
     An open class eliminates only its own rows, if it has any, and is
     filled when its dimension is its number of leads.  Otherwise its basis
     (``_kernel_basis``) is split by the complement vectors, which keep
-    the class: one diagonal on the basis groups a block's basis vectors
-    (``_torus_split``); any other splits it by ``_eigenspaces`` on the
-    restricted matrix of the block with its leading monomials ascending,
-    so each eigenspace is a reversed free-column basis.  Every block
-    polynomial is checked with ``verify_semi_invariant``."""
+    the class.  One diagonal on the monomials (``_torus_action``) has one
+    eigenvalue on the class, sum_j m_j c_j for any monomial m of it: its
+    diagonal c is a derivation, vanishes on the complement coordinates
+    ([v_c, v_c'] lies in [g,g] and v_c' does not), so lies in the span of
+    ``_torus``, under which a class has one weight.  Any other splits
+    each block by ``_eigenspaces`` on the restricted matrix of the block
+    with its leading monomials ascending, so each eigenspace is a
+    reversed free-column basis.  Every block polynomial is checked with
+    ``verify_semi_invariant``."""
     n = g.dim
     vectors, complement, pivots = _acting(g)
     images = [g.bracket_images(v) for v in vectors]
@@ -632,9 +619,8 @@ def _class_search(g: LieAlgebra, degree: int, order: MonomialOrder,
         flag = False
         for idx, action, candidates in splits:
             if action is not None:
-                blocks_raw = [(eigs + (lam,), basis)
-                              for eigs, sub in blocks_raw
-                              for lam, basis in _torus_split(sub, action)]
+                lam = _q(sum(monos[0][j] * c for j, c in action))
+                blocks_raw = [(eigs + (lam,), sub) for eigs, sub in blocks_raw]
                 continue
             v = [int(t == idx) for t in range(n)]
             new_blocks = []
@@ -802,15 +788,13 @@ def _new_generators(product: Callable[[Sequence[int]], Polynomial],
         ech = SparseEchelon()
         for exps in exponents.get(w.values, ()):
             ech.add({place[m]: c for m, c in product(exps).terms.items()})
-        for f in basis:
-            vec = {place[m]: c for m, c in f.terms.items()}
-            p = ech.add(vec)
-            if p is not None:
-                # the pivot is the leading monomial, so the row is monic
-                row = {monos[t]: c for t, c in ech.row(p).items()}
-                new.append(((not w.is_zero, w.values, min(vec)),
-                            SemiInvariant(Polynomial._new(f.nvars, row), w,
-                                          degree)))
+        vecs = [{place[m]: c for m, c in f.terms.items()} for f in basis]
+        for t, row in ech.extend(vecs):
+            # the pivot is the leading monomial, so the row is monic
+            row = {monos[k]: c for k, c in row.items()}
+            new.append(((not w.is_zero, w.values, min(vecs[t])),
+                        SemiInvariant(Polynomial._new(basis[t].nvars, row),
+                                      w, degree)))
     return new
 
 

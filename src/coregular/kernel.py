@@ -238,14 +238,14 @@ def _pivot_count(generators: Sequence[KernelGenerator], d: int, n: int,
 
 
 def _multiples(generators: Sequence[KernelGenerator], d: int, n: int,
-               rank: dict, order: MonomialOrder) -> linalg.SparseEchelon:
-    """The echelon of all the degree-d multiples m w of the lower-degree
-    ``generators``: generator by generator, multipliers m descending."""
-    lower = linalg.SparseEchelon()
-    for gen in generators:
-        for m in monomials_of_degree(n, d - gen.degree, order):
-            lower.add(_shift(gen.components, m, rank))
-    return lower
+               rank: dict, order: MonomialOrder) -> Iterator[tuple]:
+    """The degree-d multiples m w_a of the ``generators`` of degree at
+    most d, as ``(a, m, vector)`` (``_shift``): generator by generator,
+    multipliers m descending."""
+    for a, gen in enumerate(generators):
+        if gen.degree <= d:
+            for m in monomials_of_degree(n, d - gen.degree, order):
+                yield a, m, _shift(gen.components, m, rank)
 
 
 def _multiple_pivots(generators: Sequence[KernelGenerator], d: int,
@@ -316,18 +316,16 @@ def _generators_of_degree(g: LieAlgebra,
     if len(pivots) != p:
         raise InternalCheckError(
             "the multiples' pivots are not as many as counted")
-    lower = _multiples(generators, d, n, rank, order)
+    lower = linalg.SparseEchelon()
+    for _, _, vec in _multiples(generators, d, n, rank, order):
+        lower.add(vec)
     if not pivots <= lower.rows.keys():
         raise InternalCheckError(
             "a multiple's pivot is missing from the multiples' echelon")
 
-    new_rows = []
-    for sol in space.basis():
-        pivot = lower.add(sol)
-        if pivot is not None:
-            new_rows.append(lower.row(pivot))
     # canonical order; each row was read out with a unit pivot
-    new_rows.sort(key=min)
+    new_rows = sorted((row for _, row in lower.extend(space.basis())),
+                      key=min)
     b = g.structure_matrix()
     new = []
     for row in new_rows:
@@ -357,19 +355,16 @@ def find_syzygy(kernel: KernelBasis
     dmin = min(w.degree for w in gens)
     dmax = max(w.degree for w in gens)
     for e in range(dmin, dmax + SYZYGY_EXTRA_DEGREES + 1):
-        unknowns = [(a, m) for a, w in enumerate(gens) if e >= w.degree
-                    for m in monomials_of_degree(n, e - w.degree, order)]
-        if not unknowns:
-            continue
         rank = {m: t for t, m in
                 enumerate(monomials_of_degree(n, e, order))}
+        multiples = list(_multiples(gens, e, n, rank, order))
         solutions = linalg.kernel_of_columns(
-            [_shift(gens[a].components, m, rank) for a, m in unknowns])
+            [vec for _, _, vec in multiples])
         if not solutions:
             continue
         coeffs = [Polynomial.zero(n) for _ in gens]
         for t, c in solutions[0].items():
-            a, m = unknowns[t]
+            a, m, _ = multiples[t]
             coeffs[a] = coeffs[a] + Polynomial._new(n, {m: c})
         return e, tuple(coeffs)
     return None

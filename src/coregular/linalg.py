@@ -377,8 +377,7 @@ class SparseEchelon:
     def add(self, vec: dict) -> Hashable | None:
         """Insert a vector; returns the pivot key of its new row, or None
         if the vector was already in the span.  The row is kept reduced
-        against later pivots, so a caller that keeps the row as inserted
-        reads it with ``row`` right away."""
+        against later pivots."""
         work = self.reduce(vec)
         if not work:
             return None
@@ -419,6 +418,19 @@ class SparseEchelon:
                 holders.setdefault(k, set()).add(p)
         self.rows[p] = row
         return p
+
+    def extend(self, vectors: Iterable[dict]
+               ) -> list[tuple[int, dict[Hashable, int | Fraction]]]:
+        """Insert the vectors in turn; returns ``(place, row)`` for each
+        one that enlarges the span: its place in ``vectors`` and its row
+        as inserted, read with ``row`` right away, before a later pivot
+        reduces it."""
+        new = []
+        for place, vec in enumerate(vectors):
+            pivot = self.add(vec)
+            if pivot is not None:
+                new.append((place, self.row(pivot)))
+        return new
 
 
 def _column_echelon(rows: Iterable[Iterable]) -> SparseEchelon:

@@ -25,6 +25,7 @@ from coregular.poly import (DEGREVLEX, GRLEX, LEX, Polynomial,
                             format_polynomial, monomials_of_degree)
 import oracles
 from conftest import seaweed
+from test_product_certificate import catalog_cases, seaweed_cases
 
 # sl3, gl3 in sl4 and a Borel subalgebra of that gl3: at degrees 3 and 4
 # of the first two the pivots of the multiples fall short of their rank
@@ -162,7 +163,10 @@ class TestKernelOfRho:
             lower = [w for w in gens if w.degree < d]
             monos = monomials_of_degree(n, d, DEGREVLEX)
             rank = {m: t for t, m in enumerate(monos)}
-            echelon = kernel_module._multiples(lower, d, n, rank, DEGREVLEX)
+            echelon = linalg.SparseEchelon()
+            for _, _, vec in kernel_module._multiples(lower, d, n, rank,
+                                                      DEGREVLEX):
+                echelon.add(vec)
             assert echelon.rows.keys() == kernel_module._multiple_pivots(
                 lower, d, n, rank, DEGREVLEX), d
 
@@ -440,6 +444,36 @@ class TestFreeness:
         nonzero = [c for c in coeffs if not c.is_zero]
         texts = {format_polynomial(c.monic()) for c in nonzero}
         assert texts == {"v5", "v4", "v3"}
+
+    def test_syzygies_vanish_and_have_no_lower_degree(self):
+        # every catalog entry and seaweed of n <= 3 with more generators
+        # than its rank
+        cases = catalog_cases() + seaweed_cases()
+        found = []
+        for g, bound in cases:
+            kernel = kernel_of_rho(g, bound)
+            gens = kernel.generators
+            if len(gens) <= kernel.rank:
+                continue
+            n = g.dim
+            e, coeffs = find_syzygy(kernel)
+            assert any(not c.is_zero for c in coeffs), g.label
+            for c, w in zip(coeffs, gens):
+                assert all(sum(m) == e - w.degree for m in c.terms), g.label
+            for i in range(n):
+                acc = Polynomial.zero(n)
+                for c, w in zip(coeffs, gens):
+                    acc = acc + c * w.components[i]
+                assert acc.is_zero, (g.label, i)
+            for d in range(min(w.degree for w in gens), e):
+                rank = {m: t for t, m in
+                        enumerate(monomials_of_degree(n, d, DEGREVLEX))}
+                multiples = kernel_module._multiples(gens, d, n, rank,
+                                                     DEGREVLEX)
+                assert not linalg.kernel_of_columns(
+                    [vec for _, _, vec in multiples]), (g.label, d)
+            found.append(g.label)
+        assert found == ["L(5)", "L(6)", "L(7)", "panyushev"]
 
     def test_filiform_3_4_hold(self):
         for n in (3, 4):

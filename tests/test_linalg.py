@@ -261,6 +261,36 @@ class TestSparse:
         assert [[ech.row(p).get(j, 0) for j in range(6)]
                 for p in pivots] == reduced
 
+    @given(mixed_vectors, mixed_vectors)
+    @settings(max_examples=100)
+    def test_extend_reads_out_each_vector_that_raises_the_rank(
+            self, old, vectors):
+        ech = SparseEchelon()
+        for vec in old:
+            ech.add(vec)
+        before = set(ech.rows)
+        old_rows = [ech.row(p) for p in before]
+
+        def rank(vecs):
+            return oracles.rank([[vec.get(j, 0) for j in range(6)]
+                                 for vec in vecs])
+
+        new = ech.extend(vectors)
+        assert [t for t, _ in new] == [
+            t for t in range(len(vectors))
+            if rank(old_rows + vectors[:t + 1]) > rank(old_rows + vectors[:t])]
+        pivots = [min(row) for _, row in new]
+        assert len(set(pivots)) == len(pivots)
+        assert not before & set(pivots)
+        for (t, row), p in zip(new, pivots):
+            assert row[p] == 1
+            # the row as inserted: in the span of what was added so far
+            span = old_rows + vectors[:t + 1]
+            assert rank(span + [row]) == rank(span)
+        rows = [ech.row(p) for p in ech.rows]
+        assert rank(rows) == rank(old_rows + vectors) \
+            == rank(rows + old_rows + vectors)
+
     def test_kernel_rank_nullity(self):
         images = [{"a": Fraction(1)}, {"a": Fraction(1), "b": Fraction(1)},
                   {"b": Fraction(1)}, {}]

@@ -7,10 +7,13 @@ system of the search lies in one class, and a torus of dimension 0
 leaves one class per degree.
 """
 
+import itertools
+
 import pytest
 
+from conftest import seaweed
 from test_product_certificate import (CHANGES, ENTRIES, catalog_cases,
-                                      seaweed_cases)
+                                      seaweed_cases, weights_cases)
 from coregular import invariants, linalg
 from coregular.catalog import filiform
 from coregular.invariants import graded_semi_invariants, minimal_generators
@@ -35,6 +38,44 @@ def test_every_torus_vector_is_a_derivation_zero_on_the_complement(kind):
             assert all(a[c] == 0 for c in complement), g.label
         if g.label.startswith("L("):
             assert len(torus) == 2, g.label
+
+
+def compositions(n):
+    """The compositions of n, as tuples."""
+    if not n:
+        return [()]
+    return [(k,) + rest for k in range(1, n + 1)
+            for rest in compositions(n - k)]
+
+
+def seaweeds_to_four():
+    """The seaweeds of sl2, sl3 and sl4, one per unordered pair of
+    compositions, sl4 itself left out."""
+    return [(seaweed(a, b), 4) for n in (2, 3, 4)
+            for a, b in itertools.combinations_with_replacement(
+                compositions(n), 2) if (a, b) != ((4,), (4,))]
+
+
+@pytest.mark.parametrize("cases", [catalog_cases, seaweeds_to_four,
+                                   weights_cases],
+                         ids=["catalog", "seaweeds", "weights"])
+def test_every_diagonal_complement_vector_lies_in_the_torus(cases):
+    # so it has one eigenvalue on each class, read off any one monomial
+    # of the class (``invariants._class_search``)
+    diagonals = 0
+    for g, _ in cases():
+        torus = invariants._torus(g)
+        for c in invariants._acting(g)[1]:
+            action = invariants._torus_action(g, c)
+            if action is None:
+                continue
+            diagonal = [0] * g.dim
+            for j, x in action:
+                diagonal[j] = x
+            assert linalg.rank(torus + [diagonal]) == linalg.rank(torus), \
+                (g.label, c)
+            diagonals += 1
+    assert diagonals
 
 
 def dimensions(g, d):
@@ -65,9 +106,11 @@ def test_class_dimensions_sum_to_each_degree_dimension(kind):
             assert not any(filled.values())
             semi.append(sum(len(b) for _, blocks, _ in searched
                             for _, b in blocks))
-        # the semi-invariants of the whole degree, as one class
+        # the semi-invariants of the whole degree, as one class, where a
+        # diagonal complement vector splits it through ``_eigenspaces``
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(invariants, "_torus", lambda g: [])
+            mp.setattr(invariants, "_torus_action", lambda g, idx: None)
             assert semi == [graded_semi_invariants(g, d).total_dim()
                             for d in range(1, min(bound, 3) + 1)], g.label
 
