@@ -33,8 +33,10 @@ generate g as a Lie algebra (``_lie_generators``); ad is a Lie
 homomorphism, so the system keeps its solutions and echelon rows.
 Every basis vector still checks each block polynomial.
 
-The generators of the semi-invariant and of the invariant algebra are
-both read from this one search (``minimal_generators``).  A class whose
+One search, ``graded_semi_invariants``, runs each degree.  The
+generators of the semi-invariant and of the invariant algebra are both
+read from it (``minimal_generators``), which passes it the leading
+monomials of the products of the lower generators.  A class whose
 products of lower generators fill its semi-invariants is decided with
 no elimination (``_classes``): the distinct leading monomials of the
 products and the distinct least keys of the class's rows, both read
@@ -98,9 +100,21 @@ class SemiInvariant:
     degree: int
 
 
+# weight blocks, each with the canonical echelon basis of its space
+Blocks = tuple[tuple[WeightVector, tuple[Polynomial, ...]], ...]
+
+
 @dataclass(frozen=True)
 class GradedSemiInvariants:
-    """Semi-invariant spaces of one degree, grouped by weight.
+    """Semi-invariant spaces of one degree, class by class.
+
+    ``filled`` maps the key of each D-weight class (``_class_codes``)
+    that the products with the given leading monomials fill to its
+    dimension.  ``searched`` holds every other class that is not empty,
+    with its weight blocks.  ``blocks``, merged when first read, joins
+    the searched classes' blocks by weight, weight zero (the invariants)
+    first; each block's basis is the canonical echelon basis of its
+    space, leading monomials descending.
 
     ``irrational_flag`` is set when some restricted operator had a
     characteristic factor without rational roots, i.e. semi-invariants
@@ -108,11 +122,30 @@ class GradedSemiInvariants:
     """
 
     degree: int
-    blocks: tuple[tuple[WeightVector, tuple[Polynomial, ...]], ...]
+    order: MonomialOrder
+    filled: dict[int, int]
+    searched: tuple[tuple[int, Blocks], ...]
     irrational_flag: bool
 
+    @cached_property
+    def blocks(self) -> Blocks:
+        # a reduced echelon basis over disjoint sets of monomials is the
+        # union of the parts' bases
+        merged: dict[WeightVector, list] = {}
+        for _, blocks in self.searched:
+            for w, basis in blocks:
+                merged.setdefault(w, []).append(basis)
+        order = self.order
+        blocks = [(w, parts[0] if len(parts) == 1 else tuple(sorted(
+            chain(*parts), reverse=True,
+            key=lambda f: order.key(f.leading_monomial(order)))))
+            for w, parts in merged.items()]
+        blocks.sort(key=lambda bw: (not bw[0].is_zero, bw[0].values))
+        return tuple(blocks)
+
     def total_dim(self) -> int:
-        return sum(len(basis) for _, basis in self.blocks)
+        return sum(self.filled.values()) + sum(
+            len(basis) for _, blocks in self.searched for _, basis in blocks)
 
 
 @dataclass(frozen=True)
@@ -240,27 +273,6 @@ def _ad_equations(images: Sequence[Sequence[dict]], monos: Sequence
                     row[t] = row.get(t, 0) + e * c
         for mono in sorted(rows):
             yield rows.pop(mono)
-
-
-def _common_kernel_system(g: LieAlgebra, degree: int,
-                          vectors: Sequence[Sequence], order: MonomialOrder
-                          ) -> tuple[list, linalg.SolutionSpace]:
-    """The degree-``degree`` polynomials that ad(v) kills for every v in
-    ``vectors``, as one eliminated system, and its unknowns: the
-    monomials ascending under ``order``."""
-    monos = monomials_of_degree(g.dim, degree, order)[::-1]
-    images = [g.bracket_images(v) for v in vectors]
-    return monos, linalg.SolutionSpace(_ad_equations(images, monos),
-                                       len(monos))
-
-
-def _common_kernel(g: LieAlgebra, degree: int, vectors: Sequence[Sequence],
-                   order: MonomialOrder) -> list[Polynomial]:
-    """Canonical echelon basis of the degree-``degree`` polynomials that
-    ad(v) kills for every v in ``vectors``, from one system
-    (``_kernel_basis``)."""
-    monos, space = _common_kernel_system(g, degree, vectors, order)
-    return _kernel_basis(g.dim, monos, space)
 
 
 def _kernel_basis(nvars: int, monos: Sequence, space: linalg.SolutionSpace
@@ -564,14 +576,15 @@ def _classes(images: Sequence[Sequence[dict]], monos: Sequence,
     return room, free, classes
 
 
-def _class_search(g: LieAlgebra, degree: int, order: MonomialOrder,
-                  codes: Sequence[int], leads: set
-                  ) -> tuple[dict[int, int], list[tuple[int, list, bool]]]:
-    """The degree's semi-invariants class by class (``_classes``, keyed
-    by ``codes``): the classes that products with the distinct leading
-    monomials ``leads`` fill, each with its dimension, its number of
-    leads; and every other class that is not empty, with its weight
-    blocks and the irrational flag of its split.
+def graded_semi_invariants(g: LieAlgebra, degree: int,
+                           order: MonomialOrder = DEGREVLEX, *,
+                           leads: set[int] | frozenset[int] = frozenset()
+                           ) -> GradedSemiInvariants:
+    """The degree-``degree`` semi-invariants class by class (``_classes``,
+    keyed by ``_class_codes``): the classes that products with the
+    distinct leading monomials ``leads`` (codes, ``_leading_products``)
+    fill, each with its dimension, its number of leads; and every other
+    class that is not empty, with its weight blocks.
 
     An open class eliminates only its own rows, if it has any, and is
     filled when its dimension is its number of leads.  Otherwise its basis
@@ -585,14 +598,18 @@ def _class_search(g: LieAlgebra, degree: int, order: MonomialOrder,
     with its leading monomials ascending, so each eigenspace is a
     reversed free-column basis.  Every block polynomial is checked with
     ``verify_semi_invariant``."""
+    if degree < 1:
+        raise ValueError("degree must be >= 1")
     n = g.dim
     vectors, complement, pivots = _acting(g)
     images = [g.bracket_images(v) for v in vectors]
     room, free, classes = _classes(
-        images, monomials_of_degree(n, degree, order)[::-1], codes, leads)
+        images, monomials_of_degree(n, degree, order)[::-1],
+        _class_codes(g, degree), leads)
     filled = {key: count for key, count in room.items() if key not in classes}
     searched = []
     splits = None
+    flag = False
     for key, monos in classes.items():
         count = room.get(key, 0)
         if free.get(key, 0) == len(monos):
@@ -616,7 +633,6 @@ def _class_search(g: LieAlgebra, degree: int, order: MonomialOrder,
                 splits.append((idx, action, None if action is not None
                                else _eigenvalue_candidates(g, idx, degree)))
         blocks_raw = [((), basis)]
-        flag = False
         for idx, action, candidates in splits:
             if action is not None:
                 lam = _q(sum(monos[0][j] * c for j, c in action))
@@ -634,41 +650,15 @@ def _class_search(g: LieAlgebra, degree: int, order: MonomialOrder,
                         _combine(coords.items(), ascending, n)
                         for coords in reversed(basis)]))
             blocks_raw = new_blocks
-        blocks = [(_weight(g, complement, pivots, eigs), sub)
-                  for eigs, sub in blocks_raw]
+        blocks = tuple((_weight(g, complement, pivots, eigs), tuple(sub))
+                       for eigs, sub in blocks_raw)
         for w, basis in blocks:
             for f in basis:
                 if not verify_semi_invariant(g, f, w):
                     raise InternalCheckError(
                         "graded search produced a non-semi-invariant")
-        searched.append((key, blocks, flag))
-    return filled, searched
-
-
-def graded_semi_invariants(g: LieAlgebra, degree: int,
-                           order: MonomialOrder = DEGREVLEX
-                           ) -> GradedSemiInvariants:
-    """Weight decomposition of the degree-``degree`` semi-invariants.
-
-    The blocks are sorted with weight zero (the invariants) first; each
-    block's basis is the canonical echelon basis of its space, the union
-    of its parts' bases in the classes of ``_class_search`` (with no
-    leads), leading monomials descending."""
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
-    merged: dict[WeightVector, list[list[Polynomial]]] = {}
-    flag = False
-    for _, blocks, irrational in _class_search(
-            g, degree, order, _class_codes(g, degree), set())[1]:
-        flag = flag or irrational
-        for w, basis in blocks:
-            merged.setdefault(w, []).append(basis)
-    blocks = [(w, tuple(parts[0] if len(parts) == 1 else sorted(
-        chain(*parts), reverse=True,
-        key=lambda f: order.key(f.leading_monomial(order)))))
-        for w, parts in merged.items()]
-    blocks.sort(key=lambda bw: (not bw[0].is_zero, bw[0].values))
-    return GradedSemiInvariants(degree, tuple(blocks), flag)
+        searched.append((key, blocks))
+    return GradedSemiInvariants(degree, order, filled, tuple(searched), flag)
 
 
 # ---------------------------------------------------------------------------
@@ -812,20 +802,20 @@ def minimal_generators(g: LieAlgebra, max_degree: int | None = None,
     invariant generators only.  Until a proper semi-invariant turns up
     the two complements agree, and without one ``inv is semi``.
 
-    A degree with no lower generator is searched whole
-    (``graded_semi_invariants``), any other class by class
-    (``_class_search``) against the distinct leading monomials of the
-    products of the lower semi-invariant generators
-    (``_leading_products``).  Each product lies in one class, in the
-    common kernel of the acting vectors.  A class the products fill has
-    no new semi-invariant generator and no irrational weight, and its
-    weight-zero block, against which new invariant generators are read,
-    is the echelon of its weight-zero products (``_product_block``).
-    Any other class is echeloned only against its own products of each
-    weight.  A reduced echelon basis over disjoint sets of monomials is
-    the union of the parts' bases, so the classes' generators, sorted by
-    block and then by the leading monomial of the block vector they came
-    from, are those of one search of the whole degree.
+    Each degree is searched once, class by class
+    (``graded_semi_invariants``), against the distinct leading monomials
+    of the products of the lower semi-invariant generators
+    (``_leading_products``); a degree with no lower generator has none.
+    Each product lies in one class, in the common kernel of the acting
+    vectors.  A class the products fill has no new semi-invariant
+    generator and no irrational weight, and its weight-zero block,
+    against which new invariant generators are read, is the echelon of
+    its weight-zero products (``_product_block``).  Any other class is
+    echeloned only against its own products of each weight.  A reduced
+    echelon basis over disjoint sets of monomials is the union of the
+    parts' bases, so the classes' generators, sorted by block and then by
+    the leading monomial of the block vector they came from, are those of
+    one search of the whole degree.
     """
     bound = max_degree if max_degree is not None else g.dim
     if bound < 1:
@@ -838,45 +828,36 @@ def minimal_generators(g: LieAlgebra, max_degree: int | None = None,
     for d in range(1, bound + 1):
         monos = monomials_of_degree(n, d, order)
         place = {m: t for t, m in enumerate(monos)}
-        if not semi:
-            graded = graded_semi_invariants(g, d, order)
-            dim, flag = graded.total_dim(), graded.irrational_flag
-            new = _new_generators(semi_product, {}, graded.blocks, place,
-                                  monos, d)
-            new_inv = []
-        else:
-            codes = _class_codes(g, d)
-            filled, searched = _class_search(
-                g, d, order, codes, _leading_products(semi, d, n, order))
-            semi_exps = (_class_exponents(semi, d, codes, n)
-                         if searched or inv is not semi else {})
-            dim, flag, new, new_inv = sum(filled.values()), False, [], []
-            for key, blocks, irrational_class in searched:
-                dim += sum(len(basis) for _, basis in blocks)
-                flag = flag or irrational_class
-                new += _new_generators(semi_product, semi_exps.get(key, {}),
-                                       blocks, place, monos, d)
-            if inv is not semi:
-                zero = (0,) * n
-                zero_blocks = [(key, [(w, b) for w, b in blocks if w.is_zero])
-                               for key, blocks, _ in searched]
-                zero_blocks += [(key, [(WeightVector(zero), _product_block(
-                    g, semi_product, products[zero], place, monos))])
-                    for key, products in semi_exps.items()
-                    if key in filled and zero in products]
-                zero_blocks = [(key, blocks) for key, blocks in zero_blocks
-                               if blocks]
-                inv_exps = (_class_exponents(inv, d, codes, n)
-                            if zero_blocks else {})
-                for key, blocks in zero_blocks:
-                    new_inv += _new_generators(
-                        inv_product, inv_exps.get(key, {}), blocks, place,
-                        monos, d)
-            new.sort(key=lambda item: item[0])
-            new_inv.sort(key=lambda item: item[0])
+        graded = graded_semi_invariants(
+            g, d, order, leads=_leading_products(semi, d, n, order))
+        codes = _class_codes(g, d)
+        semi_exps = (_class_exponents(semi, d, codes, n)
+                     if graded.searched or inv is not semi else {})
+        new, new_inv = [], []
+        for key, blocks in graded.searched:
+            new += _new_generators(semi_product, semi_exps.get(key, {}),
+                                   blocks, place, monos, d)
+        if inv is not semi:
+            zero = (0,) * n
+            zero_blocks = [(key, [(w, b) for w, b in blocks if w.is_zero])
+                           for key, blocks in graded.searched]
+            zero_blocks += [(key, [(WeightVector(zero), _product_block(
+                g, semi_product, products[zero], place, monos))])
+                for key, products in semi_exps.items()
+                if key in graded.filled and zero in products]
+            zero_blocks = [(key, blocks) for key, blocks in zero_blocks
+                           if blocks]
+            inv_exps = (_class_exponents(inv, d, codes, n)
+                        if zero_blocks else {})
+            for key, blocks in zero_blocks:
+                new_inv += _new_generators(
+                    inv_product, inv_exps.get(key, {}), blocks, place,
+                    monos, d)
+        new.sort(key=lambda item: item[0])
+        new_inv.sort(key=lambda item: item[0])
         # recorded for ``semicenter_dims``; only an int is kept
-        g.cached(("semicenter", d), lambda: dim)
-        if flag:
+        g.cached(("semicenter", d), graded.total_dim)
+        if graded.irrational_flag:
             irrational.append(d)
         inv += [s for _, s in new_inv]
         semi += [s for _, s in new]
@@ -908,15 +889,17 @@ def semicenter_dims(g: LieAlgebra, bound: int) -> tuple[int, ...]:
     acting vectors are computed once per call, on the first such degree.
     Any other algebra is searched (``graded_semi_invariants``).
     """
-    vectors: list = []
+    images: list = []
 
     def count(d: int) -> int:
         if not structural_no_proper_reason(g):
             return graded_semi_invariants(g, d).total_dim()
-        if not vectors:
-            vectors.extend(_lie_generators(g))
+        if not images:
+            images.extend(map(g.bracket_images, _lie_generators(g)))
         # the search would have one block, this system's solutions
-        return _common_kernel_system(g, d, vectors, DEGREVLEX)[1].dim
+        monos = monomials_of_degree(g.dim, d, DEGREVLEX)
+        return linalg.SolutionSpace(_ad_equations(images, monos),
+                                    len(monos)).dim
 
     return tuple(g.cached(("semicenter", d), lambda: count(d))
                  for d in range(1, bound + 1))

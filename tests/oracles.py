@@ -7,8 +7,8 @@ first dependence among its powers, unimodularity by the traces of ad, the
 matrix of ad(x) on a graded component, the bracket through a dense
 vector per pair of basis vectors with the sign rule applied beside it,
 the Jacobi check as a triple loop over that bracket, the common kernel
-of ad(v) by
-successive intersection, the canonical echelon basis of a span, the
+of ad(v) as one system of the whole degree and by successive
+intersection, the canonical echelon basis of a span, the
 weight of joint eigenvalues by a dense solve, the eigen split of the
 graded search by characteristic polynomials and one nullspace per
 root, the minimal generators as complements of the lower-degree
@@ -293,10 +293,30 @@ def _echelonize(polys: Sequence[Polynomial], nvars: int,
             for p in sorted(ech.rows)]
 
 
+def common_kernel_system(g, degree: int, vectors: Sequence[Sequence],
+                         order: MonomialOrder = DEGREVLEX):
+    """The degree-``degree`` polynomials that ad(v) kills for every v in
+    ``vectors``, as one eliminated system of the whole degree, and its
+    unknowns: the monomials ascending under ``order``."""
+    monos = monomials_of_degree(g.dim, degree, order)[::-1]
+    images = [g.bracket_images(v) for v in vectors]
+    return monos, linalg.SolutionSpace(
+        invariants._ad_equations(images, monos), len(monos))
+
+
+def common_kernel(g, degree: int, vectors: Sequence[Sequence],
+                  order: MonomialOrder = DEGREVLEX) -> list[Polynomial]:
+    """Canonical echelon basis of the degree-``degree`` polynomials that
+    ad(v) kills for every v in ``vectors``, from one system of the whole
+    degree, with no weight classes."""
+    monos, space = common_kernel_system(g, degree, vectors, order)
+    return invariants._kernel_basis(g.dim, monos, space)
+
+
 def kernel_intersection(g, degree: int, vectors: Sequence[Sequence],
                         order: MonomialOrder = DEGREVLEX) -> list[Polynomial]:
     """The degree-``degree`` polynomials killed by ad(v) for every v in
-    ``vectors``, as ``invariants._common_kernel`` returns them, by
+    ``vectors``, as ``common_kernel`` returns them, by
     successive intersection: one kernel of ad(v) on the space left by
     the vectors before it, each time brought back to its canonical
     echelon basis."""
@@ -355,7 +375,7 @@ def eigen_blocks(g, degree: int, order: MonomialOrder = DEGREVLEX):
     else:
         vectors = derived.basis
         complement = [i for i in range(n) if i not in pivots]
-    space = invariants._common_kernel(g, degree, vectors, order)
+    space = common_kernel(g, degree, vectors, order)
     blocks = [((), space)] if space else []
     flag = False
     for idx in complement:

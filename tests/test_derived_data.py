@@ -36,16 +36,21 @@ def weights_5_7_11():
 def counts(monkeypatch):
     """``misses[(id(g), key)]``: computations of each memo entry;
     ``calls[name]``: calls of the functions that do the computing;
-    ``searches[(id(g), order name)]``: graded semi-invariant searches."""
+    ``searches[(id(g), order name)]``: graded semi-invariant searches
+    that leave some class open."""
     misses, calls, searches = Counter(), Counter(), Counter()
     keep = []  # holds the algebras, so that no id is reused
     cached = LieAlgebra.cached
     search = invariants.graded_semi_invariants
 
-    def counting_search(g, degree, order=DEGREVLEX):
+    def counting_search(g, degree, order=DEGREVLEX, **kwargs):
+        # a degree whose classes the products of lower generators all
+        # fill is certified with no search
         keep.append(g)
-        searches[(id(g), order.name)] += 1
-        return search(g, degree, order)
+        graded = search(g, degree, order, **kwargs)
+        if graded.searched:
+            searches[(id(g), order.name)] += 1
+        return graded
 
     def counting_cached(self, key, compute):
         def counted():

@@ -218,7 +218,7 @@ class TestGradedSearch:
         for g, d in cases:
             basis = [[int(t == i) for t in range(g.dim)]
                      for i in range(g.dim)]
-            assert invariants._common_kernel(g, d, basis, DEGREVLEX) == \
+            assert oracles.common_kernel(g, d, basis, DEGREVLEX) == \
                 oracles.kernel_intersection(g, d, basis), (g.label, d)
 
     @pytest.mark.parametrize("g", [panyushev(), example32(),
@@ -228,7 +228,7 @@ class TestGradedSearch:
         vectors = g.derived_subalgebra().basis
         assert vectors
         for d in (1, 2, 3):
-            assert invariants._common_kernel(g, d, vectors, DEGREVLEX) == \
+            assert oracles.common_kernel(g, d, vectors, DEGREVLEX) == \
                 oracles.kernel_intersection(g, d, vectors)
 
     @pytest.mark.parametrize("g, degree, irrational, expected", [
@@ -547,7 +547,7 @@ class TestLieGenerators:
                 assert len(vectors) == \
                     g.dim - g.derived_subalgebra().dim, g.label
             for d in range(1, min(bound, 4) + 1):
-                spaces = [invariants._common_kernel_system(
+                spaces = [oracles.common_kernel_system(
                     g, d, vs, DEGREVLEX)[1] for vs in (vectors, basis)]
                 assert spaces[0].dim == spaces[1].dim
                 assert spaces[0].echelon.rows == spaces[1].echelon.rows, \

@@ -1,6 +1,8 @@
 """The product certificate of ``invariants.minimal_generators``.
 
-Each degree is split into D-weight classes under the torus of diagonal
+Each degree is searched once (``invariants.graded_semi_invariants``),
+against the leading monomials of the products of the lower generators,
+and split into D-weight classes under the torus of diagonal
 derivations (``invariants._torus``).  A class whose products of lower
 semi-invariant generators fill its part of the common kernel of the
 acting vectors is decided with no elimination (``invariants._classes``):
@@ -23,8 +25,8 @@ import pytest
 from conftest import seaweed
 from test_basis_change import CHANGES, ENTRIES
 from coregular import invariants
-from coregular.catalog import abelian, filiform
-from coregular.invariants import minimal_generators
+from coregular.catalog import abelian, example32, filiform
+from coregular.invariants import graded_semi_invariants, minimal_generators
 from coregular.lie import LieAlgebra
 from coregular.linalg import InternalCheckError
 from coregular.poly import DEGREVLEX, ORDERS, monomials_of_degree
@@ -163,6 +165,47 @@ def test_certified_degree_counts(monkeypatch, cases, count, open_count):
         minimal_generators(g, bound)
     assert (sum(c for c, _ in verdicts),
             sum(k for _, k in verdicts)) == (count, open_count)
+
+
+@pytest.mark.parametrize("build, bound", [
+    (lambda: filiform(6), 6), (lambda: weights_algebra((5, -7, 11)), 3),
+    (example32, 3)], ids=["L6", "weights(5,-7,11)", "example32"])
+def test_each_degree_is_searched_once_against_the_lower_leads(
+        monkeypatch, build, bound):
+    searches = []
+    search = invariants.graded_semi_invariants
+
+    def recorded(g, degree, order=DEGREVLEX, **kwargs):
+        searches.append((degree, kwargs.get("leads")))
+        return search(g, degree, order, **kwargs)
+
+    monkeypatch.setattr(invariants, "graded_semi_invariants", recorded)
+    g = build()
+    semi = minimal_generators(g, bound)[0]
+    assert [d for d, _ in searches] == list(range(1, bound + 1))
+    for d, leads in searches:
+        lower = [s for s in semi.generators if s.degree < d]
+        assert leads == invariants._leading_products(
+            lower, d, g.dim, DEGREVLEX), (g.label, d)
+    assert any(leads for _, leads in searches)
+
+
+def test_the_leads_keep_each_degree_dimension_and_flag():
+    # the classes that the leads fill are counted, not searched
+    filled = 0
+    for g, bound in catalog_cases():
+        bound = min(bound, 4)
+        semi = minimal_generators(g, bound)[0]
+        for d in range(1, bound + 1):
+            lower = [s for s in semi.generators if s.degree < d]
+            graded = graded_semi_invariants(
+                g, d, leads=invariants._leading_products(
+                    lower, d, g.dim, DEGREVLEX))
+            whole = graded_semi_invariants(g, d)
+            assert (graded.total_dim(), graded.irrational_flag) == \
+                (whole.total_dim(), whole.irrational_flag), (g.label, d)
+            filled += sum(graded.filled.values())
+    assert filled
 
 
 def code_of(monos):

@@ -61,7 +61,7 @@ def seaweeds_to_four():
                          ids=["catalog", "seaweeds", "weights"])
 def test_every_diagonal_complement_vector_lies_in_the_torus(cases):
     # so it has one eigenvalue on each class, read off any one monomial
-    # of the class (``invariants._class_search``)
+    # of the class (``invariants.graded_semi_invariants``)
     diagonals = 0
     for g, _ in cases():
         torus = invariants._torus(g)
@@ -101,10 +101,9 @@ def test_class_dimensions_sum_to_each_degree_dimension(kind):
         for d in range(1, min(bound, 3) + 1):
             whole, parts = dimensions(g, d)
             assert sum(parts) == whole, (g.label, d)
-            filled, searched = invariants._class_search(
-                g, d, DEGREVLEX, invariants._class_codes(g, d), set())
-            assert not any(filled.values())
-            semi.append(sum(len(b) for _, blocks, _ in searched
+            graded = graded_semi_invariants(g, d)
+            assert not any(graded.filled.values())
+            semi.append(sum(len(b) for _, blocks in graded.searched
                             for _, b in blocks))
         # the semi-invariants of the whole degree, as one class, where a
         # diagonal complement vector splits it through ``_eigenspaces``
