@@ -36,11 +36,12 @@ Every basis vector still checks each block polynomial.
 One search, ``graded_semi_invariants``, runs each degree.  The
 generators of the semi-invariant and of the invariant algebra are both
 read from it (``minimal_generators``), which passes it the leading
-monomials of the products of the lower generators.  A class whose
-products of lower generators fill its semi-invariants is decided with
-no elimination (``_classes``): the distinct leading monomials of the
-products and the distinct least keys of the class's rows, both read
-with nothing built, number its monomials.
+monomials of the products of the lower generators, read in the walk
+that groups those products by class and weight (``_class_exponents``).
+A class whose products of lower generators fill its semi-invariants is
+decided with no elimination (``_classes``): the distinct leading
+monomials of the products and the distinct least keys of the class's
+rows, both read with nothing built, number its monomials.
 
 ``generic_rank`` is the one rank over Q(x): seeded point ranks, and
 Bareiss elimination only when they fall short of a proven bound.
@@ -509,7 +510,7 @@ def _classes(images: Sequence[Sequence[dict]], monos: Sequence,
     distinct least keys of the rows of ``_ad_equations(images, monos)``,
     with no row built.  A monomial of degree d is coded by its exponents
     as digits in base d + 1, and ``leads`` holds codes
-    (``_leading_products``).
+    (``_class_exponents``).
 
     Rows with distinct least keys are independent, and so are products
     with distinct leading monomials.  Each row lies in one class, so
@@ -582,7 +583,7 @@ def graded_semi_invariants(g: LieAlgebra, degree: int,
                            ) -> GradedSemiInvariants:
     """The degree-``degree`` semi-invariants class by class (``_classes``,
     keyed by ``_class_codes``): the classes that products with the
-    distinct leading monomials ``leads`` (codes, ``_leading_products``)
+    distinct leading monomials ``leads`` (codes, ``_class_exponents``)
     fill, each with its dimension, its number of leads; and every other
     class that is not empty, with its weight blocks.
 
@@ -699,33 +700,24 @@ def _power_products(gens: Sequence[SemiInvariant], nvars: int
     return product
 
 
-def _leading_products(gens: Sequence[SemiInvariant], degree: int,
-                      nvars: int, order: MonomialOrder) -> set[int]:
-    """The codes (see ``_classes``) of the distinct leading monomials of
-    the degree-``degree`` products of ``gens``, with no product built: a
-    monomial order is multiplicative, so each is the product of its
-    factors' leading monomials, and its code the sum of theirs.  They
-    are reached degree by degree, one generator at a time, each
-    degree's set kept free of repeats."""
-    powers = [(degree + 1) ** v for v in range(nvars)]
-    reach: list[set[int]] = [set() for _ in range(degree + 1)]
-    reach[0].add(0)
-    for s in gens:
-        lead = sum(map(mul, s.poly.leading_monomial(order), powers))
-        for t in range(s.degree, degree + 1):
-            reach[t].update([c + lead for c in reach[t - s.degree]])
-    return reach[degree]
-
-
 def _class_exponents(gens: Sequence[SemiInvariant], degree: int,
-                     codes: Sequence[int], nvars: int) -> dict[int, dict]:
+                     codes: Sequence[int], nvars: int, order: MonomialOrder
+                     ) -> tuple[dict[int, dict], set[int]]:
     """The exponent tuples e of the degree-``degree`` products of
     ``gens``, by the key of their D-weight class (``_class_codes``) and
-    then by the weight values of their product.  Each generator lies in
-    one class, and keys and weights add up in a product."""
+    then by the weight values of their product, and the codes (see
+    ``_classes``) of the products' distinct leading monomials.  Each
+    generator lies in one class, and keys, weights and codes add up in
+    a product: a monomial order is multiplicative, so a product's
+    leading monomial is the product of its factors', read with no
+    product built."""
+    powers = [(degree + 1) ** v for v in range(nvars)]
     keys = [sum(map(mul, next(iter(s.poly.terms)), codes)) for s in gens]
+    leading = [sum(map(mul, s.poly.leading_monomial(order), powers))
+               for s in gens]
     weights = [s.weight.values for s in gens]
     out: dict[int, dict] = {}
+    leads: set[int] = set()
     for exps in _exponent_vectors([s.degree for s in gens], degree):
         w = (0,) * nvars
         for e, values in zip(exps, weights):
@@ -733,7 +725,8 @@ def _class_exponents(gens: Sequence[SemiInvariant], degree: int,
                 w = tuple(a + e * b for a, b in zip(w, values))
         out.setdefault(sum(map(mul, exps, keys)), {}).setdefault(
             w, []).append(exps)
-    return out
+        leads.add(sum(map(mul, exps, leading)))
+    return out, leads
 
 
 def _product_block(g: LieAlgebra,
@@ -804,8 +797,10 @@ def minimal_generators(g: LieAlgebra, max_degree: int | None = None,
 
     Each degree is searched once, class by class
     (``graded_semi_invariants``), against the distinct leading monomials
-    of the products of the lower semi-invariant generators
-    (``_leading_products``); a degree with no lower generator has none.
+    of the products of the lower semi-invariant generators, read in the
+    one walk over those products that also groups them by class and
+    weight (``_class_exponents``); a degree with no lower generator has
+    none.
     Each product lies in one class, in the common kernel of the acting
     vectors.  A class the products fill has no new semi-invariant
     generator and no irrational weight, and its weight-zero block,
@@ -828,11 +823,9 @@ def minimal_generators(g: LieAlgebra, max_degree: int | None = None,
     for d in range(1, bound + 1):
         monos = monomials_of_degree(n, d, order)
         place = {m: t for t, m in enumerate(monos)}
-        graded = graded_semi_invariants(
-            g, d, order, leads=_leading_products(semi, d, n, order))
         codes = _class_codes(g, d)
-        semi_exps = (_class_exponents(semi, d, codes, n)
-                     if graded.searched or inv is not semi else {})
+        semi_exps, leads = _class_exponents(semi, d, codes, n, order)
+        graded = graded_semi_invariants(g, d, order, leads=leads)
         new, new_inv = [], []
         for key, blocks in graded.searched:
             new += _new_generators(semi_product, semi_exps.get(key, {}),
@@ -847,7 +840,7 @@ def minimal_generators(g: LieAlgebra, max_degree: int | None = None,
                 if key in graded.filled and zero in products]
             zero_blocks = [(key, blocks) for key, blocks in zero_blocks
                            if blocks]
-            inv_exps = (_class_exponents(inv, d, codes, n)
+            inv_exps = (_class_exponents(inv, d, codes, n, order)[0]
                         if zero_blocks else {})
             for key, blocks in zero_blocks:
                 new_inv += _new_generators(

@@ -215,24 +215,17 @@ def _ideal_count(leads: frozenset, n: int, d: int, counted: dict) -> int:
     return counted[key]
 
 
-def _leading(gen: KernelGenerator, order: MonomialOrder):
-    """The first nonzero component i of ``gen`` and its leading
-    monomial."""
-    i, comp = next((i, comp) for i, comp in enumerate(gen.components)
-                   if not comp.is_zero)
-    return i, comp.leading_monomial(order)
-
-
 def _pivot_count(generators: Sequence[KernelGenerator], d: int, n: int,
                  order: MonomialOrder, counted: dict) -> int:
     """The number of distinct pivots of the degree-d multiples m w of
-    ``generators`` (``_multiple_pivots``): in each component i, the
+    ``generators`` (``_multiples``): in each component i, the
     degree-d monomials of the ideal of the leading monomials of the
-    generators that lead in i."""
+    generators whose first nonzero component is the i-th."""
     ideals: dict[int, set] = {}
     for gen in generators:
-        i, lead = _leading(gen, order)
-        ideals.setdefault(i, set()).add(lead)
+        i, comp = next((i, comp) for i, comp in enumerate(gen.components)
+                       if not comp.is_zero)
+        ideals.setdefault(i, set()).add(comp.leading_monomial(order))
     return sum(_ideal_count(frozenset(ideal), n, d, counted)
                for ideal in ideals.values())
 
@@ -246,20 +239,6 @@ def _multiples(generators: Sequence[KernelGenerator], d: int, n: int,
         if gen.degree <= d:
             for m in monomials_of_degree(n, d - gen.degree, order):
                 yield a, m, _shift(gen.components, m, rank)
-
-
-def _multiple_pivots(generators: Sequence[KernelGenerator], d: int,
-                     n: int, rank: dict, order: MonomialOrder) -> set[int]:
-    """The pivots of the degree-d multiples m w of ``generators``: that
-    of m lm(w_i) in A_i for the first nonzero w_i, since a monomial
-    order is multiplicative."""
-    pivots = set()
-    for gen in generators:
-        i, lead = _leading(gen, order)
-        shift = i * len(rank)
-        pivots.update(shift + rank[monomial_mul(m, lead)] for m in
-                      monomials_of_degree(n, d - gen.degree, order))
-    return pivots
 
 
 def _generators_of_degree(g: LieAlgebra,
@@ -299,9 +278,9 @@ def _generators_of_degree(g: LieAlgebra,
     (``_image_count``).  Hence ``r >= ncols - p`` proves that the degree
     has no new generator, with no monomial listed; else the system is
     eliminated in full and its dimension compared with p.  Otherwise all
-    the multiples are ranked (their pivots, listed, must be p in number
-    and each one of theirs) and a kernel basis is reduced against them:
-    its remainders are the new generators."""
+    the multiples are ranked, their least keys read as they are built
+    must be p in number, so their rank is at least p, and a kernel basis
+    is reduced against them: its remainders are the new generators."""
     n = g.dim
     ncols = n * _monomial_count(n, d)
     p = _pivot_count(generators, d, n, order, counted)
@@ -312,16 +291,14 @@ def _generators_of_degree(g: LieAlgebra,
     if space.dim == p:
         return []
     rank = {m: t for t, m in enumerate(monos)}
-    pivots = _multiple_pivots(generators, d, n, rank, order)
+    lower = linalg.SparseEchelon()
+    pivots = set()
+    for _, _, vec in _multiples(generators, d, n, rank, order):
+        pivots.add(min(vec))
+        lower.add(vec)
     if len(pivots) != p:
         raise InternalCheckError(
             "the multiples' pivots are not as many as counted")
-    lower = linalg.SparseEchelon()
-    for _, _, vec in _multiples(generators, d, n, rank, order):
-        lower.add(vec)
-    if not pivots <= lower.rows.keys():
-        raise InternalCheckError(
-            "a multiple's pivot is missing from the multiples' echelon")
 
     # canonical order; each row was read out with a unit pivot
     new_rows = sorted((row for _, row in lower.extend(space.basis())),

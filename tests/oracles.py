@@ -12,16 +12,19 @@ intersection, the canonical echelon basis of a span, the
 weight of joint eigenvalues by a dense solve, the eigen split of the
 graded search by characteristic polynomials and one nullspace per
 root, the minimal generators as complements of the lower-degree
-products by dense elimination, a derivation as a sum of partial
-derivatives, the derivation of a weight, the Poisson bracket from the structure matrix, the
-substitution of polynomials for variables, the anchor system read from
-the entries of the structure matrix, the anchor-map kernel generators
-from the dense nullspace and from the whole anchor system eliminated
-before any multiple is ranked, a spot check that the
-fundamental semi-invariant divides the rank-size minors of the
-structure matrix, Buchberger's algorithm with each pair chosen by
-a ``min`` over all pairs, recomputing the leading monomials, and the
-semi-invariant dimensions of ``L(n)`` by the Cayley-Sylvester formula."""
+products by dense elimination, the leading monomials of the lower
+generators' products reached degree by degree, a derivation as a sum
+of partial derivatives, the derivation of a weight, the Poisson
+bracket from the structure matrix, the substitution of polynomials for
+variables, the anchor system read from the entries of the structure
+matrix, the anchor-map kernel generators from the dense nullspace and
+from the whole anchor system eliminated before any multiple is
+ranked, the pivots of the anchor multiples listed off the generators'
+leading terms, a spot check that the fundamental semi-invariant
+divides the rank-size minors of the structure matrix, Buchberger's
+algorithm with each pair chosen by a ``min`` over all pairs,
+recomputing the leading monomials, and the semi-invariant dimensions
+of ``L(n)`` by the Cayley-Sylvester formula."""
 
 from __future__ import annotations
 
@@ -456,6 +459,25 @@ def generator_complements(g, bound: int, order: MonomialOrder,
     return found
 
 
+def leading_products(gens, degree: int, nvars: int,
+                     order: MonomialOrder) -> set[int]:
+    """The codes (see ``invariants._classes``) of the distinct leading
+    monomials of the degree-``degree`` products of the semi-invariants
+    ``gens``, with no product built: a monomial order is multiplicative,
+    so each is the product of its factors' leading monomials, and its
+    code the sum of theirs.  They are reached degree by degree, one
+    generator at a time, each degree's set kept free of repeats."""
+    powers = [(degree + 1) ** v for v in range(nvars)]
+    reach: list[set[int]] = [set() for _ in range(degree + 1)]
+    reach[0].add(0)
+    for s in gens:
+        lead = sum(e * p for e, p in zip(s.poly.leading_monomial(order),
+                                         powers))
+        for t in range(s.degree, degree + 1):
+            reach[t].update([c + lead for c in reach[t - s.degree]])
+    return reach[degree]
+
+
 def weight_derivation(f: Polynomial, w) -> Polynomial:
     """The constant-coefficient derivation sum_i w_i d/dv_i applied to f."""
     out = Polynomial.zero(f.nvars)
@@ -686,6 +708,22 @@ def anchor_kernel_fully_eliminated(g, degree_bound: int,
                 comps[t // nm][monos[t % nm]] = c
             found.append((d, tuple(Polynomial._new(n, c) for c in comps)))
     return found
+
+
+def multiple_pivots(generators, d: int, n: int, rank: dict,
+                    order: MonomialOrder) -> set[int]:
+    """The pivots of the degree-d multiples m w of the anchor-kernel
+    ``generators``, keyed as ``kernel._shift`` keys them, with no
+    multiple built: that of m lm(w_i) in A_i for the first nonzero w_i,
+    since a monomial order is multiplicative."""
+    pivots = set()
+    for gen in generators:
+        i, comp = next((i, comp) for i, comp in enumerate(gen.components)
+                       if not comp.is_zero)
+        lead = comp.leading_monomial(order)
+        pivots.update(i * len(rank) + rank[monomial_mul(m, lead)] for m in
+                      monomials_of_degree(n, d - gen.degree, order))
+    return pivots
 
 
 # ---------------------------------------------------------------------------

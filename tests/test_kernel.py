@@ -26,6 +26,7 @@ from coregular.poly import (DEGREVLEX, GRLEX, LEX, Polynomial,
 import oracles
 from conftest import seaweed
 from test_product_certificate import catalog_cases, seaweed_cases
+from test_torus import seaweeds_to_four
 
 # sl3, gl3 in sl4 and a Borel subalgebra of that gl3: at degrees 3 and 4
 # of the first two the pivots of the multiples fall short of their rank
@@ -152,23 +153,48 @@ class TestKernelOfRho:
         for g in catalog_algebras:
             assert kernel_of_rho(g, 2).rank == index(g)
 
-    @pytest.mark.parametrize("n", [4, 5, 6, 7])
-    def test_multiples_echelon_pivots_are_their_leading_terms(self, n):
-        # the generators of L(n) are a Groebner basis of the module: in
-        # every degree the echelon of all their multiples has exactly the
-        # pivots read off the leading terms, so the certificate holds
-        g = filiform(n)
-        gens = kernel_of_rho(g, n).generators
-        for d in range(1, n + 1):
-            lower = [w for w in gens if w.degree < d]
-            monos = monomials_of_degree(n, d, DEGREVLEX)
-            rank = {m: t for t, m in enumerate(monos)}
-            echelon = linalg.SparseEchelon()
-            for _, _, vec in kernel_module._multiples(lower, d, n, rank,
-                                                      DEGREVLEX):
-                echelon.add(vec)
-            assert echelon.rows.keys() == kernel_module._multiple_pivots(
-                lower, d, n, rank, DEGREVLEX), d
+    @pytest.mark.parametrize("cases, more", [
+        *[(lambda n=n: [(filiform(n), n)], []) for n in range(4, 8)],
+        (seaweeds_to_four, [
+            ("seaweed(3,)|(3,)", 3, 43, 44), ("seaweed(3,)|(3,)", 4, 148, 156),
+            ("seaweed(1, 2, 1)|(4,)", 4, 64, 65),
+            ("seaweed(1, 3)|(1, 3)", 3, 218, 219),
+            ("seaweed(1, 3)|(1, 3)", 4, 696, 705),
+            ("seaweed(3, 1)|(3, 1)", 3, 218, 219),
+            ("seaweed(3, 1)|(3, 1)", 4, 696, 705)])],
+        ids=["4", "5", "6", "7", "seaweeds"])
+    def test_multiples_echelon_pivots_are_their_leading_terms(self, cases,
+                                                              more):
+        # the least key of each multiple m w, read as it is built, is the
+        # pivot of m lm(w_i) in its first nonzero component w_i, and a
+        # pivot of the echelon of all the multiples.  The generators of
+        # L(n) are a Groebner basis of the module: in every degree that
+        # echelon has exactly those pivots, so the certificate holds.
+        # Those of a few seaweeds are not, and there it has ``more``:
+        # (algebra, degree, least keys, pivots), under every order
+        for order in [DEGREVLEX, GRLEX, LEX]:
+            found = []
+            for g, bound in cases():
+                n = g.dim
+                gens = kernel_of_rho(g, bound, order).generators
+                for d in range(1, bound + 1):
+                    lower = [w for w in gens if w.degree < d]
+                    monos = monomials_of_degree(n, d, order)
+                    rank = {m: t for t, m in enumerate(monos)}
+                    echelon = linalg.SparseEchelon()
+                    keys = set()
+                    for _, _, vec in kernel_module._multiples(
+                            lower, d, n, rank, order):
+                        keys.add(min(vec))
+                        echelon.add(vec)
+                    assert keys == oracles.multiple_pivots(
+                        lower, d, n, rank, order), (g.label, d, order.name)
+                    assert keys <= echelon.rows.keys(), \
+                        (g.label, d, order.name)
+                    if keys != echelon.rows.keys():
+                        found.append((g.label, d, len(keys),
+                                      len(echelon.rows)))
+            assert found == more, order.name
 
 
 class TestPivotCertificate:
@@ -257,7 +283,7 @@ class TestPivotCertificate:
             lower = [w for w in kernel.generators if w.degree < d]
             space = linalg.SolutionSpace(
                 kernel_module._anchor_equations(g, monos), ncols[d])
-            assert space.dim == len(kernel_module._multiple_pivots(
+            assert space.dim == len(oracles.multiple_pivots(
                 lower, d, n, rank, DEGREVLEX)), d
 
     @staticmethod
@@ -283,7 +309,7 @@ class TestPivotCertificate:
         assert sizes == [7, 49]
         monos = monomials_of_degree(7, 7, DEGREVLEX)
         rank = {m: t for t, m in enumerate(monos)}
-        pivots = kernel_module._multiple_pivots(
+        pivots = oracles.multiple_pivots(
             kernel.generators, 7, 7, rank, DEGREVLEX)
         p = kernel_module._pivot_count(kernel.generators, 7, 7, DEGREVLEX,
                                        {})
@@ -334,34 +360,19 @@ class TestPivotCertificate:
             == len(divisible)
 
     def test_pivots_fewer_than_counted_raise(self, monkeypatch):
-        # one pivot dropped from the listed set, where the multiples are
-        # built, disagrees with the count
-        multiple_pivots = kernel_module._multiple_pivots
+        # one pivot more counted than the multiples have, where they are
+        # built, disagrees with their 148 least keys at degree 4 (the
+        # kernel has dimension 156).  At degree 3, 43 + 1 would equal the
+        # kernel's dimension 44 and decide the degree with no multiple
+        # built
+        pivot_count = kernel_module._pivot_count
 
-        def dropped(gens, d, n, rank, order):
-            pivots = multiple_pivots(gens, d, n, rank, order)
-            if gens and d == 3:
-                pivots.remove(min(pivots))
-            return pivots
-        monkeypatch.setattr(kernel_module, "_multiple_pivots", dropped)
+        def one_more(gens, d, *args):
+            count = pivot_count(gens, d, *args)
+            return count + 1 if d == 4 else count
+        monkeypatch.setattr(kernel_module, "_pivot_count", one_more)
         with pytest.raises(InternalCheckError, match="as many as counted"):
-            kernel_of_rho(seaweed((3,), (3,)), 3)
-
-    def test_pivot_missing_from_the_multiples_raises(self, monkeypatch):
-        # one pivot swapped for an unknown that is none of the multiples'
-        # keeps the count, so the certificate still falls short, and the
-        # exact check sees the stranger
-        multiple_pivots = kernel_module._multiple_pivots
-
-        def swapped(gens, d, n, rank, order):
-            pivots = multiple_pivots(gens, d, n, rank, order)
-            if gens and d == 3:
-                pivots.remove(min(pivots))
-                pivots.add(max(set(range(n * len(rank))) - pivots))
-            return pivots
-        monkeypatch.setattr(kernel_module, "_multiple_pivots", swapped)
-        with pytest.raises(InternalCheckError, match="pivot"):
-            kernel_of_rho(seaweed((3,), (3,)), 3)
+            kernel_of_rho(seaweed((3,), (3,)), 4)
 
 
 class TestBlockSplit:

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from conftest import seaweed
 from test_basis_change import CHANGES, ENTRIES
 from coregular import invariants
@@ -180,14 +181,16 @@ def test_each_degree_is_searched_once_against_the_lower_leads(
         return search(g, degree, order, **kwargs)
 
     monkeypatch.setattr(invariants, "graded_semi_invariants", recorded)
-    g = build()
-    semi = minimal_generators(g, bound)[0]
-    assert [d for d, _ in searches] == list(range(1, bound + 1))
-    for d, leads in searches:
-        lower = [s for s in semi.generators if s.degree < d]
-        assert leads == invariants._leading_products(
-            lower, d, g.dim, DEGREVLEX), (g.label, d)
-    assert any(leads for _, leads in searches)
+    for order in ORDERS.values():
+        del searches[:]
+        g = build()
+        semi = minimal_generators(g, bound, order)[0]
+        assert [d for d, _ in searches] == list(range(1, bound + 1))
+        for d, leads in searches:
+            lower = [s for s in semi.generators if s.degree < d]
+            assert leads == oracles.leading_products(
+                lower, d, g.dim, order), (g.label, d, order.name)
+        assert any(leads for _, leads in searches), order.name
 
 
 def test_the_leads_keep_each_degree_dimension_and_flag():
@@ -199,7 +202,7 @@ def test_the_leads_keep_each_degree_dimension_and_flag():
         for d in range(1, bound + 1):
             lower = [s for s in semi.generators if s.degree < d]
             graded = graded_semi_invariants(
-                g, d, leads=invariants._leading_products(
+                g, d, leads=oracles.leading_products(
                     lower, d, g.dim, DEGREVLEX))
             whole = graded_semi_invariants(g, d)
             assert (graded.total_dim(), graded.irrational_flag) == \
@@ -252,17 +255,17 @@ def test_a_lead_that_is_a_least_key_raises(monkeypatch):
     g = weights_algebra((5, -7, 11))
     monos, keys = least_keys(g, 2, invariants._acting(g)[0])
     key = code_of(monos)[min(keys)]
-    leading = invariants._leading_products
+    class_exponents = invariants._class_exponents
 
-    def with_a_least_key(gens, degree, nvars, order):
-        leads = leading(gens, degree, nvars, order)
-        return leads | {key} if degree == 2 else leads
+    def with_a_least_key(gens, degree, *args):
+        exponents, leads = class_exponents(gens, degree, *args)
+        return exponents, leads | {key} if degree == 2 else leads
 
     verdicts = certified(monkeypatch)
     minimal_generators(weights_algebra((5, -7, 11)), 2)
     # degree 1 leaves v2, v3 and v4 open; degree 2 is certified
     assert verdicts == [(0, 3), (6, 0)]
-    monkeypatch.setattr(invariants, "_leading_products", with_a_least_key)
+    monkeypatch.setattr(invariants, "_class_exponents", with_a_least_key)
     with pytest.raises(InternalCheckError, match="least key"):
         minimal_generators(g, 2)
 
