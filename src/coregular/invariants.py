@@ -252,8 +252,8 @@ def _ad_equations(images: Sequence[Sequence[dict]], monos: Sequence
                   ) -> Iterator[dict]:
     """The system ad(v)(f) = 0 on the span of ``monos``, for the vectors
     v whose images [v, v_j] as {k: c} (``bracket_images``) are
-    ``images``, as sparse rows in the order of their keys (v, image
-    monomial); unknown t is the coefficient of ``monos[t]``.
+    ``images``, as sparse rows, one per v and image monomial, unsorted;
+    unknown t is the coefficient of ``monos[t]``.
 
     ad(v) is the derivation with x_j -> [v, v_j], so a term c x_k of it
     adds e c to the row of m x_k / x_j for each unknown m, where e is
@@ -272,8 +272,7 @@ def _ad_equations(images: Sequence[Sequence[dict]], monos: Sequence
                     row = rows.setdefault(
                         lowered[:k] + (lowered[k] + 1,) + lowered[k + 1:], {})
                     row[t] = row.get(t, 0) + e * c
-        for mono in sorted(rows):
-            yield rows.pop(mono)
+        yield from rows.values()
 
 
 def _kernel_basis(nvars: int, monos: Sequence, space: linalg.SolutionSpace

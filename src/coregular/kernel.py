@@ -112,9 +112,9 @@ def _shift(components: Sequence[Polynomial], m, rank: dict) -> dict:
 
 
 def _anchor_equations(g: LieAlgebra, monos: Sequence) -> Iterator[dict]:
-    """The degree's system sum_i A_i B[i][j] = 0 as sparse rows, in the
-    order of their keys (j, monomial); unknown ``i * len(monos) + t`` is
-    the coefficient of ``monos[t]`` in A_i.
+    """The degree's system sum_i A_i B[i][j] = 0 as sparse rows, one per
+    j and monomial, unsorted (``SolutionSpace`` orders them); unknown
+    ``i * len(monos) + t`` is the coefficient of ``monos[t]`` in A_i.
 
     The rows are built one column j of B at a time.  B[i][j] = [v_i, v_j]
     is read from the bracket table as {k: c}, so a term c v_k adds c to
@@ -128,8 +128,7 @@ def _anchor_equations(g: LieAlgebra, monos: Sequence) -> Iterator[dict]:
             for k, c in g._bracket_terms(i, j).items():
                 for t, mono in enumerate(raised[k], i * nm):
                     rows.setdefault(mono, {})[t] = c
-        for mono in sorted(rows):
-            yield rows.pop(mono)
+        yield from rows.values()
 
 
 def kernel_of_rho(g: LieAlgebra, degree_bound: int,

@@ -6,16 +6,14 @@ is its least key: a caller that wants another pivot, such as a leading
 monomial, numbers its keys so that this one comes first (column
 indices, or monomials by their place in a descending list).  It is the
 workhorse behind the graded kernel computations.  It indexes each key
-to the rows that hold it, so a system that splits into independent
-blocks (for instance under a grading of the algebra) is solved block by
-block without the caller naming the blocks.  The dense routines (``rref``, ``rank``,
-``nullspace``, ``solve``, ``inverse``) take lists of rows, run them
-through the same eliminator keyed by column index and read the result
-back out; ``nullspace`` and ``SolutionSpace`` (behind
-``kernel_of_columns``) share that readout.  A ``SolutionSpace``
-eliminates its whole system once, when it is built, and knows its
-dimension from the rank alone, so a caller that needs only the
-dimension never reads out a basis.
+to the rows that hold it, so a new pivot reduces only those rows again.
+The dense routines (``rref``, ``rank``, ``nullspace``, ``solve``,
+``inverse``) take lists of rows, run them through the same eliminator
+keyed by column index and read the result back out; ``nullspace`` and
+``SolutionSpace`` (behind ``kernel_of_columns``) share that readout.  A
+``SolutionSpace`` eliminates its whole system once, when it is built,
+by descending least key, so a new pivot is seldom held by a stored
+row, and its dimension needs the rank alone, not a basis.
 
 The eliminator is fraction-free, in the spirit of Bareiss (1968).
 Every stored row is a primitive integer vector whose pivot entry is
@@ -460,19 +458,22 @@ class SolutionSpace:
     """The solutions c of the equations ``sum_j equation[j] * c_j = 0``
     in the unknowns ``0..ncols-1``, eliminated in full on construction.
 
-    Each equation is a sparse row {unknown: value}, eliminated as it is
-    drawn, so a generator that builds them never holds the whole system.
-    ``dim`` is the number of unknowns less the rank, so a caller that
-    only needs the dimension never reads out a basis; ``basis`` reads
-    out that of ``kernel_of_columns``, each value an ``int`` when it is
-    integral and a ``Fraction`` otherwise.
+    Each equation is a sparse row {unknown: value}, in any order: this
+    is the one place that orders a system, by descending least key, so
+    no stored row holds a new pivot unless two equations share their
+    least key or one holds a zero there.  ``dim`` is the number of
+    unknowns less the rank, so a caller that only needs the dimension
+    never reads out a basis; ``basis`` reads out that of
+    ``kernel_of_columns``, each value an ``int`` when it is integral and
+    a ``Fraction`` otherwise.
     """
 
     def __init__(self, equations: Iterable[dict[int, int | Fraction]],
                  ncols: int):
         self.ncols = ncols
         self.echelon = SparseEchelon()
-        for equation in equations:
+        for equation in sorted(filter(None, equations), key=min,
+                               reverse=True):
             self.echelon.add(equation)
         self.dim = ncols - len(self.echelon.rows)
 
@@ -486,12 +487,10 @@ def kernel_of_columns(images: Sequence[dict]) -> list[dict[int, Fraction]]:
     Each basis vector is a sparse dict {column: coefficient} with its
     columns ascending.  The basis is canonical: one vector per free
     column, free columns in ascending index order, unit coefficient at
-    the free column.
+    the free column.  The equations, one per key, go in unsorted.
     """
     equations: dict[Hashable, dict[int, int | Fraction]] = {}
     for j, img in enumerate(images):
         for key, c in img.items():
             equations.setdefault(key, {})[j] = c
-    # in key order, each equation freed once it is eliminated
-    return SolutionSpace((equations.pop(key) for key in sorted(equations)),
-                         len(images)).basis()
+    return SolutionSpace(equations.values(), len(images)).basis()

@@ -657,10 +657,9 @@ def anchor_kernel_generators(g, degree_bound: int,
 
 def anchor_equations_from_matrix(b, monos: Sequence):
     """The degree's anchor system sum_i A_i B[i][j] = 0 as sparse rows,
-    in the order of their keys (j, monomial), as
-    ``kernel._anchor_equations`` yields it, read from the entries of the
-    structure matrix ``b``: the unit exponent of each term of B[i][j]
-    names the v_k it raises."""
+    one per key (j, monomial), as ``kernel._anchor_equations`` yields
+    them, read from the entries of the structure matrix ``b``: the unit
+    exponent of each term of B[i][j] names the v_k it raises."""
     nm = len(monos)
     raised = [[m[:k] + (m[k] + 1,) + m[k + 1:] for m in monos]
               for k in range(b.size)]
@@ -670,8 +669,7 @@ def anchor_equations_from_matrix(b, monos: Sequence):
             for mm, c in row[j].terms.items():
                 for t, mono in enumerate(raised[mm.index(1)], i * nm):
                     rows.setdefault(mono, {})[t] = c
-        for mono in sorted(rows):
-            yield rows.pop(mono)
+        yield from rows.values()
 
 
 def anchor_kernel_fully_eliminated(g, degree_bound: int,

@@ -858,6 +858,45 @@ class TestIndependenceAndRelations:
             assert substitute_generators(rel, gens).is_zero
 
 
+class TestBinaryCubicOracle:
+    """L(5) against classical invariant theory.  Its invariants are
+    S(V)^e, V the binary cubics and e the raising operator
+    (``oracles.filiform_semicenter_dims``), which by Roberts' theorem
+    are the covariants of the binary cubic (Olver, *Classical Invariant
+    Theory*, Cambridge, 1999): the form, its Hessian, the cubic
+    covariant and the discriminant, of degrees 1, 2, 3 and 4, with one
+    syzygy, of weighted degree 6, among them."""
+
+    @staticmethod
+    def presentation(order):
+        """(generator degrees, relation weighted degrees) of L(5)'s
+        invariants at bound 6, each relation checked to vanish."""
+        semi, inv = minimal_generators(filiform(5), 6, order)
+        assert semi is inv
+        rels = find_relations(inv, 6)
+        assert all(substitute_generators(r, inv).is_zero for r in rels)
+        return inv.degrees, [r.weighted_degree for r in rels]
+
+    @pytest.mark.parametrize("order", ORDERS.values(), ids=ORDERS.keys())
+    def test_generators_and_syzygy_are_those_of_the_binary_cubic(
+            self, order):
+        assert self.presentation(order) == ((1, 2, 3, 4), [6])
+
+    def test_a_dropped_generator_fails_it(self, monkeypatch):
+        new_generators = invariants._new_generators
+
+        def dropping(*args):
+            return [(key, s) for key, s in new_generators(*args)
+                    if s.degree != 4]
+        monkeypatch.setattr(invariants, "_new_generators", dropping)
+        assert self.presentation(DEGREVLEX) != ((1, 2, 3, 4), [6])
+
+    def test_a_dropped_syzygy_fails_it(self, monkeypatch):
+        monkeypatch.setattr(invariants, "kernel_of_columns",
+                            lambda images: [])
+        assert self.presentation(DEGREVLEX) == ((1, 2, 3, 4), [])
+
+
 class TestPoissonBracket:
     """The Kostant-Kirillov bracket of the oracles, with which the
     semi-invariants found are checked."""

@@ -359,6 +359,57 @@ class TestPivotCertificate:
         assert kernel_module._ideal_count(frozenset(leads), n, d, {}) \
             == len(divisible)
 
+    @staticmethod
+    def miscounted(monkeypatch, cases, order):
+        """(algebra, degree, count, pivots) at each degree that
+        ``kernel_of_rho`` decides with no multiple built, by the image
+        count or by a system as large as the count, where
+        ``_pivot_count`` differs from the pivots of the multiples that
+        ``oracles.multiple_pivots`` lists."""
+        calls = TestPivotCertificate.multiples_degrees(monkeypatch)
+        counts = {}
+        pivot_count = kernel_module._pivot_count
+
+        def recording(gens, d, *args):
+            counts[d] = (list(gens), pivot_count(gens, d, *args))
+            return counts[d][1]
+        monkeypatch.setattr(kernel_module, "_pivot_count", recording)
+        found = []
+        for g, bound in cases:
+            calls.clear()
+            counts.clear()
+            kernel_of_rho(g, bound, order)
+            for d in counts.keys() - {d for d, _ in calls}:
+                gens, count = counts[d]
+                monos = monomials_of_degree(g.dim, d, order)
+                rank = {m: t for t, m in enumerate(monos)}
+                pivots = len(oracles.multiple_pivots(gens, d, g.dim, rank,
+                                                     order))
+                if count != pivots:
+                    found.append((g.label, d, count, pivots))
+        return found
+
+    @pytest.mark.parametrize("order", [DEGREVLEX, GRLEX, LEX],
+                             ids=lambda o: o.name)
+    def test_pivot_count_matches_the_oracle_where_it_decides(
+            self, monkeypatch, order):
+        cases = [(filiform(n), n) for n in range(3, 9)] + seaweeds_to_four()
+        assert self.miscounted(monkeypatch, cases, order) == []
+
+    def test_an_overcount_that_decides_a_degree_is_caught(self, monkeypatch):
+        # one pivot more at degree 3 of sl3, 43 + 1, equals the kernel's
+        # dimension 44 and decides the degree with no multiple built, so
+        # ``kernel_of_rho`` raises nothing; the oracle sees it
+        pivot_count = kernel_module._pivot_count
+
+        def one_more(gens, d, *args):
+            count = pivot_count(gens, d, *args)
+            return count + 1 if d == 3 else count
+        monkeypatch.setattr(kernel_module, "_pivot_count", one_more)
+        sl3 = seaweed((3,), (3,))
+        assert self.miscounted(monkeypatch, [(sl3, 3)], DEGREVLEX) == [
+            (sl3.label, 3, 44, 43)]
+
     def test_pivots_fewer_than_counted_raise(self, monkeypatch):
         # one pivot more counted than the multiples have, where they are
         # built, disagrees with their 148 least keys at degree 4 (the
@@ -658,7 +709,8 @@ class TestKernelOracle:
     def test_anchor_rows_match_the_structure_matrix_oracle(
             self, order_test_algebras):
         # the rows read from the bracket table against those read from
-        # the matrix's degree-one entries: same rows, keys and order
+        # the matrix's degree-one entries: same rows and keys, in any
+        # order, since ``SolutionSpace`` orders a system itself
         seaweeds = [g for g, _ in order_test_algebras
                     if g.label.startswith("seaweed")]
         assert len(seaweeds) == 4
@@ -668,8 +720,8 @@ class TestKernelOracle:
                 monos = monomials_of_degree(g.dim, d, DEGREVLEX)
                 rows = kernel_module._anchor_equations(g, monos)
                 expected = oracles.anchor_equations_from_matrix(b, monos)
-                assert [list(r.items()) for r in rows] == \
-                    [list(r.items()) for r in expected], (g.label, d)
+                assert sorted(sorted(r.items()) for r in rows) == \
+                    sorted(sorted(r.items()) for r in expected), (g.label, d)
 
     def dense_kernel_dimension(self, g, d):
         # brute force: coefficient matrix of sum_i A_i B[i][j] over a dense

@@ -232,6 +232,20 @@ class TestSparse:
             assert space.dim == len(basis)
             assert space.basis() == basis
 
+    @given(st.data())
+    @settings(max_examples=100)
+    def test_solution_space_does_not_depend_on_the_equation_order(
+            self, data):
+        # ``SolutionSpace`` orders a system itself, so its callers may
+        # hand the equations over in any order
+        equations = data.draw(mixed_vectors)
+        shuffled = data.draw(st.permutations(equations))
+        first, second = (linalg.SolutionSpace(eqs, 6)
+                         for eqs in (equations, shuffled))
+        assert first.dim == second.dim
+        assert first.echelon.rows == second.echelon.rows
+        assert first.basis() == second.basis()
+
     @given(mixed_vectors)
     @settings(max_examples=100)
     def test_echelon_stores_integers_as_int_and_reads_out_fractions(
