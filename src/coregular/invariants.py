@@ -41,7 +41,8 @@ that groups those products by class and weight (``_class_exponents``).
 A class whose products of lower generators fill its semi-invariants is
 decided with no elimination (``_classes``): the distinct leading
 monomials of the products and the distinct least keys of the class's
-rows, both read with nothing built, number its monomials.
+rows, both read with nothing built, number its monomials.  The scan
+and the class systems key each row by one integer code (``_moves``).
 
 ``generic_rank`` is the one rank over Q(x): seeded point ranks, and
 Bareiss elimination only when they fall short of a proven bound.
@@ -56,7 +57,7 @@ from functools import cached_property
 from itertools import chain, combinations_with_replacement
 from math import lcm
 from operator import mul
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import linalg
 from .grobner import (BudgetExceededError, GroebnerBasis, Ideal, buchberger,
@@ -248,31 +249,40 @@ def _combine(pairs: Iterable[tuple[int, Fraction]],
     return acc
 
 
+def _moves(images: Sequence[Sequence[dict]], monos: Sequence
+           ) -> tuple[list[int], list[tuple]]:
+    """The place values (d + 1)^v of the code sum_v m_v (d + 1)^v of a
+    monomial m of ``monos``, of degree d in n variables, and the moves
+    of the vectors v_i whose images [v_i, v_j] as {k: c} are ``images``:
+    (j, step, c) for each term c x_k of [v_i, v_j], with step =
+    i (d + 1)^n + (d + 1)^k - (d + 1)^j.  ad(v_i) takes m, with m_j > 0,
+    to m_j c m x_k / x_j, and the row of it is keyed code(m) + step: the
+    code of m x_k / x_j shifted past all the codes i times."""
+    n, degree = len(monos[0]), sum(monos[0])
+    powers = [(degree + 1) ** v for v in range(n)]
+    return powers, [(j, i * (degree + 1) ** n + powers[k] - powers[j], c)
+                    for i, vector_images in enumerate(images)
+                    for j, image in enumerate(vector_images)
+                    for k, c in image.items()]
+
+
 def _ad_equations(images: Sequence[Sequence[dict]], monos: Sequence
-                  ) -> Iterator[dict]:
+                  ) -> Iterable[dict]:
     """The system ad(v)(f) = 0 on the span of ``monos``, for the vectors
     v whose images [v, v_j] as {k: c} (``bracket_images``) are
     ``images``, as sparse rows, one per v and image monomial, unsorted;
-    unknown t is the coefficient of ``monos[t]``.
-
-    ad(v) is the derivation with x_j -> [v, v_j], so a term c x_k of it
-    adds e c to the row of m x_k / x_j for each unknown m, where e is
-    the exponent of x_j in m."""
-    for vector_images in images:
-        rows: dict = {}
-        for j, image in enumerate(vector_images):
-            if not image:
-                continue
-            for t, m in enumerate(monos):
-                e = m[j]
-                if not e:
-                    continue
-                lowered = m[:j] + (e - 1,) + m[j + 1:]
-                for k, c in image.items():
-                    row = rows.setdefault(
-                        lowered[:k] + (lowered[k] + 1,) + lowered[k + 1:], {})
-                    row[t] = row.get(t, 0) + e * c
-        yield from rows.values()
+    unknown t is the coefficient of ``monos[t]``, and each move
+    (j, step, c) (``_moves``) adds m_j c to row code(m) + step."""
+    powers, moves = _moves(images, monos)
+    rows: dict = {}
+    for t, m in enumerate(monos):
+        code = sum(map(mul, m, powers))
+        for j, step, c in moves:
+            e = m[j]
+            if e:
+                row = rows.setdefault(code + step, {})
+                row[t] = row.get(t, 0) + e * c
+    return rows.values()
 
 
 def _kernel_basis(nvars: int, monos: Sequence, space: linalg.SolutionSpace
@@ -507,9 +517,8 @@ def _classes(images: Sequence[Sequence[dict]], monos: Sequence,
     distinct leading monomials may not fill, each with its monomials
     ascending.  Decided in one ascending scan of the
     distinct least keys of the rows of ``_ad_equations(images, monos)``,
-    with no row built.  A monomial of degree d is coded by its exponents
-    as digits in base d + 1, and ``leads`` holds codes
-    (``_class_exponents``).
+    with no row built.  ``leads`` holds codes (``_moves``,
+    ``_class_exponents``).
 
     Rows with distinct least keys are independent, and so are products
     with distinct leading monomials.  Each row lies in one class, so
@@ -519,61 +528,47 @@ def _classes(images: Sequence[Sequence[dict]], monos: Sequence,
     and a kernel vector's leading monomial a free column, so a lead
     that is a least key raises ``InternalCheckError``.
 
-    Row (v, u) holds unknown m = u x_j / x_k, for j != k, with the
-    single term m_j c of each term c x_k of [v, v_j]: it never cancels.
-    Only its entry at u itself sums terms, sum_j u_j c_jj with c_jj the
-    coefficient of x_j in [v, v_j], and that sum is computed exactly.
-    The unknowns are scanned ascending, so one is the least key of the
-    rows it is the first to reach.  A row is coded by its monomial, and
-    the rows of the i-th vector are shifted past all the codes i times.
-    A class with no free monomial is empty, and one with no least key
-    has no row."""
-    n, degree = len(monos[0]), sum(monos[0])
-    powers = [(degree + 1) ** v for v in range(n)]
-    moves: list[tuple[int, int]] = []
-    diagonals = []
-    for i, vector_images in enumerate(images):
-        shift = i * (degree + 1) ** n
-        diagonal = []
-        for j, image in enumerate(vector_images):
-            for k, c in image.items():
-                if k == j:
-                    diagonal.append((j, c))
-                else:
-                    moves.append((j, shift + powers[k] - powers[j]))
-        if diagonal:
-            diagonals.append((shift, diagonal))
+    A move with k != j (a step that is no multiple of (d + 1)^n) puts
+    the single term m_j c in its row: it never cancels.  The moves with
+    k = j of one vector all put their terms in the row of m itself, so
+    their sum is computed exactly.  The unknowns are scanned ascending,
+    so one is the least key of the rows it is the first to reach.  A
+    class with no free monomial is empty, and one with no least key has
+    no row."""
+    powers, table = _moves(images, monos)
+    top = powers[-1] * (sum(monos[0]) + 1)
+    moves = [(j, step) for j, step, _ in table if step % top]
+    diagonals: dict[int, list] = {}
+    for j, step, c in table:
+        if not step % top:
+            diagonals.setdefault(step, []).append((j, c))
     room: dict[int, int] = {}
     free: dict[int, int] = {}
+    members: dict[int, list] = {}
     rows: set[int] = set()
     add = rows.add
     for m in monos:
         code = sum(map(mul, m, powers))
+        key = sum(map(mul, m, codes))
+        members.setdefault(key, []).append(m)
         reached = len(rows)
         for j, step in moves:
             if m[j]:
                 add(code + step)
-        for shift, diagonal in diagonals:
+        for step, diagonal in diagonals.items():
             if sum(m[j] * c for j, c in diagonal):
-                add(code + shift)
+                add(code + step)
         if len(rows) > reached:
             if code in leads:
                 raise InternalCheckError(
                     "a product's leading monomial is a least key of the "
                     "common-kernel system")
         else:
-            key = sum(map(mul, m, codes))
             free[key] = free.get(key, 0) + 1
             if code in leads:
                 room[key] = room.get(key, 0) + 1
-    classes: dict[int, list] = {key: [] for key, k in free.items()
-                                if k > room.get(key, 0)}
-    if classes:
-        for m in monos:
-            key = sum(map(mul, m, codes))
-            if key in classes:
-                classes[key].append(m)
-    return room, free, classes
+    return room, free, {key: members[key] for key, k in free.items()
+                        if k > room.get(key, 0)}
 
 
 def graded_semi_invariants(g: LieAlgebra, degree: int,
@@ -682,10 +677,10 @@ def _exponent_vectors(degrees: Sequence[int], target: int) -> list[tuple[int, ..
     return out
 
 
-def _power_products(gens: Sequence[SemiInvariant], nvars: int
+def _power_products(polys: Sequence[Polynomial], nvars: int
                     ) -> Callable[[Sequence[int]], Polynomial]:
-    """The map from an exponent tuple e to prod_i gens[i].poly ** e_i,
-    caching the powers; ``gens`` may grow between calls."""
+    """The map from an exponent tuple e to prod_i polys[i] ** e_i,
+    caching the powers; ``polys`` may grow between calls."""
     cache: dict[tuple[int, int], Polynomial] = {}
 
     def product(exps: Sequence[int]) -> Polynomial:
@@ -693,7 +688,7 @@ def _power_products(gens: Sequence[SemiInvariant], nvars: int
         for i, e in enumerate(exps):
             if e:
                 if (i, e) not in cache:
-                    cache[(i, e)] = gens[i].poly ** e
+                    cache[(i, e)] = polys[i] ** e
                 prod = prod * cache[(i, e)]
         return prod
     return product
@@ -705,7 +700,7 @@ def _class_exponents(gens: Sequence[SemiInvariant], degree: int,
     """The exponent tuples e of the degree-``degree`` products of
     ``gens``, by the key of their D-weight class (``_class_codes``) and
     then by the weight values of their product, and the codes (see
-    ``_classes``) of the products' distinct leading monomials.  Each
+    ``_moves``) of the products' distinct leading monomials.  Each
     generator lies in one class, and keys, weights and codes add up in
     a product: a monomial order is multiplicative, so a product's
     leading monomial is the product of its factors', read with no
@@ -761,6 +756,8 @@ def _new_generators(product: Callable[[Sequence[int]], Polynomial],
     ``exponents[w]``, each new generator with its place in the degree's
     output: its block, weight zero first and then by weight, and the
     leading monomial of the block vector it came from, descending.
+    Products of weight w are in the block, so once they span it no
+    block vector is new and no more of them are built.
 
     A monomial is keyed by its place in ``monos``, the degree's
     monomials descending, so the pivot of a row (its least key) is its
@@ -770,13 +767,16 @@ def _new_generators(product: Callable[[Sequence[int]], Polynomial],
         ech = SparseEchelon()
         for exps in exponents.get(w.values, ()):
             ech.add({place[m]: c for m, c in product(exps).terms.items()})
-        vecs = [{place[m]: c for m, c in f.terms.items()} for f in basis]
-        for t, row in ech.extend(vecs):
-            # the pivot is the leading monomial, so the row is monic
-            row = {monos[k]: c for k, c in row.items()}
-            new.append(((not w.is_zero, w.values, min(vecs[t])),
-                        SemiInvariant(Polynomial._new(basis[t].nvars, row),
-                                      w, degree)))
+            if len(ech.rows) == len(basis):
+                break
+        else:
+            vecs = [{place[m]: c for m, c in f.terms.items()} for f in basis]
+            for t, row in ech.extend(vecs):
+                # the pivot is the leading monomial, so the row is monic
+                row = {monos[k]: c for k, c in row.items()}
+                new.append(((not w.is_zero, w.values, min(vecs[t])),
+                            SemiInvariant(Polynomial._new(basis[t].nvars, row),
+                                          w, degree)))
     return new
 
 
@@ -817,8 +817,11 @@ def minimal_generators(g: LieAlgebra, max_degree: int | None = None,
     n = g.dim
     semi: list[SemiInvariant] = []
     inv = semi
+    # their primitive integer multiples, so products multiply ints
+    semi_ints: list[Polynomial] = []
+    inv_ints = semi_ints
     irrational: list[int] = []
-    semi_product = inv_product = _power_products(semi, n)
+    semi_product = inv_product = _power_products(semi_ints, n)
     for d in range(1, bound + 1):
         monos = monomials_of_degree(n, d, order)
         place = {m: t for t, m in enumerate(monos)}
@@ -852,10 +855,13 @@ def minimal_generators(g: LieAlgebra, max_degree: int | None = None,
         if graded.irrational_flag:
             irrational.append(d)
         inv += [s for _, s in new_inv]
+        inv_ints += [_integer_multiple(s.poly) for _, s in new_inv]
         semi += [s for _, s in new]
+        semi_ints += [_integer_multiple(s.poly) for _, s in new]
         if inv is semi and any(not s.weight.is_zero for _, s in new):
             inv = [s for s in semi if s.weight.is_zero]
-            inv_product = _power_products(inv, n)
+            inv_ints = [f for f, s in zip(semi_ints, semi) if s.weight.is_zero]
+            inv_product = _power_products(inv_ints, n)
     semi_set = GeneratorSet(algebra=g, degree_bound=bound,
                             generators=tuple(semi),
                             irrational_degrees=tuple(irrational))
@@ -993,7 +999,8 @@ def find_relations(gens: GeneratorSet, max_weighted_degree: int
     if k == 0:
         return []
     degrees = [s.degree for s in gens.generators]
-    product = _power_products(gens.generators, gens.algebra.dim)
+    product = _power_products([s.poly for s in gens.generators],
+                              gens.algebra.dim)
     relations: list[Relation] = []
     gb: GroebnerBasis | None = None
     for delta in range(1, max_weighted_degree + 1):

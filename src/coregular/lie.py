@@ -207,12 +207,19 @@ class LieAlgebra:
         return SkewPolyMatrix(n, tuple(tuple(row) for row in entries))
 
     def center(self) -> Subspace:
+        """The x with [x, v_j] = sum_i x_i [v_i, v_j] = 0 for every j:
+        equation (j, k) is the coefficient of v_k, and each stored row
+        [v_i, v_j] = sum_k c v_k puts c at unknown i of equation (j, k)
+        and -c at unknown j of equation (i, k)."""
         n = self.dim
-        rows = []
-        for j in range(n):
-            for k in range(n):
-                rows.append([self.bracket_basis(i, j)[k] for i in range(n)])
-        return Subspace.from_spanning(linalg.nullspace(rows, n))
+        equations: dict[tuple[int, int], dict[int, Fraction]] = {}
+        for (i, j), row in self.brackets.items():
+            for k, c in row.items():
+                equations.setdefault((j, k), {})[i] = c
+                equations.setdefault((i, k), {})[j] = -c
+        basis = linalg.SolutionSpace(equations.values(), n).basis()
+        return Subspace.from_spanning(
+            [[vec.get(t, 0) for t in range(n)] for vec in basis])
 
     def derived_subalgebra(self) -> Subspace:
         """[g, g], computed once per algebra."""

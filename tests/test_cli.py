@@ -10,9 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coregular.catalog import heisenberg
+from coregular.catalog import filiform, heisenberg
 from coregular.cli import EXIT_BROKEN_PIPE, main
+from coregular.invariants import minimal_generators
+from coregular.kernel import BUDGET_EXCEEDED, UNKNOWN
 from coregular.lie import LieAlgebra
+from coregular.report import AnalysisOptions, analyze
+from test_invariants import HAND_MADE
 
 
 def run_cli(args, capsys):
@@ -111,6 +115,37 @@ def test_file_input_round_trip(capsys, tmp_path):
 
     reloaded = LieAlgebra.from_json(path.read_text())
     assert reloaded == g
+
+
+def test_irrational_weights_are_reported_end_to_end(capsys, tmp_path):
+    # ad(v1) rotates v2 and v3 (eigenvalues +-i), so in every degree it
+    # has an eigenvalue that is not rational
+    g = HAND_MADE[1]
+    assert g.label == "rotation"
+    assert minimal_generators(g, 3)[0].irrational_degrees == (1, 2, 3)
+    report = analyze(g, AnalysisOptions(max_degree=3))
+    assert report.to_json_dict()["gates"]["irrational_weight_degrees"] == \
+        [1, 2, 3]
+    assert any("irrational weights may exist in degrees [1, 2, 3]" in note
+               for note in report.notes)
+    path = tmp_path / "rotation.json"
+    path.write_text(json.dumps(g.to_json_dict()))
+    code, out, _ = run_cli(["invariants", "--file", str(path),
+                            "--max-degree", "3"], capsys)
+    assert code == 0
+    assert ("(irrational weights possible in degrees [1, 2, 3], "
+            "not reported)") in out
+
+
+def test_a_groebner_capped_codimension_is_unknown():
+    # the Pfaffian ideal of L(11) exceeds the Groebner budget
+    report = analyze(filiform(11), AnalysisOptions(max_degree=1))
+    data = report.to_json_dict()
+    assert data["singular_codim"] == "unknown"
+    assert data["gates"]["codim_known"] is False
+    verdict = report.criterion("singular-codim-bound")
+    assert (verdict.status, verdict.certainty) == (UNKNOWN, BUDGET_EXCEEDED)
+    assert "non-regular locus codimension = unknown" in report.to_text()
 
 
 def test_catalog_round_trip_through_files(tmp_path, capsys):
