@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coregular.catalog import filiform, heisenberg
+from coregular.catalog import filiform, heisenberg, sl2
 from coregular.cli import EXIT_BROKEN_PIPE, main
 from coregular.invariants import minimal_generators
 from coregular.kernel import BUDGET_EXCEEDED, UNKNOWN
@@ -184,6 +184,29 @@ def test_reduce_weight_selector(capsys):
                             "--weight-of", "v2"], capsys)
     assert code == 0
     assert "c-value: 3 -> 3" in out
+
+
+def test_reduce_names_the_generators_a_wrong_selector_could_mean(capsys):
+    code, out, err = run_cli(["reduce", "--catalog", "panyushev",
+                              "--weight-of", "v9"], capsys)
+    assert code == 2 and out == ""
+    assert err == ("error: 'v9' is not a proper semi-invariant generator "
+                   "(available: v4, v2, v3)\n")
+
+
+def test_no_generator_up_to_the_bound_prints_none(capsys):
+    text = analyze(sl2(), AnalysisOptions(max_degree=1)).to_text()
+    assert "semi-invariant generators up to degree 1:\n  none\n" in text
+    code, out, _ = run_cli(["invariants", "--catalog", "sl2",
+                            "--max-degree", "1"], capsys)
+    assert code == 0
+    assert out == "semi-invariant generators of sl2 up to degree 1:\n  none\n"
+
+
+def test_a_relation_search_past_its_cap_is_reported_in_the_text():
+    # the 16 generators of L(7) have too many formal monomials
+    lines = analyze(filiform(7)).to_text().splitlines()
+    assert "relations: budget exceeded" in lines
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])

@@ -728,6 +728,22 @@ class TestMinimalGenerators:
         from coregular.poly import try_exact_div
         assert diffs[0].is_zero or try_exact_div(diffs[0], c2) is not None
 
+    def test_the_search_multiplies_integers_only(self, monkeypatch):
+        # each generator is held as its primitive integer polynomial, so
+        # no product in the search multiplies a Fraction
+        mul = Polynomial.__mul__
+        integral = []
+
+        def checked(f, other):
+            integral.append(all(
+                c.__class__ is int for x in (f, other)
+                for c in (x.terms.values() if isinstance(x, Polynomial)
+                          else (x,))))
+            return mul(f, other)
+        monkeypatch.setattr(Polynomial, "__mul__", checked)
+        minimal_generators(filiform(8), 8)
+        assert integral and all(integral), integral.count(False)
+
     def test_minimality_no_generator_in_lower_products(self):
         gens = minimal_generators(filiform(6), 4)[1]
         from coregular.linalg import SparseEchelon

@@ -16,7 +16,8 @@ from coregular.catalog import (abelian, example32, filiform, panyushev,
 from coregular.invariants import (SemiInvariant, WeightVector,
                                   minimal_generators)
 from coregular.kernel import (FAILS, H_BRANCH, HOLDS, K_BRANCH, UNKNOWN,
-                              InternalCheckError, compute_geometry,
+                              CriterionVerdict, InternalCheckError,
+                              KernelBasis, KernelGenerator, compute_geometry,
                               evaluate_criteria, find_syzygy,
                               freeness_verdict, kernel_of_rho,
                               reduce_one_step)
@@ -550,6 +551,30 @@ class TestFreeness:
     def test_filiform6_fails(self):
         verdict = freeness_verdict(kernel_of_rho(filiform(6), 2))
         assert verdict.status == FAILS
+
+    def test_fewer_generators_than_the_rank_is_unknown(self):
+        # rank 1, and no kernel generator of degree 1
+        verdict = freeness_verdict(
+            kernel_of_rho(seaweed((1, 1, 1), (3,)), 1))
+        assert verdict == CriterionVerdict(
+            criterion="kernel-freeness", status=UNKNOWN,
+            lhs="0 minimal generators", rhs="rank 1",
+            certainty="up-to-degree", degree_bound=1,
+            notes=("fewer generators than the rank: raise the degree "
+                   "bound",))
+
+    def test_dependent_generators_are_unknown(self):
+        # as many generators as the rank, the second x2 times the first
+        x1, x2 = (Polynomial.variable(2, i) for i in range(2))
+        kernel = KernelBasis(
+            algebra=abelian(2), degree_bound=2, rank=2,
+            generators=(KernelGenerator((x1, x2), 1),
+                        KernelGenerator((x2 * x1, x2 * x2), 2)))
+        assert freeness_verdict(kernel) == CriterionVerdict(
+            criterion="kernel-freeness", status=UNKNOWN,
+            lhs="2 minimal generators", rhs="rank 2",
+            certainty="up-to-degree", degree_bound=2,
+            notes=("generators are dependent over the fraction field",))
 
 
 class TestCriteria:
