@@ -356,40 +356,30 @@ def freeness_verdict(kernel: KernelBasis) -> CriterionVerdict:
     count = len(kernel.generators)
     rank = kernel.rank
     g = kernel.algebra
+    certainty, witness = UP_TO_DEGREE, None
     if count > rank:
+        status, certainty = FAILS, CERTIFIED
+        note = "more minimal generators than the rank"
         syz = find_syzygy(kernel)
-        witness = None
         if syz is not None:
-            e, coeffs = syz
             witness = "0 = " + " + ".join(
                 f"({format_polynomial(c, g.names)})*w{a + 1}"
-                for a, c in enumerate(coeffs) if not c.is_zero)
-        return CriterionVerdict(
-            criterion="kernel-freeness", status=FAILS,
-            lhs=f"{count} minimal generators", rhs=f"rank {rank}",
-            certainty=CERTIFIED, degree_bound=kernel.degree_bound,
-            notes=("more minimal generators than the rank",),
-            witness=witness)
-    if count == rank:
-        matrix = [[w.components[i] for i in range(g.dim)]
-                  for w in kernel.generators]
-        if generic_rank(matrix) == rank:
-            return CriterionVerdict(
-                criterion="kernel-freeness", status=HOLDS,
-                lhs=f"{count} minimal generators", rhs=f"rank {rank}",
-                certainty=UP_TO_DEGREE, degree_bound=kernel.degree_bound,
-                notes=("generator matrix has full rank over the fraction "
-                       "field; generation beyond the degree bound unverified",))
-        return CriterionVerdict(
-            criterion="kernel-freeness", status=UNKNOWN,
-            lhs=f"{count} minimal generators", rhs=f"rank {rank}",
-            certainty=UP_TO_DEGREE, degree_bound=kernel.degree_bound,
-            notes=("generators are dependent over the fraction field",))
+                for a, c in enumerate(syz[1]) if not c.is_zero)
+    elif count < rank:
+        status = UNKNOWN
+        note = "fewer generators than the rank: raise the degree bound"
+    elif generic_rank([list(w.components) for w in kernel.generators]) == rank:
+        status = HOLDS
+        note = ("generator matrix has full rank over the fraction field; "
+                "generation beyond the degree bound unverified")
+    else:
+        status = UNKNOWN
+        note = "generators are dependent over the fraction field"
     return CriterionVerdict(
-        criterion="kernel-freeness", status=UNKNOWN,
+        criterion="kernel-freeness", status=status,
         lhs=f"{count} minimal generators", rhs=f"rank {rank}",
-        certainty=UP_TO_DEGREE, degree_bound=kernel.degree_bound,
-        notes=("fewer generators than the rank: raise the degree bound",))
+        certainty=certainty, degree_bound=kernel.degree_bound,
+        notes=(note,), witness=witness)
 
 
 # ---------------------------------------------------------------------------
