@@ -227,12 +227,9 @@ def verify_semi_invariant(g: LieAlgebra, f: Polynomial, w: WeightVector) -> bool
 
 
 def _integer_multiple(f: Polynomial) -> Polynomial:
-    """f times the lcm of the denominators of its coefficients."""
-    d = lcm(*(c.denominator for c in f.terms.values()))
-    if d == 1:
-        return f
-    return Polynomial._new(f.nvars,
-                           {m: int(c * d) for m, c in f.terms.items()})
+    """f times the lcm of the denominators of its coefficients: the
+    primitive integer multiple of f when f is monic."""
+    return Polynomial._new(f.nvars, linalg._integral(f.terms))
 
 
 # ---------------------------------------------------------------------------
@@ -482,8 +479,8 @@ def _torus(g: LieAlgebra) -> list[list[int]]:
                 rows.add(tuple((t, x) for t, x in eq.items() if x))
         torus = []
         for a in linalg.SolutionSpace(map(dict, rows), n).basis():
-            scale = lcm(*(x.denominator for x in a.values()))
-            torus.append([int(a.get(t, 0) * scale) for t in range(n)])
+            a = linalg._integral(a)
+            torus.append([a.get(t, 0) for t in range(n)])
         for v in vectors:
             support = [i for i, x in enumerate(v) if x]
             if any(a[i] != a[support[0]] for a in torus for i in support):
@@ -677,10 +674,10 @@ def _exponent_vectors(degrees: Sequence[int], target: int) -> list[tuple[int, ..
     return out
 
 
-def _power_products(polys: Sequence[Polynomial], nvars: int
+def _power_products(gens: Sequence[SemiInvariant], nvars: int
                     ) -> Callable[[Sequence[int]], Polynomial]:
-    """The map from an exponent tuple e to prod_i polys[i] ** e_i,
-    caching the powers; ``polys`` may grow between calls."""
+    """The map from an exponent tuple e to prod_i gens[i].poly ** e_i,
+    caching the powers; ``gens`` may grow between calls."""
     cache: dict[tuple[int, int], Polynomial] = {}
 
     def product(exps: Sequence[int]) -> Polynomial:
@@ -688,7 +685,7 @@ def _power_products(polys: Sequence[Polynomial], nvars: int
         for i, e in enumerate(exps):
             if e:
                 if (i, e) not in cache:
-                    cache[(i, e)] = polys[i] ** e
+                    cache[(i, e)] = gens[i].poly ** e
                 prod = prod * cache[(i, e)]
         return prod
     return product
@@ -727,16 +724,17 @@ def _product_block(g: LieAlgebra,
                    product: Callable[[Sequence[int]], Polynomial],
                    exponents: Iterable[Sequence[int]], place: dict,
                    monos: Sequence) -> list[Polynomial]:
-    """The canonical echelon basis, leading monomials descending, of the
-    span of the weight-zero products ``product(e)``, e in ``exponents``,
-    each basis polynomial checked to be an invariant: the weight-zero
-    block of a class that products fill.  ``place`` numbers ``monos``,
-    the degree's monomials descending."""
+    """The echelon basis, leading monomials descending, of the span of
+    the weight-zero products ``product(e)``, e in ``exponents``, as the
+    echelon stores it, each polynomial primitive and integral and
+    checked to be an invariant: the weight-zero block of a class that
+    products fill.  ``place`` numbers ``monos``, the degree's monomials
+    descending."""
     ech = SparseEchelon()
     for exps in exponents:
         ech.add({place[m]: c for m, c in product(exps).terms.items()})
     block = [Polynomial._new(g.dim, {monos[t]: c
-                                     for t, c in ech.row(p).items()})
+                                     for t, c in ech.rows[p].items()})
              for p in sorted(ech.rows)]
     zero = WeightVector((0,) * g.dim)
     for f in block:
@@ -761,7 +759,8 @@ def _new_generators(product: Callable[[Sequence[int]], Polynomial],
 
     A monomial is keyed by its place in ``monos``, the degree's
     monomials descending, so the pivot of a row (its least key) is its
-    leading monomial."""
+    leading monomial; the row is monic, and the generator is held as its
+    primitive integer multiple (``_integer_multiple``)."""
     new = []
     for w, basis in blocks:
         ech = SparseEchelon()
@@ -772,11 +771,10 @@ def _new_generators(product: Callable[[Sequence[int]], Polynomial],
         else:
             vecs = [{place[m]: c for m, c in f.terms.items()} for f in basis]
             for t, row in ech.extend(vecs):
-                # the pivot is the leading monomial, so the row is monic
                 row = {monos[k]: c for k, c in row.items()}
                 new.append(((not w.is_zero, w.values, min(vecs[t])),
-                            SemiInvariant(Polynomial._new(basis[t].nvars, row),
-                                          w, degree)))
+                            SemiInvariant(_integer_multiple(Polynomial._new(
+                                basis[t].nvars, row)), w, degree)))
     return new
 
 
@@ -815,13 +813,12 @@ def minimal_generators(g: LieAlgebra, max_degree: int | None = None,
     if bound < 1:
         raise ValueError("degree bound must be >= 1")
     n = g.dim
+    # each generator as its primitive integer polynomial, so products
+    # multiply ints
     semi: list[SemiInvariant] = []
     inv = semi
-    # their primitive integer multiples, so products multiply ints
-    semi_ints: list[Polynomial] = []
-    inv_ints = semi_ints
     irrational: list[int] = []
-    semi_product = inv_product = _power_products(semi_ints, n)
+    semi_product = inv_product = _power_products(semi, n)
     for d in range(1, bound + 1):
         monos = monomials_of_degree(n, d, order)
         place = {m: t for t, m in enumerate(monos)}
@@ -855,21 +852,22 @@ def minimal_generators(g: LieAlgebra, max_degree: int | None = None,
         if graded.irrational_flag:
             irrational.append(d)
         inv += [s for _, s in new_inv]
-        inv_ints += [_integer_multiple(s.poly) for _, s in new_inv]
         semi += [s for _, s in new]
-        semi_ints += [_integer_multiple(s.poly) for _, s in new]
         if inv is semi and any(not s.weight.is_zero for _, s in new):
             inv = [s for s in semi if s.weight.is_zero]
-            inv_ints = [f for f, s in zip(semi_ints, semi) if s.weight.is_zero]
-            inv_product = _power_products(inv_ints, n)
+            inv_product = _power_products(inv, n)
+
+    def monic(gens: list[SemiInvariant]) -> tuple[SemiInvariant, ...]:
+        return tuple(SemiInvariant(s.poly.monic(order), s.weight, s.degree)
+                     for s in gens)
     semi_set = GeneratorSet(algebra=g, degree_bound=bound,
-                            generators=tuple(semi),
+                            generators=monic(semi),
                             irrational_degrees=tuple(irrational))
     if inv is semi:
         return semi_set, semi_set
     # an irrational weight is never zero, so no invariant is missed
     return semi_set, GeneratorSet(algebra=g, degree_bound=bound,
-                                  generators=tuple(inv),
+                                  generators=monic(inv),
                                   irrational_degrees=())
 
 
@@ -999,8 +997,7 @@ def find_relations(gens: GeneratorSet, max_weighted_degree: int
     if k == 0:
         return []
     degrees = [s.degree for s in gens.generators]
-    product = _power_products([s.poly for s in gens.generators],
-                              gens.algebra.dim)
+    product = _power_products(gens.generators, gens.algebra.dim)
     relations: list[Relation] = []
     gb: GroebnerBasis | None = None
     for delta in range(1, max_weighted_degree + 1):

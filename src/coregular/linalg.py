@@ -262,11 +262,9 @@ def _lifted_root_candidates(coeffs: list[Fraction]) -> list[Fraction]:
     them simple lift by Newton's iteration to roots modulo l^k > 2*bound,
     and c*r is the symmetric residue of c times one of them.
     """
-    rat = squarefree_part(coeffs)
-    den = 1
-    for c in rat:
-        den = lcm(den, c.denominator)
-    ints = [int(c * den) for c in rat]
+    part = squarefree_part(coeffs)
+    cleared = _integral(dict(enumerate(part)))
+    ints = [cleared.get(i, 0) for i in range(len(part))]
     deriv = derivative(ints)
     lead = ints[-1]
     bound = abs(lead) + max(abs(c) for c in ints)
