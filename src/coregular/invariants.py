@@ -43,6 +43,10 @@ decided with no elimination (``_classes``): the distinct leading
 monomials of the products and the distinct least keys of the class's
 rows, both read with nothing built, number its monomials.  The scan
 and the class systems key each row by one integer code (``_moves``).
+The search holds each generator once, as the primitive integer
+multiple of its echelon row (``_integer_multiple``), so its products
+multiply ints; a generator is made monic only in the ``GeneratorSet``
+that ``minimal_generators`` returns.
 
 ``generic_rank`` is the one rank over Q(x): seeded point ranks, and
 Bareiss elimination only when they fall short of a proven bound.

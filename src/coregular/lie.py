@@ -1,9 +1,11 @@
 """Lie algebras from structure constants.
 
 Brackets are stored only for i < j, so antisymmetry holds by
-construction; one private reader gives [v_i, v_j] for any pair, and all
-bracket arithmetic reads it, from the Jacobi check that runs when an
-algebra is built to the images [x, v_j] as {k: c} (``bracket_images``).
+construction; one private reader gives [v_i, v_j] for any pair, and
+every reader of single entries goes through it, from the Jacobi check
+that runs when an algebra is built to the images [x, v_j] as {k: c}
+(``bracket_images``).  Three readers of the whole table apply the sign
+rule themselves (``_bracket_terms`` names them).
 All linear data lives over exact rationals, each value an ``int`` when
 it is integral (see ``poly._q``).
 """
@@ -119,10 +121,12 @@ class LieAlgebra:
         """[v_i, v_j] as {k: c}, keys ascending: row (i, j) of the table
         itself when i < j, and row (j, i) negated otherwise; callers only
         read what it returns.  Every reader of single entries applies
-        the sign rule of the i < j table through it.  Two readers of the
-        whole table negate rows themselves: ``_structure_matrix``, once
-        per entry pair, and ``invariants.verify_semi_invariant``, which
-        scales the whole table to integers in one pass."""
+        the sign rule of the i < j table through it.  Three readers of
+        the whole table negate rows themselves: ``_structure_matrix``,
+        once per entry pair, ``center``, which puts each stored entry
+        into two equations with opposite signs, and
+        ``invariants.verify_semi_invariant``, which scales the whole
+        table to integers in one pass."""
         if i < j:
             return self.brackets.get((i, j), _NO_TERMS)
         return {k: -c for k, c in self.brackets.get((j, i), _NO_TERMS).items()}
