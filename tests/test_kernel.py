@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -11,12 +12,13 @@ from hypothesis import strategies as st
 import coregular
 from coregular import kernel as kernel_module
 from coregular import linalg
-from coregular.catalog import (abelian, example32, filiform, panyushev,
-                               sl2, two_dim_nonabelian)
+from coregular.catalog import (abelian, example32, filiform, heisenberg,
+                               panyushev, sl2, two_dim_nonabelian)
+from coregular.cli import main as cli_main
 from coregular.invariants import (SemiInvariant, WeightVector,
                                   minimal_generators)
-from coregular.kernel import (FAILS, H_BRANCH, HOLDS, K_BRANCH, UNKNOWN,
-                              CriterionVerdict, InternalCheckError,
+from coregular.kernel import (FAILS, H_BRANCH, HOLDS, K_BRANCH, UNDECIDED,
+                              UNKNOWN, CriterionVerdict, InternalCheckError,
                               KernelBasis, KernelGenerator, compute_geometry,
                               evaluate_criteria, find_syzygy,
                               freeness_verdict, kernel_of_rho,
@@ -645,6 +647,53 @@ class TestCriteria:
             evaluate_criteria(compute_geometry(filiform(4)), semi, other, ())
 
 
+    def heisenberg_criteria(self, **changes):
+        # index 2, centre of dimension 1, d = 2 and codimension 1; the
+        # only generator up to degree 1 is the invariant c
+        g = heisenberg([[1, 0], [0, 1]])
+        geometry = dataclasses.replace(compute_geometry(g), **changes)
+        semi, inv = minimal_generators(g, 1)
+        return {v.criterion: v
+                for v in evaluate_criteria(geometry, semi, inv, ())}
+
+    def test_a_polynomial_presentation_of_the_wrong_degree_sum_fails(self):
+        verdict = self.heisenberg_criteria()["invariant-degree-sum-equality"]
+        assert verdict == CriterionVerdict(
+            criterion="invariant-degree-sum-equality", status=FAILS,
+            lhs="sum of invariant generator degrees = 1",
+            rhs="(dim + i - d)/2 = 3", certainty="up-to-degree",
+            degree_bound=1,
+            notes=("no proper semi-invariants found up to degree 1",))
+
+    def test_equality_with_d_zero_but_a_short_sum_fails(self):
+        # sl2 at bound 1: no invariant yet, so 0 != c while d = 0
+        verdict = self.run(seaweed((2,), (2,)), 1)["equality-iff-codim-ge-2"]
+        assert verdict == CriterionVerdict(
+            criterion="equality-iff-codim-ge-2", status=FAILS,
+            lhs="degree sum != c", rhs="d = 0", certainty="up-to-degree",
+            degree_bound=1, notes=("no proper semi-invariants (perfect)",))
+
+    def test_an_index_above_the_centre_bound_fails_up_to_degree(self):
+        g = heisenberg([[1, 0], [0, 1]])
+        index = compute_geometry(g).index
+        verdict = self.heisenberg_criteria(index=index + 2)[
+            "index-center-bound"]
+        assert verdict == CriterionVerdict(
+            criterion="index-center-bound", status=FAILS,
+            lhs="3 i = 12", rhs="dim + 2 dim Z = 8",
+            certainty="up-to-degree", degree_bound=1,
+            notes=("no proper semi-invariants found up to degree 1",
+                   "failure excludes coregularity"))
+
+    def test_an_unknown_codimension_is_budget_exceeded(self):
+        verdict = self.heisenberg_criteria(codim=None, codim_known=False)[
+            "singular-codim-bound"]
+        assert verdict == CriterionVerdict(
+            criterion="singular-codim-bound", status=UNKNOWN,
+            lhs="codim unknown", rhs="codim <= 3",
+            certainty="budget-exceeded", notes=("Groebner budget exceeded",))
+
+
 class TestReduceOneStep:
     def proper_generator(self, g, bound=3, text=None):
         gens = minimal_generators(g, bound)[0]
@@ -726,6 +775,44 @@ class TestReduceOneStep:
                 step = reduce_one_step(g, s, compare_degree=2)
                 if step.chosen_algebra is not None:
                     assert step.c_after == step.c_before
+
+
+    def patched_dims(self, monkeypatch, g_dims, h_dims, k_dims):
+        # h and k are told apart by the labels reduce_one_step gives them
+        def dims(alg, degree):
+            if alg.label.endswith("|ker-weight"):
+                return h_dims
+            if alg.label.endswith("|nilpotent-extension"):
+                return k_dims
+            return g_dims
+        monkeypatch.setattr(kernel_module, "semicenter_dims", dims)
+
+    def test_both_branches_matching_take_the_h_branch(self, monkeypatch):
+        # example32 keeps its rank in k, so both branches survive
+        self.patched_dims(monkeypatch, (1, 1, 1), (1, 1, 1), (1, 1, 1))
+        g = example32()
+        step = reduce_one_step(g, self.proper_generator(g, text="v3"))
+        assert step.chosen == H_BRANCH and step.chosen_algebra is step.h
+        assert step.c_after == step.c_before == 2
+        assert step.notes == ("both branches match the semi-center "
+                              "dimensions up to degree 3",)
+
+    def test_no_matching_branch_is_undecided(self, monkeypatch):
+        self.patched_dims(monkeypatch, (1, 1, 1), (2, 3, 4), (1, 2, 3))
+        g = example32()
+        step = reduce_one_step(g, self.proper_generator(g, text="v3"))
+        assert step.chosen == UNDECIDED
+        assert step.notes == ("no branch matches the graded semi-center "
+                              "dimensions; raise the comparison degree",)
+        assert step.c_after is None and step.chosen_algebra is None
+
+    def test_the_cli_reports_an_undecided_step(self, monkeypatch, capsys):
+        self.patched_dims(monkeypatch, (1, 1, 1), (2, 3, 4), (1, 2, 3))
+        assert cli_main(["reduce", "--catalog", "example32"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "  chosen branch: undecided" in lines
+        assert "  c-value: 2 -> None (n/a)" in lines
+        assert not any(line.endswith("<- chosen") for line in lines)
 
 
 class TestKernelOracle:
