@@ -17,7 +17,6 @@ import sys
 from pathlib import Path
 
 from .catalog import CATALOG, build_catalog_algebra
-from .grobner import BudgetExceededError
 from .invariants import minimal_generators
 from .kernel import freeness_verdict, kernel_of_rho, reduce_one_step
 from .lie import LieAlgebra, LieAlgebraError
@@ -235,9 +234,6 @@ def main(argv=None) -> int:
         return status
     except (LieAlgebraError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except BudgetExceededError as exc:
-        print(f"error: computation budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except BrokenPipeError:
         # the reader has gone: the rest, and the flush at exit, go nowhere

@@ -64,6 +64,29 @@ class CriterionVerdict:
     witness: str | None = None
 
 
+def _verdict(criterion: str, holds: bool | None, lhs: str, rhs: str,
+             certainty: str = UP_TO_DEGREE, degree_bound: int | None = None,
+             notes: Sequence[str] = (), witness: str | None = None,
+             applies: bool = True, excluding: bool = False
+             ) -> CriterionVerdict:
+    """The one place a ``CriterionVerdict`` is built.
+
+    Status rule: ``holds`` True, False or None gives the status holds,
+    fails or unknown.  Not-applicable rule: a criterion whose hypothesis
+    fails (``applies`` false) is unknown and up-to-degree, whatever
+    ``holds`` and ``certainty`` say, and its notes are joined into one
+    note that starts ``not applicable:``.  A failure of an ``excluding``
+    criterion excludes coregularity, and a last note says so."""
+    if not applies:
+        holds, certainty = None, UP_TO_DEGREE
+        notes = ("not applicable: " + "; ".join(notes),)
+    elif excluding and holds is False:
+        notes = (*notes, "failure excludes coregularity")
+    status = UNKNOWN if holds is None else HOLDS if holds else FAILS
+    return CriterionVerdict(criterion, status, lhs, rhs, certainty,
+                            degree_bound, tuple(notes), witness)
+
+
 # ---------------------------------------------------------------------------
 # kernel of the anchor map
 # ---------------------------------------------------------------------------
@@ -358,7 +381,7 @@ def freeness_verdict(kernel: KernelBasis) -> CriterionVerdict:
     g = kernel.algebra
     certainty, witness = UP_TO_DEGREE, None
     if count > rank:
-        status, certainty = FAILS, CERTIFIED
+        holds, certainty = False, CERTIFIED
         note = "more minimal generators than the rank"
         syz = find_syzygy(kernel)
         if syz is not None:
@@ -366,20 +389,18 @@ def freeness_verdict(kernel: KernelBasis) -> CriterionVerdict:
                 f"({format_polynomial(c, g.names)})*w{a + 1}"
                 for a, c in enumerate(syz[1]) if not c.is_zero)
     elif count < rank:
-        status = UNKNOWN
+        holds = None
         note = "fewer generators than the rank: raise the degree bound"
     elif generic_rank([list(w.components) for w in kernel.generators]) == rank:
-        status = HOLDS
+        holds = True
         note = ("generator matrix has full rank over the fraction field; "
                 "generation beyond the degree bound unverified")
     else:
-        status = UNKNOWN
+        holds = None
         note = "generators are dependent over the fraction field"
-    return CriterionVerdict(
-        criterion="kernel-freeness", status=status,
-        lhs=f"{count} minimal generators", rhs=f"rank {rank}",
-        certainty=certainty, degree_bound=kernel.degree_bound,
-        notes=(note,), witness=witness)
+    return _verdict("kernel-freeness", holds, f"{count} minimal generators",
+                    f"rank {rank}", certainty, kernel.degree_bound, (note,),
+                    witness)
 
 
 # ---------------------------------------------------------------------------
@@ -440,39 +461,8 @@ def evaluate_criteria(geometry: Geometry, semi_gens: GeneratorSet,
                        f"{semi_gens.degree_bound}" if no_proper_found
                        else "proper semi-invariants present"))
     gate_certainty = CERTIFIED if structural else UP_TO_DEGREE
-
-    verdicts: list[CriterionVerdict] = []
-
-    # bound on the degree sum of the semi-invariant generators
-    lhs = semi_gens.degree_sum()
-    fails = lhs > c
-    verdicts.append(CriterionVerdict(
-        criterion="semi-invariant-degree-sum-bound",
-        status=FAILS if fails else HOLDS,
-        lhs=f"sum of generator degrees = {lhs}", rhs=f"c = {c}",
-        certainty=CERTIFIED if fails else UP_TO_DEGREE,
-        degree_bound=semi_gens.degree_bound,
-        notes=("the degree sum only grows with the bound, so exceeding c "
-               "is final",) if fails else
-              ("bound verified for the generators found so far",)))
-
-    # 3 i <= dim + 2 dim Z, valid for coregular algebras without proper
-    # semi-invariants
-    lhs2, rhs2 = 3 * idx, n + 2 * z_dim
-    if no_proper_found:
-        verdicts.append(CriterionVerdict(
-            criterion="index-center-bound",
-            status=HOLDS if lhs2 <= rhs2 else FAILS,
-            lhs=f"3 i = {lhs2}", rhs=f"dim + 2 dim Z = {rhs2}",
-            certainty=gate_certainty, degree_bound=semi_gens.degree_bound,
-            notes=(gate_note,) + ((("failure excludes coregularity",))
-                                  if lhs2 > rhs2 else ())))
-    else:
-        verdicts.append(CriterionVerdict(
-            criterion="index-center-bound", status=UNKNOWN,
-            lhs=f"3 i = {lhs2}", rhs=f"dim + 2 dim Z = {rhs2}",
-            certainty=UP_TO_DEGREE, degree_bound=semi_gens.degree_bound,
-            notes=("not applicable: " + gate_note,)))
+    semi_sum = semi_gens.degree_sum()
+    within = semi_sum <= c
 
     # degree-sum equality for a discovered polynomial presentation
     inv_sum = inv_gens.degree_sum()
@@ -481,9 +471,8 @@ def evaluate_criteria(geometry: Geometry, semi_gens: GeneratorSet,
         raise InternalCheckError("dim + index - d must be even")
     target = target2 // 2
     independent = inv_gens.jacobian_rank == len(inv_gens.generators)
-    polynomial_presentation = (relations is not None and not relations
-                               and independent)
-    eq_gate = no_proper_found and polynomial_presentation
+    eq_gate = (no_proper_found and relations is not None and not relations
+               and independent)
     eq_notes = [gate_note]
     if relations is None:
         eq_notes.append("relation search exceeded its budget")
@@ -492,60 +481,53 @@ def evaluate_criteria(geometry: Geometry, semi_gens: GeneratorSet,
                         "presentation is not polynomial")
     if not independent:
         eq_notes.append("generators are algebraically dependent")
-    if eq_gate:
-        verdicts.append(CriterionVerdict(
-            criterion="invariant-degree-sum-equality",
-            status=HOLDS if inv_sum == target else FAILS,
-            lhs=f"sum of invariant generator degrees = {inv_sum}",
-            rhs=f"(dim + i - d)/2 = {target}",
-            certainty=UP_TO_DEGREE, degree_bound=inv_gens.degree_bound,
-            notes=tuple(eq_notes)))
-        verdicts.append(CriterionVerdict(
-            criterion="equality-iff-codim-ge-2",
-            status=HOLDS if ((inv_sum == c) == (d == 0)) else FAILS,
-            lhs=f"degree sum {'=' if inv_sum == c else '!='} c",
-            rhs=f"d {'=' if d == 0 else '!='} 0",
-            certainty=UP_TO_DEGREE, degree_bound=inv_gens.degree_bound,
-            notes=tuple(eq_notes)))
-    else:
-        for crit in ("invariant-degree-sum-equality", "equality-iff-codim-ge-2"):
-            verdicts.append(CriterionVerdict(
-                criterion=crit, status=UNKNOWN,
-                lhs=f"sum of invariant generator degrees = {inv_sum}",
-                rhs=f"(dim + i - d)/2 = {target}" if
-                crit == "invariant-degree-sum-equality" else f"d = {d}",
-                certainty=UP_TO_DEGREE, degree_bound=inv_gens.degree_bound,
-                notes=("not applicable: " + "; ".join(eq_notes),)))
+    sum_text = f"sum of invariant generator degrees = {inv_sum}"
 
     # codimension of the non-regular locus is at most 3 for coregular
     # non-abelian algebras without proper semi-invariants
     if g.is_abelian:
-        verdicts.append(CriterionVerdict(
-            criterion="singular-codim-bound", status=HOLDS,
-            lhs="non-regular locus empty", rhs="codim <= 3",
-            certainty=CERTIFIED, notes=("abelian: every point is regular",)))
+        codim_holds, codim_text = True, "non-regular locus empty"
+        codim_note = "abelian: every point is regular"
     elif not geometry.codim_known:
-        verdicts.append(CriterionVerdict(
-            criterion="singular-codim-bound", status=UNKNOWN,
-            lhs="codim unknown", rhs="codim <= 3",
-            certainty=BUDGET_EXCEEDED,
-            notes=("Groebner budget exceeded",)))
+        codim_holds, codim_text = None, "codim unknown"
+        codim_note = "Groebner budget exceeded"
     else:
-        codim = geometry.codim
-        verdicts.append(CriterionVerdict(
-            criterion="singular-codim-bound",
-            status=HOLDS if codim is not None and codim <= 3 else FAILS,
-            lhs=f"codim = {codim}", rhs="codim <= 3",
-            certainty=CERTIFIED,
-            notes=(gate_note,) + (("failure excludes coregularity",)
-                                  if codim is not None and codim > 3 else ())))
+        codim_holds = geometry.codim < 4
+        codim_text, codim_note = f"codim = {geometry.codim}", gate_note
 
-    verdicts.append(CriterionVerdict(
-        criterion="singular-locus-purity", status=UNKNOWN,
-        lhs="purity in codimension 3", rhs="not checked",
-        certainty=UP_TO_DEGREE,
-        notes=("needs primary decomposition, outside the toolkit's scope",)))
-    return verdicts
+    return [
+        # bound on the degree sum of the semi-invariant generators
+        _verdict("semi-invariant-degree-sum-bound", within,
+                 f"sum of generator degrees = {semi_sum}", f"c = {c}",
+                 UP_TO_DEGREE if within else CERTIFIED,
+                 semi_gens.degree_bound,
+                 ("bound verified for the generators found so far",)
+                 if within else ("the degree sum only grows with the bound, "
+                                 "so exceeding c is final",)),
+        # 3 i <= dim + 2 dim Z, valid for coregular algebras without
+        # proper semi-invariants
+        _verdict("index-center-bound", 3 * idx <= n + 2 * z_dim,
+                 f"3 i = {3 * idx}", f"dim + 2 dim Z = {n + 2 * z_dim}",
+                 gate_certainty, semi_gens.degree_bound, (gate_note,),
+                 applies=no_proper_found, excluding=True),
+        _verdict("invariant-degree-sum-equality", inv_sum == target,
+                 sum_text, f"(dim + i - d)/2 = {target}",
+                 degree_bound=inv_gens.degree_bound, notes=eq_notes,
+                 applies=eq_gate),
+        _verdict("equality-iff-codim-ge-2", (inv_sum == c) == (d == 0),
+                 f"degree sum {'=' if inv_sum == c else '!='} c"
+                 if eq_gate else sum_text,
+                 f"d {'=' if d == 0 else '!='} 0" if eq_gate else f"d = {d}",
+                 degree_bound=inv_gens.degree_bound, notes=eq_notes,
+                 applies=eq_gate),
+        _verdict("singular-codim-bound", codim_holds, codim_text,
+                 "codim <= 3",
+                 BUDGET_EXCEEDED if codim_holds is None else CERTIFIED,
+                 notes=(codim_note,), excluding=True),
+        _verdict("singular-locus-purity", None, "purity in codimension 3",
+                 "not checked", notes=("needs primary decomposition, "
+                                       "outside the toolkit's scope",)),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -577,11 +559,7 @@ class ReductionStep:
 
     @property
     def chosen_algebra(self) -> LieAlgebra | None:
-        if self.chosen == H_BRANCH:
-            return self.h
-        if self.chosen == K_BRANCH:
-            return self.k
-        return None
+        return {H_BRANCH: self.h, K_BRANCH: self.k}.get(self.chosen)
 
 
 def reduce_one_step(g: LieAlgebra, s: SemiInvariant,
@@ -655,31 +633,22 @@ def reduce_one_step(g: LieAlgebra, s: SemiInvariant,
         "k": semicenter_dims(k, compare_degree),
     }
     notes: list[str] = []
-    candidates = [H_BRANCH]
-    if rank_k == rank_g:
-        candidates.append(K_BRANCH)
-    else:
+    branches = {H_BRANCH: h, K_BRANCH: k}  # h first: taken if both match
+    if rank_k != rank_g:
+        del branches[K_BRANCH]
         notes.append("k-branch excluded: rank(k) != rank(g) cannot "
                      "preserve the c-value")
-    matches = [cand for cand in candidates
-               if dims[cand[0]] == dims["g"]]
-    if len(matches) == 1:
-        chosen = matches[0]
-    elif len(matches) == 2:
-        chosen = H_BRANCH
+    matches = [b for b in branches if dims[b[0]] == dims["g"]]
+    chosen = matches[0] if matches else UNDECIDED
+    if len(matches) == 2:
         notes.append("both branches match the semi-center dimensions "
                      f"up to degree {compare_degree}")
-    else:
-        chosen = UNDECIDED
+    elif not matches:
         notes.append("no branch matches the graded semi-center dimensions; "
                      "raise the comparison degree")
 
     c_before = c_value(g)
-    c_after = None
-    if chosen == H_BRANCH:
-        c_after = c_value(h)
-    elif chosen == K_BRANCH:
-        c_after = c_value(k)
+    c_after = c_value(branches[chosen]) if matches else None
     if c_after is not None and c_after != c_before:
         raise InternalCheckError("reduction step must preserve the c-value")
 
