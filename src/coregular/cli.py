@@ -161,8 +161,9 @@ def cmd_reduce(args) -> int:
           f"(weight {tuple(str(x) for x in step.weight.values)})")
     print(f"  ranks: r(g) = {step.rank_g}, r(h) = {step.rank_h}, "
           f"r(k) = {step.rank_k}")
-    print(f"  c-value: {step.c_before} -> {step.c_after} "
-          f"({'preserved' if step.c_after == step.c_before else 'n/a'})")
+    after = ("undecided" if step.c_after is None
+             else f"{step.c_after} (preserved)")
+    print(f"  c-value: {step.c_before} -> {after}")
     print(f"  chosen branch: {step.chosen}")
     for label, alg in (("h = ker(weight)", step.h),
                        ("k = h + nilpotent part", step.k)):

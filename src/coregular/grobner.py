@@ -83,6 +83,13 @@ def s_polynomial(f: Polynomial, g: Polynomial,
     return mf * f - mg * g
 
 
+def check_ring_dim(nvars: int, budget: GrobnerBudget = DEFAULT_BUDGET):
+    """Raise BudgetExceededError above the budget's ring dimension cap."""
+    if nvars > budget.max_ring_dim:
+        raise BudgetExceededError(
+            f"ring dimension {nvars} exceeds cap {budget.max_ring_dim}")
+
+
 def buchberger(ideal: Ideal, order: MonomialOrder = DEGREVLEX,
                budget: GrobnerBudget = DEFAULT_BUDGET) -> GroebnerBasis:
     """Reduced Groebner basis via Buchberger with sugar-degree selection.
@@ -90,9 +97,7 @@ def buchberger(ideal: Ideal, order: MonomialOrder = DEGREVLEX,
     The pairs wait in a heap keyed (sugar, order key of the lcm of the
     leading monomials, i, j), so the smallest key is taken first, and
     each element's leading monomial is computed once, when it enters."""
-    if ideal.nvars > budget.max_ring_dim:
-        raise BudgetExceededError(
-            f"ring dimension {ideal.nvars} exceeds cap {budget.max_ring_dim}")
+    check_ring_dim(ideal.nvars, budget)
     gens = [g.monic(order) for g in ideal.generators]
     if not gens:
         return GroebnerBasis(ideal.nvars, order, ())

@@ -378,19 +378,21 @@ class SkewPolyMatrix:
 
     def __post_init__(self):
         for i in range(self.size):
-            if not self.entries[i][i].is_zero:
+            row = self.entries[i]
+            if not row[i].is_zero:
                 raise ValueError("diagonal must vanish")
-            for j in range(self.size):
-                if self.entries[i][j] != -self.entries[j][i]:
+            for j in range(i + 1, self.size):
+                upper, lower = row[j], self.entries[j][i]
+                if not (upper.is_zero and lower.is_zero) and upper != -lower:
                     raise ValueError("matrix must be skew-symmetric")
 
     def __getitem__(self, ij: tuple[int, int]) -> Polynomial:
         return self.entries[ij[0]][ij[1]]
 
     def evaluate(self, point: Sequence) -> Mat:
-        """The matrix at ``point``, converted once; each entry above the
-        diagonal is evaluated once and the lower triangle is its
-        negative."""
+        """The matrix at ``point``, converted once; each nonzero entry
+        above the diagonal is evaluated once and the lower triangle is
+        its negative."""
         n = self.size
         if len(point) != n:
             raise ValueError("point length does not match ring dimension")
@@ -399,6 +401,8 @@ class SkewPolyMatrix:
         for i in range(n):
             row = self.entries[i]
             for j in range(i + 1, n):
+                if row[j].is_zero:
+                    continue
                 value = row[j]._value_at(pt)
                 out[i][j] = value
                 out[j][i] = -value

@@ -1,8 +1,14 @@
 """Certified generic rank of the structure matrix, Pfaffians, index,
 the fundamental semi-invariant and the non-regular locus.
 
-The rank certificate is exact: a nonzero principal Pfaffian witnesses
-rank >= r, and identical vanishing of every bordered Pfaffian
+The rank certificate is exact.  It is bounded on both sides before any
+Pfaffian is expanded: below by the rank at seeded integer probe points,
+above by the term rank of B (the most nonzero entries with no two in a
+row or a column), rounded down to even.  A t x t minor with t above the
+term rank is a sum of products that each hold a zero entry, Pf^2 = det,
+and a skew matrix has even rank.  A nonzero principal Pfaffian
+witnesses rank >= r; where r meets both bounds it is the rank.  Where
+the bounds stay apart, identical vanishing of every bordered Pfaffian
 Pf(I + {a,b}) certifies rank <= r, because for a skew matrix the
 determinant of such a bordered principal block equals det(B_I) times
 the square of a Schur-complement entry.
@@ -12,10 +18,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 
 from . import linalg
-from .grobner import Ideal, buchberger, krull_dimension
+from .grobner import (GroebnerBasis, Ideal, buchberger, check_ring_dim,
+                      krull_dimension)
 from .lie import LieAlgebra, SkewPolyMatrix
 from .linalg import InternalCheckError
 from .poly import DEGREVLEX, MonomialOrder, Polynomial, poly_gcd
@@ -67,22 +75,59 @@ class RankCertificate:
     probe_ranks: tuple[int, ...]
 
 
+def term_rank(b: SkewPolyMatrix) -> int:
+    """The largest number of nonzero entries of B with no two in one row
+    or one column: a maximum matching of rows to columns, grown by
+    augmenting paths."""
+    support = [[j for j in range(b.size) if not b[i, j].is_zero]
+               for i in range(b.size)]
+    owner = [-1] * b.size  # the row matched to each column
+
+    def augment(i: int, seen: set) -> bool:
+        for j in support[i]:
+            if j not in seen:
+                seen.add(j)
+                if owner[j] < 0 or augment(owner[j], seen):
+                    owner[j] = i
+                    return True
+        return False
+
+    return sum(augment(i, set()) for i in range(b.size))
+
+
+@cache
+def _probe_points(seed: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """The PROBE_COUNT seeded integer points of an n-variable probe."""
+    rng = random.Random(seed)
+    return tuple(tuple(rng.randint(-PROBE_RANGE, PROBE_RANGE)
+                       for _ in range(n)) for _ in range(PROBE_COUNT))
+
+
 def certified_rank(b: SkewPolyMatrix, seed: int = DEFAULT_PROBE_SEED) -> RankCertificate:
     """Generic rank over the fraction field, certified symbolically.
 
-    Random small-integer probes give a quick numeric guess; the returned
-    rank does not depend on probe luck, only on the Pfaffian checks.
+    The rank lies between two bounds computed before any expansion.
+    Below: the exact rank of B at seeded small-integer probe points.
+    Above: the term rank of B rounded down to even, since every t x t
+    minor with t above the term rank is a sum of products that each hold
+    a zero entry, Pf^2 = det, and the rank of a skew matrix is even.
+    The greedy search grows the witness rows by the first pair whose
+    principal Pfaffian is nonzero, and stops once their count meets both
+    bounds; only where the bounds stay apart does it finish with the
+    bordered round, which then finds no extension.  The returned rank
+    does not depend on probe luck, and a rank outside the two bounds
+    raises InternalCheckError.
     """
     n = b.size
-    rng = random.Random(seed)
     probe_ranks = []
-    for _ in range(PROBE_COUNT):
-        point = [rng.randint(-PROBE_RANGE, PROBE_RANGE) for _ in range(n)]
-        probe_ranks.append(linalg.rank(b.evaluate(point)))
+    for point in _probe_points(seed, n):
+        probe_ranks.append(linalg.rank(
+            row for row in b.evaluate(point) if any(row)))
+    lower, upper = max(probe_ranks, default=0), term_rank(b) // 2 * 2
 
     memo: dict = {}
     current: tuple[int, ...] = ()
-    while True:
+    while not len(current) == lower == upper:
         grown = None
         for a, c in combinations([i for i in range(n) if i not in current], 2):
             candidate = tuple(sorted(current + (a, c)))
@@ -92,13 +137,12 @@ def certified_rank(b: SkewPolyMatrix, seed: int = DEFAULT_PROBE_SEED) -> RankCer
         if grown is None:
             break
         current = grown
-    witness = pfaffian(b, current, memo)
-    cert = RankCertificate(rank=len(current), witness_rows=current,
-                           witness_pfaffian=witness, probe_seed=seed,
-                           probe_ranks=tuple(probe_ranks))
-    if max(probe_ranks, default=0) > cert.rank:
-        raise InternalCheckError("a probe rank exceeds the certified rank")
-    return cert
+    if not lower <= len(current) <= upper:
+        raise InternalCheckError(
+            "the certified rank lies outside its probe and term-rank bounds")
+    return RankCertificate(rank=len(current), witness_rows=current,
+                           witness_pfaffian=pfaffian(b, current, memo),
+                           probe_seed=seed, probe_ranks=tuple(probe_ranks))
 
 
 def rank_certificate(g: LieAlgebra, seed: int = DEFAULT_PROBE_SEED
@@ -176,12 +220,23 @@ def singular_locus_codim(g: LieAlgebra) -> int | None:
     """Codimension of the non-regular locus in the dual space.
 
     Returns None when the locus is empty (abelian algebras: every point
-    is regular).  May raise BudgetExceededError from the Groebner run.
-    Every monomial order gives the same Krull dimension; DEGREVLEX serves.
+    is regular).  May raise BudgetExceededError from the Groebner run,
+    or from its ring dimension cap.  Every monomial order gives the same
+    Krull dimension; DEGREVLEX serves.  When every principal Pfaffian is
+    a single term, no Buchberger run is needed: the S-polynomial of two
+    monic monomials vanishes, so the monomials are already a Groebner
+    basis (Cox, Little and O'Shea, Ideals, Varieties, and Algorithms,
+    ch. 2, sec. 6).
     """
     if g.is_abelian:
         return None
-    basis = buchberger(pfaffian_ideal(g), DEGREVLEX)
+    ideal = pfaffian_ideal(g)
+    if all(len(pf.terms) == 1 for pf in ideal.generators):
+        check_ring_dim(ideal.nvars)
+        basis = GroebnerBasis(ideal.nvars, DEGREVLEX, tuple(
+            pf.monic(DEGREVLEX) for pf in ideal.generators))
+    else:
+        basis = buchberger(ideal, DEGREVLEX)
     dim = krull_dimension(basis)
     if dim is None:
         return None

@@ -21,7 +21,9 @@ matrix, the anchor-map kernel generators from the dense nullspace and
 from the whole anchor system eliminated before any multiple is
 ranked, the pivots of the anchor multiples listed off the generators'
 leading terms, a spot check that the fundamental semi-invariant
-divides the rank-size minors of the structure matrix, Buchberger's
+divides the rank-size minors of the structure matrix, the generic rank
+certified by a greedy Pfaffian search that always ends with a bordered
+round finding no extension, Buchberger's
 algorithm with each pair chosen by a ``min`` over all pairs,
 recomputing the leading monomials, and the semi-invariant dimensions
 of ``L(n)`` by the Cayley-Sylvester formula."""
@@ -39,7 +41,8 @@ from coregular import invariants, linalg
 from coregular.invariants import WeightVector
 from coregular.kernel import _shift
 from coregular.linalg import SparseEchelon, kernel_of_columns
-from coregular.pfaffian import DEFAULT_PROBE_SEED, rank_certificate
+from coregular.pfaffian import (DEFAULT_PROBE_SEED, PROBE_COUNT, PROBE_RANGE,
+                                RankCertificate, pfaffian, rank_certificate)
 from coregular.grobner import s_polynomial
 from coregular.poly import (DEGREVLEX, MonomialOrder, Polynomial, divide,
                             monomial_degree, monomial_divides, monomial_lcm,
@@ -567,6 +570,37 @@ def poly_det(m: list[list[Polynomial]]) -> Polynomial:
         return memo[cols]
 
     return rec(tuple(range(n)))
+
+
+def bordered_rank_certificate(b, seed: int = DEFAULT_PROBE_SEED
+                              ) -> RankCertificate:
+    """The generic rank of a skew polynomial matrix with no upper bound
+    known in advance: rank the matrix at the seeded probe points, then
+    grow the witness rows by the first pair in ``combinations`` order
+    whose principal Pfaffian is nonzero, until a whole bordered round
+    finds none."""
+    rng = random.Random(seed)
+    probe_ranks = []
+    for _ in range(PROBE_COUNT):
+        point = [rng.randint(-PROBE_RANGE, PROBE_RANGE) for _ in range(b.size)]
+        probe_ranks.append(rank([[b[i, j].evaluate(point)
+                                  for j in range(b.size)]
+                                 for i in range(b.size)]))
+    memo: dict = {}
+    current: tuple[int, ...] = ()
+    while True:
+        grown = None
+        for a, c in combinations([i for i in range(b.size)
+                                  if i not in current], 2):
+            candidate = tuple(sorted(current + (a, c)))
+            if not pfaffian(b, candidate, memo).is_zero:
+                grown = candidate
+                break
+        if grown is None:
+            return RankCertificate(len(current), current,
+                                   pfaffian(b, current, memo), seed,
+                                   tuple(probe_ranks))
+        current = grown
 
 
 def verify_divides_minors(g, fsi, samples: int = 5,

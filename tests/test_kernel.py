@@ -811,7 +811,7 @@ class TestReduceOneStep:
         assert cli_main(["reduce", "--catalog", "example32"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert "  chosen branch: undecided" in lines
-        assert "  c-value: 2 -> None (n/a)" in lines
+        assert "  c-value: 2 -> undecided" in lines
         assert not any(line.endswith("<- chosen") for line in lines)
 
 

@@ -10,7 +10,8 @@ from coregular import lie as lie_module
 from coregular.catalog import (abelian, example32, filiform, heisenberg,
                                panyushev, sl2)
 from coregular.lie import (JacobiViolationError, LieAlgebra, LieAlgebraError,
-                           Subspace, is_derivation, jordan_chevalley)
+                           SkewPolyMatrix, Subspace, is_derivation,
+                           jordan_chevalley)
 from coregular.linalg import (InternalCheckError, identity, inverse,
                               mat_eq_zero, mat_mul, mat_sub, rank,
                               squarefree_part)
@@ -170,6 +171,23 @@ class TestStructureMatrix:
                 assert b[i, i].is_zero
                 for j in range(g.dim):
                     assert (b[i, j] + b[j, i]).is_zero
+
+    def test_a_matrix_that_is_not_skew_is_refused(self):
+        # each pair i < j is checked once, and skipped only when both of
+        # its entries are zero
+        x, zero = Polynomial.variable(3, 0), Polynomial.zero(3)
+
+        def matrix(upper, lower, diagonal=zero):
+            rows = [[diagonal, zero, zero], [zero, zero, upper],
+                    [zero, lower, zero]]
+            return SkewPolyMatrix(3, tuple(map(tuple, rows)))
+
+        assert matrix(x, -x)[2, 1] == -x
+        assert matrix(zero, zero)[2, 1].is_zero
+        for upper, lower, diagonal in ((x, zero, zero), (zero, x, zero),
+                                       (x, x, zero), (zero, zero, x)):
+            with pytest.raises(ValueError):
+                matrix(upper, lower, diagonal)
 
 
 class TestSubspaces:

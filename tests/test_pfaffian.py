@@ -1,16 +1,90 @@
+import importlib
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
+from conftest import seaweed
 from coregular.catalog import (abelian, example32, filiform, heisenberg,
-                               panyushev, sl2)
-from coregular.grobner import buchberger, krull_dimension
+                               panyushev, sl2, two_dim_nonabelian)
+from coregular.grobner import (BudgetExceededError, buchberger,
+                               krull_dimension)
+from coregular.invariants import minimal_generators
+from coregular.kernel import reduce_one_step
+from coregular.lie import SkewPolyMatrix
+from coregular.linalg import InternalCheckError
 from coregular.pfaffian import (c_value, certified_rank,
                                 fundamental_semi_invariant, index, pfaffian,
-                                pfaffian_ideal, singular_locus_codim)
-from coregular.poly import ORDERS, Polynomial, format_polynomial
-from oracles import poly_det, verify_divides_minors
+                                pfaffian_ideal, singular_locus_codim,
+                                term_rank)
+from coregular.poly import DEGREVLEX, ORDERS, Polynomial, format_polynomial
+from oracles import bordered_rank_certificate, poly_det, verify_divides_minors
+from test_product_certificate import weights_cases
+
+pfaffian_module = importlib.import_module("coregular.pfaffian")
+
+COMPOSITIONS = {2: [(2,), (1, 1)],
+                3: [(3,), (2, 1), (1, 2), (1, 1, 1)],
+                4: [(4,), (3, 1), (1, 3), (2, 2), (2, 1, 1), (1, 2, 1),
+                    (1, 1, 2), (1, 1, 1, 1)]}
+# the ordered seaweed pairs of n <= 4 whose term rank, rounded down to
+# even, exceeds their rank: sl3, sl4 and 18 others
+BORDERED_SEAWEEDS = {
+    ((1, 2), (1, 2)), ((2, 1), (2, 1)), ((3,), (3,)),
+    ((1, 1, 1, 1), (1, 3)), ((1, 1, 1, 1), (3, 1)), ((1, 1, 2), (1, 1, 2)),
+    ((1, 1, 2), (2, 2)), ((1, 2, 1), (1, 2, 1)), ((1, 2, 1), (4,)),
+    ((1, 3), (1, 1, 1, 1)), ((1, 3), (1, 3)), ((2, 1, 1), (2, 1, 1)),
+    ((2, 1, 1), (2, 2)), ((2, 2), (1, 1, 2)), ((2, 2), (2, 1, 1)),
+    ((2, 2), (2, 2)), ((3, 1), (1, 1, 1, 1)), ((3, 1), (3, 1)),
+    ((4,), (1, 2, 1)), ((4,), (4,))}
+
+
+def catalog_entries():
+    """The catalog entries of the golden reports, with L(n) to n = 12."""
+    return [filiform(n) for n in range(3, 13)] + [
+        abelian(4), panyushev(), example32(), two_dim_nonabelian(), sl2(),
+        heisenberg([[0, 1], [0, 0]]), heisenberg([[1, 0], [0, 1]])]
+
+
+def seaweed_pairs():
+    return [(a, b) for n in (2, 3, 4)
+            for a, b in product(COMPOSITIONS[n], repeat=2)]
+
+
+def weights_reductions():
+    """The seed-1 weights algebras of the benchmark, each with the h and
+    k of its reduction along its first proper semi-invariant at bound 3."""
+    out = []
+    for g, bound in weights_cases():
+        semi = next(s for s in minimal_generators(g, bound)[0].generators
+                    if not s.weight.is_zero)
+        step = reduce_one_step(g, semi)
+        out += [g, step.h, step.k]
+    return out
+
+
+def widest_pfaffian(b, monkeypatch):
+    """certified_rank(b) and the largest index set it expands."""
+    sizes = [0]
+    real = pfaffian_module.pfaffian
+
+    def recording(b, rows, memo=None):
+        sizes.append(len(rows))
+        return real(b, rows, memo)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pfaffian_module, "pfaffian", recording)
+        cert = certified_rank(b)
+    return cert, max(sizes)
+
+
+def stops_at_the_bounds(b, monkeypatch):
+    """Whether certified_rank(b) matches the bordered search and expands
+    no Pfaffian beyond its rank; False where it runs the bordered round."""
+    cert, widest = widest_pfaffian(b, monkeypatch)
+    assert cert == bordered_rank_certificate(b)
+    assert widest in (cert.rank, cert.rank + 2)
+    return widest == cert.rank
 
 
 class TestPfaffian:
@@ -81,6 +155,64 @@ class TestCertifiedRank:
             assert pfaffian(b, cert.witness_rows) == cert.witness_pfaffian
             if cert.rank:
                 assert not cert.witness_pfaffian.is_zero
+
+
+    def test_catalog_stops_at_the_bounds(self, monkeypatch):
+        for g in catalog_entries():
+            assert stops_at_the_bounds(g.structure_matrix(), monkeypatch), \
+                g.label
+
+    def test_seaweeds_of_n_up_to_four(self, monkeypatch):
+        bordered = {(a, b) for a, b in seaweed_pairs()
+                    if not stops_at_the_bounds(seaweed(a, b).structure_matrix(),
+                                               monkeypatch)}
+        assert len(seaweed_pairs()) == 84
+        assert bordered == BORDERED_SEAWEEDS
+
+    def test_sl4_term_rank_exceeds_its_rank(self):
+        b = seaweed((4,), (4,)).structure_matrix()
+        assert (term_rank(b), certified_rank(b).rank) == (15, 12)
+
+    def test_weights_algebras_and_their_reductions(self, monkeypatch):
+        algebras = weights_reductions()
+        assert len(algebras) == 180
+        for g in algebras:
+            assert stops_at_the_bounds(g.structure_matrix(), monkeypatch), \
+                g.label
+
+    def test_a_vanishing_pfaffian_falls_back_to_the_bordered_round(
+            self, monkeypatch):
+        # B01 = B02 = B13 = B23 = x1 and B03 = B12 = 0: the term rank is
+        # 4, but Pf = x1 * x1 - x1 * x1 = 0, so the rank is 2
+        x1, zero = Polynomial.variable(4, 0), Polynomial.zero(4)
+        upper = {(0, 1): x1, (0, 2): x1, (1, 3): x1, (2, 3): x1}
+        b = SkewPolyMatrix(4, tuple(
+            tuple(upper.get((i, j), -upper.get((j, i), zero))
+                  for j in range(4)) for i in range(4)))
+        assert term_rank(b) == 4 and pfaffian(b, range(4)).is_zero
+        cert, widest = widest_pfaffian(b, monkeypatch)
+        assert (cert.rank, cert.witness_rows, widest) == (2, (0, 1), 4)
+        assert cert == bordered_rank_certificate(b)
+
+    def test_term_rank_of_small_matrices(self):
+        assert term_rank(abelian(3).structure_matrix()) == 0
+        assert term_rank(filiform(5).structure_matrix()) == 2
+        assert term_rank(heisenberg([[1, 0], [0, 1]]).structure_matrix()) == 5
+        assert term_rank(sl2().structure_matrix()) == 3
+
+    @pytest.mark.parametrize("bound, value", [("term_rank", 1),
+                                              ("probe_rank", 4)])
+    def test_a_rank_outside_the_bounds_is_an_internal_error(
+            self, monkeypatch, bound, value):
+        # L(5) has rank 2; an upper bound below it or a lower bound
+        # above it must raise, also under python -O
+        if bound == "term_rank":
+            monkeypatch.setattr(pfaffian_module, "term_rank", lambda b: value)
+        else:
+            monkeypatch.setattr(pfaffian_module.linalg, "rank",
+                                lambda rows: value)
+        with pytest.raises(InternalCheckError):
+            certified_rank(filiform(5).structure_matrix())
 
 
 class TestIndexAndC:
@@ -161,6 +293,31 @@ class TestSingularLocus:
             dims = {krull_dimension(buchberger(ideal, order))
                     for order in ORDERS.values()}
             assert len(dims) == 1, g.label
+
+    def test_monomial_pfaffians_give_buchbergers_krull_dimension(self):
+        # the single-term Pfaffian ideals skip Buchberger.  In the basis
+        # e, e + f, e + f + h the Pfaffians of sl2 are not single terms,
+        # and their leading terms alone would miss the codimension 3
+        small = [g for g in catalog_entries() + [
+            seaweed(a, b) for a, b in seaweed_pairs()]
+            if not g.is_abelian and g.dim <= 10]
+        monomial = [g for g in small if all(
+            len(pf.terms) == 1 for pf in pfaffian_ideal(g).generators)]
+        assert len(monomial) == 58
+        tilted = sl2().induced_algebra([[1, 0, 0], [1, 1, 0], [1, 1, 1]],
+                                       ["a", "b", "c"], label="sl2-tilted")
+        for g in monomial + [tilted, example32()]:
+            expected = krull_dimension(buchberger(pfaffian_ideal(g),
+                                                  DEGREVLEX))
+            assert singular_locus_codim(g) == g.dim - expected, g.label
+        assert singular_locus_codim(tilted) == 3
+
+    def test_monomial_pfaffians_in_eleven_variables_exceed_the_ring_cap(
+            self):
+        g = filiform(11)
+        assert all(len(pf.terms) == 1 for pf in pfaffian_ideal(g).generators)
+        with pytest.raises(BudgetExceededError):
+            singular_locus_codim(g)
 
     def test_degree_zero_iff_codim_at_least_two(self, catalog_algebras):
         for g in catalog_algebras:
