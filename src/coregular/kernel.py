@@ -453,7 +453,9 @@ def evaluate_criteria(geometry: Geometry, semi_gens: GeneratorSet,
     idx = geometry.index
     c = geometry.c
     d = geometry.fsi.degree
-    z_dim = g.center().dim
+    # a linear form is invariant exactly when its vector is central, and
+    # degree one holds no product: its invariant generators span Z(g)
+    z_dim = inv_gens.degrees.count(1)
     structural = structural_no_proper_reason(g)
     no_proper_found = not semi_gens.has_proper()
     gate_note = (f"no proper semi-invariants ({structural})" if structural

@@ -4,8 +4,10 @@ Brackets are stored only for i < j, so antisymmetry holds by
 construction; one private reader gives [v_i, v_j] for any pair, and
 every reader of single entries goes through it, from the Jacobi check
 that runs when an algebra is built to the images [x, v_j] as {k: c}
-(``bracket_images``).  Three readers of the whole table apply the sign
-rule themselves (``_bracket_terms`` names them).
+(``bracket_images``).  Two readers of the whole table apply the sign
+rule themselves (``_bracket_terms`` names them).  No reader solves for
+the centre: dim Z(g) is the number of degree-one invariant generators
+(``kernel.evaluate_criteria``).
 All linear data lives over exact rationals, each value an ``int`` when
 it is integral (see ``poly._q``).
 """
@@ -121,12 +123,12 @@ class LieAlgebra:
         """[v_i, v_j] as {k: c}, keys ascending: row (i, j) of the table
         itself when i < j, and row (j, i) negated otherwise; callers only
         read what it returns.  Every reader of single entries applies
-        the sign rule of the i < j table through it.  Three readers of
-        the whole table negate rows themselves: ``_structure_matrix``,
-        once per entry pair, ``center``, which puts each stored entry
-        into two equations with opposite signs, and
-        ``invariants.verify_semi_invariant``, which scales the whole
-        table to integers in one pass."""
+        the sign rule of the i < j table through it.  Two readers of the
+        whole table negate rows themselves: ``_structure_matrix``, once
+        per entry pair, and ``invariants.verify_semi_invariant``, which
+        scales the whole table to integers in one pass.  The centre has
+        no reader of its own: its dimension is the number of degree-one
+        invariant generators."""
         if i < j:
             return self.brackets.get((i, j), _NO_TERMS)
         return {k: -c for k, c in self.brackets.get((j, i), _NO_TERMS).items()}
@@ -209,21 +211,6 @@ class LieAlgebra:
                 n, {units[k]: c for k, c in row.items()})
             entries[j][i] = -entries[i][j]
         return SkewPolyMatrix(n, tuple(tuple(row) for row in entries))
-
-    def center(self) -> Subspace:
-        """The x with [x, v_j] = sum_i x_i [v_i, v_j] = 0 for every j:
-        equation (j, k) is the coefficient of v_k, and each stored row
-        [v_i, v_j] = sum_k c v_k puts c at unknown i of equation (j, k)
-        and -c at unknown j of equation (i, k)."""
-        n = self.dim
-        equations: dict[tuple[int, int], dict[int, Fraction]] = {}
-        for (i, j), row in self.brackets.items():
-            for k, c in row.items():
-                equations.setdefault((j, k), {})[i] = c
-                equations.setdefault((i, k), {})[j] = -c
-        basis = linalg.SolutionSpace(equations.values(), n).basis()
-        return Subspace.from_spanning(
-            [[vec.get(t, 0) for t in range(n)] for vec in basis])
 
     def derived_subalgebra(self) -> Subspace:
         """[g, g], computed once per algebra."""
@@ -366,6 +353,11 @@ class LieAlgebra:
     def __eq__(self, other):
         return (isinstance(other, LieAlgebra) and self.names == other.names
                 and self.brackets == other.brackets)
+
+    def __hash__(self):
+        # over what __eq__ compares; each row's keys are ascending
+        return hash((self.names, frozenset(
+            (ij, tuple(row.items())) for ij, row in self.brackets.items())))
 
 
 @dataclass(frozen=True)

@@ -589,23 +589,24 @@ def format_polynomial(f: Polynomial, names: Sequence[str] | None = None,
     return " ".join(pieces)
 
 
-_TOKEN = re.compile(r"\d+|[A-Za-z_][A-Za-z_0-9]*|\*\*|[-+*/^()]")
+_TOKEN = re.compile(r"\d+|[A-Za-z_][A-Za-z_0-9]*|\*\*|[-+*/^()]|\s+")
 
 
 def parse_polynomial(text: str, names: Sequence[str]) -> Polynomial:
     """Parse the text form emitted by :func:`format_polynomial`.
 
-    Whitespace-insensitive; accepts ``^`` or ``**`` for powers and
-    rational coefficients written as ``p/q``.
+    Whitespace separates tokens and is otherwise ignored, so it never
+    joins two of them: ``v1 2`` is not ``v12``.  Accepts ``^`` or ``**``
+    for powers and rational coefficients written as ``p/q``.
     """
     nvars = len(names)
     index = {name: i for i, name in enumerate(names)}
-    stripped = "".join(text.split())
-    if not stripped:
-        raise ValueError("empty polynomial text")
-    tokens = _TOKEN.findall(stripped)
-    if "".join(tokens) != stripped:
+    tokens = _TOKEN.findall(text)
+    if "".join(tokens) != text:
         raise ValueError(f"cannot tokenize polynomial text {text!r}")
+    tokens = [tok for tok in tokens if not tok.isspace()]
+    if not tokens:
+        raise ValueError("empty polynomial text")
     pos = 0
 
     def peek():

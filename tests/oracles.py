@@ -3,7 +3,8 @@
 The tests check the library against them: a dense Gauss-Jordan
 eliminator beside the sparse one, rational roots by trial division
 beside the p-adic lifting, the minimal polynomial of a matrix from the
-first dependence among its powers, unimodularity by the traces of ad, the
+first dependence among its powers, the centre as the nullspace of the
+stacked ad(v_i), unimodularity by the traces of ad, the
 matrix of ad(x) on a graded component, the bracket through a dense
 vector per pair of basis vectors with the sign rule applied beside it,
 the Jacobi check as a triple loop over that bracket, the common kernel
@@ -253,6 +254,12 @@ def ad_of_vector(g, x: Sequence) -> list[list[Fraction]]:
     cols = [dense_bracket(g, x, [1 if t == j else 0 for t in range(n)])
             for j in range(n)]
     return [[cols[j][k] for j in range(n)] for k in range(n)]
+
+
+def center(g) -> list[list[Fraction]]:
+    """A basis of Z(g): the x with [v_i, x] = ad(v_i) x = 0 for every i."""
+    return nullspace([row for i in range(g.dim) for row in g.ad_matrix(i)],
+                     g.dim)
 
 
 def unimodular(g) -> bool:

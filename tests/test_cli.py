@@ -248,6 +248,15 @@ def test_math_failure_is_exit_zero_but_bad_input_is_not(capsys, tmp_path):
         assert code == 2 and f"'{name}' takes no parameter" in err, spec
         assert out == ""
 
+    # a parameter out of range, missing or not an integer
+    for spec, message in (("L:2", "needs n >= 3"),
+                          ("L", "needs an integer parameter"),
+                          ("L:x", "bad integer parameter 'x'"),
+                          ("abelian:0", "needs n >= 1")):
+        code, out, err = run_cli(["analyze", "--catalog", spec], capsys)
+        assert code == 2 and message in err, spec
+        assert len(err.strip().splitlines()) == 1 and out == ""
+
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({
         "name": "broken", "basis": ["v1", "v2", "v3"],
@@ -340,7 +349,8 @@ def test_malformed_file_exits_two_with_a_message(capsys, tmp_path,
 
 
 @pytest.mark.parametrize("case", ["file-is-directory", "file-not-utf8",
-                                  "json-directory-missing"])
+                                  "json-directory-missing",
+                                  "json-is-directory"])
 def test_unreadable_file_or_unwritable_json_exits_two_with_a_message(
         capsys, tmp_path, case):
     if case == "file-is-directory":
@@ -349,6 +359,8 @@ def test_unreadable_file_or_unwritable_json_exits_two_with_a_message(
         path = tmp_path / "latin1.json"
         path.write_bytes('{"name": "\xe9"}'.encode("latin-1"))
         args = ["analyze", "--file", str(path)]
+    elif case == "json-is-directory":
+        args = ["analyze", "--catalog", "L:4", "--json", str(tmp_path)]
     else:
         args = ["analyze", "--catalog", "L:4",
                 "--json", str(tmp_path / "missing" / "report.json")]

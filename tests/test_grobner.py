@@ -92,9 +92,15 @@ class TestBuchberger:
     def test_budget_exceeded_is_an_error_not_an_answer(self):
         v = variables(3)
         x, y, z = v
+        ideal = Ideal.of(3, [x * y - z, y * z - x, x * z - y])
         tight = GrobnerBudget(max_reductions=1, max_basis=2)
         with pytest.raises(BudgetExceededError):
-            buchberger(Ideal.of(3, [x * y - z, y * z - x, x * z - y]), budget=tight)
+            buchberger(ideal, budget=tight)
+        # a remainder of degree 3 turns up
+        with pytest.raises(BudgetExceededError, match="degree cap exceeded"):
+            buchberger(ideal, budget=GrobnerBudget(max_degree=2))
+        assert buchberger(ideal, budget=GrobnerBudget(max_degree=3)) == \
+            buchberger(ideal)
 
     def test_ring_dimension_cap(self):
         with pytest.raises(BudgetExceededError):

@@ -28,7 +28,8 @@ from coregular.poly import (DEGREVLEX, GRLEX, LEX, Polynomial,
                             format_polynomial, monomials_of_degree)
 import oracles
 from conftest import seaweed
-from test_product_certificate import catalog_cases, seaweed_cases
+from test_product_certificate import (catalog_cases, seaweed_cases,
+                                     weights_cases)
 from test_torus import seaweeds_to_four
 
 # sl3, gl3 in sl4 and a Borel subalgebra of that gl3: at degrees 3 and 4
@@ -646,6 +647,23 @@ class TestCriteria:
         with pytest.raises(ValueError, match="invariant generators"):
             evaluate_criteria(compute_geometry(filiform(4)), semi, other, ())
 
+
+    @pytest.mark.parametrize("order", [DEGREVLEX, GRLEX, LEX],
+                             ids=lambda o: o.name)
+    def test_center_dimension_is_read_from_the_degree_one_invariants(
+            self, order):
+        # a linear form is invariant exactly when its vector is central;
+        # the semi-invariants of degree one would count panyushev's three
+        # weight vectors against a centre of dimension 0
+        algebras = [g for g, _ in catalog_cases() + weights_cases()
+                    + seaweed_cases()] + [filiform(n) for n in range(3, 10)]
+        for g in algebras:
+            semi, inv = minimal_generators(g, 1, order)
+            verdict = {v.criterion: v for v in evaluate_criteria(
+                compute_geometry(g), semi, inv, ())}["index-center-bound"]
+            z_dim = len(oracles.center(g))
+            assert verdict.rhs == f"dim + 2 dim Z = {g.dim + 2 * z_dim}", \
+                g.label
 
     def heisenberg_criteria(self, **changes):
         # index 2, centre of dimension 1, d = 2 and codimension 1; the

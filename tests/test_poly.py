@@ -235,25 +235,39 @@ class TestOrdersAndText:
         assert format_polynomial(f, names) == "v1^2 + 2*v2 + v3"
 
     def test_parse_is_whitespace_insensitive(self):
-        names = ["v1", "v2"]
-        assert pv("  3/2 * v1 ^ 2*v2-  v2 ", names) == \
-            pv("3/2*v1^2*v2 - v2", names)
+        names = ["v1", "v2", "v3"]
+        for text, expected in (
+                ("  3/2 * v1 ^ 2*v2-  v2 ", "3/2*v1^2*v2 - v2"),
+                ("3/ 4*v2", "3/4*v2"), ("v1 + v2", "v1+v2"),
+                ("(v1 + v2)^2", "v1^2 + 2*v1*v2 + v2^2"),
+                ("2*(v1 - v3)", "2*v1 - 2*v3")):
+            assert pv(text, names) == pv(expected, names), text
 
     def test_parse_rejects_junk(self):
         with pytest.raises(ValueError):
             parse_polynomial("v1 + w2", ["v1", "v2"])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="trailing junk"):
             parse_polynomial("v1 v2", ["v1", "v2"])
         with pytest.raises(ValueError):
             parse_polynomial("", ["v1"])
 
+    @pytest.mark.parametrize("text", ["v1 2", "1 2*v3", "v 1"])
+    def test_whitespace_never_joins_two_tokens(self, text):
+        # with names v1..v12 these once read as v12, 12*v3 and v1
+        names = [f"v{i}" for i in range(1, 13)]
+        with pytest.raises(ValueError):
+            parse_polynomial(text, names)
+
     @pytest.mark.parametrize("text, message", [
         ("v1^", "end"), ("v1**", "end"), ("3/", "end"), ("v1 + 2/", "end"),
-        ("2/0", "zero denominator")])
+        ("2/0", "zero denominator"), ("(v1 + v2", "closing parenthesis"),
+        ("v1^v2", "exponent"), ("3/v1", "rational"), ("v1 # v2", "tokenize"),
+        ("v1)", "trailing junk")])
     def test_parse_rejects_a_cut_or_zero_denominator_text(self, text,
                                                           message):
-        # a text cut after an operator, or a zero denominator, is
-        # malformed input like any other: a ValueError with a message
+        # a text cut after an operator, a zero denominator, an open
+        # parenthesis or a misplaced token is malformed input like any
+        # other: a ValueError with a message
         with pytest.raises(ValueError, match=message):
             parse_polynomial(text, ["v1", "v2"])
 
