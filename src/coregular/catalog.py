@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from .lie import LieAlgebra, LieAlgebraError
 from .poly import _q
+from .record import record
 
 
 def filiform(n: int) -> LieAlgebra:
@@ -96,13 +96,14 @@ def _parse_matrix(param: str) -> list[list[int | Fraction]]:
 def _need_int(param: str | None, what: str) -> int:
     if param is None:
         raise LieAlgebraError(f"{what} needs an integer parameter, e.g. {what}:4")
-    try:
-        return int(param)
-    except ValueError:
+    # plain decimal digits; int() alone would also take " 5", "+5", "0_5"
+    # and non-ASCII digits
+    if not (param.isascii() and param.isdigit()):
         raise LieAlgebraError(f"bad integer parameter {param!r}")
+    return int(param)
 
 
-@dataclass(frozen=True)
+@record
 class CatalogEntry:
     key: str
     summary: str

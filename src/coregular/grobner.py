@@ -8,20 +8,20 @@ answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import combinations
 
 from .poly import (DEGREVLEX, MonomialOrder, Polynomial, _ratio, divide,
                    monomial_degree, monomial_div, monomial_divides,
                    monomial_lcm, monomial_mul)
+from .record import record
 
 
 class BudgetExceededError(RuntimeError):
     """A Groebner run blew through its configured work budget."""
 
 
-@dataclass(frozen=True)
+@record
 class GrobnerBudget:
     max_basis: int = 400
     max_degree: int = 60
@@ -32,7 +32,7 @@ class GrobnerBudget:
 DEFAULT_BUDGET = GrobnerBudget()
 
 
-@dataclass(frozen=True)
+@record
 class Ideal:
     """An ideal given by generators over a common ring."""
 
@@ -48,7 +48,7 @@ class Ideal:
         return cls(nvars, kept)
 
 
-@dataclass(frozen=True)
+@record
 class GroebnerBasis:
     nvars: int
     order: MonomialOrder

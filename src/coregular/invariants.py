@@ -55,7 +55,6 @@ Bareiss elimination only when they fall short of a proven bound.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations_with_replacement
@@ -72,6 +71,7 @@ from .pfaffian import DEFAULT_PROBE_SEED, index
 from .poly import (DEGREVLEX, GRLEX, MonomialOrder, Polynomial, _q,
                    apply_derivation, exact_div,
                    monomials_of_degree)
+from .record import record
 
 # seeded points at which a generic rank is tried before Bareiss, and
 # the range of their integer coordinates
@@ -81,7 +81,7 @@ GENERIC_RANGE = 1000
 RELATION_MONOMIALS = 4000
 
 
-@dataclass(frozen=True)
+@record
 class WeightVector:
     """A linear functional on the algebra, given by its values on the basis.
 
@@ -99,7 +99,7 @@ class WeightVector:
         return all(v == 0 for v in self.values)
 
 
-@dataclass(frozen=True)
+@record
 class SemiInvariant:
     poly: Polynomial
     weight: WeightVector
@@ -110,7 +110,7 @@ class SemiInvariant:
 Blocks = tuple[tuple[WeightVector, tuple[Polynomial, ...]], ...]
 
 
-@dataclass(frozen=True)
+@record
 class GradedSemiInvariants:
     """Semi-invariant spaces of one degree, class by class.
 
@@ -154,7 +154,7 @@ class GradedSemiInvariants:
             len(basis) for _, blocks in self.searched for _, basis in blocks)
 
 
-@dataclass(frozen=True)
+@record
 class GeneratorSet:
     algebra: LieAlgebra
     degree_bound: int
@@ -183,7 +183,7 @@ class GeneratorSet:
             [s.poly for s in self.generators], self.algebra.dim, bound)[1]
 
 
-@dataclass(frozen=True)
+@record
 class Relation:
     """A weighted-homogeneous polynomial in formal generator symbols that
     expands to zero when the generators are substituted."""
@@ -1033,7 +1033,7 @@ TRDEG_DEFICIENT = "deficient"
 TRDEG_NOT_APPLICABLE = "not-applicable"
 
 
-@dataclass(frozen=True)
+@record
 class TrdegCheck:
     status: str
     rank: int | None
@@ -1059,7 +1059,7 @@ def trdeg_check(gens: GeneratorSet) -> TrdegCheck:
     return TrdegCheck(status, rank, expected, gens.degree_bound)
 
 
-@dataclass(frozen=True)
+@record
 class GorensteinResult:
     value: int | None
     case: str

@@ -22,7 +22,6 @@ own search, and h and k are counted when nilpotent or perfect.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Iterator, Sequence
@@ -39,6 +38,7 @@ from .pfaffian import (DEFAULT_PROBE_SEED, FundamentalSemiInvariant,
                        index, rank_certificate, singular_locus_codim)
 from .poly import (DEGREVLEX, MonomialOrder, Polynomial, _ratio,
                    format_polynomial, monomial_mul, monomials_of_degree)
+from .record import record
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -52,7 +52,7 @@ UP_TO_DEGREE = "up-to-degree"
 BUDGET_EXCEEDED = "budget-exceeded"
 
 
-@dataclass(frozen=True)
+@record
 class CriterionVerdict:
     criterion: str
     status: str
@@ -91,13 +91,13 @@ def _verdict(criterion: str, holds: bool | None, lhs: str, rhs: str,
 # kernel of the anchor map
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class KernelGenerator:
     components: tuple[Polynomial, ...]
     degree: int
 
 
-@dataclass(frozen=True)
+@record
 class KernelBasis:
     algebra: LieAlgebra
     degree_bound: int
@@ -407,7 +407,7 @@ def freeness_verdict(kernel: KernelBasis) -> CriterionVerdict:
 # numerical criteria
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class Geometry:
     """Bundle of the exact numeric data of one algebra."""
 
@@ -541,7 +541,7 @@ K_BRANCH = "k-branch"
 UNDECIDED = "undecided"
 
 
-@dataclass(frozen=True)
+@record
 class ReductionStep:
     algebra: LieAlgebra
     semi_invariant: Polynomial

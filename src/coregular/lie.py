@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -24,6 +23,7 @@ from . import linalg
 from .linalg import (InternalCheckError, Mat, Vec, mat, mat_eq_zero, mat_mul,
                      mat_sub, rref)
 from .poly import Polynomial, _q, apply_derivation
+from .record import record
 
 
 # the bracket of a pair the table leaves out; shared, so never changed
@@ -50,7 +50,7 @@ class JacobiViolationError(LieAlgebraError):
             f"Jacobi identity fails on (v{i}, v{j}, v{k}); residual [{text}]")
 
 
-@dataclass(frozen=True)
+@record
 class Subspace:
     """A subspace of Q^n in reduced row echelon form (canonical)."""
 
@@ -360,7 +360,7 @@ class LieAlgebra:
             (ij, tuple(row.items())) for ij, row in self.brackets.items())))
 
 
-@dataclass(frozen=True)
+@record
 class SkewPolyMatrix:
     """The structure matrix: entry (i, j) is the bracket [v_i, v_j] as a
     degree-one polynomial.  Skew-symmetric with zero diagonal."""

@@ -17,7 +17,6 @@ the square of a Schur-complement entry.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 
@@ -27,6 +26,7 @@ from .grobner import (GroebnerBasis, Ideal, buchberger, check_ring_dim,
 from .lie import LieAlgebra, SkewPolyMatrix
 from .linalg import InternalCheckError
 from .poly import DEGREVLEX, MonomialOrder, Polynomial, poly_gcd
+from .record import record
 
 DEFAULT_PROBE_SEED = 20_240_601
 PROBE_COUNT = 5
@@ -64,7 +64,7 @@ def pfaffian(b: SkewPolyMatrix, rows, memo: dict | None = None) -> Polynomial:
     return rec(rows)
 
 
-@dataclass(frozen=True)
+@record
 class RankCertificate:
     """Exact generic rank of a skew polynomial matrix with its witnesses."""
 
@@ -179,7 +179,7 @@ def principal_pfaffians(g: LieAlgebra) -> tuple[Polynomial, ...]:
     return g.cached("pfaffians", expand)
 
 
-@dataclass(frozen=True)
+@record
 class FundamentalSemiInvariant:
     """Monic gcd g of the principal rank-size Pfaffians, its square f,
     and the degree d of f (zero for abelian algebras by convention)."""

@@ -589,7 +589,10 @@ def format_polynomial(f: Polynomial, names: Sequence[str] | None = None,
     return " ".join(pieces)
 
 
-_TOKEN = re.compile(r"\d+|[A-Za-z_][A-Za-z_0-9]*|\*\*|[-+*/^()]|\s+")
+# ASCII only, so that str.isdigit on a token means [0-9]+: Unicode \d
+# would take digits such as "٣"
+_TOKEN = re.compile(r"\d+|[A-Za-z_][A-Za-z_0-9]*|\*\*|[-+*/^()]|\s+",
+                    re.ASCII)
 
 
 def parse_polynomial(text: str, names: Sequence[str]) -> Polynomial:

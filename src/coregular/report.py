@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .grobner import BudgetExceededError
 from .invariants import (GeneratorSet, Relation, SemiInvariant, TrdegCheck,
@@ -15,6 +14,7 @@ from .kernel import (CriterionVerdict, Geometry, KernelBasis, compute_geometry,
 from .lie import LieAlgebra
 from .pfaffian import DEFAULT_PROBE_SEED
 from .poly import DEGREVLEX, MonomialOrder, format_polynomial
+from .record import record
 
 SCHEMA_VERSION = 1
 
@@ -28,14 +28,14 @@ def generator_line(s: SemiInvariant, names, order: MonomialOrder) -> str:
             f"  [{w}]")
 
 
-@dataclass(frozen=True)
+@record
 class AnalysisOptions:
     max_degree: int | None = None
     seed: int = DEFAULT_PROBE_SEED
     order: MonomialOrder = DEGREVLEX
 
 
-@dataclass(frozen=True)
+@record
 class AnalysisReport:
     algebra: LieAlgebra
     options: AnalysisOptions

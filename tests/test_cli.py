@@ -248,10 +248,14 @@ def test_math_failure_is_exit_zero_but_bad_input_is_not(capsys, tmp_path):
         assert code == 2 and f"'{name}' takes no parameter" in err, spec
         assert out == ""
 
-    # a parameter out of range, missing or not an integer
+    # a parameter out of range, missing or not plain decimal digits
     for spec, message in (("L:2", "needs n >= 3"),
                           ("L", "needs an integer parameter"),
                           ("L:x", "bad integer parameter 'x'"),
+                          ("L:+5", "bad integer parameter '+5'"),
+                          ("L: 5", "bad integer parameter ' 5'"),
+                          ("L:0_5", "bad integer parameter '0_5'"),
+                          ("L:\u0665", "bad integer parameter '\u0665'"),
                           ("abelian:0", "needs n >= 1")):
         code, out, err = run_cli(["analyze", "--catalog", spec], capsys)
         assert code == 2 and message in err, spec

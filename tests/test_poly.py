@@ -250,6 +250,10 @@ class TestOrdersAndText:
             parse_polynomial("v1 v2", ["v1", "v2"])
         with pytest.raises(ValueError):
             parse_polynomial("", ["v1"])
+        # digits are ASCII, as in every other reader of numbers
+        for text in ("\u0663*v1", "v1^\u0662"):
+            with pytest.raises(ValueError, match="tokenize"):
+                parse_polynomial(text, ["v1"])
 
     @pytest.mark.parametrize("text", ["v1 2", "1 2*v3", "v 1"])
     def test_whitespace_never_joins_two_tokens(self, text):

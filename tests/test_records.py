@@ -4,7 +4,11 @@ form, and understood by ``dataclasses.fields`` and ``replace``."""
 
 import dataclasses
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -145,3 +149,30 @@ def test_post_init_checks_every_way_a_record_is_built():
             build()
     assert matrix(1, ((zero,),)).size == 1
 
+
+# Imports the package once, so that its standard-library modules are
+# loaded, then imports it afresh under an audit hook that counts the
+# compiles of source text that is not a file.
+FRESH_IMPORT = """
+import sys
+import coregular
+for name in [m for m in sys.modules if m.partition(".")[0] == "coregular"]:
+    del sys.modules[name]
+count = 0
+def hook(event, args):
+    global count
+    if event == "compile" and args[1] == "<string>":
+        count += 1
+sys.addaudithook(hook)
+import coregular
+print(count)
+"""
+
+
+def test_importing_the_package_compiles_no_source_text():
+    src = Path(coregular.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", FRESH_IMPORT],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60,
+                          check=True)
+    assert done.stdout.split() == ["0"]
