@@ -142,6 +142,9 @@ def build_catalog_algebra(spec: str) -> LieAlgebra:
         if entry.key == key:
             if colon and entry.parameter is None:
                 raise LieAlgebraError(f"{key!r} takes no parameter")
-            return entry.build(param if param else None)
+            if colon and not param:
+                raise LieAlgebraError(f"{key!r} needs a parameter after ':' "
+                                      f"({key}:{entry.parameter})")
+            return entry.build(param or None)
     known = ", ".join(e.key for e in CATALOG)
     raise LieAlgebraError(f"unknown catalog entry {key!r} (known: {known})")

@@ -52,12 +52,6 @@ class AnalysisReport:
 
     # -- helpers -------------------------------------------------------------
 
-    def criterion(self, name: str) -> CriterionVerdict:
-        for v in self.criteria:
-            if v.criterion == name:
-                return v
-        raise KeyError(name)
-
     def singular_codim_text(self) -> str:
         if not self.geometry.codim_known:
             return "unknown"

@@ -20,6 +20,14 @@ def is_rational(x) -> bool:
     return type(x) in (int, Fraction)
 
 
+def verdict_of(report, name):
+    """The verdict of ``report`` on the criterion called ``name``."""
+    for verdict in report.criteria:
+        if verdict.criterion == name:
+            return verdict
+    raise KeyError(name)
+
+
 def poly_strategy(nvars, max_degree=3, max_terms=4, coeff_bound=4):
     monomial = st.tuples(
         *[st.integers(0, max_degree) for _ in range(nvars)]

@@ -10,6 +10,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
 
+from conftest import verdict_of
 from coregular.catalog import (example32, filiform, heisenberg, panyushev,
                                sl2)
 from coregular.invariants import (WeightVector,
@@ -21,9 +22,10 @@ from coregular.kernel import (FAILS, HOLDS, K_BRANCH, find_syzygy,
 from coregular.linalg import kernel_of_columns
 from coregular.pfaffian import (fundamental_semi_invariant, index, pfaffian,
                                 singular_locus_codim, certified_rank)
-from coregular.poly import Polynomial, format_polynomial, parse_polynomial
+from coregular.poly import Polynomial, format_polynomial
 from coregular.report import AnalysisOptions, analyze
 from oracles import compose, poisson_bracket, poly_det
+from polytext import parse_polynomial
 
 
 @contextmanager
@@ -74,7 +76,7 @@ def test_criterion_3_filiform3_invariants():
         assert len(gens.generators) == 1
         assert gens.generators[0].poly == Polynomial.variable(3, 2)
         assert "1 = (1/2)(3+1-2)" in report.to_text().replace("degree-sum check: ", "")
-        assert report.criterion("invariant-degree-sum-equality").status == HOLDS
+        assert verdict_of(report, "invariant-degree-sum-equality").status == HOLDS
 
 
 def test_criterion_4_filiform4_invariants():
@@ -85,7 +87,7 @@ def test_criterion_4_filiform4_invariants():
         target = parse_polynomial("v2*v4 - 1/2*v3^2", filiform(4).names)
         assert proportional(gens.generators[1].poly, target)
         assert "1+2 = (1/2)(4+2-0)" in report.to_text()
-        assert report.criterion("invariant-degree-sum-equality").status == HOLDS
+        assert verdict_of(report, "invariant-degree-sum-equality").status == HOLDS
 
 
 def test_criterion_5_filiform5_kernel_and_bound():
@@ -118,7 +120,7 @@ def test_criterion_5_filiform5_kernel_and_bound():
         assert verdict.status == FAILS and verdict.certainty == "certified"
 
         report = analyze(g, AnalysisOptions(max_degree=3))
-        bound = report.criterion("index-center-bound")
+        bound = verdict_of(report, "index-center-bound")
         assert bound.status == FAILS
         assert bound.lhs == "3 i = 9" and bound.rhs == "dim + 2 dim Z = 7"
 
@@ -184,7 +186,7 @@ def test_criterion_6_filiform6_presentation():
         assert report.gorenstein.value == 5
         assert (g.dim + report.geometry.index - report.geometry.fsi.degree) \
             // 2 == 5
-        codim_verdict = report.criterion("singular-codim-bound")
+        codim_verdict = verdict_of(report, "singular-codim-bound")
         assert codim_verdict.status == FAILS
         assert report.geometry.codim == 4
         assert time.perf_counter() - t0 < 60
@@ -203,7 +205,7 @@ def test_criterion_7_panyushev_contrast():
             assert not s.weight.is_zero
             assert all(x.denominator == 1 for x in s.weight.values)
         assert semi.degree_sum() == 3
-        verdict = report.criterion("semi-invariant-degree-sum-bound")
+        verdict = verdict_of(report, "semi-invariant-degree-sum-bound")
         assert verdict.status == HOLDS
         assert report.invariant_generators.degree_sum() == 4
         assert any("invariants-only generator degree sum 4" in note
@@ -296,10 +298,10 @@ def test_criterion_11_sl2_baseline():
         casimir = gens.generators[0].poly
         assert proportional(casimir,
                             parse_polynomial("h^2 + 4*e*f", g.names))
-        equality = report.criterion("invariant-degree-sum-equality")
+        equality = verdict_of(report, "invariant-degree-sum-equality")
         assert equality.status == HOLDS
         assert report.invariant_generators.degree_sum() == 2
         assert (g.dim + report.geometry.index) // 2 == 2
-        codim_verdict = report.criterion("singular-codim-bound")
+        codim_verdict = verdict_of(report, "singular-codim-bound")
         assert codim_verdict.status == HOLDS
         assert report.geometry.codim == 3

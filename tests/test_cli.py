@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import verdict_of
 from coregular.catalog import filiform, heisenberg, sl2
 from coregular.cli import EXIT_BROKEN_PIPE, main
 from coregular.invariants import minimal_generators
@@ -143,7 +144,7 @@ def test_a_groebner_capped_codimension_is_unknown():
     data = report.to_json_dict()
     assert data["singular_codim"] == "unknown"
     assert data["gates"]["codim_known"] is False
-    verdict = report.criterion("singular-codim-bound")
+    verdict = verdict_of(report, "singular-codim-bound")
     assert (verdict.status, verdict.certainty) == (UNKNOWN, BUDGET_EXCEEDED)
     assert "non-regular locus codimension = unknown" in report.to_text()
 
@@ -248,9 +249,13 @@ def test_math_failure_is_exit_zero_but_bad_input_is_not(capsys, tmp_path):
         assert code == 2 and f"'{name}' takes no parameter" in err, spec
         assert out == ""
 
-    # a parameter out of range, missing or not plain decimal digits
+    # a parameter out of range, missing, empty or not plain decimal digits
     for spec, message in (("L:2", "needs n >= 3"),
                           ("L", "needs an integer parameter"),
+                          ("L:", "'L' needs a parameter after ':'"),
+                          ("abelian:", "'abelian' needs a parameter after ':'"),
+                          ("heisenberg:",
+                           "'heisenberg' needs a parameter after ':'"),
                           ("L:x", "bad integer parameter 'x'"),
                           ("L:+5", "bad integer parameter '+5'"),
                           ("L: 5", "bad integer parameter ' 5'"),

@@ -9,21 +9,18 @@ computations behind the memo, not the calls of the public methods in
 front of it.
 """
 
-import importlib
 from collections import Counter
 from types import SimpleNamespace
 
 import pytest
 
+from coregular import invariants, pfaffian
 from coregular.catalog import example32, filiform, panyushev
 from coregular.invariants import minimal_generators
 from coregular.kernel import reduce_one_step
 from coregular.lie import LieAlgebra
 from coregular.poly import DEGREVLEX, GRLEX
 from coregular.report import AnalysisOptions, analyze
-
-invariants = importlib.import_module("coregular.invariants")
-pfaffian = importlib.import_module("coregular.pfaffian")
 
 
 def weights_5_7_11():

@@ -13,7 +13,8 @@ from coregular.grobner import (DEFAULT_BUDGET, BudgetExceededError,
                                s_polynomial)
 from coregular.pfaffian import index, pfaffian_ideal
 from coregular.poly import (DEGREVLEX, GRLEX, LEX, Polynomial,
-                            monomial_divides, parse_polynomial)
+                            monomial_divides)
+from polytext import parse_polynomial
 
 
 def variables(n):

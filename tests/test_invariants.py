@@ -21,11 +21,11 @@ from coregular.invariants import (GeneratorSet, SemiInvariant, WeightVector,
 from coregular.kernel import reduce_one_step
 from coregular.lie import LieAlgebra
 from coregular.linalg import InternalCheckError
-from coregular.poly import (DEGREVLEX, ORDERS, Polynomial,
-                            format_polynomial, parse_polynomial)
+from coregular.poly import DEGREVLEX, ORDERS, Polynomial, format_polynomial
 import oracles
 from oracles import (poisson_bracket, substitute_generators,
                      weight_derivation)
+from polytext import parse_polynomial
 
 WEIGHTS = [(1, 1, -1), (2, -1, 3), (5, -7, 11)]
 # the compositions of 2 and 3, which give the seaweeds of sl2 and sl3

@@ -17,12 +17,12 @@ from coregular.lie import (JacobiViolationError, LieAlgebra, LieAlgebraError,
 from coregular.linalg import (InternalCheckError, identity, inverse,
                               mat_eq_zero, mat_mul, mat_sub, rank,
                               squarefree_part)
-from coregular.poly import (Polynomial, format_polynomial,
-                            monomials_of_degree, parse_polynomial)
+from coregular.poly import Polynomial, format_polynomial, monomials_of_degree
 import oracles
 from conftest import is_exact
 from oracles import (ad_of_vector, ad_on_graded, derivation_by_partials,
                      unimodular)
+from polytext import parse_polynomial
 
 rational_vec = lambda n: st.lists(
     st.fractions(min_value=-3, max_value=3, max_denominator=2),

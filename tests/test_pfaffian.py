@@ -1,10 +1,10 @@
-import importlib
 import random
 from itertools import combinations, product
 
 import pytest
 
 from conftest import seaweed
+from coregular import pfaffian as pfaffian_module
 from coregular.catalog import (abelian, example32, filiform, heisenberg,
                                panyushev, sl2, two_dim_nonabelian)
 from coregular.grobner import (BudgetExceededError, buchberger,
@@ -20,8 +20,6 @@ from coregular.pfaffian import (c_value, certified_rank,
 from coregular.poly import DEGREVLEX, ORDERS, Polynomial, format_polynomial
 from oracles import bordered_rank_certificate, poly_det, verify_divides_minors
 from test_product_certificate import weights_cases
-
-pfaffian_module = importlib.import_module("coregular.pfaffian")
 
 COMPOSITIONS = {2: [(2,), (1, 1)],
                 3: [(3,), (2, 1), (1, 2), (1, 1, 1)],

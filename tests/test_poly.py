@@ -10,8 +10,8 @@ from conftest import (is_exact, nonzero_poly_pairs, poly_pairs, poly_strategy,
 from coregular.poly import (DEGREVLEX, GRLEX, LEX, MINUS_INFINITY, Polynomial,
                             apply_derivation, divide, exact_div,
                             format_polynomial, monomial_div, monomial_divides,
-                            monomials_of_degree, parse_polynomial, poly_gcd,
-                            try_exact_div)
+                            monomials_of_degree, poly_gcd, try_exact_div)
+from polytext import parse_polynomial
 
 V5 = [f"v{i}" for i in range(1, 6)]
 
