@@ -22,7 +22,8 @@ from .kernel import freeness_verdict, kernel_of_rho, reduce_one_step
 from .lie import LieAlgebra, LieAlgebraError
 from .pfaffian import DEFAULT_PROBE_SEED
 from .poly import ORDERS, format_polynomial
-from .report import AnalysisOptions, analyze, generator_line
+from .report import (AnalysisOptions, _generator_entry, _weight_text,
+                     analyze, generator_line)
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -102,12 +103,13 @@ def cmd_catalog(args) -> int:
 def cmd_invariants(args) -> int:
     g = _load_algebra(args)
     bound = args.max_degree if args.max_degree is not None else g.dim
-    gens, _ = minimal_generators(g, bound, ORDERS[args.order])
+    order = ORDERS[args.order]
+    gens, _ = minimal_generators(g, bound, order)
     print(f"semi-invariant generators of {g.label} up to degree {bound}:")
     if not gens.generators:
         print("  none")
     for s in gens.generators:
-        print(generator_line(s, g.names, ORDERS[args.order]))
+        print(generator_line(_generator_entry(s, g.names, order)))
     if gens.irrational_degrees:
         print(f"  (irrational weights possible in degrees "
               f"{list(gens.irrational_degrees)}, not reported)")
@@ -158,7 +160,7 @@ def cmd_reduce(args) -> int:
 
     print(f"reduction step for {g.label} along "
           f"{format_polynomial(step.semi_invariant, g.names, order)} "
-          f"(weight {tuple(str(x) for x in step.weight.values)})")
+          f"(weight {_weight_text(step.weight.values)})")
     print(f"  ranks: r(g) = {step.rank_g}, r(h) = {step.rank_h}, "
           f"r(k) = {step.rank_k}")
     after = ("undecided" if step.c_after is None

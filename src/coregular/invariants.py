@@ -724,30 +724,6 @@ def _class_exponents(gens: Sequence[SemiInvariant], degree: int,
     return out, leads
 
 
-def _product_block(g: LieAlgebra,
-                   product: Callable[[Sequence[int]], Polynomial],
-                   exponents: Iterable[Sequence[int]], place: dict,
-                   monos: Sequence) -> list[Polynomial]:
-    """The echelon basis, leading monomials descending, of the span of
-    the weight-zero products ``product(e)``, e in ``exponents``, as the
-    echelon stores it, each polynomial primitive and integral and
-    checked to be an invariant: the weight-zero block of a class that
-    products fill.  ``place`` numbers ``monos``, the degree's monomials
-    descending."""
-    ech = SparseEchelon()
-    for exps in exponents:
-        ech.add({place[m]: c for m, c in product(exps).terms.items()})
-    block = [Polynomial._new(g.dim, {monos[t]: c
-                                     for t, c in ech.rows[p].items()})
-             for p in sorted(ech.rows)]
-    zero = WeightVector((0,) * g.dim)
-    for f in block:
-        if not verify_semi_invariant(g, f, zero):
-            raise InternalCheckError(
-                "a weight-zero product block holds a non-invariant")
-    return block
-
-
 def _new_generators(product: Callable[[Sequence[int]], Polynomial],
                     exponents: dict,
                     blocks: Iterable[tuple[WeightVector, Sequence[Polynomial]]],
@@ -804,14 +780,18 @@ def minimal_generators(g: LieAlgebra, max_degree: int | None = None,
     none.
     Each product lies in one class, in the common kernel of the acting
     vectors.  A class the products fill has no new semi-invariant
-    generator and no irrational weight, and its weight-zero block,
-    against which new invariant generators are read, is the echelon of
-    its weight-zero products (``_product_block``).  Any other class is
-    echeloned only against its own products of each weight.  A reduced
-    echelon basis over disjoint sets of monomials is the union of the
-    parts' bases, so the classes' generators, sorted by block and then by
-    the leading monomial of the block vector they came from, are those of
+    generator and no irrational weight.  Any other class is echeloned
+    only against its own products of each weight.  A reduced echelon
+    basis over disjoint sets of monomials is the union of the parts'
+    bases, so the classes' generators, sorted by block and then by the
+    leading monomial of the block vector they came from, are those of
     one search of the whole degree.
+
+    Once a proper generator is found, the degree's weight-zero block,
+    against which new invariant generators are read, is one echelon for
+    all classes: the weight-zero products, which that walk lists, span
+    it together with the new weight-zero generators, their complement
+    in it.  Its rows are checked to be invariants.
     """
     bound = max_degree if max_degree is not None else g.dim
     if bound < 1:
@@ -829,33 +809,36 @@ def minimal_generators(g: LieAlgebra, max_degree: int | None = None,
         codes = _class_codes(g, d)
         semi_exps, leads = _class_exponents(semi, d, codes, n, order)
         graded = graded_semi_invariants(g, d, order, leads=leads)
-        new, new_inv = [], []
+        new = []
         for key, blocks in graded.searched:
             new += _new_generators(semi_product, semi_exps.get(key, {}),
                                    blocks, place, monos, d)
-        if inv is not semi:
-            zero = (0,) * n
-            zero_blocks = [(key, [(w, b) for w, b in blocks if w.is_zero])
-                           for key, blocks in graded.searched]
-            zero_blocks += [(key, [(WeightVector(zero), _product_block(
-                g, semi_product, products[zero], place, monos))])
-                for key, products in semi_exps.items()
-                if key in graded.filled and zero in products]
-            zero_blocks = [(key, blocks) for key, blocks in zero_blocks
-                           if blocks]
-            inv_exps = (_class_exponents(inv, d, codes, n, order)[0]
-                        if zero_blocks else {})
-            for key, blocks in zero_blocks:
-                new_inv += _new_generators(
-                    inv_product, inv_exps.get(key, {}), blocks, place,
-                    monos, d)
         new.sort(key=lambda item: item[0])
-        new_inv.sort(key=lambda item: item[0])
+        if inv is not semi:
+            # the weight-zero part of the degree, spanned by the
+            # weight-zero products and the new weight-zero generators
+            zero = WeightVector((0,) * n)
+            ech = SparseEchelon()
+            for f in chain((semi_product(exps) for products in
+                            semi_exps.values()
+                            for exps in products.get(zero.values, ())),
+                           (s.poly for _, s in new if s.weight.is_zero)):
+                ech.add({place[m]: c for m, c in f.terms.items()})
+            block = [Polynomial._new(n, {monos[t]: c
+                                         for t, c in ech.rows[p].items()})
+                     for p in sorted(ech.rows)]
+            for f in block:
+                if not verify_semi_invariant(g, f, zero):
+                    raise InternalCheckError(
+                        "a weight-zero product block holds a non-invariant")
+            inv += [s for _, s in _new_generators(
+                inv_product,
+                {zero.values: _exponent_vectors([s.degree for s in inv], d)},
+                [(zero, block)], place, monos, d)]
         # recorded for ``semicenter_dims``; only an int is kept
         g.cached(("semicenter", d), graded.total_dim)
         if graded.irrational_flag:
             irrational.append(d)
-        inv += [s for _, s in new_inv]
         semi += [s for _, s in new]
         if inv is semi and any(not s.weight.is_zero for _, s in new):
             inv = [s for s in semi if s.weight.is_zero]

@@ -19,13 +19,24 @@ from .record import record
 SCHEMA_VERSION = 1
 
 
-def generator_line(s: SemiInvariant, names, order: MonomialOrder) -> str:
-    """One semi-invariant generator as a line of text:
-    ``  deg d: poly  [invariant]`` or ``  [weight (w_1, ..., w_n)]``."""
-    w = ("invariant" if s.weight.is_zero else
-         "weight (" + ", ".join(str(x) for x in s.weight.values) + ")")
-    return (f"  deg {s.degree}: {format_polynomial(s.poly, names, order)}"
-            f"  [{w}]")
+def _weight_text(values) -> str:
+    """A weight as text, ``(w_1, ..., w_n)``."""
+    return "(" + ", ".join(map(str, values)) + ")"
+
+
+def _generator_entry(s: SemiInvariant, names, order: MonomialOrder) -> dict:
+    """One semi-invariant generator as an entry of the JSON report."""
+    return {"degree": s.degree,
+            "weight": [str(x) for x in s.weight.values],
+            "polynomial": format_polynomial(s.poly, names, order)}
+
+
+def generator_line(entry: dict) -> str:
+    """One generator's JSON entry (``_generator_entry``) as a line of
+    text: ``  deg d: poly  [invariant]`` or ``  [weight (w_1, ..., w_n)]``."""
+    w = ("invariant" if all(x == "0" for x in entry["weight"]) else
+         "weight " + _weight_text(entry["weight"]))
+    return f"  deg {entry['degree']}: {entry['polynomial']}  [{w}]"
 
 
 @record
@@ -64,15 +75,7 @@ class AnalysisReport:
     def to_json_dict(self) -> dict:
         g = self.algebra
         names = g.names
-
-        def weight_list(w):
-            return [str(x) for x in w.values]
-
-        def gen_entry(s: SemiInvariant) -> dict:
-            return {"degree": s.degree,
-                    "weight": weight_list(s.weight),
-                    "polynomial": format_polynomial(s.poly, names,
-                                                    self.options.order)}
+        order = self.options.order
 
         def verdict_entry(v: CriterionVerdict) -> dict:
             out = {"criterion": v.criterion, "status": v.status,
@@ -91,8 +94,7 @@ class AnalysisReport:
                       range(len(self.invariant_generators.generators))]
             relations_json = [
                 {"weighted_degree": r.weighted_degree,
-                 "polynomial": format_polynomial(r.poly, fnames,
-                                                 self.options.order)}
+                 "polynomial": format_polynomial(r.poly, fnames, order)}
                 for r in self.relations]
 
         fsi = self.geometry.fsi
@@ -102,7 +104,7 @@ class AnalysisReport:
             "settings": {
                 "degree_bound": self.degree_bound,
                 "kernel_degree_bound": self.kernel.degree_bound,
-                "order": self.options.order.name,
+                "order": order.name,
                 "seed": self.options.seed,
             },
             "dim": g.dim,
@@ -111,17 +113,18 @@ class AnalysisReport:
             "c": self.geometry.c,
             "d": fsi.degree,
             "fundamental_semi_invariant": format_polynomial(
-                fsi.value, names, self.options.order),
-            "pfaffian_gcd": format_polynomial(fsi.pfaffian_gcd, names,
-                                              self.options.order),
+                fsi.value, names, order),
+            "pfaffian_gcd": format_polynomial(fsi.pfaffian_gcd, names, order),
             "rank_witness_rows": [i + 1 for i in
                                   self.geometry.certificate.witness_rows],
             "probe_ranks": list(self.geometry.certificate.probe_ranks),
             "singular_codim": self.singular_codim_text(),
-            "semi_invariant_generators": [gen_entry(s) for s in
-                                          self.semi_generators.generators],
-            "invariant_generators": [gen_entry(s) for s in
-                                     self.invariant_generators.generators],
+            "semi_invariant_generators": [
+                _generator_entry(s, names, order)
+                for s in self.semi_generators.generators],
+            "invariant_generators": [
+                _generator_entry(s, names, order)
+                for s in self.invariant_generators.generators],
             "relations": relations_json,
             "gorenstein": {
                 "value": self.gorenstein.value,
@@ -137,7 +140,7 @@ class AnalysisReport:
                 "degree_bound": self.kernel.degree_bound,
                 "rank": self.kernel.rank,
                 "generator_degrees": list(self.kernel.degrees),
-                "generators": [[format_polynomial(c, names, self.options.order)
+                "generators": [[format_polynomial(c, names, order)
                                 for c in w.components]
                                for w in self.kernel.generators],
             },
@@ -159,83 +162,68 @@ class AnalysisReport:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
     def to_text(self) -> str:
-        g = self.algebra
-        geo = self.geometry
+        """The report as text, rendered from ``to_json_dict``."""
+        j = self.to_json_dict()
         lines = [
-            f"algebra {g.label}  (dim {g.dim}, basis "
-            f"{', '.join(g.names)})",
-            f"  index i = {geo.index},  rank r = {geo.certificate.rank},  "
-            f"c = (dim + i)/2 = {geo.c}",
+            f"algebra {j['algebra']['name']}  (dim {j['dim']}, basis "
+            f"{', '.join(j['algebra']['basis'])})",
+            f"  index i = {j['index']},  rank r = {j['structure_rank']},  "
+            f"c = (dim + i)/2 = {j['c']}",
             f"  fundamental semi-invariant = "
-            f"{format_polynomial(geo.fsi.value, g.names, self.options.order)}"
-            f"  (degree d = {geo.fsi.degree})",
-            f"  non-regular locus codimension = {self.singular_codim_text()}",
+            f"{j['fundamental_semi_invariant']}  (degree d = {j['d']})",
+            f"  non-regular locus codimension = {j['singular_codim']}",
             "",
-            f"semi-invariant generators up to degree {self.degree_bound}:",
+            f"semi-invariant generators up to degree "
+            f"{j['settings']['degree_bound']}:",
         ]
-        if self.semi_generators.generators:
-            for s in self.semi_generators.generators:
-                lines.append(generator_line(s, g.names, self.options.order))
-        else:
-            lines.append("  none")
-        if self.semi_generators.has_proper():
-            lines.append(
-                f"invariant-only generators (degree sum "
-                f"{self.invariant_generators.degree_sum()}):")
-            for s in self.invariant_generators.generators:
-                lines.append(
-                    f"  deg {s.degree}: "
-                    f"{format_polynomial(s.poly, g.names, self.options.order)}")
-        if self.relations is None:
+        lines += (map(generator_line, j["semi_invariant_generators"])
+                  if j["semi_invariant_generators"] else ["  none"])
+        invariants = j["invariant_generators"]
+        degs = [e["degree"] for e in invariants]
+        if j["gates"]["proper_semi_invariants_found"]:
+            lines.append(f"invariant-only generators (degree sum "
+                         f"{sum(degs)}):")
+            lines += [f"  deg {e['degree']}: {e['polynomial']}"
+                      for e in invariants]
+        if j["relations"] == "budget-exceeded":
             lines.append("relations: budget exceeded")
-        elif self.relations:
-            fnames = [f"f{i + 1}" for i in
-                      range(len(self.invariant_generators.generators))]
+        elif j["relations"]:
             lines.append("relations among the invariant generators:")
-            for r in self.relations:
-                lines.append(
-                    f"  weighted degree {r.weighted_degree}: "
-                    f"{format_polynomial(r.poly, fnames, self.options.order)}")
+            lines += [f"  weighted degree {r['weighted_degree']}: "
+                      f"{r['polynomial']}" for r in j["relations"]]
         else:
             lines.append("relations: none found up to weighted degree "
-                         f"{self.degree_bound}")
-
-        degs = self.invariant_generators.degrees
+                         f"{j['settings']['degree_bound']}")
         if degs:
-            lhs = "+".join(str(d) for d in degs)
-            rhs = f"(1/2)({g.dim}+{geo.index}-{geo.fsi.degree})"
-            target = (g.dim + geo.index - geo.fsi.degree) // 2
-            rel = "=" if sum(degs) == target else "!="
-            lines.append(f"degree-sum check: {lhs} {rel} {rhs} = {target}")
-        if self.gorenstein.defined:
+            target = (j["dim"] + j["index"] - j["d"]) // 2
+            lines.append(
+                f"degree-sum check: {'+'.join(map(str, degs))} "
+                f"{'=' if sum(degs) == target else '!='} "
+                f"(1/2)({j['dim']}+{j['index']}-{j['d']}) = {target}")
+        gorenstein = j["gorenstein"]
+        if gorenstein["value"] is not None:
             lines.append(f"Gorenstein invariant of the presentation: "
-                         f"{self.gorenstein.value} ({self.gorenstein.case})")
+                         f"{gorenstein['value']} ({gorenstein['case']})")
         else:
             lines.append(f"Gorenstein invariant undefined: "
-                         f"{self.gorenstein.reason}")
-        lines.append(f"trdeg check: {self.trdeg.status} "
-                     f"(jacobian rank {self.trdeg.rank}, expected "
-                     f"{self.trdeg.expected})")
-        lines.append("")
+                         f"{gorenstein['reason']}")
+        trdeg = j["trdeg_check"]
+        lines += [f"trdeg check: {trdeg['status']} (jacobian rank "
+                  f"{trdeg['rank']}, expected {trdeg['expected']})", ""]
+        kernel = j["kernel"]
         lines.append(f"kernel of the anchor map up to degree "
-                     f"{self.kernel.degree_bound}: "
-                     f"{len(self.kernel.generators)} minimal generators, "
-                     f"module rank {self.kernel.rank}")
-        for w in self.kernel.generators:
-            lines.append("  (" + ", ".join(
-                format_polynomial(c, g.names, self.options.order)
-                for c in w.components) + ")")
-        lines.append("")
-        lines.append("criteria:")
-        for v in self.criteria:
-            lines.append(f"  [{v.status.upper():7}] {v.criterion}: "
-                         f"{v.lhs} vs {v.rhs}  ({v.certainty})")
-            for note in v.notes:
-                lines.append(f"            - {note}")
-            if v.witness:
-                lines.append(f"            witness: {v.witness}")
-        for note in self.notes:
-            lines.append(f"note: {note}")
+                     f"{kernel['degree_bound']}: "
+                     f"{len(kernel['generators'])} minimal generators, "
+                     f"module rank {kernel['rank']}")
+        lines += ["  (" + ", ".join(w) + ")" for w in kernel["generators"]]
+        lines += ["", "criteria:"]
+        for v in j["criteria"]:
+            lines.append(f"  [{v['status'].upper():7}] {v['criterion']}: "
+                         f"{v['lhs']} vs {v['rhs']}  ({v['certainty']})")
+            lines += [f"            - {note}" for note in v["notes"]]
+            if v.get("witness"):
+                lines.append(f"            witness: {v['witness']}")
+        lines += [f"note: {note}" for note in j["notes"]]
         return "\n".join(lines)
 
 

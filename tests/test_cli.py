@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import verdict_of
-from coregular.catalog import filiform, heisenberg, sl2
+from coregular.catalog import filiform, heisenberg, panyushev, sl2
 from coregular.cli import EXIT_BROKEN_PIPE, main
 from coregular.invariants import minimal_generators
 from coregular.kernel import BUDGET_EXCEEDED, UNKNOWN
@@ -208,6 +208,103 @@ def test_a_relation_search_past_its_cap_is_reported_in_the_text():
     # the 16 generators of L(7) have too many formal monomials
     lines = analyze(filiform(7)).to_text().splitlines()
     assert "relations: budget exceeded" in lines
+
+
+# the whole text report of two entries, which between them print every
+# section: proper and invariant-only generators, a relation, the
+# Gorenstein line, a syzygy witness and the notes
+PANYUSHEV_TEXT = """\
+algebra panyushev  (dim 4, basis v1, v2, v3, v4)
+  index i = 2,  rank r = 2,  c = (dim + i)/2 = 3
+  fundamental semi-invariant = 1  (degree d = 0)
+  non-regular locus codimension = 3
+
+semi-invariant generators up to degree 2:
+  deg 1: v4  [weight (-1, 0, 0, 0)]
+  deg 1: v2  [weight (1, 0, 0, 0)]
+  deg 1: v3  [weight (1, 0, 0, 0)]
+invariant-only generators (degree sum 4):
+  deg 2: v2*v4
+  deg 2: v3*v4
+relations: none found up to weighted degree 2
+degree-sum check: 2+2 != (1/2)(4+2-0) = 3
+Gorenstein invariant of the presentation: 4 (polynomial-ring)
+trdeg check: not-applicable (jacobian rank None, expected 2)
+
+kernel of the anchor map up to degree 2: 3 minimal generators, module rank 2
+  (0, v3, -v2, 0)
+  (0, v4, 0, v2)
+  (0, 0, v4, v3)
+
+criteria:
+  [HOLDS  ] semi-invariant-degree-sum-bound: sum of generator degrees = 3 vs c = 3  (up-to-degree)
+            - bound verified for the generators found so far
+  [UNKNOWN] index-center-bound: 3 i = 6 vs dim + 2 dim Z = 4  (up-to-degree)
+            - not applicable: proper semi-invariants present
+  [UNKNOWN] invariant-degree-sum-equality: sum of invariant generator degrees = 4 vs (dim + i - d)/2 = 3  (up-to-degree)
+            - not applicable: proper semi-invariants present
+  [UNKNOWN] equality-iff-codim-ge-2: sum of invariant generator degrees = 4 vs d = 0  (up-to-degree)
+            - not applicable: proper semi-invariants present
+  [HOLDS  ] singular-codim-bound: codim = 3 vs codim <= 3  (certified)
+            - proper semi-invariants present
+  [UNKNOWN] singular-locus-purity: purity in codimension 3 vs not checked  (up-to-degree)
+            - needs primary decomposition, outside the toolkit's scope
+  [FAILS  ] kernel-freeness: 3 minimal generators vs rank 2  (certified)
+            - more minimal generators than the rank
+            witness: 0 = (v4)*w1 + (-v3)*w2 + (v2)*w3
+note: invariants-only generator degree sum 4 vs semi-invariant degree sum 3 (bound c = 3)"""
+
+L6_TEXT = """\
+algebra L(6)  (dim 6, basis v1, v2, v3, v4, v5, v6)
+  index i = 4,  rank r = 2,  c = (dim + i)/2 = 5
+  fundamental semi-invariant = 1  (degree d = 0)
+  non-regular locus codimension = 4
+
+semi-invariant generators up to degree 6:
+  deg 1: v6  [invariant]
+  deg 2: v4^2 - 2*v3*v5 + 2*v2*v6  [invariant]
+  deg 2: v5^2 - 2*v4*v6  [invariant]
+  deg 3: v4^3 - 3*v3*v4*v5 + 3*v2*v5^2 + 9/2*v3^2*v6 - 6*v2*v4*v6  [invariant]
+  deg 3: v5^3 - 3*v4*v5*v6 + 3*v3*v6^2  [invariant]
+relations among the invariant generators:
+  weighted degree 6: -3/2*f1^2*f2*f3 + f1^3*f4 + 1/2*f3^3 - 1/2*f5^2
+degree-sum check: 1+2+2+3+3 != (1/2)(6+4-0) = 5
+Gorenstein invariant of the presentation: 5 (complete-intersection)
+trdeg check: consistent (jacobian rank 4, expected 4)
+
+kernel of the anchor map up to degree 6: 7 minimal generators, module rank 4
+  (0, 0, 0, 0, 0, 1)
+  (0, v4, -v3, 0, 0, 0)
+  (0, v5, 0, -v3, 0, 0)
+  (0, v6, 0, 0, -v3, 0)
+  (0, 0, v5, -v4, 0, 0)
+  (0, 0, v6, 0, -v4, 0)
+  (0, 0, 0, v6, -v5, 0)
+
+criteria:
+  [FAILS  ] semi-invariant-degree-sum-bound: sum of generator degrees = 11 vs c = 5  (certified)
+            - the degree sum only grows with the bound, so exceeding c is final
+  [FAILS  ] index-center-bound: 3 i = 12 vs dim + 2 dim Z = 8  (certified)
+            - no proper semi-invariants (nilpotent)
+            - failure excludes coregularity
+  [UNKNOWN] invariant-degree-sum-equality: sum of invariant generator degrees = 11 vs (dim + i - d)/2 = 5  (up-to-degree)
+            - not applicable: no proper semi-invariants (nilpotent); 1 relation(s) found: presentation is not polynomial; generators are algebraically dependent
+  [UNKNOWN] equality-iff-codim-ge-2: sum of invariant generator degrees = 11 vs d = 0  (up-to-degree)
+            - not applicable: no proper semi-invariants (nilpotent); 1 relation(s) found: presentation is not polynomial; generators are algebraically dependent
+  [FAILS  ] singular-codim-bound: codim = 4 vs codim <= 3  (certified)
+            - no proper semi-invariants (nilpotent)
+            - failure excludes coregularity
+  [UNKNOWN] singular-locus-purity: purity in codimension 3 vs not checked  (up-to-degree)
+            - needs primary decomposition, outside the toolkit's scope
+  [FAILS  ] kernel-freeness: 7 minimal generators vs rank 4  (certified)
+            - more minimal generators than the rank
+            witness: 0 = (v5)*w2 + (-v4)*w3 + (v3)*w5"""
+
+
+@pytest.mark.parametrize("g, bound, text", [
+    (panyushev(), 2, PANYUSHEV_TEXT), (filiform(6), 6, L6_TEXT)])
+def test_the_text_report_is_pinned(g, bound, text):
+    assert analyze(g, AnalysisOptions(max_degree=bound)).to_text() == text
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])
@@ -426,7 +523,7 @@ def test_integer_decimal_and_ratio_text_are_read_exactly(capsys, tmp_path):
                                ("0.00001", "1/100000", True)):
         code, out, _ = run_cli(
             ["reduce"] + _exponent_file(tmp_path, value, bare), capsys)
-        assert code == 0 and f"weight ('{shown}', '0', '0')" in out, value
+        assert code == 0 and f"weight ({shown}, 0, 0)" in out, value
 
 
 json_values = st.recursive(
