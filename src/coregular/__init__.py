@@ -24,7 +24,7 @@ from .kernel import (CriterionVerdict, Geometry, InternalCheckError,
                      compute_geometry, evaluate_criteria, find_syzygy,
                      freeness_verdict, kernel_of_rho, reduce_one_step)
 from .lie import (JacobiViolationError, LieAlgebra, LieAlgebraError,
-                  SkewPolyMatrix, Subspace, is_derivation, jordan_chevalley)
+                  SkewPolyMatrix, is_derivation, jordan_chevalley)
 from .pfaffian import (FundamentalSemiInvariant, RankCertificate,
                        certified_rank, c_value, fundamental_semi_invariant,
                        index, singular_locus_codim)
@@ -47,7 +47,7 @@ __all__ = [
     "evaluate_criteria", "find_syzygy", "freeness_verdict", "kernel_of_rho",
     "reduce_one_step",
     "JacobiViolationError", "LieAlgebra", "LieAlgebraError", "SkewPolyMatrix",
-    "Subspace", "is_derivation", "jordan_chevalley",
+    "is_derivation", "jordan_chevalley",
     "FundamentalSemiInvariant", "RankCertificate", "certified_rank", "c_value",
     "fundamental_semi_invariant", "index", "singular_locus_codim",
     "DEGREVLEX", "GRLEX", "LEX", "MonomialOrder", "Polynomial",

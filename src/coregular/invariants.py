@@ -322,7 +322,7 @@ def _weight(g: LieAlgebra, complement: Sequence[int], pivots: Sequence[int],
     values = [0] * g.dim
     for c, lam in zip(complement, eigenvalues):
         values[c] = lam
-    for p, b in zip(pivots, g.derived_subalgebra().basis):
+    for p, b in zip(pivots, g.derived_subalgebra()):
         values[p] = -sum(b[c] * values[c] for c in complement)
     return WeightVector(tuple(values))
 
@@ -421,7 +421,7 @@ def _lie_generators(g: LieAlgebra) -> list[list[int]]:
     n = g.dim
     basis = [[int(t == i) for t in range(n)] for i in range(n)]
     pivots = [next(i for i, x in enumerate(b) if x)
-              for b in g.derived_subalgebra().basis]
+              for b in g.derived_subalgebra()]
     if g.is_nilpotent():
         return [basis[i] for i in range(n) if i not in pivots]
     span = SparseEchelon()
@@ -458,10 +458,10 @@ def _acting(g: LieAlgebra) -> tuple[list, list[int], list[int]]:
     no complement, and else that basis and the coordinates off its
     pivots."""
     derived = g.derived_subalgebra()
-    pivots = [next(i for i, x in enumerate(b) if x) for b in derived.basis]
+    pivots = [next(i for i, x in enumerate(b) if x) for b in derived]
     if structural_no_proper_reason(g):
         return _lie_generators(g), [], pivots
-    return derived.basis, [i for i in range(g.dim) if i not in pivots], pivots
+    return derived, [i for i in range(g.dim) if i not in pivots], pivots
 
 
 def _torus(g: LieAlgebra) -> list[list[int]]:
@@ -1021,7 +1021,6 @@ class TrdegCheck:
     status: str
     rank: int | None
     expected: int
-    degree_bound: int
 
 
 def trdeg_check(gens: GeneratorSet) -> TrdegCheck:
@@ -1031,15 +1030,14 @@ def trdeg_check(gens: GeneratorSet) -> TrdegCheck:
     semi-invariants exist."""
     expected = index(gens.algebra)
     if gens.has_proper():
-        return TrdegCheck(TRDEG_NOT_APPLICABLE, None, expected,
-                          gens.degree_bound)
+        return TrdegCheck(TRDEG_NOT_APPLICABLE, None, expected)
     # with no proper semi-invariants every generator is an invariant
     rank = gens.jacobian_rank
     if rank > expected:
         raise InternalCheckError(
             "invariant rank exceeded the structural bound")
     status = TRDEG_CONSISTENT if rank == expected else TRDEG_DEFICIENT
-    return TrdegCheck(status, rank, expected, gens.degree_bound)
+    return TrdegCheck(status, rank, expected)
 
 
 @record
@@ -1047,10 +1045,6 @@ class GorensteinResult:
     value: int | None
     case: str
     reason: str | None = None
-
-    @property
-    def defined(self) -> bool:
-        return self.value is not None
 
 
 def gorenstein_invariant(gens: GeneratorSet,

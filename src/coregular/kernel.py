@@ -353,7 +353,9 @@ def find_syzygy(kernel: KernelBasis
     order = DEGREVLEX
     dmin = min(w.degree for w in gens)
     dmax = max(w.degree for w in gens)
-    for e in range(dmin, dmax + SYZYGY_EXTRA_DEGREES + 1):
+    # the least-degree generators extend no lower multiple, so they are
+    # linearly independent and no syzygy has degree dmin
+    for e in range(dmin + 1, dmax + SYZYGY_EXTRA_DEGREES + 1):
         rank = {m: t for t, m in
                 enumerate(monomials_of_degree(n, e, order))}
         multiples = list(_multiples(gens, e, n, rank, order))

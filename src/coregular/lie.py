@@ -50,20 +50,22 @@ class JacobiViolationError(LieAlgebraError):
             f"Jacobi identity fails on (v{i}, v{j}, v{k}); residual [{text}]")
 
 
-@record
-class Subspace:
-    """A subspace of Q^n in reduced row echelon form (canonical)."""
+def _reduced_rows(vectors: Iterable[Sequence]
+                  ) -> tuple[tuple[Fraction, ...], ...]:
+    """The reduced row echelon basis of the span of ``vectors``, one
+    tuple per row: canonical for the span."""
+    return tuple(map(tuple, rref(vectors)[0]))
 
-    basis: tuple[tuple[Fraction, ...], ...]
 
-    @classmethod
-    def from_spanning(cls, vectors: Iterable[Sequence]) -> "Subspace":
-        reduced, _ = rref(vectors)
-        return cls(tuple(tuple(r) for r in reduced))
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict, refused if a key repeats: ``json`` alone
+    would keep the last value and drop the others unseen."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"repeated key {key!r}")
+        data[key] = value
+    return data
 
 
 class LieAlgebra:
@@ -212,11 +214,12 @@ class LieAlgebra:
             entries[j][i] = -entries[i][j]
         return SkewPolyMatrix(n, tuple(tuple(row) for row in entries))
 
-    def derived_subalgebra(self) -> Subspace:
-        """[g, g], computed once per algebra."""
-        return self.cached("derived", lambda: Subspace.from_spanning(
-            [self.bracket_basis(i, j)
-             for i in range(self.dim) for j in range(i + 1, self.dim)]))
+    def derived_subalgebra(self) -> tuple[tuple[Fraction, ...], ...]:
+        """[g, g] as its reduced row echelon basis, canonical for the
+        span, computed once per algebra."""
+        return self.cached("derived", lambda: _reduced_rows(
+            self.bracket_basis(i, j)
+            for i in range(self.dim) for j in range(i + 1, self.dim)))
 
     @property
     def is_abelian(self) -> bool:
@@ -228,20 +231,20 @@ class LieAlgebra:
 
     def _lower_central_series_ends(self) -> bool:
         current = self.derived_subalgebra()
-        while current.dim:
+        while current:
             vectors = []
             for i in range(self.dim):
                 ei = [1 if t == i else 0 for t in range(self.dim)]
-                for w in current.basis:
+                for w in current:
                     vectors.append(self.bracket(ei, w))
-            nxt = Subspace.from_spanning(vectors)
-            if nxt.dim == current.dim:
+            nxt = _reduced_rows(vectors)
+            if len(nxt) == len(current):
                 return False
             current = nxt
         return True
 
     def is_perfect(self) -> bool:
-        return self.derived_subalgebra().dim == self.dim
+        return len(self.derived_subalgebra()) == self.dim
 
     # -- graded action ----------------------------------------------------------
 
@@ -261,8 +264,7 @@ class LieAlgebra:
         """
         vecs = [[_q(x) for x in v] for v in basis_vectors]
         m = len(vecs)
-        span = Subspace.from_spanning(vecs)
-        if span.dim != m:
+        if linalg.rank(vecs) != m:
             raise LieAlgebraError("basis vectors are not independent")
         cols = [[vecs[t][r] for t in range(m)] for r in range(self.dim)]
         table: dict[tuple[int, int], dict[int, Fraction]] = {}
@@ -341,8 +343,10 @@ class LieAlgebra:
     def from_json(cls, text: str) -> "LieAlgebra":
         try:
             # a bare number is kept as written, for the same text gate
-            data = json.loads(text, parse_float=str)
-        # a JSONDecodeError, or a number past the int conversion limit
+            data = json.loads(text, parse_float=str,
+                              object_pairs_hook=_unique_keys)
+        # a JSONDecodeError, a repeated key, or a number past the int
+        # conversion limit
         except ValueError as exc:
             raise LieAlgebraError(f"invalid JSON: {exc}")
         return cls.from_json_dict(data)

@@ -362,7 +362,7 @@ def weight_from_eigenvalues(g, complement: Sequence[int],
                             eigenvalues: Sequence[Fraction]) -> WeightVector:
     """The functional vanishing on [g,g] with the given values on the
     complement coordinates, as the solution of one dense system."""
-    rows = [list(b) for b in g.derived_subalgebra().basis]
+    rows = [list(b) for b in g.derived_subalgebra()]
     rhs = [Fraction(0)] * len(rows)
     for idx, lam in zip(complement, eigenvalues):
         rows.append([Fraction(int(t == idx)) for t in range(g.dim)])
@@ -381,12 +381,12 @@ def eigen_blocks(g, degree: int, order: MonomialOrder = DEGREVLEX):
     degree left over), and one dense nullspace per root."""
     n = g.dim
     derived = g.derived_subalgebra()
-    pivots = [next(i for i, x in enumerate(b) if x) for b in derived.basis]
+    pivots = [next(i for i, x in enumerate(b) if x) for b in derived]
     if invariants.structural_no_proper_reason(g):
         vectors = [[int(t == i) for t in range(n)] for i in range(n)]
         complement = []
     else:
-        vectors = derived.basis
+        vectors = derived
         complement = [i for i in range(n) if i not in pivots]
     space = common_kernel(g, degree, vectors, order)
     blocks = [((), space)] if space else []

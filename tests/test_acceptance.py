@@ -258,7 +258,7 @@ def test_criterion_10_exact_property_suite(catalog_algebras):
             polys = [s.poly for s in gens.generators]
             for s in gens.generators:
                 assert verify_semi_invariant(g, s.poly, s.weight)
-                for b in derived.basis:
+                for b in derived:
                     assert sum(c * x for c, x in
                                zip(s.weight.values, b)) == 0
             for a, b in combinations(polys, 2):

@@ -515,6 +515,22 @@ def test_literal_past_the_int_digit_limit_exits_two_with_one_line(
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("text, key", [
+    ('{"basis": ["v1", "v2", "v3"], "brackets": '
+     '[{"i": 1, "j": 2, "coeffs": {"3": "1", "3": "5"}}]}', "3"),
+    ('{"basis": ["v1", "v2"], "basis": ["v1", "v2", "v3"], '
+     '"brackets": []}', "basis"),
+], ids=["coefficient", "basis"])
+def test_a_repeated_key_exits_two_naming_it(capsys, tmp_path, text, key):
+    # json alone keeps the last value of a repeated key
+    path = tmp_path / "repeated.json"
+    path.write_text(text)
+    code, out, err = run_cli(["analyze", "--file", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err.strip().splitlines() == [
+        f"error: invalid JSON: repeated key {key!r}"]
+
+
 def test_integer_decimal_and_ratio_text_are_read_exactly(capsys, tmp_path):
     # a bare JSON number is read as written: 0.00001 is not the float
     # 1e-05, whose text has an exponent

@@ -144,7 +144,7 @@ class TestGradedSearch:
             graded = graded_semi_invariants(g, 2)
             derived = g.derived_subalgebra()
             for w, _ in graded.blocks:
-                for b in derived.basis:
+                for b in derived:
                     assert sum(c * x for c, x in zip(w.values, b)) == 0
 
     def test_defining_identity_holds(self, catalog_algebras):
@@ -225,7 +225,7 @@ class TestGradedSearch:
                                    weights_algebra((2, -1, 3))],
                              ids=["panyushev", "example32", "weights(2,-1,3)"])
     def test_derived_candidate_space_matches_successive_intersection(self, g):
-        vectors = g.derived_subalgebra().basis
+        vectors = g.derived_subalgebra()
         assert vectors
         for d in (1, 2, 3):
             assert oracles.common_kernel(g, d, vectors, DEGREVLEX) == \
@@ -258,7 +258,7 @@ class TestGradedSearch:
         for g in (catalog_algebras + [weights_algebra(w) for w in WEIGHTS]
                   + HAND_MADE):
             pivots = {next(i for i, x in enumerate(b) if x)
-                      for b in g.derived_subalgebra().basis}
+                      for b in g.derived_subalgebra()}
             complement = [i for i in range(g.dim) if i not in pivots]
             for order, d in product(ORDERS.values(), (1, 2, 3)):
                 for w, basis in graded_semi_invariants(g, d, order).blocks:
@@ -545,7 +545,7 @@ class TestLieGenerators:
             assert generated_dim(g, vectors) == g.dim, g.label
             if g.is_nilpotent():
                 assert len(vectors) == \
-                    g.dim - g.derived_subalgebra().dim, g.label
+                    g.dim - len(g.derived_subalgebra()), g.label
             for d in range(1, min(bound, 4) + 1):
                 spaces = [oracles.common_kernel_system(
                     g, d, vs, DEGREVLEX)[1] for vs in (vectors, basis)]
@@ -880,19 +880,28 @@ class TestIndependenceAndRelations:
 
 
 class TestBinaryCubicOracle:
-    """L(5) against classical invariant theory.  Its invariants are
-    S(V)^e, V the binary cubics and e the raising operator
-    (``oracles.filiform_semicenter_dims``), which by Roberts' theorem
-    are the covariants of the binary cubic (Olver, *Classical Invariant
-    Theory*, Cambridge, 1999): the form, its Hessian, the cubic
-    covariant and the discriminant, of degrees 1, 2, 3 and 4, with one
-    syzygy, of weighted degree 6, among them."""
+    """L(5) and L(6) against classical invariant theory.  The invariants
+    of L(n) are S(V)^e, V the binary forms of degree n - 2 and e the
+    raising operator (``oracles.filiform_semicenter_dims``), which by
+    Roberts' theorem are the covariants of the binary form (Olver,
+    *Classical Invariant Theory*, Cambridge, 1999).  For the binary
+    cubic these are the form, its Hessian, the cubic covariant and the
+    discriminant, of degrees 1, 2, 3 and 4, with one syzygy, of weighted
+    degree 6, among them.  For the binary quartic (Grace and Young, *The
+    Algebra of Invariants*, Cambridge, 1903) they are the form and its
+    Hessian, of degrees 1 and 2, the invariants i and j, of degrees 2
+    and 3, and the sextic covariant T, of degree 3, with one syzygy, of
+    weighted degree 6, that gives T^2 in the others."""
+
+    # n of L(n): the degree of the generator a planted fault drops, and
+    # the generator degrees and relation weighted degrees at bound 6
+    CASES = {5: (4, ((1, 2, 3, 4), [6])), 6: (3, ((1, 2, 2, 3, 3), [6]))}
 
     @staticmethod
-    def presentation(order):
-        """(generator degrees, relation weighted degrees) of L(5)'s
+    def presentation(n, order):
+        """(generator degrees, relation weighted degrees) of L(n)'s
         invariants at bound 6, each relation checked to vanish."""
-        semi, inv = minimal_generators(filiform(5), 6, order)
+        semi, inv = minimal_generators(filiform(n), 6, order)
         assert semi is inv
         rels = find_relations(inv, 6)
         assert all(substitute_generators(r, inv).is_zero for r in rels)
@@ -901,21 +910,32 @@ class TestBinaryCubicOracle:
     @pytest.mark.parametrize("order", ORDERS.values(), ids=ORDERS.keys())
     def test_generators_and_syzygy_are_those_of_the_binary_cubic(
             self, order):
-        assert self.presentation(order) == ((1, 2, 3, 4), [6])
+        for n, (_, expected) in self.CASES.items():
+            assert self.presentation(n, order) == expected, n
 
     def test_a_dropped_generator_fails_it(self, monkeypatch):
         new_generators = invariants._new_generators
+        for n, (degree, expected) in self.CASES.items():
+            dropped = []
 
-        def dropping(*args):
-            return [(key, s) for key, s in new_generators(*args)
-                    if s.degree != 4]
-        monkeypatch.setattr(invariants, "_new_generators", dropping)
-        assert self.presentation(DEGREVLEX) != ((1, 2, 3, 4), [6])
+            def dropping(*args):
+                kept = []
+                for key, s in new_generators(*args):
+                    if s.degree == degree and not dropped:
+                        dropped.append(s)
+                    else:
+                        kept.append((key, s))
+                return kept
+            with monkeypatch.context() as patch:
+                patch.setattr(invariants, "_new_generators", dropping)
+                assert self.presentation(n, DEGREVLEX) != expected, n
+            assert dropped, n
 
     def test_a_dropped_syzygy_fails_it(self, monkeypatch):
         monkeypatch.setattr(invariants, "kernel_of_columns",
                             lambda images: [])
-        assert self.presentation(DEGREVLEX) == ((1, 2, 3, 4), [])
+        for n, (_, (degrees, _)) in self.CASES.items():
+            assert self.presentation(n, DEGREVLEX) == (degrees, []), n
 
 
 class TestPoissonBracket:
@@ -1061,7 +1081,7 @@ class TestTrdegAndGorenstein:
     def test_gorenstein_undefined_case(self):
         gens = minimal_generators(filiform(5), 5)[1]
         result = gorenstein_invariant(gens, [])
-        assert not result.defined and result.reason
+        assert result.value is None and result.reason
 
 
 class TestJacobianRankCrossChecks:

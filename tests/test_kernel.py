@@ -541,6 +541,25 @@ class TestFreeness:
             found.append(g.label)
         assert found == ["L(5)", "L(6)", "L(7)", "panyushev"]
 
+    def test_least_degree_generators_are_linearly_independent(self):
+        # so no syzygy has the least degree, where find_syzygy skips
+        cases = catalog_cases() + [(g, 3) for g, _ in seaweed_cases()]
+        checked = 0
+        for g, bound in cases:
+            gens = kernel_of_rho(g, bound).generators
+            if not gens:
+                continue
+            d = min(w.degree for w in gens)
+            rank = {m: t for t, m in
+                    enumerate(monomials_of_degree(g.dim, d, DEGREVLEX))}
+            least = [vec for _, _, vec in kernel_module._multiples(
+                gens, d, g.dim, rank, DEGREVLEX)]
+            assert len(least) == sum(w.degree == d for w in gens)
+            assert not linalg.kernel_of_columns(least), g.label
+            checked += 1
+        # the other five have no anchor-kernel generator up to the bound
+        assert checked == 20
+
     def test_filiform_3_4_hold(self):
         for n in (3, 4):
             verdict = freeness_verdict(kernel_of_rho(filiform(n), 2))

@@ -38,7 +38,7 @@ def test_weights_vanish_on_derived_subalgebra(analyzed):
     for g, gens in analyzed:
         derived = g.derived_subalgebra()
         for s in gens.generators:
-            for b in derived.basis:
+            for b in derived:
                 assert sum(c * x for c, x in
                            zip(s.weight.values, b)) == 0, g.label
 

@@ -21,7 +21,7 @@ RECORDS = (
     "GorensteinResult", "GradedSemiInvariants", "GrobnerBudget",
     "GroebnerBasis", "Ideal", "KernelBasis", "KernelGenerator",
     "RankCertificate", "ReductionStep", "Relation", "SemiInvariant",
-    "SkewPolyMatrix", "Subspace", "TrdegCheck", "WeightVector")
+    "SkewPolyMatrix", "TrdegCheck", "WeightVector")
 
 
 def _record_classes():
