@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import linalg
 from .linalg import (InternalCheckError, Mat, Vec, mat, mat_eq_zero, mat_mul,
@@ -48,13 +48,6 @@ class JacobiViolationError(LieAlgebraError):
         text = ", ".join(str(x) for x in residual)
         super().__init__(
             f"Jacobi identity fails on (v{i}, v{j}, v{k}); residual [{text}]")
-
-
-def _reduced_rows(vectors: Iterable[Sequence]
-                  ) -> tuple[tuple[Fraction, ...], ...]:
-    """The reduced row echelon basis of the span of ``vectors``, one
-    tuple per row: canonical for the span."""
-    return tuple(map(tuple, rref(vectors)[0]))
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -217,9 +210,9 @@ class LieAlgebra:
     def derived_subalgebra(self) -> tuple[tuple[Fraction, ...], ...]:
         """[g, g] as its reduced row echelon basis, canonical for the
         span, computed once per algebra."""
-        return self.cached("derived", lambda: _reduced_rows(
+        return self.cached("derived", lambda: tuple(map(tuple, rref(
             self.bracket_basis(i, j)
-            for i in range(self.dim) for j in range(i + 1, self.dim)))
+            for i in range(self.dim) for j in range(i + 1, self.dim))[0])))
 
     @property
     def is_abelian(self) -> bool:
@@ -237,7 +230,7 @@ class LieAlgebra:
                 ei = [1 if t == i else 0 for t in range(self.dim)]
                 for w in current:
                     vectors.append(self.bracket(ei, w))
-            nxt = _reduced_rows(vectors)
+            nxt = rref(vectors)[0]
             if len(nxt) == len(current):
                 return False
             current = nxt
